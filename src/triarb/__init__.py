@@ -16,7 +16,6 @@ from .errors import (
     TickOrderingError,
     TickParseError,
     TriarbError,
-    UndefinedBreakEvenError,
 )
 from .market_data import (
     AlignedTriangle,
@@ -42,7 +41,7 @@ from .opportunity import (
     segment_opportunities,
     threshold_table,
 )
-from .rate_product import RateProductPoint, RateProductSeries, compute_rate_products
+from .rate_product import RateProductSeries, compute_rate_products
 from .seasonal import (
     DailyProfile,
     HourlyProfile,
@@ -58,12 +57,10 @@ from .simulator import (
     Scenario,
     SimulationConfig,
     SimulationResult,
-    TradeOutcome,
-    break_even,
+    SimulationSummary,
+    filter_trades,
     max_arb_volume,
-    profit_surface,
-    run_simulation,
-    select_trades,
+    simulate_trades,
 )
 from .synth import InjectionSpec, SynthConfig, generate, liquidity_preset
 

@@ -54,17 +54,17 @@ from .opportunity import (
 from .rate_product import RateProductSeries, compute_rate_products
 from .seasonal import daily_profile, hourly_profile, write_daily_csv, write_hourly_csv
 from .simulator import (
+    P_GRID,
     Scenario,
     SimulationConfig,
+    SimulationSummary,
     analytic_break_even_duration,
     analytic_break_even_fixed,
     analytic_total_profit_duration,
     analytic_total_profit_fixed,
-    break_even_for_trades,
+    check_lambda_grid,
     filter_trades,
-    profit_curves_for_trades,
     simulate_trades,
-    surface_for_trades,
     write_breakeven_csv,
     write_contour_csv,
     write_profit_curves_csv,
@@ -312,6 +312,9 @@ def cmd_simulate(args) -> int:
     triangle = _resolve_triangle(args, app)
     window = parse_window(args.window, args.weekdays)
     seed = _resolve_seed(args)
+    gamma_ts = parse_float_list(args.gamma_t)
+    lambda_grid = parse_float_list(args.lambda_grid)
+    check_lambda_grid(lambda_grid)
     at = _load_triangle(args, triangle, window)
     ops, _, _ = _detect_all(at, triangle)
 
@@ -320,15 +323,11 @@ def cmd_simulate(args) -> int:
         if args.scenario == "both"
         else [Scenario.FIXED_FILL if args.scenario == "fixed" else Scenario.DURATION_FILL]
     )
-    gamma_ts = parse_float_list(args.gamma_t)
-    lambda_grid = parse_float_list(args.lambda_grid)
-    p_grid = np.linspace(0.0, 1.0, 101)
     out = _out_dir(args)
 
     curve_rows = []
     breakeven_rows = []
     summary: dict = {"per_config": []}
-    surface_written = False
     for scenario in scenarios:
         for gamma_t in gamma_ts:
             trades = filter_trades(ops, gamma_t)
@@ -342,30 +341,23 @@ def cmd_simulate(args) -> int:
                 seed=seed,
                 fee_per_trade=args.fee_per_trade,
             )
-            if not surface_written:
-                surface = surface_for_trades(trades, p_grid, lambda_grid, cfg)
-                write_surface_csv(out / "profit_surface.csv", surface)
-                write_contour_csv(out / "breakeven_contour.csv", surface)
-                surface_written = True
-            means, stds = profit_curves_for_trades(trades, p_grid, cfg)
+            result = simulate_trades(trades, cfg, lambda_grid)
+            if not summary["per_config"]:  # the surface covers the first config only
+                write_surface_csv(out / "profit_surface.csv", result.surface)
+                write_contour_csv(out / "breakeven_contour.csv", result.surface)
             curve_rows.extend(
                 (scenario.value, gamma_t, float(p), float(m), float(s))
-                for p, m, s in zip(p_grid, means, stds)
+                for p, m, s in zip(P_GRID, result.curve_mean, result.curve_std)
             )
-            entry = _summary_entry(trades, cfg)
-            for lam in lambda_grid:
-                try:
-                    be = break_even_for_trades(
-                        trades, scenario, lam, args.runs, seed, volume=args.volume
-                    )
-                except TriarbError:
-                    continue
+            entry = _summary_entry(trades, cfg, result.summary)
+            for be in result.break_even:
                 breakeven_rows.append(
-                    (scenario.value, gamma_t, lam, be.analytic_p, be.simulated_p, be.simulated_p_std)
+                    (scenario.value, gamma_t, be.lambda_bp, be.analytic_p, be.simulated_p,
+                     be.simulated_p_std)
                 )
-                if lam == args.lambda_bp:
+                if be.lambda_bp == args.lambda_bp:
                     entry["break_even"] = {
-                        "lambda_bp": lam,
+                        "lambda_bp": be.lambda_bp,
                         "analytic_p": be.analytic_p,
                         "simulated_p": be.simulated_p,
                         "simulated_p_std": be.simulated_p_std,
@@ -389,7 +381,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _summary_entry(trades, cfg: SimulationConfig) -> dict:
+def _summary_entry(trades, cfg: SimulationConfig, result: SimulationSummary) -> dict:
     n = len(trades)
     long = [t for t in trades if t.run_length >= cfg.certain_fill_min_run_length]
     short = [t for t in trades if t.run_length < cfg.certain_fill_min_run_length]
@@ -425,7 +417,6 @@ def _summary_entry(trades, cfg: SimulationConfig) -> dict:
         entry["analytic_break_even_p"] = p_be
         entry["analytic_break_even_clamped"] = clamped
     if n:
-        result = simulate_trades(trades, cfg)
         entry["simulated_total_profit"] = result.total_profit
         entry["simulated_total_profit_std"] = result.total_profit_std
         entry["mean_profit_per_trade_bp"] = result.mean_profit_per_trade_bp

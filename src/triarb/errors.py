@@ -30,9 +30,5 @@ class SynthConfigError(TriarbError):
     """A synthetic-data configuration is invalid or an injection is infeasible."""
 
 
-class UndefinedBreakEvenError(TriarbError):
-    """Break-even analysis was requested but no opportunity clears the threshold."""
-
-
 class CrossedQuoteWarning(UserWarning):
     """A quote with bid > ask was accepted at ingestion."""

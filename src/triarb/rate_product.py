@@ -9,20 +9,9 @@ zero; they stay on the grid so that downstream run segmentation sees the gap.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .market_data import AlignedTriangle, Direction, Side, TriangleSpec
-
-
-@dataclass(frozen=True)
-class RateProductPoint:
-    timestamp: int
-    gamma: float
-    direction: Direction
 
 
 class RateProductSeries:
@@ -39,10 +28,6 @@ class RateProductSeries:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def points(self) -> Iterator[RateProductPoint]:
-        for t, g in zip(self.times, self.gammas):
-            yield RateProductPoint(int(t), float(g), self.direction)
 
 
 def compute_rate_products(
@@ -69,11 +54,3 @@ def compute_rate_products(
         out.append(RateProductSeries(direction, at.times, gamma))
     return out[0], out[1]
 
-
-def write_series_csv(path, series: RateProductSeries) -> None:
-    """Dump a series as ``timestamp,gamma`` rows for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "gamma"])
-        for t, g in zip(series.times, series.gammas):
-            writer.writerow([int(t), repr(float(g))])

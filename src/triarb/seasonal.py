@@ -104,21 +104,6 @@ def overlap_by_hour(table: SessionTable) -> np.ndarray:
     return np.array([session_overlap_count(table, h) for h in range(HOURS)], dtype=np.int64)
 
 
-def load_session_table(path) -> SessionTable:
-    """Read a session table file: one ``name=lo-hi`` line per market (inclusive hours)."""
-    sessions = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, span = line.partition("=")
-            sessions[name.strip()] = parse_hour_span(span)
-    if not sessions:
-        raise ValueError(f"{path}: no sessions defined")
-    return SessionTable(sessions=sessions)
-
-
 def parse_hour_span(span: str) -> frozenset[int]:
     lo_s, sep, hi_s = span.strip().partition("-")
     if not sep:
@@ -127,13 +112,6 @@ def parse_hour_span(span: str) -> frozenset[int]:
     if not (0 <= lo <= hi < HOURS):
         raise ValueError(f"bad hour span {span!r}")
     return frozenset(range(lo, hi + 1))
-
-
-def write_session_table(path, table: SessionTable) -> None:
-    with open(path, "w") as fh:
-        for name in sorted(table.sessions):
-            hours = sorted(table.sessions[name])
-            fh.write(f"{name}={hours[0]}-{hours[-1]}\n")
 
 
 def write_hourly_csv(path, profile: HourlyProfile) -> None:

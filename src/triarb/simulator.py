@@ -8,11 +8,15 @@ with certainty while the rest fill with the configured probability. A filled
 trade earns volume * (initial_gamma - 1); an unfilled one loses a fixed
 number of basis points of volume.
 
-Per-run random streams are spawned from the config seed with numpy's
-SeedSequence, so runs are reproducible and independent of execution order.
-All simulated sweeps over the fill probability share one uniform draw per
-trade per run (common random numbers), which keeps profit monotone in the
-fill probability within a run and makes zero crossings well defined.
+`simulate_trades` makes one pass over per-run random streams spawned from
+the config seed with numpy's SeedSequence, so runs are reproducible and
+independent of execution order. Each run draws one uniform per trade, and
+every quantity is reduced from that draw as the pass goes: the summary
+totals at the configured fill probability, the profit curve over the fill
+probability grid, the profit surface over (fill probability, loss) and the
+per-run break-even fill probability for each loss. Sharing the draw across
+the whole sweep (common random numbers) keeps profit monotone in the fill
+probability within a run and makes zero crossings well defined.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import UndefinedBreakEvenError
-from .opportunity import ArbitrageOpportunity, segment_opportunities
-from .rate_product import RateProductSeries
+from .opportunity import ArbitrageOpportunity
 
 BP = 1e-4
 LEGS_PER_TRANSACTION = 3
-DEFAULT_P_GRID_POINTS = 101
+# Fill probability grid of the profit curves, the surface and the break-even sweep.
+P_GRID = np.linspace(0.0, 1.0, 101)
 
 
 class Scenario(Enum):
@@ -71,14 +74,7 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class TradeOutcome:
-    opportunity: ArbitrageOpportunity
-    filled: bool
-    pnl: float
-
-
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationSummary:
     total_profit: float       # mean over runs
     total_profit_std: float   # sample std over runs
     mean_profit_per_trade_bp: float
@@ -89,6 +85,7 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class BreakEvenResult:
+    lambda_bp: float
     analytic_p: float
     simulated_p: float
     simulated_p_std: float
@@ -104,6 +101,15 @@ class ProfitSurface:
 
 
 @dataclass(frozen=True)
+class SimulationResult:
+    summary: SimulationSummary          # totals at cfg.fill_prob and cfg.loss_bp
+    curve_mean: np.ndarray              # total profit per P_GRID point, mean over runs
+    curve_std: np.ndarray               # and its sample std over runs
+    surface: ProfitSurface              # over P_GRID x lambda grid
+    break_even: tuple[BreakEvenResult, ...]  # one per lambda; empty without trades
+
+
+@dataclass(frozen=True)
 class MaxVolumeResult:
     max_stake: Optional[float]
     unbounded: bool
@@ -111,24 +117,99 @@ class MaxVolumeResult:
     profit_cap: Optional[float]
 
 
-def select_trades(series: RateProductSeries, gamma_t: float) -> list[ArbitrageOpportunity]:
-    """One trade per opportunity whose initial rate product strictly exceeds gamma_t."""
-    if gamma_t < 1.0:
-        raise ValueError(f"gamma_t must be >= 1, got {gamma_t}")
-    return filter_trades(segment_opportunities(series), gamma_t)
-
-
 def filter_trades(
     ops: Sequence[ArbitrageOpportunity], gamma_t: float
 ) -> list[ArbitrageOpportunity]:
+    """One trade per opportunity whose initial rate product strictly exceeds gamma_t."""
     if gamma_t < 1.0:
         raise ValueError(f"gamma_t must be >= 1, got {gamma_t}")
     return [op for op in ops if op.initial_gamma > gamma_t]
 
 
-def _run_rngs(seed: int, runs: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(runs)
-    return [np.random.default_rng(c) for c in children]
+def check_lambda_grid(lambda_grid_bp: Sequence[float]) -> np.ndarray:
+    """The loss grid (bp) as an array; it must be non-empty and positive."""
+    lam_bp = np.asarray(lambda_grid_bp, dtype=np.float64)
+    if lam_bp.size == 0 or not np.all(lam_bp > 0):
+        raise ValueError(f"loss grid must be non-empty and positive, got {list(lambda_grid_bp)}")
+    return lam_bp
+
+
+def simulate_trades(
+    trades: Sequence[ArbitrageOpportunity],
+    cfg: SimulationConfig,
+    lambda_grid_bp: Sequence[float],
+) -> SimulationResult:
+    """Monte Carlo fills over an already selected trade list, in one seeded pass.
+
+    The summary and the profit curves charge cfg.loss_bp per unfilled trade
+    and deduct fees; the surface charges each loss of the grid and deducts
+    fees; the break-even estimates charge each loss of the grid and ignore
+    fees. A run whose profit curve never reaches zero breaks even at 1.
+    """
+    lam_bp = check_lambda_grid(lambda_grid_bp)
+    n = len(trades)
+    excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
+    const_excess, random_idx = _scenario_split(excess, long_mask, cfg.scenario)
+    random_excess = excess[random_idx]
+    loss = cfg.volume * cfg.loss_bp * BP
+    lam_cost = cfg.volume * (lam_bp * BP)
+    fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
+
+    totals = np.empty(cfg.runs, dtype=np.float64)
+    filled_counts = np.empty(cfg.runs, dtype=np.float64)
+    curves = np.empty((cfg.runs, P_GRID.size), dtype=np.float64)
+    filled_sum = np.zeros(P_GRID.size, dtype=np.float64)
+    unfilled = np.zeros(P_GRID.size, dtype=np.float64)
+    # one row per loss, so that each row reduces as a contiguous 1-D array
+    crossings = np.empty((lam_bp.size, cfg.runs), dtype=np.float64)
+    for r, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.runs)):
+        u = np.random.default_rng(child).random(n)
+        filled = u < cfg.fill_prob
+        if cfg.scenario is Scenario.DURATION_FILL:
+            filled |= long_mask
+        totals[r] = cfg.volume * excess[filled].sum() - loss * (n - filled.sum()) - fees
+        filled_counts[r] = filled.sum()
+
+        fs, nu = _sorted_fill_curves(u[random_idx], random_excess, P_GRID)
+        filled_sum += fs
+        unfilled += nu
+        gains = cfg.volume * (const_excess + fs)
+        curves[r] = gains - loss * nu - fees
+        run_crossings = _zero_crossings(P_GRID, gains[:, None] - lam_cost[None, :] * nu[:, None])
+        crossings[:, r] = np.where(np.isnan(run_crossings), 1.0, run_crossings)
+
+    # shift by a run total before the moment computation; keeps the std of
+    # bit-identical runs (p = 0 or 1) at exactly zero
+    std = float((totals - totals[0]).std(ddof=1)) if cfg.runs > 1 else 0.0
+    mean_total = float(totals.mean())
+    summary = SimulationSummary(
+        total_profit=mean_total,
+        total_profit_std=std,
+        mean_profit_per_trade_bp=mean_total / (n * cfg.volume) / BP if n else 0.0,
+        trades_attempted=n,
+        trades_filled_mean=float(filled_counts.mean()),
+        run_totals=totals,
+    )
+
+    # surface total(p, lam) = V*(const + mean filled excess[p]) - V*lam*mean unfilled[p] - fees
+    surface_totals = (
+        cfg.volume * (const_excess + filled_sum / cfg.runs)[:, None]
+        - lam_cost[None, :] * (unfilled / cfg.runs)[:, None]
+        - fees
+    )
+    contour = tuple(
+        (float(lam), float(p)) for lam, p in zip(lam_bp, _zero_crossings(P_GRID, surface_totals))
+    )
+    mean_bp = surface_totals / (n * cfg.volume) / BP if n else np.zeros_like(surface_totals)
+
+    return SimulationResult(
+        summary=summary,
+        curve_mean=curves.mean(axis=0),
+        curve_std=curves.std(axis=0, ddof=1) if cfg.runs > 1 else np.zeros(P_GRID.size),
+        surface=ProfitSurface(P_GRID, lam_bp, mean_bp, contour),
+        # without trades the mean excess, hence the analytic break-even, is undefined
+        break_even=_break_even(cfg.scenario, excess, long_mask, lam_bp, crossings) if n else (),
+    )
 
 
 def _trade_arrays(trades: Sequence[ArbitrageOpportunity], min_long: int):
@@ -137,61 +218,71 @@ def _trade_arrays(trades: Sequence[ArbitrageOpportunity], min_long: int):
     return excess, long_mask
 
 
-def _fills(u: np.ndarray, cfg: SimulationConfig, long_mask: np.ndarray) -> np.ndarray:
-    if cfg.scenario is Scenario.FIXED_FILL:
-        return u < cfg.fill_prob
-    return long_mask | (u < cfg.fill_prob)
+def _scenario_split(excess: np.ndarray, long_mask: np.ndarray, scenario: Scenario):
+    """(certain excess sum, random-trade index array) for the scenario."""
+    if scenario is Scenario.FIXED_FILL:
+        return 0.0, np.arange(excess.size)
+    return float(excess[long_mask].sum()), np.flatnonzero(~long_mask)
 
 
-def simulate_trades(
-    trades: Sequence[ArbitrageOpportunity], cfg: SimulationConfig
-) -> SimulationResult:
-    """Monte Carlo fills over an already selected trade list."""
-    n = len(trades)
-    excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
-    loss = cfg.volume * cfg.loss_bp * BP
-    fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-    totals = np.empty(cfg.runs, dtype=np.float64)
-    filled_counts = np.empty(cfg.runs, dtype=np.float64)
-    for r, rng in enumerate(_run_rngs(cfg.seed, cfg.runs)):
-        u = rng.random(n)
-        filled = _fills(u, cfg, long_mask)
-        totals[r] = cfg.volume * excess[filled].sum() - loss * (n - filled.sum()) - fees
-        filled_counts[r] = filled.sum()
-    # shift by a run total before the moment computation; keeps the std of
-    # bit-identical runs (p = 0 or 1) at exactly zero
-    std = float((totals - totals[0]).std(ddof=1)) if cfg.runs > 1 else 0.0
-    mean_total = float(totals.mean())
-    per_trade_bp = mean_total / (n * cfg.volume) / BP if n else 0.0
-    return SimulationResult(
-        total_profit=mean_total,
-        total_profit_std=std,
-        mean_profit_per_trade_bp=per_trade_bp,
-        trades_attempted=n,
-        trades_filled_mean=float(filled_counts.mean()),
-        run_totals=totals,
-    )
+def _sorted_fill_curves(
+    u: np.ndarray, excess: np.ndarray, p_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each p: (sum of excess over trades with u < p, number unfilled)."""
+    order = np.argsort(u, kind="stable")
+    u_sorted = u[order]
+    prefix = np.concatenate(([0.0], np.cumsum(excess[order])))
+    k = np.searchsorted(u_sorted, p_grid, side="left")
+    return prefix[k], u.size - k
 
 
-def run_simulation(series: RateProductSeries, cfg: SimulationConfig) -> SimulationResult:
-    return simulate_trades(select_trades(series, cfg.gamma_t), cfg)
+def _zero_crossings(p_grid: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """First zero crossing of each column of nondecreasing profit curves.
+
+    Rows follow p_grid. A column that is nonnegative from the start crosses
+    at p_grid[0]; one that never reaches zero on the grid gives NaN.
+    """
+    cols = np.arange(totals.shape[1])
+    nonneg = totals >= 0.0
+    k = nonneg.argmax(axis=0)
+    prev = np.maximum(k - 1, 0)
+    t0, t1 = totals[prev, cols], totals[k, cols]
+    p0, p1 = p_grid[prev], p_grid[k]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        crossing = p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0)
+    crossing[k == 0] = p_grid[0]
+    crossing[~nonneg[k, cols]] = np.nan
+    return crossing
 
 
-def replay_run(
-    trades: Sequence[ArbitrageOpportunity], cfg: SimulationConfig, run_index: int
-) -> list[TradeOutcome]:
-    """Reconstruct the per-trade outcomes of one run, bit-identical to simulate_trades."""
-    if not 0 <= run_index < cfg.runs:
-        raise ValueError(f"run_index {run_index} outside [0, {cfg.runs})")
-    _, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
-    rng = _run_rngs(cfg.seed, cfg.runs)[run_index]
-    u = rng.random(len(trades))
-    filled = _fills(u, cfg, long_mask)
-    loss = cfg.volume * cfg.loss_bp * BP
-    return [
-        TradeOutcome(t, bool(f), cfg.volume * (t.initial_gamma - 1.0) if f else -loss)
-        for t, f in zip(trades, filled)
-    ]
+def _break_even(
+    scenario: Scenario, excess: np.ndarray, long_mask: np.ndarray, lam_bp: np.ndarray,
+    crossings: np.ndarray,
+) -> tuple[BreakEvenResult, ...]:
+    """Analytic break-even fill probability per loss, plus the mean and std of
+    the per-run zero crossings (one row of `crossings` per loss)."""
+    excess_bp = excess / BP
+    n_long = int(long_mask.sum())
+    n_short = int(excess.size - n_long)
+    mean_long = float(excess_bp[long_mask].mean()) if n_long else 0.0
+    mean_short = float(excess_bp[~long_mask].mean()) if n_short else 0.0
+    results = []
+    for lam, estimates in zip(lam_bp.tolist(), crossings):
+        if scenario is Scenario.FIXED_FILL:
+            analytic_p = analytic_break_even_fixed(float(excess_bp.mean()), lam)
+            clamped = False
+        else:
+            analytic_p, clamped = analytic_break_even_duration(
+                n_long, n_short, mean_long, mean_short, lam
+            )
+        results.append(BreakEvenResult(
+            lambda_bp=lam,
+            analytic_p=analytic_p,
+            simulated_p=float(estimates.mean()),
+            simulated_p_std=float(estimates.std(ddof=1)) if estimates.size > 1 else 0.0,
+            analytic_clamped=clamped,
+        ))
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -268,189 +359,6 @@ def _check_analytic_args(count: int, volume: float, fill_prob: float, loss_bp: f
         raise ValueError(f"fill_prob must be in [0, 1], got {fill_prob}")
     if loss_bp < 0:
         raise ValueError(f"loss_bp must be >= 0, got {loss_bp}")
-
-
-# ---------------------------------------------------------------------------
-# probability sweeps
-
-
-def _sorted_fill_curves(
-    u: np.ndarray, excess: np.ndarray, p_grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each p: (sum of excess over trades with u < p, number unfilled)."""
-    order = np.argsort(u, kind="stable")
-    u_sorted = u[order]
-    prefix = np.concatenate(([0.0], np.cumsum(excess[order])))
-    k = np.searchsorted(u_sorted, p_grid, side="left")
-    return prefix[k], u.size - k
-
-
-def _scenario_split(excess: np.ndarray, long_mask: np.ndarray, scenario: Scenario):
-    """(certain excess sum, random-trade index array) for the scenario."""
-    if scenario is Scenario.FIXED_FILL:
-        return 0.0, np.arange(excess.size)
-    return float(excess[long_mask].sum()), np.flatnonzero(~long_mask)
-
-
-def profit_surface(
-    series: RateProductSeries,
-    p_grid: Sequence[float],
-    lambda_grid_bp: Sequence[float],
-    cfg: SimulationConfig,
-) -> ProfitSurface:
-    """Mean profit per trade (bp) over a (fill probability, loss) grid.
-
-    Cells share the same per-run uniforms, so each row of the surface is
-    monotone in the fill probability; the zero level set is emitted as the
-    break-even contour.
-    """
-    return surface_for_trades(select_trades(series, cfg.gamma_t), p_grid, lambda_grid_bp, cfg)
-
-
-def surface_for_trades(
-    trades: Sequence[ArbitrageOpportunity],
-    p_grid: Sequence[float],
-    lambda_grid_bp: Sequence[float],
-    cfg: SimulationConfig,
-) -> ProfitSurface:
-    p = np.asarray(p_grid, dtype=np.float64)
-    lam_bp = np.asarray(lambda_grid_bp, dtype=np.float64)
-    if p.size == 0 or lam_bp.size == 0:
-        raise ValueError("probability and loss grids must be non-empty")
-    n = len(trades)
-    excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
-    const_excess, random_idx = _scenario_split(excess, long_mask, cfg.scenario)
-    fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-
-    filled_sum = np.zeros(p.size, dtype=np.float64)
-    unfilled = np.zeros(p.size, dtype=np.float64)
-    for rng in _run_rngs(cfg.seed, cfg.runs):
-        u = rng.random(n)
-        fs, nu = _sorted_fill_curves(u[random_idx], excess[random_idx], p)
-        filled_sum += fs
-        unfilled += nu
-    filled_sum /= cfg.runs
-    unfilled /= cfg.runs
-
-    # total(p, lam) = V*(const + filled_sum[p]) - V*lam*unfilled[p] - fees
-    totals = (
-        cfg.volume * (const_excess + filled_sum)[:, None]
-        - cfg.volume * (lam_bp * BP)[None, :] * unfilled[:, None]
-        - fees
-    )
-    if n:
-        mean_bp = totals / (n * cfg.volume) / BP
-    else:
-        mean_bp = np.zeros_like(totals)
-    contour = tuple(
-        (float(lam_bp[j]), _zero_crossing(p, totals[:, j])) for j in range(lam_bp.size)
-    )
-    return ProfitSurface(p, lam_bp, mean_bp, contour)
-
-
-def profit_curves_for_trades(
-    trades: Sequence[ArbitrageOpportunity], p_grid: Sequence[float], cfg: SimulationConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and std of the total profit across runs at each fill probability.
-
-    One uniform draw per trade per run is shared across the whole sweep.
-    """
-    p = np.asarray(p_grid, dtype=np.float64)
-    excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
-    const_excess, random_idx = _scenario_split(excess, long_mask, cfg.scenario)
-    fees = len(trades) * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-    lam = cfg.volume * cfg.loss_bp * BP
-    totals = np.empty((cfg.runs, p.size), dtype=np.float64)
-    for r, rng in enumerate(_run_rngs(cfg.seed, cfg.runs)):
-        u = rng.random(excess.size)
-        fs, nu = _sorted_fill_curves(u[random_idx], excess[random_idx], p)
-        totals[r] = cfg.volume * (const_excess + fs) - lam * nu - fees
-    std = totals.std(axis=0, ddof=1) if cfg.runs > 1 else np.zeros(p.size)
-    return totals.mean(axis=0), std
-
-
-def _zero_crossing(p_grid: np.ndarray, totals: np.ndarray) -> float:
-    """First zero crossing of a nondecreasing profit curve; clamped to [0, 1].
-
-    Returns NaN when the curve never reaches zero on the grid.
-    """
-    nonneg = np.flatnonzero(totals >= 0.0)
-    if nonneg.size == 0:
-        return float("nan")
-    k = int(nonneg[0])
-    if k == 0:
-        return float(p_grid[0])
-    t0, t1 = totals[k - 1], totals[k]
-    p0, p1 = p_grid[k - 1], p_grid[k]
-    return float(p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0))
-
-
-def break_even(
-    series: RateProductSeries,
-    scenario: Scenario,
-    gamma_t: float,
-    lambda_bp: float,
-    runs: int,
-    seed: int,
-) -> BreakEvenResult:
-    return break_even_for_trades(
-        select_trades(series, gamma_t), scenario, lambda_bp, runs, seed
-    )
-
-
-def break_even_for_trades(
-    trades: Sequence[ArbitrageOpportunity],
-    scenario: Scenario,
-    lambda_bp: float,
-    runs: int,
-    seed: int,
-    volume: float = 1_000_000.0,
-    certain_fill_min_run_length: int = 2,
-) -> BreakEvenResult:
-    """Analytic break-even fill probability plus a simulated estimate.
-
-    The simulated estimate sweeps a fixed 101-point probability grid with
-    common random numbers per run and linearly interpolates the zero
-    crossing of the total profit.
-    """
-    if lambda_bp <= 0:
-        raise ValueError(f"lambda_bp must be positive, got {lambda_bp}")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if not trades:
-        raise UndefinedBreakEvenError("no opportunity exceeds the trade threshold")
-    excess, long_mask = _trade_arrays(trades, certain_fill_min_run_length)
-    excess_bp = excess / BP
-
-    if scenario is Scenario.FIXED_FILL:
-        analytic_p = analytic_break_even_fixed(float(excess_bp.mean()), lambda_bp)
-        clamped = False
-    else:
-        n_long = int(long_mask.sum())
-        n_short = int(excess.size - n_long)
-        mean_long = float(excess_bp[long_mask].mean()) if n_long else 0.0
-        mean_short = float(excess_bp[~long_mask].mean()) if n_short else 0.0
-        analytic_p, clamped = analytic_break_even_duration(
-            n_long, n_short, mean_long, mean_short, lambda_bp
-        )
-
-    const_excess, random_idx = _scenario_split(excess, long_mask, scenario)
-    p_grid = np.linspace(0.0, 1.0, DEFAULT_P_GRID_POINTS)
-    lam_frac = lambda_bp * BP
-    estimates = np.empty(runs, dtype=np.float64)
-    for r, rng in enumerate(_run_rngs(seed, runs)):
-        u = rng.random(excess.size)
-        fs, nu = _sorted_fill_curves(u[random_idx], excess[random_idx], p_grid)
-        totals = volume * (const_excess + fs) - volume * lam_frac * nu
-        crossing = _zero_crossing(p_grid, totals)
-        estimates[r] = 1.0 if np.isnan(crossing) else crossing
-    std = float(estimates.std(ddof=1)) if runs > 1 else 0.0
-    return BreakEvenResult(
-        analytic_p=analytic_p,
-        simulated_p=float(estimates.mean()),
-        simulated_p_std=std,
-        analytic_clamped=clamped,
-    )
 
 
 # ---------------------------------------------------------------------------

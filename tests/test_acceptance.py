@@ -7,6 +7,7 @@ verified on synthetic data against independent oracles and closed forms.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,7 +35,6 @@ from triarb.simulator import (
     analytic_break_even_fixed,
     analytic_total_profit_duration,
     analytic_total_profit_fixed,
-    break_even_for_trades,
     filter_trades,
     max_arb_volume,
     simulate_trades,
@@ -116,7 +116,7 @@ def test_analytic_simulation_agreement():
                     gamma_t=gamma_t, scenario=scenario, fill_prob=p, loss_bp=loss_bp,
                     volume=volume, runs=1000, seed=314159,
                 )
-                result = simulate_trades(trades, cfg)
+                result = simulate_trades(trades, cfg, [loss_bp]).summary
                 if scenario is Scenario.FIXED_FILL:
                     expected = analytic_total_profit_fixed(
                         len(trades), volume, p, loss_bp, float(excess.mean())
@@ -129,7 +129,8 @@ def test_analytic_simulation_agreement():
                 assert abs(result.total_profit - expected) <= 3 * stderr, (
                     scenario, gamma_t, loss_bp
                 )
-                be = break_even_for_trades(trades, scenario, loss_bp, 300, 2718, volume=volume)
+                be_cfg = dataclasses.replace(cfg, runs=300, seed=2718)
+                (be,) = simulate_trades(trades, be_cfg, [loss_bp]).break_even
                 assert abs(be.simulated_p - be.analytic_p) <= 0.02, (scenario, gamma_t, loss_bp)
 
 

@@ -292,6 +292,18 @@ class TestSimulateCommand:
         )
         assert rc == 2
 
+    def test_bad_lambda_grid_exits_2_before_any_output(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path, five_injections())
+        for i, grid in enumerate(["1,-1", "0,1.5", ","]):
+            out = tmp_path / f"sim{i}"
+            rc = main(
+                ["simulate", "--data-dir", str(data_dir), "--window", WINDOW,
+                 "--out-dir", str(out), "--lambda-grid", grid, "--runs", "5", "--seed", "1"]
+            )
+            assert rc == 2
+            assert "loss grid" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_no_opportunities_still_exits_0(self, tmp_path):
         data_dir = run_synth(tmp_path, [], name="flat")
         out = tmp_path / "sim"

@@ -14,7 +14,7 @@ from triarb.market_data import (
     TriangleSpec,
     align_triangle,
 )
-from triarb.rate_product import compute_rate_products, write_series_csv
+from triarb.rate_product import compute_rate_products
 
 
 def triangle(a="EUR", b="USD", c="CHF"):
@@ -195,18 +195,3 @@ class TestSeriesShape:
         s1, s2 = compute_rate_products(at, spec)
         assert len(s1) == len(s2) == 50
         assert np.array_equal(s1.times, s2.times)
-
-    def test_csv_dump_round_trips(self, tmp_path):
-        spec = triangle()
-        at = single_second(
-            spec,
-            {"EUR/USD": ("1.2", "1.21"), "USD/CHF": ("1.3", "1.31"), "EUR/CHF": ("1.56", "1.57")},
-        )
-        s1, _ = compute_rate_products(at, spec)
-        path = tmp_path / "gamma.csv"
-        write_series_csv(path, s1)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "timestamp,gamma"
-        t, g = lines[1].split(",")
-        assert int(t) == 0
-        assert float(g) == s1.gammas[0]

@@ -9,9 +9,7 @@ from triarb.seasonal import (
     SessionTable,
     daily_profile,
     hourly_profile,
-    load_session_table,
     session_overlap_count,
-    write_session_table,
 )
 
 from conftest import MONDAY
@@ -125,12 +123,6 @@ class TestSessionTable:
     def test_hour_out_of_range(self):
         with pytest.raises(ValueError):
             session_overlap_count(SessionTable.default(), 24)
-
-    def test_round_trip_file(self, tmp_path):
-        path = tmp_path / "sessions.cfg"
-        write_session_table(path, SessionTable.default())
-        loaded = load_session_table(path)
-        assert loaded.sessions == SessionTable.default().sessions
 
     def test_default_hours_match_builtin_table(self):
         table = SessionTable.default().sessions
