@@ -22,7 +22,6 @@ from .market_data import (
     Direction,
     Pair,
     PairSeries,
-    Quote,
     SeriesWindow,
     Side,
     TriangleSpec,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or input error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import traceback
@@ -39,6 +40,8 @@ from .market_data import (
 )
 from .opportunity import (
     ArbitrageOpportunity,
+    check_histogram,
+    check_thresholds,
     compare_periods,
     distribution_stats,
     duration_stats,
@@ -115,6 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     window_args.add_argument("--weekdays", default="mon-fri", help="mon-fri (default), all, or a day list")
     window_args.add_argument("--data-dir", required=True, help="directory of <BASEQUOTE>.csv tick files")
 
+    hist_args = argparse.ArgumentParser(add_help=False)
+    hist_args.add_argument("--hist-lo", type=float, default=0.999)
+    hist_args.add_argument("--hist-hi", type=float, default=1.001)
+    hist_args.add_argument("--hist-bin-width", type=float, default=2e-5)
+
     p_synth = sub.add_parser("synth", parents=[common], help="generate synthetic triangle tick data")
     p_synth.add_argument("--synth-config", required=True, help="JSON synth config file")
     p_synth.add_argument("--window", help="override the config window (START..END)")
@@ -126,11 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_synth.set_defaults(func=cmd_synth)
 
-    p_detect = sub.add_parser("detect", parents=[common, window_args], help="detect arbitrage opportunities")
+    p_detect = sub.add_parser("detect", parents=[common, window_args, hist_args], help="detect arbitrage opportunities")
     p_detect.add_argument("--thresholds", default=DEFAULT_THRESHOLDS, help="bp thresholds, ascending")
-    p_detect.add_argument("--hist-lo", type=float, default=0.999)
-    p_detect.add_argument("--hist-hi", type=float, default=1.001)
-    p_detect.add_argument("--hist-bin-width", type=float, default=2e-5)
     p_detect.set_defaults(func=cmd_detect)
 
     p_seasonal = sub.add_parser("seasonal", parents=[common, window_args], help="hourly and daily statistics")
@@ -147,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--fee-per-trade", type=float, default=0.0, help="fee per leg trade; 3 legs per transaction")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", parents=[common], help="compare detection statistics across periods")
+    p_cmp = sub.add_parser("compare", parents=[common, hist_args], help="compare detection statistics across periods")
     p_cmp.add_argument(
         "--dataset",
         action="append",
@@ -157,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--window", required=True, help="START..END applied to every dataset")
     p_cmp.add_argument("--weekdays", default="mon-fri")
-    p_cmp.add_argument("--hist-lo", type=float, default=0.999)
-    p_cmp.add_argument("--hist-hi", type=float, default=1.001)
-    p_cmp.add_argument("--hist-bin-width", type=float, default=2e-5)
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 
@@ -221,11 +223,10 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _load_triangle(args, triangle: TriangleSpec, window: SeriesWindow) -> AlignedTriangle:
-    data_dir = Path(args.data_dir)
+def _load_triangle(data_dir: str, triangle: TriangleSpec, window: SeriesWindow) -> AlignedTriangle:
     series = []
     for pair in triangle.pairs:
-        path = data_dir / f"{pair.file_stem}.csv"
+        path = Path(data_dir) / f"{pair.file_stem}.csv"
         if not path.exists():
             raise FileNotFoundError(f"missing tick file {path}")
         series.append(load_pair_series(path, pair, window))
@@ -252,10 +253,8 @@ def cmd_synth(args) -> int:
     if args.preset == "table3":
         payload.setdefault("liquidity_preset", True)
     if args.window:
-        start_s, sep, end_s = args.window.partition("..")
-        if not sep:
-            raise ValueError(f"bad window {args.window!r}, expected START..END")
-        payload["window"] = {"start": start_s, "end": end_s, "weekdays": args.weekdays}
+        window = parse_window(args.window, args.weekdays)
+        payload["window"] = {"start": window.start, "end": window.end, "weekdays": args.weekdays}
     if args.triangle:
         payload["currencies"] = [c.strip().upper() for c in args.triangle.split(",")]
     cfg = synth_config_from_json(payload, app, seed_override=args.seed)
@@ -275,16 +274,17 @@ def cmd_detect(args) -> int:
     app = load_app_config(args.config)
     triangle = _resolve_triangle(args, app)
     window = parse_window(args.window, args.weekdays)
-    at = _load_triangle(args, triangle, window)
+    thresholds = check_thresholds(parse_float_list(args.thresholds))
+    hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
+    at = _load_triangle(args.data_dir, triangle, window)
     ops, s1, s2 = _detect_all(at, triangle)
-    thresholds = parse_float_list(args.thresholds)
 
     out = _out_dir(args)
     write_opportunities_csv(out / "opportunities.csv", ops)
     write_duration_stats_json(out / "duration_stats.json", duration_stats(ops))
     write_threshold_table_csv(out / "threshold_table.csv", threshold_table(ops, thresholds))
     merged = merge_distribution_points([s1, s2])
-    dist = distribution_stats(merged, args.hist_bin_width, (args.hist_lo, args.hist_hi))
+    dist = distribution_stats(merged, args.hist_bin_width, hist_range)
     write_histogram_csv(out / "histogram.csv", dist)
     _write_manifest(
         out, "detect", app, triangle, window, None,
@@ -298,7 +298,7 @@ def cmd_seasonal(args) -> int:
     app = load_app_config(args.config)
     triangle = _resolve_triangle(args, app)
     window = parse_window(args.window, args.weekdays)
-    at = _load_triangle(args, triangle, window)
+    at = _load_triangle(args.data_dir, triangle, window)
     ops, _, _ = _detect_all(at, triangle)
     out = _out_dir(args)
     write_hourly_csv(out / "hourly.csv", hourly_profile(ops))
@@ -313,56 +313,59 @@ def cmd_simulate(args) -> int:
     window = parse_window(args.window, args.weekdays)
     seed = _resolve_seed(args)
     gamma_ts = parse_float_list(args.gamma_t)
+    if not gamma_ts:
+        raise ValueError(f"--gamma-t needs at least one threshold, got {args.gamma_t!r}")
     lambda_grid = parse_float_list(args.lambda_grid)
     check_lambda_grid(lambda_grid)
-    at = _load_triangle(args, triangle, window)
-    ops, _, _ = _detect_all(at, triangle)
-
     scenarios = (
         [Scenario.FIXED_FILL, Scenario.DURATION_FILL]
         if args.scenario == "both"
         else [Scenario.FIXED_FILL if args.scenario == "fixed" else Scenario.DURATION_FILL]
     )
+    shared = SimulationConfig(
+        fill_prob=args.p,
+        loss_bp=args.lambda_bp,
+        volume=args.volume,
+        runs=args.runs,
+        seed=seed,
+        fee_per_trade=args.fee_per_trade,
+    )
+    configs = [
+        dataclasses.replace(shared, scenario=scenario, gamma_t=gamma_t)
+        for scenario in scenarios
+        for gamma_t in gamma_ts
+    ]
+    at = _load_triangle(args.data_dir, triangle, window)
+    ops, _, _ = _detect_all(at, triangle)
     out = _out_dir(args)
 
     curve_rows = []
     breakeven_rows = []
     summary: dict = {"per_config": []}
-    for scenario in scenarios:
-        for gamma_t in gamma_ts:
-            trades = filter_trades(ops, gamma_t)
-            cfg = SimulationConfig(
-                gamma_t=gamma_t,
-                scenario=scenario,
-                fill_prob=args.p,
-                loss_bp=args.lambda_bp,
-                volume=args.volume,
-                runs=args.runs,
-                seed=seed,
-                fee_per_trade=args.fee_per_trade,
+    for cfg in configs:
+        trades = filter_trades(ops, cfg.gamma_t)
+        result = simulate_trades(trades, cfg, lambda_grid)
+        if not summary["per_config"]:  # the surface covers the first config only
+            write_surface_csv(out / "profit_surface.csv", result.surface)
+            write_contour_csv(out / "breakeven_contour.csv", result.surface)
+        curve_rows.extend(
+            (cfg.scenario.value, cfg.gamma_t, float(p), float(m), float(s))
+            for p, m, s in zip(P_GRID, result.curve_mean, result.curve_std)
+        )
+        entry = _summary_entry(trades, cfg, result.summary)
+        for be in result.break_even:
+            breakeven_rows.append(
+                (cfg.scenario.value, cfg.gamma_t, be.lambda_bp, be.analytic_p, be.simulated_p,
+                 be.simulated_p_std)
             )
-            result = simulate_trades(trades, cfg, lambda_grid)
-            if not summary["per_config"]:  # the surface covers the first config only
-                write_surface_csv(out / "profit_surface.csv", result.surface)
-                write_contour_csv(out / "breakeven_contour.csv", result.surface)
-            curve_rows.extend(
-                (scenario.value, gamma_t, float(p), float(m), float(s))
-                for p, m, s in zip(P_GRID, result.curve_mean, result.curve_std)
-            )
-            entry = _summary_entry(trades, cfg, result.summary)
-            for be in result.break_even:
-                breakeven_rows.append(
-                    (scenario.value, gamma_t, be.lambda_bp, be.analytic_p, be.simulated_p,
-                     be.simulated_p_std)
-                )
-                if be.lambda_bp == args.lambda_bp:
-                    entry["break_even"] = {
-                        "lambda_bp": be.lambda_bp,
-                        "analytic_p": be.analytic_p,
-                        "simulated_p": be.simulated_p,
-                        "simulated_p_std": be.simulated_p_std,
-                    }
-            summary["per_config"].append(entry)
+            if be.lambda_bp == args.lambda_bp:
+                entry["break_even"] = {
+                    "lambda_bp": be.lambda_bp,
+                    "analytic_p": be.analytic_p,
+                    "simulated_p": be.simulated_p,
+                    "simulated_p_std": be.simulated_p_std,
+                }
+        summary["per_config"].append(entry)
 
     write_profit_curves_csv(out / "profit_curves.csv", curve_rows)
     write_breakeven_csv(out / "breakeven.csv", breakeven_rows)
@@ -436,15 +439,15 @@ def cmd_compare(args) -> int:
         datasets.append((label.strip(), path.strip()))
     if len(datasets) < 2:
         raise ValueError("compare needs at least two --dataset arguments")
+    hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
 
     out = _out_dir(args)
     stats = []
     for label, data_dir in datasets:
-        ns = argparse.Namespace(data_dir=data_dir)
-        at = _load_triangle(ns, triangle, window)
+        at = _load_triangle(data_dir, triangle, window)
         ops, s1, s2 = _detect_all(at, triangle)
         merged = merge_distribution_points([s1, s2])
-        dist = distribution_stats(merged, args.hist_bin_width, (args.hist_lo, args.hist_hi))
+        dist = distribution_stats(merged, args.hist_bin_width, hist_range)
         write_histogram_csv(out / f"histogram_{label}.csv", dist)
         stats.append((label, dist, duration_stats(ops)))
     report = compare_periods(stats)

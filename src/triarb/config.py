@@ -157,11 +157,7 @@ def parse_window(text: str, weekdays: Optional[str] = None) -> SeriesWindow:
     start_s, sep, end_s = text.partition("..")
     if not sep:
         raise ValueError(f"bad window {text!r}, expected START..END")
-    return SeriesWindow(
-        start=parse_timestamp(start_s),
-        end=parse_timestamp(end_s),
-        weekday_filter=parse_weekdays(weekdays),
-    )
+    return window_from_json({"start": start_s, "end": end_s, "weekdays": weekdays})
 
 
 def parse_float_list(text: str) -> list[float]:

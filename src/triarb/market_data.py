@@ -1,9 +1,11 @@
-"""Quote data model, tick-file loading, and per-second triangle alignment.
+"""Currency pairs, per-second pair series, tick-file I/O and triangle alignment.
 
-Prices are kept exact at this layer: every bid/ask is a decimal scaled
-integer (an int64 mantissa plus a per-series power-of-ten exponent), never a
-binary float. The conversion to floating point happens downstream, when rate
-products are computed.
+A pair's quotes live in one representation, the columns of `PairSeries`:
+the grid seconds of a window, int64 bid and ask mantissas that share one
+decimal exponent (`scale`), and a mask of missing seconds. Prices stay exact
+here; the conversion to floating point happens downstream, when rate
+products are computed. The loader parses each tick file row by row and
+builds those columns once; the writer formats them straight back to text.
 
 The time grid has a fixed resolution of one second. A grid second carries a
 quote only if at least one raw tick fell inside that second; when several
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +38,12 @@ SECONDS_PER_DAY = 86_400
 _EPOCH_WEEKDAY = 3
 
 WEEKDAYS = frozenset({0, 1, 2, 3, 4})
+
+
+def _weekday_of(epoch_day):
+    """Weekday (Monday = 0) of an epoch day number, or of an int array of them."""
+    return (epoch_day + _EPOCH_WEEKDAY) % 7
+
 
 # Currency precedence used to order market-convention pairs (base first).
 _CONVENTION_ORDER = ("EUR", "GBP", "AUD", "NZD", "USD", "CAD", "CHF", "JPY")
@@ -87,19 +95,6 @@ class Pair:
 
 
 @dataclass(frozen=True)
-class Quote:
-    """One bid/ask quote at an integer epoch second."""
-
-    timestamp: int
-    bid: Decimal
-    ask: Decimal
-
-    def __post_init__(self):
-        if self.bid <= 0 or self.ask <= 0:
-            raise ValueError(f"quote prices must be positive: {self}")
-
-
-@dataclass(frozen=True)
 class SeriesWindow:
     """Half-open time interval [start, end) with an optional weekday filter.
 
@@ -124,7 +119,7 @@ class SeriesWindow:
         """All grid seconds of the window, ascending (int64)."""
         times = np.arange(self.start, self.end, dtype=np.int64)
         if self.weekday_filter is not None:
-            wd = (times // SECONDS_PER_DAY + _EPOCH_WEEKDAY) % 7
+            wd = _weekday_of(times // SECONDS_PER_DAY)
             times = times[np.isin(wd, sorted(self.weekday_filter))]
         return times
 
@@ -133,7 +128,7 @@ class SeriesWindow:
             return False
         if self.weekday_filter is None:
             return True
-        return (t // SECONDS_PER_DAY + _EPOCH_WEEKDAY) % 7 in self.weekday_filter
+        return _weekday_of(t // SECONDS_PER_DAY) in self.weekday_filter
 
     def days(self) -> list[date]:
         """Calendar days (UTC) covered by the grid, in order."""
@@ -141,62 +136,28 @@ class SeriesWindow:
         last = (self.end - 1) // SECONDS_PER_DAY
         out = []
         for d in range(first, last + 1):
-            if self.weekday_filter is not None and (d + _EPOCH_WEEKDAY) % 7 not in self.weekday_filter:
+            if self.weekday_filter is not None and _weekday_of(d) not in self.weekday_filter:
                 continue
             out.append(date(1970, 1, 1) + timedelta(days=d))
         return out
 
 
+@dataclass(eq=False, slots=True)
 class PairSeries:
     """One pair's quotes on the per-second grid of a window.
 
-    Internally columnar: int64 mantissa arrays for bid and ask plus a shared
-    decimal exponent (`scale`), and a boolean mask for missing seconds.
+    Columnar: int64 mantissa arrays for bid and ask plus a shared decimal
+    exponent (`scale`), and a boolean mask for missing seconds, whose
+    mantissas are zero.
     """
 
-    __slots__ = ("pair", "window", "times", "bid_m", "ask_m", "missing", "scale")
-
-    def __init__(
-        self,
-        pair: Pair,
-        window: SeriesWindow,
-        times: np.ndarray,
-        bid_m: np.ndarray,
-        ask_m: np.ndarray,
-        missing: np.ndarray,
-        scale: int,
-    ):
-        self.pair = pair
-        self.window = window
-        self.times = times
-        self.bid_m = bid_m
-        self.ask_m = ask_m
-        self.missing = missing
-        self.scale = scale
-
-    @classmethod
-    def from_quotes(cls, pair: Pair, window: SeriesWindow, quotes: Sequence[Quote]) -> "PairSeries":
-        """Build a grid series from per-second quotes (at most one per second)."""
-        times = window.grid_times()
-        scale = 0
-        for q in quotes:
-            scale = max(scale, -min(q.bid.as_tuple().exponent, 0), -min(q.ask.as_tuple().exponent, 0))
-        n = times.size
-        bid_m = np.zeros(n, dtype=np.int64)
-        ask_m = np.zeros(n, dtype=np.int64)
-        missing = np.ones(n, dtype=bool)
-        last_t = None
-        for q in quotes:
-            if last_t is not None and q.timestamp <= last_t:
-                raise TickOrderingError(f"quotes not strictly increasing at t={q.timestamp}")
-            last_t = q.timestamp
-            i = int(np.searchsorted(times, q.timestamp))
-            if i >= n or times[i] != q.timestamp:
-                continue  # off-grid quote (outside window or filtered weekday)
-            bid_m[i] = _to_mantissa(q.bid, scale)
-            ask_m[i] = _to_mantissa(q.ask, scale)
-            missing[i] = False
-        return cls(pair, window, times, bid_m, ask_m, missing, scale)
+    pair: Pair
+    window: SeriesWindow
+    times: np.ndarray
+    bid_m: np.ndarray
+    ask_m: np.ndarray
+    missing: np.ndarray
+    scale: int
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -205,27 +166,11 @@ class PairSeries:
     def n_missing(self) -> int:
         return int(self.missing.sum())
 
-    def quote_at(self, t: int) -> Optional[Quote]:
-        i = int(np.searchsorted(self.times, t))
-        if i >= self.times.size or self.times[i] != t or self.missing[i]:
-            return None
-        return Quote(t, self._price(self.bid_m[i]), self._price(self.ask_m[i]))
-
-    def quotes(self) -> Iterator[Quote]:
-        """Iterate the non-missing grid entries in time order."""
-        for i in np.flatnonzero(~self.missing):
-            yield Quote(
-                int(self.times[i]), self._price(self.bid_m[i]), self._price(self.ask_m[i])
-            )
-
     def bid_float(self) -> np.ndarray:
         return self.bid_m.astype(np.float64) * 10.0 ** (-self.scale)
 
     def ask_float(self) -> np.ndarray:
         return self.ask_m.astype(np.float64) * 10.0 ** (-self.scale)
-
-    def _price(self, mantissa: int) -> Decimal:
-        return Decimal(int(mantissa)).scaleb(-self.scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairSeries):
@@ -239,14 +184,6 @@ class PairSeries:
             and np.array_equal(self.ask_m, other.ask_m)
             and np.array_equal(self.missing, other.missing)
         )
-
-
-def _to_mantissa(price: Decimal, scale: int) -> int:
-    scaled = price.scaleb(scale)
-    mantissa = int(scaled)
-    if scaled != mantissa:
-        raise ValueError(f"price {price} does not fit decimal scale {scale}")
-    return mantissa
 
 
 class Side(Enum):
@@ -286,12 +223,13 @@ class TriangleSpec:
     def _route(self, *hops: tuple[str, str]) -> tuple[tuple[Pair, Side], ...]:
         legs = []
         for src, dst in hops:
-            pair = self._pair_for(src, dst)
+            pair = self.pair_for(src, dst)
             side = Side.BID if pair.base == src else Side.INV_ASK
             legs.append((pair, side))
         return tuple(legs)
 
-    def _pair_for(self, x: str, y: str) -> Pair:
+    def pair_for(self, x: str, y: str) -> Pair:
+        """The pair quoting currencies x and y, in either order."""
         for p in self.pairs:
             if {p.base, p.quote} == {x, y}:
                 return p
@@ -318,14 +256,12 @@ class TriangleSpec:
         return cls(currencies=(a, b, c), pairs=tuple(pairs))
 
 
+@dataclass(eq=False, slots=True)
 class AlignedTriangle:
     """The three pair series of a triangle on one shared grid."""
 
-    __slots__ = ("window", "series")
-
-    def __init__(self, window: SeriesWindow, series: tuple[PairSeries, PairSeries, PairSeries]):
-        self.window = window
-        self.series = series
+    window: SeriesWindow
+    series: tuple[PairSeries, PairSeries, PairSeries]
 
     @property
     def times(self) -> np.ndarray:
@@ -339,13 +275,6 @@ class AlignedTriangle:
             if s.pair == pair:
                 return s
         raise KeyError(pair.name)
-
-    def missing_flags(self, t: int) -> dict[str, bool]:
-        """Per-pair missing flag at grid second t."""
-        i = int(np.searchsorted(self.times, t))
-        if i >= self.times.size or self.times[i] != t:
-            raise KeyError(t)
-        return {s.pair.name: bool(s.missing[i]) for s in self.series}
 
 
 def align_triangle(
@@ -387,8 +316,11 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     seconds or ISO-8601 UTC (auto-detected from the first data row); prices
     are decimal. Several ticks in one second collapse to the last one.
     Crossed quotes (bid > ask) are accepted with a CrossedQuoteWarning.
+    All prices share the largest number of decimal places in the file; a
+    price whose mantissa at that scale does not fit int64 is a parse error.
     """
-    per_second: dict[int, tuple[Decimal, Decimal]] = {}
+    # second -> (bid, ask, line); keys arrive in ascending order
+    per_second: dict[int, tuple[Decimal, Decimal, int]] = {}
     iso = None
     last_raw_t = None
     n_crossed = 0
@@ -427,7 +359,7 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
             if bid > ask:
                 n_crossed += 1
             if window.contains(t):
-                per_second[t] = (bid, ask)
+                per_second[t] = (bid, ask, line_no)
     if n_crossed:
         warnings.warn(
             f"{path}: accepted {n_crossed} crossed quote(s) (bid > ask)",
@@ -436,8 +368,26 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
         )
     if not per_second:
         raise EmptySeriesError(f"{path}: no tick falls inside window {window}")
-    quotes = [Quote(t, b, a) for t, (b, a) in sorted(per_second.items())]
-    return PairSeries.from_quotes(pair, window, quotes)
+
+    times = window.grid_times()
+    index = np.searchsorted(times, np.fromiter(per_second, np.int64, len(per_second)))
+    ticks = per_second.values()
+    scale = max(0, max(-min(b.as_tuple().exponent, a.as_tuple().exponent) for b, a, _ in ticks))
+    bid_m = np.zeros(times.size, dtype=np.int64)
+    ask_m = np.zeros(times.size, dtype=np.int64)
+    for i, (bid, ask, line_no) in zip(index.tolist(), ticks):
+        try:
+            bid_m[i] = int(bid.scaleb(scale))
+            ask_m[i] = int(ask.scaleb(scale))
+        except OverflowError:
+            raise TickParseError(
+                path, line_no,
+                f"price in {bid},{ask} does not fit an int64 mantissa at the file's "
+                f"{scale} decimal places",
+            ) from None
+    missing = np.ones(times.size, dtype=bool)
+    missing[index] = False
+    return PairSeries(pair, window, times, bid_m, ask_m, missing, scale)
 
 
 def _looks_like_int(text: str) -> bool:
@@ -448,18 +398,15 @@ def _looks_like_int(text: str) -> bool:
         return False
 
 
-def write_ticks_csv(path, times: Sequence[int], bids: Sequence[Decimal], asks: Sequence[Decimal]) -> None:
-    """Write a tick CSV in the loader's format (one row per quoted second)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "bid", "ask"])
-        for t, b, a in zip(times, bids, asks):
-            writer.writerow([int(t), b, a])
-
-
 def write_pair_series_csv(path, series: PairSeries) -> None:
+    """Write the quoted seconds of `series` as a tick CSV in the loader's format."""
+    quoted = ~series.missing
+    shift = -series.scale
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp", "bid", "ask"])
-        for q in series.quotes():
-            writer.writerow([q.timestamp, q.bid, q.ask])
+        columns = (series.times[quoted], series.bid_m[quoted], series.ask_m[quoted])
+        writer.writerows(
+            (t, Decimal(b).scaleb(shift), Decimal(a).scaleb(shift))
+            for t, b, a in zip(*(c.tolist() for c in columns))
+        )

@@ -145,6 +145,16 @@ def duration_stats(ops: Sequence[ArbitrageOpportunity]) -> DurationStats:
     )
 
 
+def check_thresholds(thresholds_bp: Sequence[float]) -> list[float]:
+    """The thresholds (bp) as a list; they must be ascending and non-negative."""
+    thresholds = list(thresholds_bp)
+    if any(b > a for a, b in zip(thresholds[1:], thresholds)):
+        raise ValueError("thresholds must be sorted ascending")
+    if any(t < 0 for t in thresholds):
+        raise ValueError("thresholds must be non-negative")
+    return thresholds
+
+
 def threshold_table(
     ops: Sequence[ArbitrageOpportunity], thresholds_bp: Sequence[float]
 ) -> list[ThresholdRow]:
@@ -153,13 +163,8 @@ def threshold_table(
     A zero threshold counts every opportunity (peak strictly above one);
     positive thresholds use magnitude_bp >= threshold inclusively.
     """
-    thresholds = list(thresholds_bp)
-    if any(b > a for a, b in zip(thresholds[1:], thresholds)):
-        raise ValueError("thresholds must be sorted ascending")
-    if any(t < 0 for t in thresholds):
-        raise ValueError("thresholds must be non-negative")
     rows = []
-    for th in thresholds:
+    for th in check_thresholds(thresholds_bp):
         if th == 0:
             subset = [op for op in ops if op.peak_gamma > 1.0]
         else:
@@ -172,12 +177,18 @@ def threshold_table(
     return rows
 
 
-def distribution_stats(
-    series: RateProductSeries, bin_width: float, value_range: tuple[float, float]
-) -> DistributionStats:
+def check_histogram(bin_width: float, value_range: tuple[float, float]) -> tuple[float, float]:
+    """The histogram range; it must be non-empty and the bin width positive."""
     lo, hi = value_range
     if not (lo < hi) or bin_width <= 0:
         raise ValueError(f"degenerate histogram range [{lo}, {hi}) or width {bin_width}")
+    return lo, hi
+
+
+def distribution_stats(
+    series: RateProductSeries, bin_width: float, value_range: tuple[float, float]
+) -> DistributionStats:
+    lo, hi = check_histogram(bin_width, value_range)
     g = series.gammas
     valid = g[g != 0.0]
     n_missing = int(g.size - valid.size)

@@ -81,14 +81,7 @@ def liquidity_preset(
 def triangle_roles(spec: TriangleSpec) -> tuple[Pair, Pair, Pair]:
     """The spec's pairs keyed by role: (A-B pair, B-C pair, A-C direct pair)."""
     a, b, c = spec.currencies
-
-    def covering(x: str, y: str) -> Pair:
-        for p in spec.pairs:
-            if {p.base, p.quote} == {x, y}:
-                return p
-        raise ValueError(f"no pair covers {x}/{y}")
-
-    return covering(a, b), covering(b, c), covering(a, c)
+    return spec.pair_for(a, b), spec.pair_for(b, c), spec.pair_for(a, c)
 
 
 @dataclass(frozen=True)

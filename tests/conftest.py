@@ -2,16 +2,40 @@
 
 from __future__ import annotations
 
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triarb.market_data import Direction, Pair, SeriesWindow, TriangleSpec
+from triarb.market_data import (
+    Direction,
+    Pair,
+    PairSeries,
+    SeriesWindow,
+    TriangleSpec,
+    load_pair_series,
+)
 from triarb.rate_product import RateProductSeries
 
 # Monday 1970-01-05; keeps weekday-filtered grids simple.
 MONDAY = 4 * 86400
+
+
+def write_rows(path, rows):
+    with open(path, "w") as fh:
+        fh.write("timestamp,bid,ask\n")
+        for row in rows:
+            fh.write(",".join(str(x) for x in row) + "\n")
+
+
+def load_rows(pair: Pair, window: SeriesWindow, rows) -> PairSeries:
+    """`rows` of (timestamp, bid, ask) as a grid series, through a tick file and the loader."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{pair.file_stem}.csv"
+        write_rows(path, rows)
+        return load_pair_series(path, pair, window)
 
 
 def make_series(

@@ -20,8 +20,6 @@ from triarb.cli import main
 from triarb.market_data import (
     Direction,
     Pair,
-    PairSeries,
-    Quote,
     SeriesWindow,
     TriangleSpec,
     align_triangle,
@@ -47,7 +45,7 @@ from triarb.synth import (
     seasonal_injection_schedule,
 )
 
-from conftest import MONDAY, brute_force_segments, make_series
+from conftest import MONDAY, brute_force_segments, load_rows, make_series
 
 WEEKDAYS = frozenset({0, 1, 2, 3, 4})
 
@@ -62,14 +60,12 @@ def test_worked_gamma_example():
     """EUR->USD->JPY->EUR at the quoted prices gives 1.000115903 to 9 d.p."""
     spec = TriangleSpec.from_currencies("EUR", "USD", "JPY")
     window = SeriesWindow(0, 1)
-    quotes = {
-        "EUR/USD": Quote(0, Decimal("1.2065"), Decimal("1.2066")),
-        "USD/JPY": Quote(0, Decimal("115.72"), Decimal("115.73")),
-        "EUR/JPY": Quote(0, Decimal("139.59"), Decimal("139.60")),
+    rows = {
+        "EUR/USD": [(0, "1.2065", "1.2066")],
+        "USD/JPY": [(0, "115.72", "115.73")],
+        "EUR/JPY": [(0, "139.59", "139.60")],
     }
-    series = [
-        PairSeries.from_quotes(p, window, [quotes[p.name]]) for p in spec.pairs
-    ]
+    series = [load_rows(p, window, rows[p.name]) for p in spec.pairs]
     s1, _ = compute_rate_products(align_triangle(*series, spec), spec)
     assert abs(s1.gammas[0] - 1.000115903) <= 0.5e-9
 

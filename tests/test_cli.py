@@ -48,6 +48,15 @@ def run_synth(tmp_path, injections, seed=42, name="data", **kwargs):
     return data_dir
 
 
+def assert_exits_2_before_any_output(tmp_path, capsys, cases):
+    """Each (argv, message) exits 2 with `message` on stderr and creates no --out-dir."""
+    for i, (argv, message) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -180,6 +189,32 @@ class TestDetectCommand:
         )
         assert rc == 2
 
+    def test_bad_flags_exit_2_before_any_output(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path, five_injections())
+        base = ["detect", "--data-dir", str(data_dir), "--window", WINDOW]
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            ([*base, "--thresholds", "2,1"], "sorted ascending"),
+            ([*base, "--thresholds=-1,2"], "non-negative"),
+            ([*base, "--hist-bin-width", "0"], "degenerate histogram"),
+            ([*base, "--hist-lo", "1.001", "--hist-hi", "0.999"], "degenerate histogram"),
+        ])
+
+    def test_mantissa_overflow_exits_2(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path, five_injections())
+        path = data_dir / "EURUSD.csv"
+        lines = path.read_text().splitlines()
+        t = lines[5].split(",")[0]
+        lines[5] = f"{t},1.00000000000000000000001,1.3"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["detect", "--data-dir", str(data_dir), "--window", WINDOW,
+             "--out-dir", str(tmp_path / "out")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}:2:" in err and "int64" in err
+        assert "Traceback" not in err
+
     def test_histogram_written(self, tmp_path):
         data_dir = run_synth(tmp_path, five_injections())
         out = tmp_path / "detect"
@@ -293,16 +328,21 @@ class TestSimulateCommand:
         assert rc == 2
 
     def test_bad_lambda_grid_exits_2_before_any_output(self, tmp_path, capsys):
+        # also every other simulate flag that is checked before the tick load
         data_dir = run_synth(tmp_path, five_injections())
-        for i, grid in enumerate(["1,-1", "0,1.5", ","]):
-            out = tmp_path / f"sim{i}"
-            rc = main(
-                ["simulate", "--data-dir", str(data_dir), "--window", WINDOW,
-                 "--out-dir", str(out), "--lambda-grid", grid, "--runs", "5", "--seed", "1"]
-            )
-            assert rc == 2
-            assert "loss grid" in capsys.readouterr().err
-            assert not out.exists()
+        base = ["simulate", "--data-dir", str(data_dir), "--window", WINDOW, "--seed", "1"]
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            ([*base, "--runs", "5", "--lambda-grid", "1,-1"], "loss grid"),
+            ([*base, "--runs", "5", "--lambda-grid", "0,1.5"], "loss grid"),
+            ([*base, "--runs", "5", "--lambda-grid", ","], "loss grid"),
+            ([*base, "--runs", "5", "--gamma-t", ","], "--gamma-t"),
+            ([*base, "--runs", "5", "--gamma-t", "1,0.5"], "gamma_t"),
+            ([*base, "--p", "1.5"], "fill_prob"),
+            ([*base, "--runs", "0"], "runs"),
+            ([*base, "--volume", "0"], "volume"),
+            ([*base, "--fee-per-trade", "-1"], "fee_per_trade"),
+            ([*base, "--lambda-bp", "-1"], "loss_bp"),
+        ])
 
     def test_no_opportunities_still_exits_0(self, tmp_path):
         data_dir = run_synth(tmp_path, [], name="flat")
@@ -355,6 +395,15 @@ class TestCompareCommand:
         assert float(rows[2][9]) < float(rows[1][9])  # stdev narrows
         assert (out / "histogram_wide.csv").exists()
         assert (out / "histogram_narrow.csv").exists()
+
+    def test_degenerate_histogram_exits_2_before_any_output(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path, five_injections())
+        base = ["compare", "--dataset", f"a={data_dir}", "--dataset", f"b={data_dir}",
+                "--window", WINDOW]
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            ([*base, "--hist-bin-width", "-1"], "degenerate histogram"),
+            ([*base, "--hist-lo", "1", "--hist-hi", "1"], "degenerate histogram"),
+        ])
 
     def test_single_dataset_exits_2(self, tmp_path):
         data_dir = run_synth(tmp_path, [])

@@ -1,9 +1,12 @@
-"""Tick loading, grid construction, and triangle alignment."""
+"""Tick loading and writing, grid construction, and triangle alignment."""
 
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triarb.errors import (
     AlignmentError,
@@ -15,26 +18,18 @@ from triarb.errors import (
 from triarb.market_data import (
     Pair,
     PairSeries,
-    Quote,
     SeriesWindow,
     Side,
     TriangleSpec,
     align_triangle,
     load_pair_series,
     market_convention_pair,
-    write_ticks_csv,
+    write_pair_series_csv,
 )
 
-from conftest import MONDAY
+from conftest import MONDAY, load_rows, write_rows
 
 EURUSD = Pair("EUR", "USD")
-
-
-def write_rows(path, rows):
-    with open(path, "w") as fh:
-        fh.write("timestamp,bid,ask\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
 
 
 class TestLoadPairSeries:
@@ -44,15 +39,16 @@ class TestLoadPairSeries:
         series = load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert len(series) == 3
         assert series.n_missing == 0
-        assert series.quote_at(1).bid == Decimal("1.2066")
+        assert series.scale == 4
+        assert series.bid_m.tolist() == [12065, 12066, 12064]
 
     def test_gap_second_marked_missing(self, tmp_path):
         path = tmp_path / "ticks.csv"
         write_rows(path, [(0, "1.2065", "1.2067"), (2, "1.2064", "1.2066")])
         series = load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert len(series) == 3
-        assert series.quote_at(1) is None
         assert series.missing.tolist() == [False, True, False]
+        assert series.bid_m[1] == series.ask_m[1] == 0
 
     def test_last_tick_wins(self, tmp_path):
         # oracle: one pass over the raw rows keeping the latest per second
@@ -63,8 +59,8 @@ class TestLoadPairSeries:
         path = tmp_path / "ticks.csv"
         write_rows(path, rows)
         series = load_pair_series(path, EURUSD, SeriesWindow(0, 10))
-        assert series.quote_at(5).bid == expected[5][0] == Decimal("1.2065")
-        assert series.quote_at(5).ask == expected[5][1]
+        assert int(series.bid_m[5]) == expected[5][0].scaleb(series.scale) == 12065
+        assert int(series.ask_m[5]) == expected[5][1].scaleb(series.scale)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "ticks.csv"
@@ -99,15 +95,15 @@ class TestLoadPairSeries:
              ("1970-01-01T00:00:02+00:00", "1.2066", "1.2068")],
         )
         series = load_pair_series(path, EURUSD, SeriesWindow(0, 3))
-        assert series.quote_at(0).bid == Decimal("1.2065")
-        assert series.quote_at(2).bid == Decimal("1.2066")
+        assert series.missing.tolist() == [False, True, False]
+        assert (series.bid_m[0], series.bid_m[2], series.scale) == (12065, 12066, 4)
 
     def test_crossed_quote_warns_but_loads(self, tmp_path):
         path = tmp_path / "ticks.csv"
         write_rows(path, [(0, "1.2070", "1.2067")])
         with pytest.warns(CrossedQuoteWarning):
             series = load_pair_series(path, EURUSD, SeriesWindow(0, 1))
-        assert series.quote_at(0).bid == Decimal("1.2070")
+        assert (series.bid_m[0], series.ask_m[0]) == (12070, 12067)
 
     def test_reload_is_bit_identical(self, tmp_path):
         path = tmp_path / "ticks.csv"
@@ -124,13 +120,60 @@ class TestLoadPairSeries:
         assert len(series) == 10  # only the Monday seconds
         assert series.times[0] == MONDAY
 
-    def test_roundtrip_through_writer(self, tmp_path):
+    def test_mantissa_overflow_names_line(self, tmp_path):
+        # 23 decimal places put every mantissa of the file past int64
         path = tmp_path / "ticks.csv"
-        write_ticks_csv(
-            path, [7, 9], [Decimal("1.2065"), Decimal("1.2066")], [Decimal("1.2067"), Decimal("1.2068")]
+        for rows, line_no in (
+            ([(0, "1.00000000000000000000001", "1.2068")], 2),
+            ([(0, "1.2065", "1.2067"), (1, "1.00000000000000000000001", "1.2068")], 2),
+            ([(0, "1.2065", "1.2067"), (1, "1.2066", "100000000000000000000")], 3),
+        ):
+            write_rows(path, rows)
+            with pytest.raises(TickParseError) as err:
+                load_pair_series(path, EURUSD, SeriesWindow(0, 3))
+            assert err.value.line_no == line_no
+            assert "int64" in str(err.value)
+
+    def test_roundtrip_through_writer(self, tmp_path):
+        # 5 at scale 7 is written in str(Decimal)'s exponent notation
+        window = SeriesWindow(7, 10)
+        series = PairSeries(
+            EURUSD, window, window.grid_times(),
+            np.array([12065000, 0, 5], dtype=np.int64),
+            np.array([12067000, 0, 12068000], dtype=np.int64),
+            np.array([False, True, False]), 7,
         )
-        series = load_pair_series(path, EURUSD, SeriesWindow(7, 10))
-        assert series.quote_at(9).ask == Decimal("1.2068")
+        path = tmp_path / "ticks.csv"
+        write_pair_series_csv(path, series)
+        assert path.read_text() == "timestamp,bid,ask\n7,1.2065000,1.2067000\n9,5E-7,1.2068000\n"
+        assert load_pair_series(path, EURUSD, window) == series
+
+
+@st.composite
+def pair_series(draw):
+    """A random grid series: mantissas down to E-notation size, scales 0-8, gaps."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    start = draw(st.integers(min_value=0, max_value=10**9))
+    window = SeriesWindow(start, start + n)
+    mantissa = st.one_of(st.integers(1, 99), st.integers(1, 2**62))
+    spread = st.one_of(st.integers(0, 99), st.integers(0, 2**62 - 1))
+    bid = np.array(draw(st.lists(mantissa, min_size=n, max_size=n)), dtype=np.int64)
+    ask = bid + np.array(draw(st.lists(spread, min_size=n, max_size=n)), dtype=np.int64)
+    missing = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    missing[draw(st.integers(0, n - 1))] = False  # at least one quoted second
+    bid[missing] = 0
+    ask[missing] = 0
+    scale = draw(st.integers(min_value=0, max_value=8))
+    return PairSeries(EURUSD, window, window.grid_times(), bid, ask, missing, scale)
+
+
+@given(pair_series())
+@settings(max_examples=200, deadline=None)
+def test_writer_loader_roundtrip(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ticks.csv"
+        write_pair_series_csv(path, series)
+        assert load_pair_series(path, EURUSD, series.window) == series
 
 
 class TestSeriesWindow:
@@ -177,20 +220,14 @@ class TestTriangleSpec:
             TriangleSpec(currencies=("EUR", "EUR", "CHF"), pairs=spec.pairs)
 
 
-def grid_series(pair, window, quotes):
-    return PairSeries.from_quotes(pair, window, quotes)
-
-
 class TestAlignTriangle:
     def setup_method(self):
         self.spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
         self.window = SeriesWindow(0, 10)
 
     def full_series(self, pair, bid="1.2", ask="1.21", skip=()):
-        quotes = [
-            Quote(t, Decimal(bid), Decimal(ask)) for t in range(0, 10) if t not in skip
-        ]
-        return grid_series(pair, self.window, quotes)
+        rows = [(t, bid, ask) for t in range(0, 10) if t not in skip]
+        return load_rows(pair, self.window, rows)
 
     def test_gap_free_alignment(self):
         a, b, c = (self.full_series(p) for p in self.spec.pairs)
@@ -203,7 +240,8 @@ class TestAlignTriangle:
         b = self.full_series(self.spec.pairs[1])
         c = self.full_series(self.spec.pairs[2])
         at = align_triangle(a, b, c, self.spec)
-        flags = at.missing_flags(4)
+        i = int(np.searchsorted(at.times, 4))
+        flags = {s.pair.name: bool(s.missing[i]) for s in at.series}
         assert flags == {"EUR/USD": True, "USD/CHF": False, "EUR/CHF": False}
 
     def test_random_gaps_match_direct_lookup(self):
@@ -211,18 +249,15 @@ class TestAlignTriangle:
         skips = [set(rng.choice(10, size=3, replace=False).tolist()) for _ in range(3)]
         series = [self.full_series(p, skip=s) for p, s in zip(self.spec.pairs, skips)]
         at = align_triangle(*series, self.spec)
-        for t in range(10):
-            flags = at.missing_flags(t)
+        for i, t in enumerate(at.times.tolist()):
             for p, s in zip(self.spec.pairs, skips):
-                assert flags[p.name] == (t in s)
+                assert at.series_for(p).missing[i] == (t in s)
 
     def test_window_mismatch_raises(self):
         a = self.full_series(self.spec.pairs[0])
         b = self.full_series(self.spec.pairs[1])
-        c = grid_series(
-            self.spec.pairs[2],
-            SeriesWindow(0, 11),
-            [Quote(t, Decimal("1.2"), Decimal("1.21")) for t in range(11)],
+        c = load_rows(
+            self.spec.pairs[2], SeriesWindow(0, 11), [(t, "1.2", "1.21") for t in range(11)]
         )
         with pytest.raises(AlignmentError):
             align_triangle(a, b, c, self.spec)

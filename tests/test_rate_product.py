@@ -7,35 +7,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triarb.market_data import (
-    PairSeries,
-    Quote,
-    SeriesWindow,
-    TriangleSpec,
-    align_triangle,
-)
+from triarb.market_data import SeriesWindow, TriangleSpec, align_triangle
 from triarb.rate_product import compute_rate_products
+
+from conftest import load_rows
 
 
 def triangle(a="EUR", b="USD", c="CHF"):
     return TriangleSpec.from_currencies(a, b, c)
 
 
-def aligned(spec, quotes_by_pair, window):
-    series = [
-        PairSeries.from_quotes(pair, window, quotes_by_pair[pair.name])
-        for pair in spec.pairs
-    ]
+def aligned(spec, rows_by_pair, window):
+    series = [load_rows(pair, window, rows_by_pair[pair.name]) for pair in spec.pairs]
     return align_triangle(*series, spec)
 
 
 def single_second(spec, prices):
     """prices: {pair_name: (bid, ask)} for one grid second at t=0."""
     window = SeriesWindow(0, 1)
-    quotes = {
-        name: [Quote(0, Decimal(str(b)), Decimal(str(a)))] for name, (b, a) in prices.items()
-    }
-    return aligned(spec, quotes, window)
+    rows = {name: [(0, b, a)] for name, (b, a) in prices.items()}
+    return aligned(spec, rows, window)
 
 
 class TestWorkedExample:
@@ -69,13 +60,12 @@ class TestWorkedExample:
     def test_missing_leg_zeroes_both_directions(self):
         spec = triangle()
         window = SeriesWindow(0, 2)
-        q = lambda t, b, a: Quote(t, Decimal(b), Decimal(a))
-        quotes = {
-            "EUR/USD": [q(0, "1.2", "1.21"), q(1, "1.2", "1.21")],
-            "USD/CHF": [q(0, "1.3", "1.31")],  # missing at t=1
-            "EUR/CHF": [q(0, "1.56", "1.57"), q(1, "1.56", "1.57")],
+        rows = {
+            "EUR/USD": [(0, "1.2", "1.21"), (1, "1.2", "1.21")],
+            "USD/CHF": [(0, "1.3", "1.31")],  # missing at t=1
+            "EUR/CHF": [(0, "1.56", "1.57"), (1, "1.56", "1.57")],
         }
-        at = aligned(spec, quotes, window)
+        at = aligned(spec, rows, window)
         s1, s2 = compute_rate_products(at, spec)
         assert s1.gammas[1] == 0.0
         assert s2.gammas[1] == 0.0
@@ -168,6 +158,7 @@ class TestProperties:
 
     @given(st.integers(min_value=1, max_value=1000))
     @settings(max_examples=30, deadline=None)
+    @pytest.mark.filterwarnings("ignore::triarb.errors.CrossedQuoteWarning")  # raised bids cross
     def test_raising_bid_never_lowers_gamma(self, raise_ticks):
         spec = triangle()
         base = {
@@ -189,9 +180,8 @@ class TestSeriesShape:
     def test_direction_coverage_every_second_once(self):
         spec = triangle()
         window = SeriesWindow(0, 50)
-        q = lambda t: Quote(t, Decimal("1.2"), Decimal("1.21"))
-        quotes = {p.name: [q(t) for t in range(0, 50, 2)] for p in spec.pairs}
-        at = aligned(spec, quotes, window)
+        rows = {p.name: [(t, "1.2", "1.21") for t in range(0, 50, 2)] for p in spec.pairs}
+        at = aligned(spec, rows, window)
         s1, s2 = compute_rate_products(at, spec)
         assert len(s1) == len(s2) == 50
         assert np.array_equal(s1.times, s2.times)
