@@ -12,7 +12,7 @@ import math
 import sys
 from decimal import Decimal
 
-from triarb.market_data import Pair, SeriesWindow, TriangleSpec, align_triangle
+from triarb.market_data import Pair, SeriesWindow, TriangleSpec
 from triarb.opportunity import segment_opportunities
 from triarb.rate_product import compute_rate_products
 from triarb.seasonal import SessionTable, hourly_profile
@@ -44,8 +44,7 @@ def month_stats(month: int, seed: int, table: SessionTable, spec: TriangleSpec):
         injections=injections,
     )
     a, b, c, _ = generate(cfg)
-    s1, s2 = compute_rate_products(align_triangle(a, b, c, spec), spec)
-    ops = segment_opportunities(s1) + segment_opportunities(s2)
+    ops = segment_opportunities(a.times, compute_rate_products((a, b, c), spec))
     profile = hourly_profile(ops)
 
     def block(hours):

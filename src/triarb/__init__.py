@@ -18,14 +18,12 @@ from .errors import (
     TriarbError,
 )
 from .market_data import (
-    AlignedTriangle,
     Direction,
     Pair,
     PairSeries,
     SeriesWindow,
     Side,
     TriangleSpec,
-    align_triangle,
     load_pair_series,
 )
 from .opportunity import (
@@ -40,7 +38,7 @@ from .opportunity import (
     segment_opportunities,
     threshold_table,
 )
-from .rate_product import RateProductSeries, compute_rate_products
+from .rate_product import compute_rate_products
 from .seasonal import (
     DailyProfile,
     HourlyProfile,

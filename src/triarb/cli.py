@@ -31,10 +31,8 @@ from .config import (
 )
 from .errors import TriarbError
 from .market_data import (
-    AlignedTriangle,
     SeriesWindow,
     TriangleSpec,
-    align_triangle,
     load_pair_series,
     write_pair_series_csv,
 )
@@ -45,7 +43,6 @@ from .opportunity import (
     compare_periods,
     distribution_stats,
     duration_stats,
-    merge_distribution_points,
     segment_opportunities,
     threshold_table,
     write_comparison_csv,
@@ -54,15 +51,15 @@ from .opportunity import (
     write_opportunities_csv,
     write_threshold_table_csv,
 )
-from .rate_product import RateProductSeries, compute_rate_products
+from .rate_product import compute_rate_products
 from .seasonal import daily_profile, hourly_profile, write_daily_csv, write_hourly_csv
 from .simulator import (
+    BP,
     P_GRID,
     Scenario,
     SimulationConfig,
     SimulationSummary,
-    analytic_break_even_duration,
-    analytic_break_even_fixed,
+    analytic_break_even,
     analytic_total_profit_duration,
     analytic_total_profit_fixed,
     check_lambda_grid,
@@ -223,23 +220,18 @@ def _write_manifest(
         fh.write("\n")
 
 
-def _load_triangle(data_dir: str, triangle: TriangleSpec, window: SeriesWindow) -> AlignedTriangle:
+def _detect(
+    data_dir: str, triangle: TriangleSpec, window: SeriesWindow
+) -> tuple[list[ArbitrageOpportunity], np.ndarray]:
+    """The opportunities and the (2, grid) rate products of the triangle's tick files."""
     series = []
     for pair in triangle.pairs:
         path = Path(data_dir) / f"{pair.file_stem}.csv"
         if not path.exists():
             raise FileNotFoundError(f"missing tick file {path}")
         series.append(load_pair_series(path, pair, window))
-    return align_triangle(*series, triangle)
-
-
-def _detect_all(
-    at: AlignedTriangle, triangle: TriangleSpec
-) -> tuple[list[ArbitrageOpportunity], RateProductSeries, RateProductSeries]:
-    s1, s2 = compute_rate_products(at, triangle)
-    ops = segment_opportunities(s1) + segment_opportunities(s2)
-    ops.sort(key=lambda op: (op.start, op.direction.value))
-    return ops, s1, s2
+    gammas = compute_rate_products(series, triangle)
+    return segment_opportunities(series[0].times, gammas), gammas
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +268,13 @@ def cmd_detect(args) -> int:
     window = parse_window(args.window, args.weekdays)
     thresholds = check_thresholds(parse_float_list(args.thresholds))
     hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
-    at = _load_triangle(args.data_dir, triangle, window)
-    ops, s1, s2 = _detect_all(at, triangle)
+    ops, gammas = _detect(args.data_dir, triangle, window)
 
     out = _out_dir(args)
     write_opportunities_csv(out / "opportunities.csv", ops)
     write_duration_stats_json(out / "duration_stats.json", duration_stats(ops))
     write_threshold_table_csv(out / "threshold_table.csv", threshold_table(ops, thresholds))
-    merged = merge_distribution_points([s1, s2])
-    dist = distribution_stats(merged, args.hist_bin_width, hist_range)
+    dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
     write_histogram_csv(out / "histogram.csv", dist)
     _write_manifest(
         out, "detect", app, triangle, window, None,
@@ -298,8 +288,7 @@ def cmd_seasonal(args) -> int:
     app = load_app_config(args.config)
     triangle = _resolve_triangle(args, app)
     window = parse_window(args.window, args.weekdays)
-    at = _load_triangle(args.data_dir, triangle, window)
-    ops, _, _ = _detect_all(at, triangle)
+    ops, _ = _detect(args.data_dir, triangle, window)
     out = _out_dir(args)
     write_hourly_csv(out / "hourly.csv", hourly_profile(ops))
     write_daily_csv(out / "daily.csv", daily_profile(ops, window))
@@ -335,8 +324,7 @@ def cmd_simulate(args) -> int:
         for scenario in scenarios
         for gamma_t in gamma_ts
     ]
-    at = _load_triangle(args.data_dir, triangle, window)
-    ops, _, _ = _detect_all(at, triangle)
+    ops, _ = _detect(args.data_dir, triangle, window)
     out = _out_dir(args)
 
     curve_rows = []
@@ -352,7 +340,7 @@ def cmd_simulate(args) -> int:
             (cfg.scenario.value, cfg.gamma_t, float(p), float(m), float(s))
             for p, m, s in zip(P_GRID, result.curve_mean, result.curve_std)
         )
-        entry = _summary_entry(trades, cfg, result.summary)
+        entry = _summary_entry(cfg, result.summary)
         for be in result.break_even:
             breakeven_rows.append(
                 (cfg.scenario.value, cfg.gamma_t, be.lambda_bp, be.analytic_p, be.simulated_p,
@@ -384,46 +372,34 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _summary_entry(trades, cfg: SimulationConfig, result: SimulationSummary) -> dict:
-    n = len(trades)
-    long = [t for t in trades if t.run_length >= cfg.certain_fill_min_run_length]
-    short = [t for t in trades if t.run_length < cfg.certain_fill_min_run_length]
-    mean_excess = sum(t.initial_excess for t in trades) / n if n else 0.0
-    mean_long = sum(t.initial_excess for t in long) / len(long) if long else 0.0
-    mean_short = sum(t.initial_excess for t in short) / len(short) if short else 0.0
+def _summary_entry(cfg: SimulationConfig, s: SimulationSummary) -> dict:
+    n = s.trades_attempted
     entry = {
         "scenario": cfg.scenario.value,
         "gamma_t": cfg.gamma_t,
         "trades": n,
-        "n_long": len(long),
-        "n_short": len(short),
-        "mean_excess_bp": mean_excess * 1e4,
+        "n_long": s.n_long,
+        "n_short": s.n_short,
+        "mean_excess_bp": s.mean_excess_bp,
     }
     if cfg.scenario is Scenario.FIXED_FILL:
         entry["analytic_total_profit"] = analytic_total_profit_fixed(
-            n, cfg.volume, cfg.fill_prob, cfg.loss_bp, mean_excess
-        )
-        entry["analytic_break_even_p"] = (
-            analytic_break_even_fixed(mean_excess * 1e4, cfg.loss_bp) if n else None
+            n, cfg.volume, cfg.fill_prob, cfg.loss_bp, s.mean_excess_bp * BP
         )
     else:
         entry["analytic_total_profit"] = analytic_total_profit_duration(
-            len(long), len(short), cfg.volume, cfg.fill_prob, cfg.loss_bp, mean_long, mean_short
+            s.n_long, s.n_short, cfg.volume, cfg.fill_prob, cfg.loss_bp,
+            s.mean_long_bp * BP, s.mean_short_bp * BP,
         )
-        p_be, clamped = (
-            analytic_break_even_duration(
-                len(long), len(short), mean_long * 1e4, mean_short * 1e4, cfg.loss_bp
-            )
-            if n
-            else (None, False)
-        )
-        entry["analytic_break_even_p"] = p_be
+    p_be, clamped = analytic_break_even(s, cfg.scenario, cfg.loss_bp) if n else (None, False)
+    entry["analytic_break_even_p"] = p_be
+    if cfg.scenario is Scenario.DURATION_FILL:
         entry["analytic_break_even_clamped"] = clamped
     if n:
-        entry["simulated_total_profit"] = result.total_profit
-        entry["simulated_total_profit_std"] = result.total_profit_std
-        entry["mean_profit_per_trade_bp"] = result.mean_profit_per_trade_bp
-        entry["trades_filled_mean"] = result.trades_filled_mean
+        entry["simulated_total_profit"] = s.total_profit
+        entry["simulated_total_profit_std"] = s.total_profit_std
+        entry["mean_profit_per_trade_bp"] = s.mean_profit_per_trade_bp
+        entry["trades_filled_mean"] = s.trades_filled_mean
     return entry
 
 
@@ -444,10 +420,8 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     stats = []
     for label, data_dir in datasets:
-        at = _load_triangle(data_dir, triangle, window)
-        ops, s1, s2 = _detect_all(at, triangle)
-        merged = merge_distribution_points([s1, s2])
-        dist = distribution_stats(merged, args.hist_bin_width, hist_range)
+        ops, gammas = _detect(data_dir, triangle, window)
+        dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
         write_histogram_csv(out / f"histogram_{label}.csv", dist)
         stats.append((label, dist, duration_stats(ops)))
     report = compare_periods(stats)

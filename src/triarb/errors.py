@@ -23,7 +23,7 @@ class EmptySeriesError(TriarbError):
 
 
 class AlignmentError(TriarbError):
-    """The three pair series of a triangle do not share a grid window."""
+    """The pair series given for a triangle do not cover its three pairs on one window."""
 
 
 class SynthConfigError(TriarbError):

@@ -1,4 +1,4 @@
-"""Currency pairs, per-second pair series, tick-file I/O and triangle alignment.
+"""Currency pairs, triangles, per-second pair series and tick-file I/O.
 
 A pair's quotes live in one representation, the columns of `PairSeries`:
 the grid seconds of a window, int64 bid and ask mantissas that share one
@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    AlignmentError,
     CrossedQuoteWarning,
     EmptySeriesError,
     TickOrderingError,
@@ -256,49 +255,6 @@ class TriangleSpec:
         return cls(currencies=(a, b, c), pairs=tuple(pairs))
 
 
-@dataclass(eq=False, slots=True)
-class AlignedTriangle:
-    """The three pair series of a triangle on one shared grid."""
-
-    window: SeriesWindow
-    series: tuple[PairSeries, PairSeries, PairSeries]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.series[0].times
-
-    def __len__(self) -> int:
-        return len(self.series[0])
-
-    def series_for(self, pair: Pair) -> PairSeries:
-        for s in self.series:
-            if s.pair == pair:
-                return s
-        raise KeyError(pair.name)
-
-
-def align_triangle(
-    a: PairSeries, b: PairSeries, c: PairSeries, spec: TriangleSpec
-) -> AlignedTriangle:
-    """Order the three series by the spec's pairs and check they share a grid."""
-    provided = {s.pair: s for s in (a, b, c)}
-    if len(provided) != 3:
-        raise AlignmentError("the three series must cover three distinct pairs")
-    ordered = []
-    for pair in spec.pairs:
-        s = provided.get(pair)
-        if s is None:
-            raise AlignmentError(f"missing series for pair {pair.name}")
-        ordered.append(s)
-    w = ordered[0].window
-    for s in ordered[1:]:
-        if s.window != w:
-            raise AlignmentError(
-                f"window mismatch: {s.pair.name} has {s.window}, expected {w}"
-            )
-    return AlignedTriangle(w, tuple(ordered))
-
-
 def parse_iso_timestamp(raw: str) -> int:
     text = raw.strip()
     if text.endswith(("Z", "z")):
@@ -314,8 +270,9 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
 
     Format: header ``timestamp,bid,ask``; timestamps are integer epoch
     seconds or ISO-8601 UTC (auto-detected from the first data row); prices
-    are decimal. Several ticks in one second collapse to the last one.
-    Crossed quotes (bid > ask) are accepted with a CrossedQuoteWarning.
+    are finite, positive decimals. Several ticks in one second collapse to
+    the last one. Crossed quotes (bid > ask) are accepted with a
+    CrossedQuoteWarning.
     All prices share the largest number of decimal places in the file; a
     price whose mantissa at that scale does not fit int64 is a parse error.
     """
@@ -349,6 +306,8 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
                 ask = Decimal(raw_ask)
             except InvalidOperation:
                 raise TickParseError(path, line_no, f"bad price in {row!r}") from None
+            if not (bid.is_finite() and ask.is_finite()):
+                raise TickParseError(path, line_no, f"non-finite price in {row!r}")
             if bid <= 0 or ask <= 0:
                 raise TickParseError(path, line_no, f"non-positive price in {row!r}")
             if last_raw_t is not None and t < last_raw_t:

@@ -1,9 +1,10 @@
 """Arbitrage opportunity segmentation and summary statistics.
 
 An opportunity is a maximal run of consecutive grid seconds whose rate
-product exceeds one. Missing-data seconds (rate product zero) and window
-boundaries terminate runs, as do jumps in the grid (weekday-filtered gaps).
-The duration label of a run equals its length in grid seconds.
+product exceeds one, in either direction of the triangle. Missing-data
+seconds (rate product zero) and window boundaries terminate runs, as do
+jumps in the grid (weekday-filtered gaps). The duration label of a run
+equals its length in grid seconds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .market_data import Direction
-from .rate_product import RateProductSeries
 
 BUCKET_LABELS = ("1s", "2s", "3s", "4s", "5s", ">5s")
 
@@ -97,31 +97,35 @@ class ComparisonReport:
     rows: tuple[ComparisonRow, ...]
 
 
-def segment_opportunities(series: RateProductSeries) -> list[ArbitrageOpportunity]:
-    """Extract maximal runs with gamma > 1, in time order."""
-    g = series.gammas
-    t = series.times
-    idx = np.flatnonzero(g > 1.0)
-    if idx.size == 0:
-        return []
-    # A run breaks where the above-one indices are not adjacent or the grid
-    # seconds themselves are not consecutive.
-    brk = np.flatnonzero((np.diff(idx) != 1) | (np.diff(t[idx]) != 1))
-    starts = np.concatenate(([0], brk + 1))
-    ends = np.concatenate((brk, [idx.size - 1]))
-    peaks = np.maximum.reduceat(g[idx], starts)
+def segment_opportunities(times: np.ndarray, gammas: np.ndarray) -> list[ArbitrageOpportunity]:
+    """Maximal runs with gamma > 1, ordered by (start, direction).
+
+    `gammas` holds the rate products over `times` as `compute_rate_products`
+    returns them: row 0 is DIR1, row 1 is DIR2.
+    """
     out = []
-    for s, e, peak in zip(starts, ends, peaks):
-        i0 = idx[s]
-        out.append(
-            ArbitrageOpportunity(
-                start=int(t[i0]),
-                run_length=int(e - s + 1),
-                initial_gamma=float(g[i0]),
-                peak_gamma=float(peak),
-                direction=series.direction,
+    for direction, g in zip(Direction, gammas):
+        idx = np.flatnonzero(g > 1.0)
+        if idx.size == 0:
+            continue
+        # A run breaks where the above-one indices are not adjacent or the grid
+        # seconds themselves are not consecutive.
+        brk = np.flatnonzero((np.diff(idx) != 1) | (np.diff(times[idx]) != 1))
+        starts = np.concatenate(([0], brk + 1))
+        ends = np.concatenate((brk, [idx.size - 1]))
+        peaks = np.maximum.reduceat(g[idx], starts)
+        for s, e, peak in zip(starts, ends, peaks):
+            i0 = idx[s]
+            out.append(
+                ArbitrageOpportunity(
+                    start=int(times[i0]),
+                    run_length=int(e - s + 1),
+                    initial_gamma=float(g[i0]),
+                    peak_gamma=float(peak),
+                    direction=direction,
+                )
             )
-        )
+    out.sort(key=lambda op: (op.start, op.direction.value))
     return out
 
 
@@ -160,18 +164,15 @@ def threshold_table(
 ) -> list[ThresholdRow]:
     """Count and mean duration of opportunities at or above each magnitude threshold.
 
-    A zero threshold counts every opportunity (peak strictly above one);
-    positive thresholds use magnitude_bp >= threshold inclusively.
+    An opportunity counts when its peak rate product is at least 1 + threshold
+    bp, compared on the rate-product scale so that e.g. a peak of exactly
+    1.0001 clears the 1 bp threshold. Segmented runs peak above one, so a
+    zero threshold counts every opportunity.
     """
     rows = []
     for th in check_thresholds(thresholds_bp):
-        if th == 0:
-            subset = [op for op in ops if op.peak_gamma > 1.0]
-        else:
-            # compare on the rate-product scale so that e.g. a peak of
-            # exactly 1.0001 clears the 1 bp threshold
-            floor = 1.0 + th * 1e-4
-            subset = [op for op in ops if op.peak_gamma >= floor]
+        floor = 1.0 + th * 1e-4
+        subset = [op for op in ops if op.peak_gamma >= floor]
         mean_dur = sum(op.duration_label for op in subset) / len(subset) if subset else 0.0
         rows.append(ThresholdRow(float(th), len(subset), mean_dur))
     return rows
@@ -186,12 +187,12 @@ def check_histogram(bin_width: float, value_range: tuple[float, float]) -> tuple
 
 
 def distribution_stats(
-    series: RateProductSeries, bin_width: float, value_range: tuple[float, float]
+    gammas: np.ndarray, bin_width: float, value_range: tuple[float, float]
 ) -> DistributionStats:
+    """Statistics of all rate products in `gammas`, both directions pooled."""
     lo, hi = check_histogram(bin_width, value_range)
-    g = series.gammas
-    valid = g[g != 0.0]
-    n_missing = int(g.size - valid.size)
+    valid = gammas[gammas != 0.0]
+    n_missing = int(gammas.size - valid.size)
     n_bins = max(1, math.ceil((hi - lo) / bin_width - 1e-9))
     edges = lo + np.arange(n_bins + 1) * bin_width
     counts, _ = np.histogram(valid, bins=edges)
@@ -213,15 +214,6 @@ def distribution_stats(
         n_points=int(valid.size),
         n_missing=n_missing,
     )
-
-
-def merge_distribution_points(series_list: Sequence[RateProductSeries]) -> RateProductSeries:
-    """Concatenate several series into one stream of points for aggregate stats."""
-    if not series_list:
-        raise ValueError("need at least one series")
-    times = np.concatenate([s.times for s in series_list])
-    gammas = np.concatenate([s.gammas for s in series_list])
-    return RateProductSeries(series_list[0].direction, times, gammas)
 
 
 def compare_periods(

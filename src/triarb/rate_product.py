@@ -1,4 +1,4 @@
-"""Rate-product series for the two transaction directions of a triangle.
+"""Rate products for the two transaction directions of a triangle.
 
 For every grid second the effective conversion rates of the three legs are
 multiplied: a leg selling the pair's base contributes the bid, a leg buying
@@ -9,48 +9,50 @@ zero; they stay on the grid so that downstream run segmentation sees the gap.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .market_data import AlignedTriangle, Direction, Side, TriangleSpec
+from .errors import AlignmentError
+from .market_data import Direction, Pair, PairSeries, Side, TriangleSpec
 
 
-class RateProductSeries:
-    """Per-second rate products for one transaction direction."""
+def compute_rate_products(series: Sequence[PairSeries], spec: TriangleSpec) -> np.ndarray:
+    """Both directions' rate products over the grid the three pair series share.
 
-    __slots__ = ("direction", "times", "gammas")
-
-    def __init__(self, direction: Direction, times: np.ndarray, gammas: np.ndarray):
-        if times.shape != gammas.shape:
-            raise ValueError("times and gammas must have equal length")
-        self.direction = direction
-        self.times = times
-        self.gammas = gammas
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-
-def compute_rate_products(
-    at: AlignedTriangle, spec: TriangleSpec
-) -> tuple[RateProductSeries, RateProductSeries]:
-    """Compute both directions' rate products over the aligned grid."""
-    any_missing = np.zeros(len(at), dtype=bool)
-    for s in at.series:
+    `series` holds one series per pair of `spec`, in any order, all on one
+    window. Returns a float64 array of shape (2, grid seconds): row 0 is
+    DIR1, row 1 is DIR2.
+    """
+    by_pair = _by_pair(series, spec)
+    n = len(series[0])
+    any_missing = np.zeros(n, dtype=bool)
+    for s in series:
         any_missing |= s.missing
 
-    out = []
-    for direction in (Direction.DIR1, Direction.DIR2):
-        gamma = np.ones(len(at), dtype=np.float64)
+    gammas = np.ones((2, n), dtype=np.float64)
+    for gamma, direction in zip(gammas, Direction):
         for pair, side in spec.legs(direction):
-            s = at.series_for(pair)
+            s = by_pair[pair]
             if side is Side.BID:
-                leg = s.bid_float()
-                leg = np.where(s.missing, 1.0, leg)
+                gamma *= np.where(s.missing, 1.0, s.bid_float())
             else:
-                ask = np.where(s.missing, 1.0, s.ask_float())
-                leg = 1.0 / ask
-            gamma *= leg
-        gamma[any_missing] = 0.0
-        out.append(RateProductSeries(direction, at.times, gamma))
-    return out[0], out[1]
+                gamma *= 1.0 / np.where(s.missing, 1.0, s.ask_float())
+    gammas[:, any_missing] = 0.0
+    return gammas
 
+
+def _by_pair(series: Sequence[PairSeries], spec: TriangleSpec) -> dict[Pair, PairSeries]:
+    """The series keyed by pair, checked to cover the spec's pairs on one window."""
+    by_pair = {s.pair: s for s in series}
+    if len(series) != 3 or len(by_pair) != 3:
+        raise AlignmentError("the three series must cover three distinct pairs")
+    for pair in spec.pairs:
+        if pair not in by_pair:
+            raise AlignmentError(f"missing series for pair {pair.name}")
+    w = by_pair[spec.pairs[0]].window
+    for pair in spec.pairs[1:]:
+        s = by_pair[pair]
+        if s.window != w:
+            raise AlignmentError(f"window mismatch: {s.pair.name} has {s.window}, expected {w}")
+    return by_pair

@@ -81,6 +81,13 @@ class SimulationSummary:
     trades_attempted: int
     trades_filled_mean: float
     run_totals: np.ndarray
+    # the closed forms' inputs: the duration scenario's long/short split and
+    # the mean excess (initial gamma - 1) in bp of all, long and short trades
+    n_long: int
+    n_short: int
+    mean_excess_bp: float
+    mean_long_bp: float
+    mean_short_bp: float
 
 
 @dataclass(frozen=True)
@@ -182,6 +189,8 @@ def simulate_trades(
     # bit-identical runs (p = 0 or 1) at exactly zero
     std = float((totals - totals[0]).std(ddof=1)) if cfg.runs > 1 else 0.0
     mean_total = float(totals.mean())
+    excess_bp = excess / BP
+    n_long = int(long_mask.sum())
     summary = SimulationSummary(
         total_profit=mean_total,
         total_profit_std=std,
@@ -189,6 +198,11 @@ def simulate_trades(
         trades_attempted=n,
         trades_filled_mean=float(filled_counts.mean()),
         run_totals=totals,
+        n_long=n_long,
+        n_short=n - n_long,
+        mean_excess_bp=_mean(excess_bp),
+        mean_long_bp=_mean(excess_bp[long_mask]),
+        mean_short_bp=_mean(excess_bp[~long_mask]),
     )
 
     # surface total(p, lam) = V*(const + mean filled excess[p]) - V*lam*mean unfilled[p] - fees
@@ -208,8 +222,12 @@ def simulate_trades(
         curve_std=curves.std(axis=0, ddof=1) if cfg.runs > 1 else np.zeros(P_GRID.size),
         surface=ProfitSurface(P_GRID, lam_bp, mean_bp, contour),
         # without trades the mean excess, hence the analytic break-even, is undefined
-        break_even=_break_even(cfg.scenario, excess, long_mask, lam_bp, crossings) if n else (),
+        break_even=_break_even(cfg.scenario, summary, lam_bp, crossings) if n else (),
     )
+
+
+def _mean(values: np.ndarray) -> float:
+    return float(values.mean()) if values.size else 0.0
 
 
 def _trade_arrays(trades: Sequence[ArbitrageOpportunity], min_long: int):
@@ -256,25 +274,13 @@ def _zero_crossings(p_grid: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def _break_even(
-    scenario: Scenario, excess: np.ndarray, long_mask: np.ndarray, lam_bp: np.ndarray,
-    crossings: np.ndarray,
+    scenario: Scenario, summary: SimulationSummary, lam_bp: np.ndarray, crossings: np.ndarray,
 ) -> tuple[BreakEvenResult, ...]:
     """Analytic break-even fill probability per loss, plus the mean and std of
     the per-run zero crossings (one row of `crossings` per loss)."""
-    excess_bp = excess / BP
-    n_long = int(long_mask.sum())
-    n_short = int(excess.size - n_long)
-    mean_long = float(excess_bp[long_mask].mean()) if n_long else 0.0
-    mean_short = float(excess_bp[~long_mask].mean()) if n_short else 0.0
     results = []
     for lam, estimates in zip(lam_bp.tolist(), crossings):
-        if scenario is Scenario.FIXED_FILL:
-            analytic_p = analytic_break_even_fixed(float(excess_bp.mean()), lam)
-            clamped = False
-        else:
-            analytic_p, clamped = analytic_break_even_duration(
-                n_long, n_short, mean_long, mean_short, lam
-            )
+        analytic_p, clamped = analytic_break_even(summary, scenario, lam)
         results.append(BreakEvenResult(
             lambda_bp=lam,
             analytic_p=analytic_p,
@@ -313,6 +319,17 @@ def analytic_total_profit_duration(
     certain = n_long * volume * mean_excess_long
     return certain + analytic_total_profit_fixed(
         n_short, volume, fill_prob, loss_bp, mean_excess_short
+    )
+
+
+def analytic_break_even(
+    summary: SimulationSummary, scenario: Scenario, loss_bp: float
+) -> tuple[float, bool]:
+    """(p, clamped): the scenario's closed-form break-even for the summary's trades."""
+    if scenario is Scenario.FIXED_FILL:
+        return analytic_break_even_fixed(summary.mean_excess_bp, loss_bp), False
+    return analytic_break_even_duration(
+        summary.n_long, summary.n_short, summary.mean_long_bp, summary.mean_short_bp, loss_bp
     )
 
 

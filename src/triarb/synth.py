@@ -341,17 +341,3 @@ def write_injections_json(path, injections: Sequence[InjectionSpec]) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_injections_json(path) -> list[InjectionSpec]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return [
-        InjectionSpec(
-            start=int(item["start"]),
-            duration_seconds=int(item["duration_seconds"]),
-            magnitude_bp=float(item["magnitude_bp"]),
-            direction=Direction(int(item["direction"])),
-        )
-        for item in payload
-    ]

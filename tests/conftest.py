@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from triarb.market_data import (
-    Direction,
     Pair,
     PairSeries,
     SeriesWindow,
     TriangleSpec,
     load_pair_series,
 )
-from triarb.rate_product import RateProductSeries
 
 # Monday 1970-01-05; keeps weekday-filtered grids simple.
 MONDAY = 4 * 86400
@@ -38,14 +36,13 @@ def load_rows(pair: Pair, window: SeriesWindow, rows) -> PairSeries:
         return load_pair_series(path, pair, window)
 
 
-def make_series(
-    gammas, start: int = MONDAY, direction: Direction = Direction.DIR1, times=None
-) -> RateProductSeries:
+def make_series(gammas, start: int = MONDAY, times=None) -> tuple[np.ndarray, np.ndarray]:
+    """(times, (2, n) rate products) with `gammas` as DIR1 and DIR2 all missing."""
     g = np.asarray(gammas, dtype=np.float64)
     t = np.asarray(times, dtype=np.int64) if times is not None else np.arange(
         start, start + g.size, dtype=np.int64
     )
-    return RateProductSeries(direction, t, g)
+    return t, np.stack([g, np.zeros_like(g)])
 
 
 def brute_force_segments(times, gammas):

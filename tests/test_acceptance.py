@@ -22,7 +22,6 @@ from triarb.market_data import (
     Pair,
     SeriesWindow,
     TriangleSpec,
-    align_triangle,
 )
 from triarb.opportunity import duration_stats, segment_opportunities, threshold_table
 from triarb.rate_product import compute_rate_products
@@ -66,8 +65,8 @@ def test_worked_gamma_example():
         "EUR/JPY": [(0, "139.59", "139.60")],
     }
     series = [load_rows(p, window, rows[p.name]) for p in spec.pairs]
-    s1, _ = compute_rate_products(align_triangle(*series, spec), spec)
-    assert abs(s1.gammas[0] - 1.000115903) <= 0.5e-9
+    gammas = compute_rate_products(series, spec)
+    assert abs(gammas[0, 0] - 1.000115903) <= 0.5e-9
 
 
 def test_leg_volume_arithmetic():
@@ -94,7 +93,7 @@ def _simulation_series(seed=20250810, n_runs=900):
 def test_analytic_simulation_agreement():
     """Simulated totals track the closed forms at 3 standard errors; break-even within 0.02."""
     series = _simulation_series()
-    all_ops = segment_opportunities(series)
+    all_ops = segment_opportunities(*series)
     assert len(all_ops) >= 500
     volume = 1e6
     p = 0.6
@@ -152,7 +151,7 @@ def test_oracle_equivalence_on_random_series():
         series = make_series(row, times=times)
         got = [
             (o.start, o.run_length, o.initial_gamma, o.peak_gamma)
-            for o in segment_opportunities(series)
+            for o in segment_opportunities(*series)
         ]
         expected = brute_force_segments(time_list, row.tolist())
         assert got == expected, f"series {i}"
@@ -182,10 +181,9 @@ def test_injection_recovery_hundred_episodes():
         injections=tuple(injections),
     )
     a, b, c, truth = generate(cfg)
-    s1, s2 = compute_rate_products(align_triangle(a, b, c, spec), spec)
     detected = {
         (o.start, o.run_length, o.direction): o
-        for o in segment_opportunities(s1) + segment_opportunities(s2)
+        for o in segment_opportunities(a.times, compute_rate_products((a, b, c), spec))
     }
     expected = {(i.start, i.duration_seconds, i.direction): i for i in truth}
     assert set(detected) == set(expected)  # recall and precision both exact
@@ -221,8 +219,7 @@ def test_seasonality_mechanism_reproduction():
             injections=injections,
         )
         a, b, c, _ = generate(cfg)
-        s1, s2 = compute_rate_products(align_triangle(a, b, c, spec), spec)
-        ops = segment_opportunities(s1) + segment_opportunities(s2)
+        ops = segment_opportunities(a.times, compute_rate_products((a, b, c), spec))
         profile = hourly_profile(ops)
         liquid_count = sum(profile.counts[h] for h in liquid_hours)
         quiet_count = sum(profile.counts[h] for h in quiet_hours)

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from triarb.cli import main
+from triarb.cli import _summary_entry, main
+from triarb.market_data import Direction
+from triarb.opportunity import ArbitrageOpportunity
+from triarb.simulator import Scenario, SimulationConfig, simulate_trades
 
 from conftest import MONDAY
 
@@ -215,6 +218,22 @@ class TestDetectCommand:
         assert f"{path}:2:" in err and "int64" in err
         assert "Traceback" not in err
 
+    def test_non_finite_price_exits_2(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path, five_injections())
+        path = data_dir / "USDCHF.csv"
+        lines = path.read_text().splitlines()
+        t = lines[3].split(",")[0]
+        lines[3] = f"{t},NaN,1.3"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["detect", "--data-dir", str(data_dir), "--window", WINDOW,
+             "--out-dir", str(tmp_path / "out")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}:4:" in err and "non-finite price" in err
+        assert "Traceback" not in err
+
     def test_histogram_written(self, tmp_path):
         data_dir = run_synth(tmp_path, five_injections())
         out = tmp_path / "detect"
@@ -250,6 +269,20 @@ class TestSeasonalCommand:
 
 
 class TestSimulateCommand:
+    def test_one_analytic_break_even_per_config(self):
+        # the summary entry and the break-even row read the same closed-form inputs
+        trades = [
+            ArbitrageOpportunity(MONDAY + 10 * i, length, g, g, Direction.DIR1)
+            for i, (g, length) in enumerate([(1.00005, 1), (1.00021, 3), (1.00033, 1)])
+        ]
+        for scenario in Scenario:
+            cfg = SimulationConfig(scenario=scenario, loss_bp=1.5, runs=3, seed=1)
+            result = simulate_trades(trades, cfg, [1.0, 1.5])
+            entry = _summary_entry(cfg, result.summary)
+            assert entry["analytic_break_even_p"] == result.break_even[1].analytic_p
+            if scenario is Scenario.FIXED_FILL:
+                assert entry["analytic_break_even_p"] == 0.4326923076922701
+
     def test_full_fill_matches_closed_form(self, tmp_path):
         data_dir = run_synth(tmp_path, five_injections())
         out = tmp_path / "sim"

@@ -1,5 +1,7 @@
 """Tick loading and writing, grid construction, and triangle alignment."""
 
+import copy
+import itertools
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -21,11 +23,11 @@ from triarb.market_data import (
     SeriesWindow,
     Side,
     TriangleSpec,
-    align_triangle,
     load_pair_series,
     market_convention_pair,
     write_pair_series_csv,
 )
+from triarb.rate_product import compute_rate_products
 
 from conftest import MONDAY, load_rows, write_rows
 
@@ -74,6 +76,16 @@ class TestLoadPairSeries:
         write_rows(path, [(0, "0", "1.2")])
         with pytest.raises(TickParseError):
             load_pair_series(path, EURUSD, SeriesWindow(0, 3))
+
+    @pytest.mark.parametrize("value", ["NaN", "sNaN", "Infinity"])
+    @pytest.mark.parametrize("field", ["bid", "ask"])
+    def test_non_finite_price_names_line(self, tmp_path, value, field):
+        path = tmp_path / "ticks.csv"
+        bad = (1, value, "1.2067") if field == "bid" else (1, "1.2065", value)
+        write_rows(path, [(0, "1.2065", "1.2067"), bad])
+        with pytest.raises(TickParseError, match="non-finite price") as err:
+            load_pair_series(path, EURUSD, SeriesWindow(0, 3))
+        assert err.value.line_no == 3
 
     def test_out_of_order_timestamps(self, tmp_path):
         path = tmp_path / "ticks.csv"
@@ -221,6 +233,8 @@ class TestTriangleSpec:
 
 
 class TestAlignTriangle:
+    """`compute_rate_products` aligns the three series by pair and checks their grid."""
+
     def setup_method(self):
         self.spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
         self.window = SeriesWindow(0, 10)
@@ -230,28 +244,29 @@ class TestAlignTriangle:
         return load_rows(pair, self.window, rows)
 
     def test_gap_free_alignment(self):
-        a, b, c = (self.full_series(p) for p in self.spec.pairs)
-        at = align_triangle(a, b, c, self.spec)
-        assert len(at) == 10
-        assert not any(s.missing.any() for s in at.series)
+        series = [self.full_series(p) for p in self.spec.pairs]
+        gammas = compute_rate_products(series, self.spec)
+        assert gammas.shape == (2, 10)
+        assert gammas.all()
 
     def test_single_leg_missing_flagged(self):
         a = self.full_series(self.spec.pairs[0], skip={4})
         b = self.full_series(self.spec.pairs[1])
         c = self.full_series(self.spec.pairs[2])
-        at = align_triangle(a, b, c, self.spec)
-        i = int(np.searchsorted(at.times, 4))
-        flags = {s.pair.name: bool(s.missing[i]) for s in at.series}
-        assert flags == {"EUR/USD": True, "USD/CHF": False, "EUR/CHF": False}
+        gammas = compute_rate_products((a, b, c), self.spec)
+        assert a.missing.tolist() == [t == 4 for t in range(10)]
+        assert not b.missing.any() and not c.missing.any()
+        assert (gammas == 0.0).tolist() == [[t == 4 for t in range(10)]] * 2
 
     def test_random_gaps_match_direct_lookup(self):
         rng = np.random.default_rng(7)
         skips = [set(rng.choice(10, size=3, replace=False).tolist()) for _ in range(3)]
         series = [self.full_series(p, skip=s) for p, s in zip(self.spec.pairs, skips)]
-        at = align_triangle(*series, self.spec)
-        for i, t in enumerate(at.times.tolist()):
-            for p, s in zip(self.spec.pairs, skips):
-                assert at.series_for(p).missing[i] == (t in s)
+        gammas = compute_rate_products(series, self.spec)
+        for i, t in enumerate(series[0].times.tolist()):
+            for s, skip in zip(series, skips):
+                assert s.missing[i] == (t in skip)
+            assert (gammas[:, i] == 0.0).all() == any(t in skip for skip in skips)
 
     def test_window_mismatch_raises(self):
         a = self.full_series(self.spec.pairs[0])
@@ -259,16 +274,37 @@ class TestAlignTriangle:
         c = load_rows(
             self.spec.pairs[2], SeriesWindow(0, 11), [(t, "1.2", "1.21") for t in range(11)]
         )
-        with pytest.raises(AlignmentError):
-            align_triangle(a, b, c, self.spec)
+        with pytest.raises(AlignmentError, match="window mismatch"):
+            compute_rate_products((a, b, c), self.spec)
+
+    def test_missing_pair_raises(self):
+        a, b, _ = (self.full_series(p) for p in self.spec.pairs)
+        other = self.full_series(Pair("EUR", "JPY"))
+        with pytest.raises(AlignmentError, match="missing series for pair EUR/CHF"):
+            compute_rate_products((a, b, other), self.spec)
+
+    def test_duplicate_pair_raises(self):
+        a, b, _ = (self.full_series(p) for p in self.spec.pairs)
+        with pytest.raises(AlignmentError, match="three distinct pairs"):
+            compute_rate_products((a, b, b), self.spec)
+        with pytest.raises(AlignmentError, match="three distinct pairs"):
+            compute_rate_products((a, b), self.spec)
 
     def test_alignment_is_idempotent(self):
-        a, b, c = (self.full_series(p) for p in self.spec.pairs)
-        at1 = align_triangle(a, b, c, self.spec)
-        at2 = align_triangle(*at1.series, self.spec)
-        assert all(x == y for x, y in zip(at1.series, at2.series))
+        # the inputs are left as they were: a second call gives the same array
+        series = [self.full_series(p, skip={2}) for p in self.spec.pairs]
+        copies = copy.deepcopy(series)
+        first = compute_rate_products(series, self.spec)
+        assert all(s == c for s, c in zip(series, copies))
+        assert np.array_equal(compute_rate_products(series, self.spec), first)
 
     def test_order_independent_of_argument_order(self):
-        a, b, c = (self.full_series(p) for p in self.spec.pairs)
-        at = align_triangle(c, a, b, self.spec)
-        assert [s.pair.name for s in at.series] == ["EUR/USD", "USD/CHF", "EUR/CHF"]
+        rng = np.random.default_rng(3)
+        series = [
+            self.full_series(p, bid=bid, ask=ask, skip={int(rng.integers(10))})
+            for p, bid, ask in zip(self.spec.pairs, ("1.2065", "1.3030", "1.5721"),
+                                    ("1.2067", "1.3032", "1.5723"))
+        ]
+        expected = compute_rate_products(series, self.spec)
+        for order in itertools.permutations(series):
+            assert np.array_equal(compute_rate_products(order, self.spec), expected)

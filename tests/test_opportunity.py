@@ -31,7 +31,7 @@ def op(start=0, run_length=1, initial=1.0001, peak=None, direction=Direction.DIR
 class TestSegmentation:
     def test_worked_example(self):
         series = make_series([0.9999, 1.00002, 1.00005, 0.9999, 1.0002, 0.9998], start=0)
-        ops = segment_opportunities(series)
+        ops = segment_opportunities(*series)
         assert len(ops) == 2
         first, second = ops
         assert (first.start, first.run_length) == (1, 2)
@@ -41,31 +41,41 @@ class TestSegmentation:
         assert second.magnitude_bp == pytest.approx(2.0, abs=1e-9)
 
     def test_all_below_one_is_empty(self):
-        assert segment_opportunities(make_series([0.999, 1.0, 0.9999])) == []
+        assert segment_opportunities(*make_series([0.999, 1.0, 0.9999])) == []
 
     def test_window_long_run_keeps_label(self):
         series = make_series([1.00001] * 70)
-        ops = segment_opportunities(series)
+        ops = segment_opportunities(*series)
         assert len(ops) == 1
         assert ops[0].duration_label == 70
 
     def test_zero_terminates_run(self):
         series = make_series([1.0001, 0.0, 1.0001])
-        ops = segment_opportunities(series)
+        ops = segment_opportunities(*series)
         assert [o.run_length for o in ops] == [1, 1]
 
     def test_time_jump_terminates_run(self):
         # grid gap (e.g. weekend excluded) splits an otherwise contiguous run
         times = [10, 11, 50, 51]
         series = make_series([1.0001] * 4, times=times)
-        ops = segment_opportunities(series)
+        ops = segment_opportunities(*series)
         assert [(o.start, o.run_length) for o in ops] == [(10, 2), (50, 2)]
 
     def test_initial_differs_from_peak(self):
         series = make_series([1.00001, 1.00009, 1.00003])
-        ops = segment_opportunities(series)
+        ops = segment_opportunities(*series)
         assert ops[0].initial_gamma == pytest.approx(1.00001)
         assert ops[0].peak_gamma == pytest.approx(1.00009)
+
+    def test_both_rows_ordered_by_start_then_direction(self):
+        times = np.arange(6, dtype=np.int64)
+        gammas = np.array([[0.9, 1.0002, 1.0001, 0.9, 1.0003, 0.9],
+                           [1.0001, 1.0004, 0.9, 0.9, 1.0001, 1.0001]])
+        ops = segment_opportunities(times, gammas)
+        assert [(o.start, o.direction.value, o.run_length) for o in ops] == [
+            (0, 2, 2), (1, 1, 2), (4, 1, 1), (4, 2, 2)
+        ]
+        assert ops[0].peak_gamma == 1.0004
 
     @given(
         st.lists(
@@ -82,7 +92,7 @@ class TestSegmentation:
         series = make_series(g, start=0)
         got = [
             (o.start, o.run_length, o.initial_gamma, o.peak_gamma)
-            for o in segment_opportunities(series)
+            for o in segment_opportunities(*series)
         ]
         assert got == brute_force_segments(range(len(g)), g)
 
@@ -93,7 +103,7 @@ class TestSegmentation:
     def test_partition_property(self, gammas):
         # seconds above one are exactly the union of the returned runs
         series = make_series(gammas, start=0)
-        ops = segment_opportunities(series)
+        ops = segment_opportunities(*series)
         covered = set()
         for o in ops:
             span = set(range(o.start, o.start + o.run_length))
@@ -144,6 +154,11 @@ class TestThresholdTable:
         rows = threshold_table(ops, [1.0])
         assert rows[0].count == 1
 
+    def test_zero_threshold_counts_every_segmented_run(self):
+        ops = segment_opportunities(*make_series([1.0 + 2**-52, 0.9, 1.00001, 1.00001, 0.0]))
+        rows = threshold_table(ops, [0])
+        assert (rows[0].count, rows[0].mean_duration) == (2, 1.5)
+
     def test_empty_set_gives_zero_means(self):
         rows = threshold_table([], [0, 1, 2])
         assert all(r.count == 0 and r.mean_duration == 0.0 for r in rows)
@@ -172,8 +187,7 @@ class TestThresholdTable:
 
 class TestDistributionStats:
     def test_constant_series(self):
-        series = make_series([0.9999] * 10)
-        dist = distribution_stats(series, 1e-5, (0.999, 1.001))
+        dist = distribution_stats(np.full(10, 0.9999), 1e-5, (0.999, 1.001))
         assert dist.mean == pytest.approx(0.9999)
         assert dist.std == 0.0
         assert dist.counts.sum() == 10
@@ -182,15 +196,14 @@ class TestDistributionStats:
     def test_uniform_histogram_is_flat(self):
         rng = np.random.default_rng(99)
         g = rng.uniform(0.9995, 1.0005, size=200_000)
-        dist = distribution_stats(make_series(g), 1e-4, (0.9995, 1.0005))
+        dist = distribution_stats(np.asarray(g), 1e-4, (0.9995, 1.0005))
         expected = g.size / dist.counts.size
         # multinomial noise: 5 sigma on each bin
         sigma = (expected * (1 - 1 / dist.counts.size)) ** 0.5
         assert np.all(np.abs(dist.counts - expected) < 5 * sigma)
 
     def test_zeros_excluded_and_counted(self):
-        series = make_series([0.9999, 0.0, 1.0001, 0.0])
-        dist = distribution_stats(series, 1e-4, (0.999, 1.001))
+        dist = distribution_stats(np.array([0.9999, 0.0, 1.0001, 0.0]), 1e-4, (0.999, 1.001))
         assert dist.n_missing == 2
         assert dist.n_points == 2
         assert dist.mean == pytest.approx((0.9999 + 1.0001) / 2)
@@ -198,24 +211,34 @@ class TestDistributionStats:
         assert total == dist.n_points
 
     def test_overflow_bins(self):
-        series = make_series([0.9, 1.1, 0.9995])
-        dist = distribution_stats(series, 1e-4, (0.999, 1.001))
+        dist = distribution_stats(np.array([0.9, 1.1, 0.9995]), 1e-4, (0.999, 1.001))
         assert dist.underflow == 1
         assert dist.overflow == 1
 
     def test_population_std(self):
         g = [0.9999, 1.0001]
-        dist = distribution_stats(make_series(g), 1e-4, (0.999, 1.001))
+        dist = distribution_stats(np.asarray(g), 1e-4, (0.999, 1.001))
         assert dist.std == pytest.approx(np.std(g))  # ddof=0
+
+    def test_both_directions_pooled_in_row_order(self):
+        rng = np.random.default_rng(8)
+        gammas = rng.uniform(0.9995, 1.0005, size=(2, 1001))
+        gammas[:, ::7] = 0.0
+        pooled = distribution_stats(gammas, 1e-4, (0.999, 1.001))
+        flat = distribution_stats(np.concatenate(gammas), 1e-4, (0.999, 1.001))
+        assert (pooled.mean, pooled.std, pooled.n_points, pooled.n_missing) == (
+            flat.mean, flat.std, flat.n_points, flat.n_missing
+        )
+        assert np.array_equal(pooled.counts, flat.counts)
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
-            distribution_stats(make_series([1.0]), 1e-4, (1.001, 0.999))
+            distribution_stats(np.array([1.0]), 1e-4, (1.001, 0.999))
 
 
 class TestComparePeriods:
     def period(self, label, gammas, labels):
-        dist = distribution_stats(make_series(gammas), 1e-4, (0.999, 1.001))
+        dist = distribution_stats(np.asarray(gammas), 1e-4, (0.999, 1.001))
         dur = duration_stats([op(run_length=k) for k in labels])
         return (label, dist, dur)
 

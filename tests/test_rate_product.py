@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triarb.market_data import SeriesWindow, TriangleSpec, align_triangle
+from triarb.market_data import SeriesWindow, TriangleSpec
 from triarb.rate_product import compute_rate_products
 
 from conftest import load_rows
@@ -17,22 +17,21 @@ def triangle(a="EUR", b="USD", c="CHF"):
     return TriangleSpec.from_currencies(a, b, c)
 
 
-def aligned(spec, rows_by_pair, window):
-    series = [load_rows(pair, window, rows_by_pair[pair.name]) for pair in spec.pairs]
-    return align_triangle(*series, spec)
+def tick_series(spec, rows_by_pair, window):
+    return [load_rows(pair, window, rows_by_pair[pair.name]) for pair in spec.pairs]
 
 
 def single_second(spec, prices):
     """prices: {pair_name: (bid, ask)} for one grid second at t=0."""
     window = SeriesWindow(0, 1)
     rows = {name: [(0, b, a)] for name, (b, a) in prices.items()}
-    return aligned(spec, rows, window)
+    return tick_series(spec, rows, window)
 
 
 class TestWorkedExample:
     def test_jpy_example_to_nine_decimals(self):
         spec = triangle("EUR", "USD", "JPY")
-        at = single_second(
+        series = single_second(
             spec,
             {
                 "EUR/USD": ("1.2065", "1.2066"),
@@ -40,12 +39,12 @@ class TestWorkedExample:
                 "EUR/JPY": ("139.59", "139.60"),
             },
         )
-        s1, _ = compute_rate_products(at, spec)
-        assert s1.gammas[0] == pytest.approx(1.000115903, abs=0.5e-9)
+        s1, _ = compute_rate_products(series, spec)
+        assert s1[0] == pytest.approx(1.000115903, abs=0.5e-9)
 
     def test_parity_with_zero_spread_gives_one(self):
         spec = triangle()
-        at = single_second(
+        series = single_second(
             spec,
             {
                 "EUR/USD": ("1.2", "1.2"),
@@ -53,9 +52,9 @@ class TestWorkedExample:
                 "EUR/CHF": ("1.2", "1.2"),
             },
         )
-        s1, s2 = compute_rate_products(at, spec)
-        assert s1.gammas[0] == pytest.approx(1.0, rel=1e-12)
-        assert s2.gammas[0] == pytest.approx(1.0, rel=1e-12)
+        s1, s2 = compute_rate_products(series, spec)
+        assert s1[0] == pytest.approx(1.0, rel=1e-12)
+        assert s2[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_missing_leg_zeroes_both_directions(self):
         spec = triangle()
@@ -65,11 +64,11 @@ class TestWorkedExample:
             "USD/CHF": [(0, "1.3", "1.31")],  # missing at t=1
             "EUR/CHF": [(0, "1.56", "1.57"), (1, "1.56", "1.57")],
         }
-        at = aligned(spec, rows, window)
-        s1, s2 = compute_rate_products(at, spec)
-        assert s1.gammas[1] == 0.0
-        assert s2.gammas[1] == 0.0
-        assert s1.gammas[0] > 0.0
+        series = tick_series(spec, rows, window)
+        s1, s2 = compute_rate_products(series, spec)
+        assert s1[1] == 0.0
+        assert s2[1] == 0.0
+        assert s1[0] > 0.0
 
 
 class TestOracleAgreement:
@@ -82,16 +81,16 @@ class TestOracleAgreement:
             prices = {}
             for pair, b, s in zip(spec.pairs, bids, spreads):
                 prices[pair.name] = (round(b, 6), round(b + s, 6))
-            at = single_second(spec, prices)
-            s1, s2 = compute_rate_products(at, spec)
-            for series, legs in ((s1, spec.legs_dir1), (s2, spec.legs_dir2)):
+            series = single_second(spec, prices)
+            gammas = compute_rate_products(series, spec)
+            for gamma, legs in zip(gammas, (spec.legs_dir1, spec.legs_dir2)):
                 exact = Fraction(1)
                 for pair, side in legs:
                     b, a = prices[pair.name]
                     exact *= (
                         Fraction(str(b)) if side.value == "bid" else 1 / Fraction(str(a))
                     )
-                assert abs(series.gammas[0] - float(exact)) <= 1e-12 * float(exact)
+                assert abs(gamma[0] - float(exact)) <= 1e-12 * float(exact)
 
 
 def quote_strategy():
@@ -113,9 +112,9 @@ class TestProperties:
             "USD/CHF": (q2[0], q2[0]),
             "EUR/CHF": (q3[0], q3[0]),
         }
-        at = single_second(spec, prices)
-        s1, s2 = compute_rate_products(at, spec)
-        assert s1.gammas[0] * s2.gammas[0] == pytest.approx(1.0, rel=1e-12)
+        series = single_second(spec, prices)
+        s1, s2 = compute_rate_products(series, spec)
+        assert s1[0] * s2[0] == pytest.approx(1.0, rel=1e-12)
 
     @given(quote_strategy(), quote_strategy())
     @settings(max_examples=60, deadline=None)
@@ -132,10 +131,10 @@ class TestProperties:
         }
         if any(b <= 0 for b, _ in prices.values()):
             return
-        at = single_second(spec, prices)
-        s1, s2 = compute_rate_products(at, spec)
-        assert s1.gammas[0] < 1.0
-        assert s2.gammas[0] < 1.0
+        series = single_second(spec, prices)
+        s1, s2 = compute_rate_products(series, spec)
+        assert s1[0] < 1.0
+        assert s2[0] < 1.0
 
     @given(st.integers(min_value=1, max_value=1000))
     @settings(max_examples=30, deadline=None)
@@ -153,8 +152,8 @@ class TestProperties:
         )
         g_base = compute_rate_products(single_second(spec, base), spec)
         g_wide = compute_rate_products(single_second(spec, widened), spec)
-        assert g_wide[0].gammas[0] <= g_base[0].gammas[0]  # dir1 uses 1/ask(EUR/CHF)
-        assert g_wide[1].gammas[0] == g_base[1].gammas[0]  # dir2 uses its bid only
+        assert g_wide[0, 0] <= g_base[0, 0]  # dir1 uses 1/ask(EUR/CHF)
+        assert g_wide[1, 0] == g_base[1, 0]  # dir2 uses its bid only
 
     @given(st.integers(min_value=1, max_value=1000))
     @settings(max_examples=30, deadline=None)
@@ -173,7 +172,7 @@ class TestProperties:
         )
         g_base = compute_rate_products(single_second(spec, base), spec)
         g_raised = compute_rate_products(single_second(spec, raised), spec)
-        assert g_raised[0].gammas[0] >= g_base[0].gammas[0]
+        assert g_raised[0, 0] >= g_base[0, 0]
 
 
 class TestSeriesShape:
@@ -181,7 +180,9 @@ class TestSeriesShape:
         spec = triangle()
         window = SeriesWindow(0, 50)
         rows = {p.name: [(t, "1.2", "1.21") for t in range(0, 50, 2)] for p in spec.pairs}
-        at = aligned(spec, rows, window)
-        s1, s2 = compute_rate_products(at, spec)
-        assert len(s1) == len(s2) == 50
-        assert np.array_equal(s1.times, s2.times)
+        series = tick_series(spec, rows, window)
+        gammas = compute_rate_products(series, spec)
+        assert gammas.shape == (2, 50)
+        assert gammas.dtype == np.float64
+        assert not gammas[:, 1::2].any()  # odd seconds carry no quote
+        assert gammas[:, ::2].all()

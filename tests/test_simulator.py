@@ -43,7 +43,7 @@ def random_trade_series(seed=7, n_runs=600):
 
 
 def select_trades(series, gamma_t):
-    return filter_trades(segment_opportunities(series), gamma_t)
+    return filter_trades(segment_opportunities(*series), gamma_t)
 
 
 def run_simulation(series, cfg, lambda_grid_bp=(1.5,)):

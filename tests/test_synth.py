@@ -1,10 +1,12 @@
 """Synthetic data generation: recoverable injections, liquidity profiles."""
 
+import json
+
 import numpy as np
 import pytest
 
 from triarb.errors import SynthConfigError
-from triarb.market_data import Direction, SeriesWindow, align_triangle
+from triarb.market_data import Direction, SeriesWindow
 from triarb.opportunity import segment_opportunities
 from triarb.rate_product import compute_rate_products
 from triarb.seasonal import SessionTable, overlap_by_hour
@@ -13,7 +15,6 @@ from triarb.synth import (
     SynthConfig,
     generate,
     liquidity_preset,
-    load_injections_json,
     seasonal_injection_schedule,
     write_injections_json,
 )
@@ -39,9 +40,10 @@ def base_config(fine_chf_triangle, injections=(), seed=42, hours=1, gap_rate=0.0
 
 def detect(cfg, spec):
     a, b, c, _ = generate(cfg)
-    at = align_triangle(a, b, c, spec)
-    s1, s2 = compute_rate_products(at, spec)
-    return segment_opportunities(s1), segment_opportunities(s2), (s1, s2)
+    gammas = compute_rate_products((a, b, c), spec)
+    ops = segment_opportunities(a.times, gammas)
+    ops1, ops2 = ([o for o in ops if o.direction is d] for d in Direction)
+    return ops1, ops2, gammas
 
 
 class TestGenerate:
@@ -82,8 +84,8 @@ class TestGenerate:
         inj = InjectionSpec(MONDAY + 50, 2, 3.0, Direction.DIR1)
         cfg = base_config(fine_chf_triangle, injections=[inj], seed=4)
         _, _, (s1, s2) = detect(cfg, fine_chf_triangle)
-        both = (s1.gammas > 0) & (s2.gammas > 0)
-        assert np.all((s1.gammas * s2.gammas)[both] < 1.0)
+        both = (s1 > 0) & (s2 > 0)
+        assert np.all((s1 * s2)[both] < 1.0)
 
     def test_gap_rate_produces_missing_seconds(self, fine_chf_triangle):
         cfg = base_config(fine_chf_triangle, seed=5, gap_rate=0.01)
@@ -252,4 +254,10 @@ class TestInjectionsJson:
         ]
         path = tmp_path / "injections.json"
         write_injections_json(path, injections)
-        assert load_injections_json(path) == injections
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert [
+            InjectionSpec(d["start"], d["duration_seconds"], d["magnitude_bp"],
+                          Direction(d["direction"]))
+            for d in payload
+        ] == injections
