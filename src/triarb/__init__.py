@@ -28,7 +28,6 @@ from .market_data import (
 )
 from .opportunity import (
     ArbitrageOpportunity,
-    ComparisonReport,
     DistributionStats,
     DurationStats,
     ThresholdRow,
@@ -61,4 +60,49 @@ from .simulator import (
 )
 from .synth import InjectionSpec, SynthConfig, generate, liquidity_preset
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AlignmentError",
+    "CrossedQuoteWarning",
+    "EmptySeriesError",
+    "SynthConfigError",
+    "TickOrderingError",
+    "TickParseError",
+    "TriarbError",
+    "Direction",
+    "Pair",
+    "PairSeries",
+    "SeriesWindow",
+    "Side",
+    "TriangleSpec",
+    "load_pair_series",
+    "ArbitrageOpportunity",
+    "DistributionStats",
+    "DurationStats",
+    "ThresholdRow",
+    "compare_periods",
+    "distribution_stats",
+    "duration_stats",
+    "segment_opportunities",
+    "threshold_table",
+    "compute_rate_products",
+    "DailyProfile",
+    "HourlyProfile",
+    "SessionTable",
+    "daily_profile",
+    "hourly_profile",
+    "session_overlap_count",
+    "BreakEvenResult",
+    "MaxVolumeResult",
+    "ProfitSurface",
+    "Scenario",
+    "SimulationConfig",
+    "SimulationResult",
+    "SimulationSummary",
+    "filter_trades",
+    "max_arb_volume",
+    "simulate_trades",
+    "InjectionSpec",
+    "SynthConfig",
+    "generate",
+    "liquidity_preset",
+]

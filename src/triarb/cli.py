@@ -11,12 +11,16 @@ Exit codes: 0 success, 2 usage or input error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
+import math
+import os
 import sys
 import traceback
+from datetime import date
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +41,9 @@ from .market_data import (
     write_pair_series_csv,
 )
 from .opportunity import (
+    BUCKET_LABELS,
     ArbitrageOpportunity,
+    DistributionStats,
     check_histogram,
     check_thresholds,
     compare_periods,
@@ -45,14 +51,9 @@ from .opportunity import (
     duration_stats,
     segment_opportunities,
     threshold_table,
-    write_comparison_csv,
-    write_duration_stats_json,
-    write_histogram_csv,
-    write_opportunities_csv,
-    write_threshold_table_csv,
 )
 from .rate_product import compute_rate_products
-from .seasonal import daily_profile, hourly_profile, write_daily_csv, write_hourly_csv
+from .seasonal import HOURS, daily_profile, hourly_profile
 from .simulator import (
     BP,
     P_GRID,
@@ -65,12 +66,8 @@ from .simulator import (
     check_lambda_grid,
     filter_trades,
     simulate_trades,
-    write_breakeven_csv,
-    write_contour_csv,
-    write_profit_curves_csv,
-    write_surface_csv,
 )
-from .synth import generate, write_injections_json
+from .synth import generate
 
 DEFAULT_THRESHOLDS = "0,0.5,1,2,3,4,5,6,7,8,9,10"
 DEFAULT_GAMMA_T_SWEEP = "1,1.00005,1.0001"
@@ -215,9 +212,45 @@ def _write_manifest(
         "seed": seed,
     }
     manifest.update(extra)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
+
+
+# ---------------------------------------------------------------------------
+# output format: every output but the tick CSVs goes through these
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """A header line and one line per row, "\n"-terminated.
+
+    Python floats are written as their repr, the shortest text that reads
+    back to the same float.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: Path, payload: Any) -> None:
+    """Indented JSON with sorted keys and a trailing newline.
+
+    NaN and infinity are refused before the file is opened, so a refused
+    payload leaves no truncated file.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path.name}: a result is not finite ({exc})") from exc
+    path.write_text(text + "\n")
+
+
+def write_histogram(path: Path, dist: DistributionStats) -> None:
+    edges = dist.bin_edges.tolist()
+    write_csv(path, ["bin_left", "bin_right", "count"], [
+        ["-inf", edges[0], dist.underflow],
+        *zip(edges, edges[1:], dist.counts.tolist()),
+        [edges[-1], "inf", dist.overflow],
+    ])
 
 
 def _detect(
@@ -254,7 +287,10 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     for series in (a, b, c):
         write_pair_series_csv(out / f"{series.pair.file_stem}.csv", series)
-    write_injections_json(out / "injections.json", injections)
+    write_json(
+        out / "injections.json",
+        [{**dataclasses.asdict(inj), "direction": inj.direction.value} for inj in injections],
+    )
     _write_manifest(
         out, "synth", app, cfg.triangle, cfg.window, cfg.seed,
         {"synth_config": str(args.synth_config), "n_injections": len(injections)},
@@ -271,11 +307,18 @@ def cmd_detect(args) -> int:
     ops, gammas = _detect(args.data_dir, triangle, window)
 
     out = _out_dir(args)
-    write_opportunities_csv(out / "opportunities.csv", ops)
-    write_duration_stats_json(out / "duration_stats.json", duration_stats(ops))
-    write_threshold_table_csv(out / "threshold_table.csv", threshold_table(ops, thresholds))
+    write_csv(
+        out / "opportunities.csv",
+        ["direction", "start", "run_length", "duration_label",
+         "initial_gamma", "peak_gamma", "magnitude_bp"],
+        ([op.direction.value, op.start, op.run_length, op.run_length,
+          op.initial_gamma, op.peak_gamma, op.magnitude_bp] for op in ops),
+    )
+    write_json(out / "duration_stats.json", dataclasses.asdict(duration_stats(ops)))
+    write_csv(out / "threshold_table.csv", ["threshold_bp", "count", "mean_duration"],
+              map(dataclasses.astuple, threshold_table(ops, thresholds)))
     dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
-    write_histogram_csv(out / "histogram.csv", dist)
+    write_histogram(out / "histogram.csv", dist)
     _write_manifest(
         out, "detect", app, triangle, window, None,
         {"data_dir": str(args.data_dir), "thresholds_bp": thresholds,
@@ -290,8 +333,12 @@ def cmd_seasonal(args) -> int:
     window = parse_window(args.window, args.weekdays)
     ops, _ = _detect(args.data_dir, triangle, window)
     out = _out_dir(args)
-    write_hourly_csv(out / "hourly.csv", hourly_profile(ops))
-    write_daily_csv(out / "daily.csv", daily_profile(ops, window))
+    hourly = hourly_profile(ops)
+    write_csv(out / "hourly.csv", ["hour", "count", "mean_duration"],
+              zip(range(HOURS), hourly.counts, hourly.mean_durations))
+    daily = daily_profile(ops, window)
+    write_csv(out / "daily.csv", ["date", "count", "mean_duration"],
+              zip(map(date.isoformat, daily.days), daily.counts, daily.mean_durations))
     _write_manifest(out, "seasonal", app, triangle, window, None, {"data_dir": str(args.data_dir)})
     return 0
 
@@ -306,11 +353,6 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--gamma-t needs at least one threshold, got {args.gamma_t!r}")
     lambda_grid = parse_float_list(args.lambda_grid)
     check_lambda_grid(lambda_grid)
-    scenarios = (
-        [Scenario.FIXED_FILL, Scenario.DURATION_FILL]
-        if args.scenario == "both"
-        else [Scenario.FIXED_FILL if args.scenario == "fixed" else Scenario.DURATION_FILL]
-    )
     shared = SimulationConfig(
         fill_prob=args.p,
         loss_bp=args.lambda_bp,
@@ -321,31 +363,31 @@ def cmd_simulate(args) -> int:
     )
     configs = [
         dataclasses.replace(shared, scenario=scenario, gamma_t=gamma_t)
-        for scenario in scenarios
+        for scenario in Scenario  # fixed, then duration
+        if args.scenario in ("both", scenario.value)
         for gamma_t in gamma_ts
     ]
     ops, _ = _detect(args.data_dir, triangle, window)
-    out = _out_dir(args)
 
+    surface = None  # the surface covers the first config only
     curve_rows = []
     breakeven_rows = []
     summary: dict = {"per_config": []}
     for cfg in configs:
         trades = filter_trades(ops, cfg.gamma_t)
         result = simulate_trades(trades, cfg, lambda_grid)
-        if not summary["per_config"]:  # the surface covers the first config only
-            write_surface_csv(out / "profit_surface.csv", result.surface)
-            write_contour_csv(out / "breakeven_contour.csv", result.surface)
+        if surface is None:
+            surface = result.surface
         curve_rows.extend(
-            (cfg.scenario.value, cfg.gamma_t, float(p), float(m), float(s))
-            for p, m, s in zip(P_GRID, result.curve_mean, result.curve_std)
+            (cfg.scenario.value, cfg.gamma_t, p, m, s)
+            for p, m, s in zip(
+                P_GRID.tolist(), result.curve_mean.tolist(), result.curve_std.tolist()
+            )
         )
         entry = _summary_entry(cfg, result.summary)
         for be in result.break_even:
-            breakeven_rows.append(
-                (cfg.scenario.value, cfg.gamma_t, be.lambda_bp, be.analytic_p, be.simulated_p,
-                 be.simulated_p_std)
-            )
+            breakeven_rows.append((cfg.scenario.value, cfg.gamma_t, be.lambda_bp,
+                                   be.analytic_p, be.simulated_p, be.simulated_p_std))
             if be.lambda_bp == args.lambda_bp:
                 entry["break_even"] = {
                     "lambda_bp": be.lambda_bp,
@@ -354,16 +396,24 @@ def cmd_simulate(args) -> int:
                     "simulated_p_std": be.simulated_p_std,
                 }
         summary["per_config"].append(entry)
-
-    write_profit_curves_csv(out / "profit_curves.csv", curve_rows)
-    write_breakeven_csv(out / "breakeven.csv", breakeven_rows)
     summary.update(
         {"seed": seed, "runs": args.runs, "volume": args.volume,
          "p": args.p, "lambda_bp": args.lambda_bp}
     )
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+    out = _out_dir(args)
+    write_json(out / "summary.json", summary)  # first: it refuses an overflowed result
+    p_grid, lambdas = surface.p_grid.tolist(), surface.lambda_grid_bp.tolist()
+    write_csv(out / "profit_surface.csv", ["p", "lambda_bp", "mean_profit_bp"],
+              ([p, lam, m] for p, row in zip(p_grid, surface.mean_profit_bp.tolist())
+               for lam, m in zip(lambdas, row)))
+    write_csv(out / "breakeven_contour.csv", ["lambda_bp", "break_even_p"],
+              ([lam, "" if math.isnan(p) else p] for lam, p in surface.breakeven_contour))
+    write_csv(out / "profit_curves.csv",
+              ["scenario", "gamma_t", "p", "total_profit_mean", "total_profit_std"], curve_rows)
+    write_csv(out / "breakeven.csv",
+              ["scenario", "gamma_t", "lambda_bp", "analytic_p", "simulated_p", "simulated_p_std"],
+              breakeven_rows)
     _write_manifest(
         out, "simulate", app, triangle, window, seed,
         {"data_dir": str(args.data_dir), "scenario": args.scenario,
@@ -407,14 +457,7 @@ def cmd_compare(args) -> int:
     app = load_app_config(args.config)
     triangle = _resolve_triangle(args, app)
     window = parse_window(args.window, args.weekdays)
-    datasets = []
-    for spec in args.dataset:
-        label, sep, path = spec.partition("=")
-        if not sep:
-            raise ValueError(f"bad --dataset {spec!r}, expected LABEL=DIR")
-        datasets.append((label.strip(), path.strip()))
-    if len(datasets) < 2:
-        raise ValueError("compare needs at least two --dataset arguments")
+    datasets = _parse_datasets(args.dataset)
     hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
 
     out = _out_dir(args)
@@ -422,15 +465,37 @@ def cmd_compare(args) -> int:
     for label, data_dir in datasets:
         ops, gammas = _detect(data_dir, triangle, window)
         dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
-        write_histogram_csv(out / f"histogram_{label}.csv", dist)
+        write_histogram(out / f"histogram_{label}.csv", dist)
         stats.append((label, dist, duration_stats(ops)))
-    report = compare_periods(stats)
-    write_comparison_csv(out / "comparison.csv", report)
+    write_csv(out / "comparison.csv",
+              ["label", "count", *BUCKET_LABELS, "mean", "stdev", "delta_count", "delta_1s"],
+              ([r.label, r.count, *(r.bucket_pct[k] for k in BUCKET_LABELS),
+                r.mean, r.std, r.delta_count, r.delta_pct_1s] for r in compare_periods(stats)))
     _write_manifest(
         out, "compare", app, triangle, window, None,
         {"datasets": [{"label": l, "data_dir": d} for l, d in datasets]},
     )
     return 0
+
+
+def _parse_datasets(specs: Sequence[str]) -> list[tuple[str, str]]:
+    """(label, directory) per LABEL=DIR; a label names an output file, so it
+    must be non-empty, unique and free of path separators."""
+    datasets: dict[str, str] = {}
+    for spec in specs:
+        label, sep, path = (part.strip() for part in spec.partition("="))
+        if not sep:
+            raise ValueError(f"bad --dataset {spec!r}, expected LABEL=DIR")
+        if not label or any(s and s in label for s in (os.sep, os.altsep)):
+            raise ValueError(
+                f"bad --dataset label {label!r}: need a non-empty name without a path separator"
+            )
+        if label in datasets:
+            raise ValueError(f"repeated --dataset label {label!r}")
+        datasets[label] = path
+    if len(datasets) < 2:
+        raise ValueError("compare needs at least two --dataset arguments")
+    return list(datasets.items())
 
 
 if __name__ == "__main__":

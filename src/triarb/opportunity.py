@@ -3,18 +3,16 @@
 An opportunity is a maximal run of consecutive grid seconds whose rate
 product exceeds one, in either direction of the triangle. Missing-data
 seconds (rate product zero) and window boundaries terminate runs, as do
-jumps in the grid (weekday-filtered gaps). The duration label of a run
-equals its length in grid seconds.
+jumps in the grid (weekday-filtered gaps). A run's duration is its length
+in grid seconds.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,16 +32,8 @@ class ArbitrageOpportunity:
     direction: Direction
 
     @property
-    def duration_label(self) -> int:
-        return self.run_length
-
-    @property
     def magnitude_bp(self) -> float:
         return (self.peak_gamma - 1.0) * 1e4
-
-    @property
-    def initial_excess(self) -> float:
-        return self.initial_gamma - 1.0
 
 
 @dataclass(frozen=True)
@@ -92,11 +82,6 @@ class ComparisonRow:
     delta_pct_1s: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
-
-
 def segment_opportunities(times: np.ndarray, gammas: np.ndarray) -> list[ArbitrageOpportunity]:
     """Maximal runs with gamma > 1, ordered by (start, direction).
 
@@ -130,32 +115,32 @@ def segment_opportunities(times: np.ndarray, gammas: np.ndarray) -> list[Arbitra
 
 
 def duration_stats(ops: Sequence[ArbitrageOpportunity]) -> DurationStats:
-    """Summary of duration labels, with percentage buckets for 1s..5s and >5s."""
+    """Summary of run lengths, with percentage buckets for 1s..5s and >5s."""
     if not ops:
         return DurationStats(0, 0.0, 0.0, 0, 0, {k: 0.0 for k in BUCKET_LABELS})
-    labels = [op.duration_label for op in ops]
-    n = len(labels)
+    lengths = [op.run_length for op in ops]
+    n = len(lengths)
     buckets = {k: 0 for k in BUCKET_LABELS}
-    for lab in labels:
-        buckets[f"{lab}s" if lab <= 5 else ">5s"] += 1
+    for length in lengths:
+        buckets[f"{length}s" if length <= 5 else ">5s"] += 1
     pct = {k: 100.0 * v / n for k, v in buckets.items()}
     return DurationStats(
         count=n,
-        mean=sum(labels) / n,
-        median=float(statistics.median(labels)),
-        min=min(labels),
-        max=max(labels),
+        mean=sum(lengths) / n,
+        median=float(statistics.median(lengths)),
+        min=min(lengths),
+        max=max(lengths),
         bucket_pct=pct,
     )
 
 
 def check_thresholds(thresholds_bp: Sequence[float]) -> list[float]:
-    """The thresholds (bp) as a list; they must be ascending and non-negative."""
+    """The thresholds (bp) as a list; they must be finite, non-negative and ascending."""
     thresholds = list(thresholds_bp)
-    if any(b > a for a, b in zip(thresholds[1:], thresholds)):
+    if not all(0 <= t < math.inf for t in thresholds):
+        raise ValueError(f"thresholds must be finite and non-negative, got {thresholds}")
+    if not all(a <= b for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be sorted ascending")
-    if any(t < 0 for t in thresholds):
-        raise ValueError("thresholds must be non-negative")
     return thresholds
 
 
@@ -173,16 +158,21 @@ def threshold_table(
     for th in check_thresholds(thresholds_bp):
         floor = 1.0 + th * 1e-4
         subset = [op for op in ops if op.peak_gamma >= floor]
-        mean_dur = sum(op.duration_label for op in subset) / len(subset) if subset else 0.0
+        mean_dur = sum(op.run_length for op in subset) / len(subset) if subset else 0.0
         rows.append(ThresholdRow(float(th), len(subset), mean_dur))
     return rows
 
 
 def check_histogram(bin_width: float, value_range: tuple[float, float]) -> tuple[float, float]:
-    """The histogram range; it must be non-empty and the bin width positive."""
+    """The histogram range; range and bin width must be finite, the range
+    non-empty, the width positive and the number of bins finite."""
     lo, hi = value_range
-    if not (lo < hi) or bin_width <= 0:
-        raise ValueError(f"degenerate histogram range [{lo}, {hi}) or width {bin_width}")
+    finite = -math.inf < lo < hi < math.inf and 0 < bin_width < math.inf
+    if not (finite and math.isfinite((hi - lo) / bin_width)):
+        raise ValueError(
+            f"degenerate histogram range [{lo}, {hi}) or width {bin_width}: "
+            "need finite lo < hi, a finite width > 0 and a finite number of bins"
+        )
     return lo, hi
 
 
@@ -218,99 +208,25 @@ def distribution_stats(
 
 def compare_periods(
     stats: Sequence[tuple[str, DistributionStats, DurationStats]]
-) -> ComparisonReport:
-    """Cross-period comparison: counts, duration buckets, distribution moments.
+) -> tuple[ComparisonRow, ...]:
+    """Cross-period comparison rows: counts, duration buckets, distribution moments.
 
     Deltas are taken against the previous period in the given order; the
     first period's deltas are zero.
     """
     if len(stats) < 2:
         raise ValueError("need at least two periods to compare")
-    rows = []
-    prev: Optional[tuple[str, DistributionStats, DurationStats]] = None
-    for label, dist, dur in stats:
-        if prev is None:
-            d_count, d_1s = 0, 0.0
-        else:
-            d_count = dur.count - prev[2].count
-            d_1s = dur.bucket_pct["1s"] - prev[2].bucket_pct["1s"]
-        rows.append(
-            ComparisonRow(
-                label=label,
-                count=dur.count,
-                bucket_pct=dict(dur.bucket_pct),
-                mean=dist.mean,
-                std=dist.std,
-                delta_count=d_count,
-                delta_pct_1s=d_1s,
-            )
+    # the first period is its own reference
+    return tuple(
+        ComparisonRow(
+            label=label,
+            count=dur.count,
+            bucket_pct=dict(dur.bucket_pct),
+            mean=dist.mean,
+            std=dist.std,
+            delta_count=dur.count - prev.count,
+            delta_pct_1s=dur.bucket_pct["1s"] - prev.bucket_pct["1s"],
         )
-        prev = (label, dist, dur)
-    return ComparisonReport(rows=tuple(rows))
+        for (label, dist, dur), (_, _, prev) in zip(stats, [stats[0], *stats])
+    )
 
-
-# ---------------------------------------------------------------------------
-# emitters
-
-
-def write_opportunities_csv(path, ops: Sequence[ArbitrageOpportunity]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["direction", "start", "run_length", "duration_label",
-             "initial_gamma", "peak_gamma", "magnitude_bp"]
-        )
-        for op in ops:
-            writer.writerow(
-                [op.direction.value, op.start, op.run_length, op.duration_label,
-                 repr(op.initial_gamma), repr(op.peak_gamma), repr(op.magnitude_bp)]
-            )
-
-
-def write_duration_stats_json(path, stats: DurationStats) -> None:
-    payload = {
-        "count": stats.count,
-        "mean": stats.mean,
-        "median": stats.median,
-        "min": stats.min,
-        "max": stats.max,
-        "bucket_pct": stats.bucket_pct,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_threshold_table_csv(path, rows: Sequence[ThresholdRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold_bp", "count", "mean_duration"])
-        for r in rows:
-            writer.writerow([repr(r.threshold_bp), r.count, repr(r.mean_duration)])
-
-
-def write_histogram_csv(path, dist: DistributionStats) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_left", "bin_right", "count"])
-        writer.writerow(["-inf", repr(float(dist.bin_edges[0])), dist.underflow])
-        for i, c in enumerate(dist.counts):
-            writer.writerow(
-                [repr(float(dist.bin_edges[i])), repr(float(dist.bin_edges[i + 1])), int(c)]
-            )
-        writer.writerow([repr(float(dist.bin_edges[-1])), "inf", dist.overflow])
-
-
-def write_comparison_csv(path, report: ComparisonReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["label", "count", "1s", "2s", "3s", "4s", "5s", ">5s",
-             "mean", "stdev", "delta_count", "delta_1s"]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [r.label, r.count]
-                + [repr(r.bucket_pct[k]) for k in BUCKET_LABELS]
-                + [repr(r.mean), repr(r.std), r.delta_count, repr(r.delta_pct_1s)]
-            )

@@ -6,10 +6,9 @@ Every opportunity is attributed to the hour and day of its start second
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -67,30 +66,27 @@ def day_of(timestamp: int) -> date:
 
 
 def hourly_profile(ops: Sequence[ArbitrageOpportunity]) -> HourlyProfile:
-    counts = [0] * HOURS
-    dur_sums = [0] * HOURS
-    for op in ops:
-        h = hour_of(op.start)
-        counts[h] += 1
-        dur_sums[h] += op.duration_label
-    means = [dur_sums[h] / counts[h] if counts[h] else 0.0 for h in range(HOURS)]
-    return HourlyProfile(tuple(counts), tuple(means))
+    return HourlyProfile(*_tally(ops, range(HOURS), hour_of))
 
 
 def daily_profile(ops: Sequence[ArbitrageOpportunity], window: SeriesWindow) -> DailyProfile:
     days = window.days()
-    index = {d: i for i, d in enumerate(days)}
-    counts = [0] * len(days)
-    dur_sums = [0] * len(days)
+    return DailyProfile(tuple(days), *_tally(ops, days, day_of))
+
+
+def _tally(ops: Sequence[ArbitrageOpportunity], keys: Sequence, key_of: Callable):
+    """(counts, mean run lengths) per key of the opportunities' start seconds;
+    the mean is 0.0 for a key without an opportunity."""
+    index = {k: i for i, k in enumerate(keys)}
+    counts = [0] * len(index)
+    length_sums = [0] * len(index)
     for op in ops:
-        d = day_of(op.start)
-        i = index.get(d)
+        i = index.get(key_of(op.start))
         if i is None:
             raise ValueError(f"opportunity at {op.start} starts outside the window's days")
         counts[i] += 1
-        dur_sums[i] += op.duration_label
-    means = [dur_sums[i] / counts[i] if counts[i] else 0.0 for i in range(len(days))]
-    return DailyProfile(tuple(days), tuple(counts), tuple(means))
+        length_sums[i] += op.run_length
+    return tuple(counts), tuple(s / c if c else 0.0 for s, c in zip(length_sums, counts))
 
 
 def session_overlap_count(table: SessionTable, hour: int) -> int:
@@ -113,18 +109,3 @@ def parse_hour_span(span: str) -> frozenset[int]:
         raise ValueError(f"bad hour span {span!r}")
     return frozenset(range(lo, hi + 1))
 
-
-def write_hourly_csv(path, profile: HourlyProfile) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["hour", "count", "mean_duration"])
-        for h in range(HOURS):
-            writer.writerow([h, profile.counts[h], repr(profile.mean_durations[h])])
-
-
-def write_daily_csv(path, profile: DailyProfile) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "count", "mean_duration"])
-        for d, c, m in zip(profile.days, profile.counts, profile.mean_durations):
-            writer.writerow([d.isoformat(), c, repr(m)])

@@ -21,7 +21,7 @@ probability within a run and makes zero crossings well defined.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -57,19 +57,20 @@ class SimulationConfig:
     certain_fill_min_run_length: int = 2
 
     def __post_init__(self):
+        # each check states what must hold, so that NaN fails it too
         if not 0.0 <= self.fill_prob <= 1.0:
             raise ValueError(f"fill_prob must be in [0, 1], got {self.fill_prob}")
-        if self.loss_bp < 0:
-            raise ValueError(f"loss_bp must be >= 0, got {self.loss_bp}")
-        if self.volume <= 0:
-            raise ValueError(f"volume must be positive, got {self.volume}")
-        if self.runs < 1:
+        if not 0.0 <= self.loss_bp < math.inf:
+            raise ValueError(f"loss_bp must be finite and >= 0, got {self.loss_bp}")
+        if not 0.0 < self.volume < math.inf:
+            raise ValueError(f"volume must be finite and positive, got {self.volume}")
+        if not self.runs >= 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.gamma_t < 1.0:
-            raise ValueError(f"gamma_t must be >= 1, got {self.gamma_t}")
-        if self.fee_per_trade < 0:
-            raise ValueError(f"fee_per_trade must be >= 0, got {self.fee_per_trade}")
-        if self.certain_fill_min_run_length < 1:
+        if not 1.0 <= self.gamma_t < math.inf:
+            raise ValueError(f"gamma_t must be finite and >= 1, got {self.gamma_t}")
+        if not 0.0 <= self.fee_per_trade < math.inf:
+            raise ValueError(f"fee_per_trade must be finite and >= 0, got {self.fee_per_trade}")
+        if not self.certain_fill_min_run_length >= 1:
             raise ValueError("certain_fill_min_run_length must be >= 1")
 
 
@@ -128,16 +129,18 @@ def filter_trades(
     ops: Sequence[ArbitrageOpportunity], gamma_t: float
 ) -> list[ArbitrageOpportunity]:
     """One trade per opportunity whose initial rate product strictly exceeds gamma_t."""
-    if gamma_t < 1.0:
+    if not gamma_t >= 1.0:
         raise ValueError(f"gamma_t must be >= 1, got {gamma_t}")
     return [op for op in ops if op.initial_gamma > gamma_t]
 
 
 def check_lambda_grid(lambda_grid_bp: Sequence[float]) -> np.ndarray:
-    """The loss grid (bp) as an array; it must be non-empty and positive."""
+    """The loss grid (bp) as an array; it must be non-empty, finite and positive."""
     lam_bp = np.asarray(lambda_grid_bp, dtype=np.float64)
-    if lam_bp.size == 0 or not np.all(lam_bp > 0):
-        raise ValueError(f"loss grid must be non-empty and positive, got {list(lambda_grid_bp)}")
+    if lam_bp.size == 0 or not np.all((0 < lam_bp) & (lam_bp < np.inf)):
+        raise ValueError(
+            f"loss grid must be non-empty, finite and positive, got {list(lambda_grid_bp)}"
+        )
     return lam_bp
 
 
@@ -409,47 +412,3 @@ def max_arb_volume(
     stake = min(bounds)
     return MaxVolumeResult(stake, False, gamma, stake * (gamma - 1.0))
 
-
-# ---------------------------------------------------------------------------
-# emitters
-
-
-def write_surface_csv(path, surface: ProfitSurface) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "lambda_bp", "mean_profit_bp"])
-        for i, p in enumerate(surface.p_grid):
-            for j, lam in enumerate(surface.lambda_grid_bp):
-                writer.writerow(
-                    [repr(float(p)), repr(float(lam)), repr(float(surface.mean_profit_bp[i, j]))]
-                )
-
-
-def write_contour_csv(path, surface: ProfitSurface) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda_bp", "break_even_p"])
-        for lam, p in surface.breakeven_contour:
-            writer.writerow([repr(lam), "" if np.isnan(p) else repr(p)])
-
-
-def write_profit_curves_csv(path, rows: Sequence[tuple[str, float, float, float, float]]) -> None:
-    """Rows: (scenario, gamma_t, p, total_profit_mean, total_profit_std)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "gamma_t", "p", "total_profit_mean", "total_profit_std"])
-        for scenario, gamma_t, p, mean, std in rows:
-            writer.writerow([scenario, repr(gamma_t), repr(p), repr(mean), repr(std)])
-
-
-def write_breakeven_csv(
-    path, rows: Sequence[tuple[str, float, float, float, float, float]]
-) -> None:
-    """Rows: (scenario, gamma_t, lambda_bp, analytic_p, simulated_p, simulated_p_std)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["scenario", "gamma_t", "lambda_bp", "analytic_p", "simulated_p", "simulated_p_std"]
-        )
-        for scenario, gamma_t, lam, ap, sp, sps in rows:
-            writer.writerow([scenario, repr(gamma_t), repr(lam), repr(ap), repr(sp), repr(sps)])

@@ -16,7 +16,6 @@ to land within 0.05 bp of the target are rejected as configuration errors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -327,17 +326,3 @@ def seasonal_injection_schedule(
         kept.append(inj)
     return tuple(kept)
 
-
-def write_injections_json(path, injections: Sequence[InjectionSpec]) -> None:
-    payload = [
-        {
-            "start": inj.start,
-            "duration_seconds": inj.duration_seconds,
-            "magnitude_bp": inj.magnitude_bp,
-            "direction": inj.direction.value,
-        }
-        for inj in injections
-    ]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

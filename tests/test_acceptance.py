@@ -100,7 +100,7 @@ def test_analytic_simulation_agreement():
     for scenario in (Scenario.FIXED_FILL, Scenario.DURATION_FILL):
         for gamma_t in (1.0, 1.00005, 1.0001):
             trades = filter_trades(all_ops, gamma_t)
-            excess = np.array([t.initial_excess for t in trades])
+            excess = np.array([t.initial_gamma - 1.0 for t in trades])
             long_mask = np.array([t.run_length >= 2 for t in trades])
             n_long = int(long_mask.sum())
             n_short = len(trades) - n_long

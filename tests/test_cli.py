@@ -200,6 +200,14 @@ class TestDetectCommand:
             ([*base, "--thresholds=-1,2"], "non-negative"),
             ([*base, "--hist-bin-width", "0"], "degenerate histogram"),
             ([*base, "--hist-lo", "1.001", "--hist-hi", "0.999"], "degenerate histogram"),
+            ([*base, "--hist-bin-width", "nan"], "degenerate histogram"),
+            ([*base, "--hist-bin-width", "inf"], "degenerate histogram"),
+            ([*base, "--hist-hi", "inf"], "degenerate histogram"),
+            ([*base, "--hist-lo=-inf"], "degenerate histogram"),
+            ([*base, "--hist-lo", "nan"], "degenerate histogram"),
+            ([*base, "--hist-lo=-1e308", "--hist-hi", "1e308"], "degenerate histogram"),
+            ([*base, "--thresholds", "nan,1"], "finite and non-negative"),
+            ([*base, "--thresholds", "1,inf"], "finite and non-negative"),
         ])
 
     def test_mantissa_overflow_exits_2(self, tmp_path, capsys):
@@ -375,7 +383,29 @@ class TestSimulateCommand:
             ([*base, "--volume", "0"], "volume"),
             ([*base, "--fee-per-trade", "-1"], "fee_per_trade"),
             ([*base, "--lambda-bp", "-1"], "loss_bp"),
+            ([*base, "--lambda-bp", "nan"], "loss_bp"),
+            ([*base, "--lambda-bp", "inf"], "loss_bp"),
+            ([*base, "--volume", "nan"], "volume"),
+            ([*base, "--volume", "inf"], "volume"),
+            ([*base, "--fee-per-trade", "nan"], "fee_per_trade"),
+            ([*base, "--fee-per-trade", "inf"], "fee_per_trade"),
+            ([*base, "--gamma-t", "nan"], "gamma_t"),
+            ([*base, "--gamma-t", "1,inf"], "gamma_t"),
+            ([*base, "--p", "nan"], "fill_prob"),
+            ([*base, "--lambda-grid", "1,nan"], "loss grid"),
+            ([*base, "--lambda-grid", "1,inf"], "loss grid"),
         ])
+
+    def test_overflowing_flags_exit_2_without_output_files(self, tmp_path, capsys):
+        # finite flags whose totals overflow are only seen after the sweep
+        data_dir = run_synth(tmp_path, five_injections())
+        base = ["simulate", "--data-dir", str(data_dir), "--window", WINDOW,
+                "--seed", "1", "--runs", "5"]
+        for i, flag in enumerate(["--fee-per-trade", "--volume"]):
+            out = tmp_path / f"out{i}"
+            assert main([*base, flag, "1e308", "--out-dir", str(out)]) == 2
+            assert "summary.json: a result is not finite" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
 
     def test_no_opportunities_still_exits_0(self, tmp_path):
         data_dir = run_synth(tmp_path, [], name="flat")
@@ -436,6 +466,17 @@ class TestCompareCommand:
         assert_exits_2_before_any_output(tmp_path, capsys, [
             ([*base, "--hist-bin-width", "-1"], "degenerate histogram"),
             ([*base, "--hist-lo", "1", "--hist-hi", "1"], "degenerate histogram"),
+        ])
+
+    def test_bad_labels_exit_2_before_any_output(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path, five_injections())
+        base = ["compare", "--window", WINDOW, "--dataset", f"a={data_dir}"]
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            ([*base, "--dataset", f"a={data_dir}"], "repeated --dataset label 'a'"),
+            ([*base, "--dataset", f" a ={data_dir}"], "repeated --dataset label 'a'"),
+            ([*base, "--dataset", f"b/c={data_dir}"], "path separator"),
+            ([*base, "--dataset", f"={data_dir}"], "path separator"),
+            ([*base, "--dataset", f"b{data_dir}"], "expected LABEL=DIR"),
         ])
 
     def test_single_dataset_exits_2(self, tmp_path):

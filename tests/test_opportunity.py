@@ -47,7 +47,7 @@ class TestSegmentation:
         series = make_series([1.00001] * 70)
         ops = segment_opportunities(*series)
         assert len(ops) == 1
-        assert ops[0].duration_label == 70
+        assert ops[0].run_length == 70
 
     def test_zero_terminates_run(self):
         series = make_series([1.0001, 0.0, 1.0001])
@@ -244,18 +244,18 @@ class TestComparePeriods:
 
     def test_identical_periods_zero_deltas(self):
         p = self.period("a", [0.9999] * 5, [1, 2])
-        report = compare_periods([p, ("b", p[1], p[2])])
-        assert report.rows[1].delta_count == 0
-        assert report.rows[1].delta_pct_1s == 0.0
+        rows = compare_periods([p, ("b", p[1], p[2])])
+        assert rows[1].delta_count == 0
+        assert rows[1].delta_pct_1s == 0.0
 
     def test_narrower_dispersion_detected(self):
         rng = np.random.default_rng(5)
         wide = 1.0 + 3e-4 * rng.standard_normal(5000)
         narrow = 1.0 + 1e-4 * rng.standard_normal(5000)
-        report = compare_periods(
+        rows = compare_periods(
             [self.period("wide", wide, [1]), self.period("narrow", narrow, [1])]
         )
-        assert report.rows[1].std < report.rows[0].std
+        assert rows[1].std < rows[0].std
 
     def test_requires_two_periods(self):
         with pytest.raises(ValueError):
@@ -264,8 +264,7 @@ class TestComparePeriods:
     def test_report_schema(self):
         p1 = self.period("2003", [0.9999] * 4, [1, 2, 6])
         p2 = self.period("2004", [0.9998] * 4, [1])
-        report = compare_periods([p1, p2])
-        row = report.rows[0]
+        row = compare_periods([p1, p2])[0]
         assert set(row.bucket_pct) == set(BUCKET_LABELS)
         assert row.count == 3
         assert isinstance(row.mean, float) and isinstance(row.std, float)

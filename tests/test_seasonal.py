@@ -99,7 +99,7 @@ class TestDailyProfile:
         daily = daily_profile(ops, window)
         assert sum(hourly.counts) == sum(daily.counts) == len(ops)
         # duration mass is conserved too
-        total = sum(o.duration_label for o in ops)
+        total = sum(o.run_length for o in ops)
         assert sum(c * m for c, m in zip(hourly.counts, hourly.mean_durations)) == pytest.approx(total)
 
     def test_opportunity_outside_window_rejected(self):

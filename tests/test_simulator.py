@@ -91,7 +91,7 @@ class TestRunSimulation:
     def test_mean_converges_to_analytic_form(self):
         series = random_trade_series()
         trades = select_trades(series, 1.0)
-        excess = np.array([t.initial_excess for t in trades])
+        excess = np.array([t.initial_gamma - 1.0 for t in trades])
         cfg = SimulationConfig(
             fill_prob=0.5, loss_bp=1.5, volume=1e6, runs=1000, seed=11
         )
@@ -239,7 +239,7 @@ class TestBreakEven:
         # profit at p is positive iff p sits above the break-even point
         series = random_trade_series(seed=15, n_runs=500)
         trades = select_trades(series, 1.0)
-        excess = np.array([t.initial_excess for t in trades])
+        excess = np.array([t.initial_gamma - 1.0 for t in trades])
         (be,) = simulate_trades(trades, SimulationConfig(runs=50, seed=7), [1.5]).break_even
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):
             if abs(p - be.analytic_p) < 0.05:
@@ -252,7 +252,7 @@ class TestProfitSurface:
     def test_full_fill_row_ignores_lambda(self):
         series = random_trade_series(seed=16, n_runs=100)
         trades = select_trades(series, 1.0)
-        excess = np.array([t.initial_excess for t in trades])
+        excess = np.array([t.initial_gamma - 1.0 for t in trades])
         cfg = SimulationConfig(runs=10, seed=5)
         surface = simulate_trades(trades, cfg, [1.0, 1.5, 2.0]).surface
         full_fill = surface.mean_profit_bp[-1]
@@ -268,7 +268,7 @@ class TestProfitSurface:
     def test_zero_contour_matches_analytic(self):
         series = random_trade_series(seed=18, n_runs=800)
         trades = select_trades(series, 1.0)
-        excess_bp = np.array([t.initial_excess for t in trades]) / BP
+        excess_bp = np.array([t.initial_gamma - 1.0 for t in trades]) / BP
         cfg = SimulationConfig(runs=200, seed=6)
         surface = simulate_trades(trades, cfg, [1.0, 1.5, 2.0]).surface
         for lam, p_star in surface.breakeven_contour:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from triarb.cli import main
 from triarb.errors import SynthConfigError
 from triarb.market_data import Direction, SeriesWindow
 from triarb.opportunity import segment_opportunities
@@ -16,7 +17,6 @@ from triarb.synth import (
     generate,
     liquidity_preset,
     seasonal_injection_schedule,
-    write_injections_json,
 )
 
 from conftest import MONDAY
@@ -252,12 +252,29 @@ class TestInjectionsJson:
             InjectionSpec(MONDAY + 5, 3, 2.5, Direction.DIR1),
             InjectionSpec(MONDAY + 20, 1, 0.5, Direction.DIR2),
         ]
-        path = tmp_path / "injections.json"
-        write_injections_json(path, injections)
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = {
+            "seed": 4,
+            "window": {"start": MONDAY, "end": MONDAY + 60},
+            "pairs": {
+                "EUR/USD": {"mid": 1.2065, "vol": 2e-6, "point": "0.00001", "spread_points": 2},
+                "USD/CHF": {"mid": 1.3030, "vol": 2e-6, "point": "0.00001", "spread_points": 2},
+                "EUR/CHF": {"point": "0.00001", "spread_points": 2},
+            },
+            "injections": [
+                {"start": inj.start, "duration_seconds": inj.duration_seconds,
+                 "magnitude_bp": inj.magnitude_bp, "direction": inj.direction.value}
+                for inj in injections
+            ],
+        }
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "data"
+        assert main(["synth", "--synth-config", str(cfg_path), "--out-dir", str(out)]) == 0
+        with open(out / "injections.json") as fh:
+            written = json.load(fh)
+        assert written == payload["injections"]
         assert [
             InjectionSpec(d["start"], d["duration_seconds"], d["magnitude_bp"],
                           Direction(d["direction"]))
-            for d in payload
+            for d in written
         ] == injections
