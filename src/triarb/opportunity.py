@@ -19,6 +19,8 @@ import numpy as np
 from .market_data import Direction
 
 BUCKET_LABELS = ("1s", "2s", "3s", "4s", "5s", ">5s")
+# A histogram needs (bins + 1) edges in memory; a million bins is 8 MB.
+MAX_HIST_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -165,13 +167,13 @@ def threshold_table(
 
 def check_histogram(bin_width: float, value_range: tuple[float, float]) -> tuple[float, float]:
     """The histogram range; range and bin width must be finite, the range
-    non-empty, the width positive and the number of bins finite."""
+    non-empty, the width positive and the number of bins at most MAX_HIST_BINS."""
     lo, hi = value_range
     finite = -math.inf < lo < hi < math.inf and 0 < bin_width < math.inf
-    if not (finite and math.isfinite((hi - lo) / bin_width)):
+    if not (finite and (hi - lo) / bin_width <= MAX_HIST_BINS):
         raise ValueError(
             f"degenerate histogram range [{lo}, {hi}) or width {bin_width}: "
-            "need finite lo < hi, a finite width > 0 and a finite number of bins"
+            f"need finite lo < hi, a finite width > 0 and at most {MAX_HIST_BINS} bins"
         )
     return lo, hi
 

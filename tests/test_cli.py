@@ -206,6 +206,7 @@ class TestDetectCommand:
             ([*base, "--hist-lo=-inf"], "degenerate histogram"),
             ([*base, "--hist-lo", "nan"], "degenerate histogram"),
             ([*base, "--hist-lo=-1e308", "--hist-hi", "1e308"], "degenerate histogram"),
+            ([*base, "--hist-bin-width", "1e-12"], "at most 1000000 bins"),
             ([*base, "--thresholds", "nan,1"], "finite and non-negative"),
             ([*base, "--thresholds", "1,inf"], "finite and non-negative"),
         ])
@@ -240,6 +241,27 @@ class TestDetectCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{path}:4:" in err and "non-finite price" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row, message", [
+        (lambda t: t + b',1.20649,"1.20651', "unbalanced quote"),
+        (lambda t: t + b",1.20649,1.2065\xff", "not UTF-8"),
+        (lambda t: t[:3] + b"_" + t[3:] + b",1.20649,1.20651", "bad timestamp"),
+        (lambda t: t + b",1.2_0649,1.20651", "bad price"),
+    ], ids=["open-quote", "non-utf8", "underscore-timestamp", "underscore-price"])
+    def test_malformed_tick_row_exits_2_with_line(self, tmp_path, capsys, row, message):
+        data_dir = run_synth(tmp_path, five_injections())
+        path = data_dir / "EURUSD.csv"
+        lines = path.read_bytes().splitlines()
+        lines[5] = row(lines[5].split(b",")[0])
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        rc = main(
+            ["detect", "--data-dir", str(data_dir), "--window", WINDOW,
+             "--out-dir", str(tmp_path / "out")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{path}:6:" in err and message in err
         assert "Traceback" not in err
 
     def test_histogram_written(self, tmp_path):

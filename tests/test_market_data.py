@@ -3,6 +3,8 @@
 import copy
 import itertools
 import tempfile
+import warnings
+from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from triarb.errors import (
     TickOrderingError,
     TickParseError,
 )
+from triarb import market_data
 from triarb.market_data import (
     Pair,
     PairSeries,
@@ -29,6 +32,7 @@ from triarb.market_data import (
 )
 from triarb.rate_product import compute_rate_products
 
+import loader_reference as reference
 from conftest import MONDAY, load_rows, write_rows
 
 EURUSD = Pair("EUR", "USD")
@@ -146,6 +150,36 @@ class TestLoadPairSeries:
             assert err.value.line_no == line_no
             assert "int64" in str(err.value)
 
+    @pytest.mark.parametrize("row, message", [
+        (b"1_000,1.2066,1.2068", "bad timestamp"),
+        (b"1,1.2_066,1.2068", "bad price"),
+        (b'1,1.2066,"1.2068', "unbalanced quote"),
+        (b"1,1.2066,1.2068\xff", "not UTF-8"),
+    ])
+    def test_rejected_row_names_line(self, tmp_path, row, message):
+        # int and Decimal read underscores; csv and the text decoder fail without a line
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(b"timestamp,bid,ask\n0,1.2065,1.2067\n" + row + b"\n2,1.2,1.3\n")
+        with pytest.raises(TickParseError, match=message) as err:
+            load_pair_series(path, EURUSD, SeriesWindow(0, 3))
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("stamp", ["1970-02-30T00:00:00Z", "1970-01-01T24:00:00.000"])
+    def test_impossible_iso_time_names_line(self, tmp_path, stamp):
+        path = tmp_path / "ticks.csv"
+        write_rows(path, [("1970-01-01T00:00:00", "1.2065", "1.2067"), (stamp, "1.2", "1.3")])
+        with pytest.raises(TickParseError, match="bad timestamp") as err:
+            load_pair_series(path, EURUSD, SeriesWindow(0, 3))
+        assert err.value.line_no == 3
+
+    def test_line_longer_than_a_block_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(market_data, "BLOCK_BYTES", 64)
+        path = tmp_path / "ticks.csv"
+        write_rows(path, [(0, "1.2065", "1.2067"), (1, " " * 100 + "1.2", "1.3")])
+        with pytest.raises(TickParseError, match="line longer than 64 bytes") as err:
+            load_pair_series(path, EURUSD, SeriesWindow(0, 3))
+        assert err.value.line_no == 3
+
     def test_roundtrip_through_writer(self, tmp_path):
         # 5 at scale 7 is written in str(Decimal)'s exponent notation
         window = SeriesWindow(7, 10)
@@ -179,13 +213,104 @@ def pair_series(draw):
     return PairSeries(EURUSD, window, window.grid_times(), bid, ask, missing, scale)
 
 
-@given(pair_series())
+@given(pair_series(), st.integers(min_value=64, max_value=1024))
 @settings(max_examples=200, deadline=None)
-def test_writer_loader_roundtrip(series):
-    with tempfile.TemporaryDirectory() as tmp:
+def test_writer_loader_roundtrip(series, block_bytes):
+    # small blocks (but longer than a line) make the writer emit several chunks
+    # and the loader carry lines
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market_data, "BLOCK_BYTES", block_bytes)
         path = Path(tmp) / "ticks.csv"
+        expected = Path(tmp) / "reference.csv"
         write_pair_series_csv(path, series)
+        reference.write_pair_series_csv(expected, series)
+        assert path.read_bytes() == expected.read_bytes()
         assert load_pair_series(path, EURUSD, series.window) == series
+
+
+def _price_text(draw, hostile):
+    """A positive decimal in one of the spellings Decimal accepts."""
+    m = draw(st.integers(1, 10**7))
+    p = draw(st.integers(0, 7))
+    plain = f"{m // 10**p}.{m % 10**p:0{p}d}" if p else str(m)
+    spellings = [plain, plain, plain + "00" if p else plain + ".00", plain.lstrip("0"),
+                 f"{m}E-{p}", f"{m}e-{p + 1}", f"+{plain}", f"00{plain}", f"{m}E+2"]
+    if hostile:
+        spellings += [f"{m}E-{p + 20}", "0", "0.000", "-1.2", "x", "NaN", "Infinity", "", "1.2.3",
+                      "1.00000000000000000000001", "99999999999999999999"]
+    return draw(st.sampled_from(spellings))
+
+
+def _timestamp_text(draw, t, iso):
+    if not iso:
+        signed = [f"+{t}", f"0{t}"] if t >= 0 else [f" {t}"]
+        return draw(st.sampled_from([str(t), *signed]))
+    text = datetime.fromtimestamp(t, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    millis, micros = draw(st.integers(0, 999)), draw(st.integers(0, 999_999))
+    return text + draw(st.sampled_from(
+        ["", "Z", f".{millis:03d}", f".{millis:03d}Z", f".{micros:06d}", "+00:00", "z"]
+    ))
+
+
+def _decorated(draw, text):
+    return draw(st.sampled_from([text, text, text, f" {text}", f"{text}\t", f'"{text}"',
+                                 f'" {text} "']))
+
+
+@st.composite
+def tick_files(draw):
+    """(file text, window): tick rows around a weekend, before or after 1970,
+    in epoch or ISO form, with blank lines, CRLF, quotes, whitespace and
+    mixed price spellings; `hostile` files also hold bad values, wrong field
+    counts, decreasing timestamps and a truncated last row."""
+    iso, hostile = draw(st.booleans()), draw(st.booleans())
+    base = draw(st.sampled_from([MONDAY - 5, -3 * 86400 - 5, 1_772_956_795]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    t = base
+    lines = ["timestamp,bid,ask"]
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        t += draw(st.sampled_from([0, 1, 1, 1, 2, 3] + ([-1] if hostile else [])))
+        fields = [_timestamp_text(draw, t, iso), _price_text(draw, hostile),
+                  _price_text(draw, hostile)]
+        if hostile and draw(st.integers(0, 19)) == 0:
+            fields = fields[:draw(st.integers(1, 4))] + ["1.3"]
+        lines.append(",".join(_decorated(draw, f) for f in fields))
+    text = eol.join(lines) + eol
+    if hostile and draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+        text += '"' * (text.count('"') % 2)  # the reference reads an open quote to the end
+    start = base + draw(st.integers(-3, 12))
+    weekdays = draw(st.one_of(st.none(), st.frozensets(st.integers(0, 6), min_size=1)))
+    return text, SeriesWindow(start, start + draw(st.integers(1, 40)), weekdays)
+
+
+def _outcome(load, path, window):
+    """What a loader makes of a file: the series or the error, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path, EURUSD, window)
+        except TickParseError as exc:
+            result = (TickParseError, exc.line_no)
+        except (TickOrderingError, EmptySeriesError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@given(tick_files(), st.integers(min_value=100, max_value=200))
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_reference(case, block_bytes):
+    # blocks of 100-200 bytes hold a few rows, so most files have rows that straddle two
+    text, window = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market_data, "BLOCK_BYTES", block_bytes)
+        path = Path(tmp) / "ticks.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(reference.load_pair_series, path, window)
+        assert _outcome(load_pair_series, path, window) == expected
 
 
 class TestSeriesWindow:
