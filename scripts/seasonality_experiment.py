@@ -44,7 +44,7 @@ def month_stats(month: int, seed: int, table: SessionTable, spec: TriangleSpec):
         injections=injections,
     )
     a, b, c, _ = generate(cfg)
-    ops = segment_opportunities(a.times, compute_rate_products((a, b, c), spec))
+    ops = segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
     profile = hourly_profile(ops)
 
     def block(hours):

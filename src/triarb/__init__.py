@@ -44,18 +44,15 @@ from .seasonal import (
     SessionTable,
     daily_profile,
     hourly_profile,
-    session_overlap_count,
 )
 from .simulator import (
     BreakEvenResult,
-    MaxVolumeResult,
     ProfitSurface,
     Scenario,
     SimulationConfig,
     SimulationResult,
     SimulationSummary,
     filter_trades,
-    max_arb_volume,
     simulate_trades,
 )
 from .synth import InjectionSpec, SynthConfig, generate, liquidity_preset
@@ -90,16 +87,13 @@ __all__ = [
     "SessionTable",
     "daily_profile",
     "hourly_profile",
-    "session_overlap_count",
     "BreakEvenResult",
-    "MaxVolumeResult",
     "ProfitSurface",
     "Scenario",
     "SimulationConfig",
     "SimulationResult",
     "SimulationSummary",
     "filter_trades",
-    "max_arb_volume",
     "simulate_trades",
     "InjectionSpec",
     "SynthConfig",

@@ -55,14 +55,10 @@ from .opportunity import (
 from .rate_product import compute_rate_products
 from .seasonal import HOURS, daily_profile, hourly_profile
 from .simulator import (
-    BP,
     P_GRID,
     Scenario,
     SimulationConfig,
     SimulationSummary,
-    analytic_break_even,
-    analytic_total_profit_duration,
-    analytic_total_profit_fixed,
     check_lambda_grid,
     filter_trades,
     simulate_trades,
@@ -172,10 +168,7 @@ def _resolve_seed(args) -> int:
 
 def _resolve_triangle(args, app: AppConfig) -> TriangleSpec:
     if getattr(args, "triangle", None):
-        codes = [c.strip().upper() for c in args.triangle.split(",") if c.strip()]
-        if len(codes) != 3:
-            raise ValueError(f"--triangle needs three currency codes, got {args.triangle!r}")
-        return triangle_for_currencies(app, codes)
+        return triangle_for_currencies(app, args.triangle)
     return app.triangle
 
 
@@ -264,7 +257,7 @@ def _detect(
             raise FileNotFoundError(f"missing tick file {path}")
         series.append(load_pair_series(path, pair, window))
     gammas = compute_rate_products(series, triangle)
-    return segment_opportunities(series[0].times, gammas), gammas
+    return segment_opportunities(window.grid_times(), gammas), gammas
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +274,7 @@ def cmd_synth(args) -> int:
         window = parse_window(args.window, args.weekdays)
         payload["window"] = {"start": window.start, "end": window.end, "weekdays": args.weekdays}
     if args.triangle:
-        payload["currencies"] = [c.strip().upper() for c in args.triangle.split(",")]
+        payload["currencies"] = args.triangle
     cfg = synth_config_from_json(payload, app, seed_override=args.seed)
     a, b, c, injections = generate(cfg)
     out = _out_dir(args)
@@ -431,20 +424,11 @@ def _summary_entry(cfg: SimulationConfig, s: SimulationSummary) -> dict:
         "n_long": s.n_long,
         "n_short": s.n_short,
         "mean_excess_bp": s.mean_excess_bp,
+        "analytic_total_profit": s.analytic_total_profit,
+        "analytic_break_even_p": s.analytic_break_even_p,
     }
-    if cfg.scenario is Scenario.FIXED_FILL:
-        entry["analytic_total_profit"] = analytic_total_profit_fixed(
-            n, cfg.volume, cfg.fill_prob, cfg.loss_bp, s.mean_excess_bp * BP
-        )
-    else:
-        entry["analytic_total_profit"] = analytic_total_profit_duration(
-            s.n_long, s.n_short, cfg.volume, cfg.fill_prob, cfg.loss_bp,
-            s.mean_long_bp * BP, s.mean_short_bp * BP,
-        )
-    p_be, clamped = analytic_break_even(s, cfg.scenario, cfg.loss_bp) if n else (None, False)
-    entry["analytic_break_even_p"] = p_be
-    if cfg.scenario is Scenario.DURATION_FILL:
-        entry["analytic_break_even_clamped"] = clamped
+    if cfg.scenario is Scenario.DURATION_FILL:  # only a sure fill can clamp the break-even
+        entry["analytic_break_even_clamped"] = s.analytic_break_even_clamped
     if n:
         entry["simulated_total_profit"] = s.total_profit
         entry["simulated_total_profit_std"] = s.total_profit_std

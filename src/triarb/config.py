@@ -74,20 +74,16 @@ def load_app_config(path: Optional[str]) -> AppConfig:
         for name, value in parser.items("points"):
             points[_canonical_pair_name(name)] = Decimal(value)
 
-    if parser.has_section("triangle"):
-        currencies = _split_csv(parser.get("triangle", "currencies", fallback="EUR,USD,CHF"))
-        if len(currencies) != 3:
-            raise ValueError(f"triangle needs exactly 3 currencies, got {currencies}")
-        pairs_text = parser.get("triangle", "pairs", fallback=None)
-        if pairs_text:
-            pairs = tuple(_parse_pair(p, points) for p in _split_csv(pairs_text))
-            if len(pairs) != 3:
-                raise ValueError(f"triangle needs exactly 3 pairs, got {pairs_text}")
-            triangle = TriangleSpec(currencies=tuple(currencies), pairs=pairs)
-        else:
-            triangle = TriangleSpec.from_currencies(*currencies, point_sizes=points)
+    # without a [triangle] section both lookups fall back
+    currencies = parse_currencies(parser.get("triangle", "currencies", fallback="EUR,USD,CHF"))
+    pairs_text = parser.get("triangle", "pairs", fallback=None)
+    if pairs_text:
+        pairs = tuple(_parse_pair(p, points) for p in _split_csv(pairs_text))
+        if len(pairs) != 3:
+            raise ValueError(f"triangle needs exactly 3 pairs, got {pairs_text}")
+        triangle = TriangleSpec(currencies=currencies, pairs=pairs)
     else:
-        triangle = TriangleSpec.from_currencies("EUR", "USD", "CHF", point_sizes=points)
+        triangle = TriangleSpec.from_currencies(*currencies, point_sizes=points)
 
     if parser.has_section("sessions"):
         sessions = SessionTable(
@@ -114,9 +110,19 @@ def _parse_pair(text: str, points: dict[str, Decimal]) -> Pair:
     return Pair(base, quote, ps) if ps is not None else Pair(base, quote)
 
 
-def triangle_for_currencies(cfg: AppConfig, currencies: list[str]) -> TriangleSpec:
-    """The config triangle if it matches, else a convention-ordered one."""
-    if tuple(currencies) == cfg.triangle.currencies:
+def parse_currencies(codes) -> tuple[str, str, str]:
+    """A triangle's three currency codes, from "EUR,USD,CHF" or a list of codes."""
+    items = codes.split(",") if isinstance(codes, str) else codes if isinstance(codes, list) else ()
+    currencies = tuple(c.strip().upper() for c in map(str, items) if c.strip())
+    if len(currencies) != 3:
+        raise ValueError(f"a triangle needs three currency codes, got {codes!r}")
+    return currencies
+
+
+def triangle_for_currencies(cfg: AppConfig, codes) -> TriangleSpec:
+    """The config triangle if the codes match it, else a convention-ordered one."""
+    currencies = parse_currencies(codes)
+    if currencies == cfg.triangle.currencies:
         return cfg.triangle
     points = {p.name: p.point_size for p in cfg.triangle.pairs}
     # reuse configured point sizes where the convention pair matches
@@ -187,7 +193,7 @@ def synth_config_from_json(
 
     currencies = payload.get("currencies")
     if currencies:
-        triangle = triangle_for_currencies(app, [c.upper() for c in currencies])
+        triangle = triangle_for_currencies(app, currencies)
     else:
         triangle = app.triangle
 

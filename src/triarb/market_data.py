@@ -1,7 +1,7 @@
 """Currency pairs, triangles, per-second pair series and tick-file I/O.
 
-A pair's quotes live in one representation, the columns of `PairSeries`:
-the grid seconds of a window, int64 bid and ask mantissas that share one
+A pair's quotes live in one representation, the columns of `PairSeries`, one
+entry per grid second of a window: int64 bid and ask mantissas that share one
 decimal exponent (`scale`), and a mask of missing seconds. Prices stay exact
 here; the conversion to floating point happens downstream, when rate
 products are computed. The loader parses each tick file with numpy passes
@@ -152,19 +152,18 @@ class PairSeries:
 
     Columnar: int64 mantissa arrays for bid and ask plus a shared decimal
     exponent (`scale`), and a boolean mask for missing seconds, whose
-    mantissas are zero.
+    mantissas are zero. Entry i belongs to `window.grid_times()[i]`.
     """
 
     pair: Pair
     window: SeriesWindow
-    times: np.ndarray
     bid_m: np.ndarray
     ask_m: np.ndarray
     missing: np.ndarray
     scale: int
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return int(self.bid_m.size)
 
     @property
     def n_missing(self) -> int:
@@ -183,7 +182,6 @@ class PairSeries:
             self.pair == other.pair
             and self.window == other.window
             and self.scale == other.scale
-            and np.array_equal(self.times, other.times)
             and np.array_equal(self.bid_m, other.bid_m)
             and np.array_equal(self.ask_m, other.ask_m)
             and np.array_equal(self.missing, other.missing)
@@ -261,13 +259,17 @@ class TriangleSpec:
 
 
 def parse_iso_timestamp(raw: str) -> int:
+    """Epoch seconds of an ISO-8601 time, UTC unless it has an offset; exact,
+    with a fraction truncated toward zero."""
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    delta = dt - datetime(1970, 1, 1, tzinfo=timezone.utc)
+    seconds = delta.days * SECONDS_PER_DAY + delta.seconds
+    return seconds + (seconds < 0 and delta.microseconds > 0)
 
 
 # Tick files are read and written in blocks of about this many bytes. A
@@ -361,7 +363,7 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     placed[:, index] = bid_m, ask_m
     missing = np.ones(times.size, dtype=bool)
     missing[index] = False
-    return PairSeries(pair, window, times, placed[0], placed[1], missing, scale)
+    return PairSeries(pair, window, placed[0], placed[1], missing, scale)
 
 
 def _line_blocks(fh, path):
@@ -502,8 +504,8 @@ def _iso_seconds(buf, starts, ends):
     """Epoch seconds of ISO fields YYYY-MM-DDTHH:MM:SS[.fff][Z], and which fields
     have that form and a valid date and time.
 
-    The seconds truncate toward zero, as `int(datetime.timestamp())` does, so
-    a fraction moves a time before 1970 one second up.
+    The seconds truncate toward zero, as `parse_iso_timestamp` does, so a
+    fraction moves a time before 1970 one second up.
     """
     lengths = ends - starts
     chars = buf[np.minimum(starts[:, None] + np.arange(24), buf.size - 1)]
@@ -621,7 +623,7 @@ def write_pair_series_csv(path, series: PairSeries) -> None:
     the text is built from digit matrices, one block of rows at a time.
     """
     quoted = ~series.missing
-    columns = (series.times[quoted], series.bid_m[quoted], series.ask_m[quoted])
+    columns = (series.window.grid_times()[quoted], series.bid_m[quoted], series.ask_m[quoted])
     rows = BLOCK_BYTES // 32
     with open(path, "wb") as fh:
         fh.write(b"timestamp,bid,ask\n")

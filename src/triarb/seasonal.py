@@ -89,15 +89,10 @@ def _tally(ops: Sequence[ArbitrageOpportunity], keys: Sequence, key_of: Callable
     return tuple(counts), tuple(s / c if c else 0.0 for s, c in zip(length_sums, counts))
 
 
-def session_overlap_count(table: SessionTable, hour: int) -> int:
-    """Number of markets liquid at the given GMT hour."""
-    if not 0 <= hour < HOURS:
-        raise ValueError(f"hour {hour} outside [0, 24)")
-    return sum(1 for hours in table.sessions.values() if hour in hours)
-
-
 def overlap_by_hour(table: SessionTable) -> np.ndarray:
-    return np.array([session_overlap_count(table, h) for h in range(HOURS)], dtype=np.int64)
+    """Number of markets liquid at each GMT hour (24 entries)."""
+    sessions = table.sessions.values()
+    return np.array([sum(h in hours for hours in sessions) for h in range(HOURS)], dtype=np.int64)
 
 
 def parse_hour_span(span: str) -> frozenset[int]:

@@ -1,12 +1,12 @@
 """Monte Carlo trading simulation over rate-product series.
 
 A trade is attempted once per opportunity whose initial rate product exceeds
-the trade threshold; it is taken at that initial value. Two fill models are
-supported: every trade fills independently with a fixed probability, or
-trades on runs of at least `certain_fill_min_run_length` grid seconds fill
-with certainty while the rest fill with the configured probability. A filled
-trade earns volume * (initial_gamma - 1); an unfilled one loses a fixed
-number of basis points of volume.
+the trade threshold; it is taken at that initial value. Both fill models are
+one model: some trades fill surely and the rest fill independently with the
+configured probability. Under FIXED_FILL no trade fills surely; under
+DURATION_FILL the trades on runs of at least `certain_fill_min_run_length`
+grid seconds do. A filled trade earns volume * (initial_gamma - 1); an
+unfilled one loses a fixed number of basis points of volume.
 
 `simulate_trades` makes one pass over per-run random streams spawned from
 the config seed with numpy's SeedSequence, so runs are reproducible and
@@ -82,13 +82,15 @@ class SimulationSummary:
     trades_attempted: int
     trades_filled_mean: float
     run_totals: np.ndarray
-    # the closed forms' inputs: the duration scenario's long/short split and
-    # the mean excess (initial gamma - 1) in bp of all, long and short trades
+    # trades on long runs (see certain_fill_min_run_length) and the others,
+    # and the mean excess (initial gamma - 1) in bp of all trades
     n_long: int
     n_short: int
     mean_excess_bp: float
-    mean_long_bp: float
-    mean_short_bp: float
+    # closed forms at cfg.fill_prob and cfg.loss_bp (no break-even without trades)
+    analytic_total_profit: float
+    analytic_break_even_p: Optional[float]
+    analytic_break_even_clamped: bool
 
 
 @dataclass(frozen=True)
@@ -115,14 +117,6 @@ class SimulationResult:
     curve_std: np.ndarray               # and its sample std over runs
     surface: ProfitSurface              # over P_GRID x lambda grid
     break_even: tuple[BreakEvenResult, ...]  # one per lambda; empty without trades
-
-
-@dataclass(frozen=True)
-class MaxVolumeResult:
-    max_stake: Optional[float]
-    unbounded: bool
-    gamma: float
-    profit_cap: Optional[float]
 
 
 def filter_trades(
@@ -159,8 +153,14 @@ def simulate_trades(
     lam_bp = check_lambda_grid(lambda_grid_bp)
     n = len(trades)
     excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
-    const_excess, random_idx = _scenario_split(excess, long_mask, cfg.scenario)
+    certain = _scenario_split(long_mask, cfg.scenario)
+    random_idx = np.flatnonzero(~certain)
+    const_excess = float(excess[certain].sum())
     random_excess = excess[random_idx]
+    excess_bp = excess / BP
+    # the closed forms' inputs: counts and mean excess (bp) of sure and random fills
+    split = (int(certain.sum()), random_idx.size,
+             _mean(excess_bp[certain]), _mean(excess_bp[random_idx]))
     loss = cfg.volume * cfg.loss_bp * BP
     lam_cost = cfg.volume * (lam_bp * BP)
     fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
@@ -174,9 +174,7 @@ def simulate_trades(
     crossings = np.empty((lam_bp.size, cfg.runs), dtype=np.float64)
     for r, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.runs)):
         u = np.random.default_rng(child).random(n)
-        filled = u < cfg.fill_prob
-        if cfg.scenario is Scenario.DURATION_FILL:
-            filled |= long_mask
+        filled = certain | (u < cfg.fill_prob)
         totals[r] = cfg.volume * excess[filled].sum() - loss * (n - filled.sum()) - fees
         filled_counts[r] = filled.sum()
 
@@ -192,8 +190,9 @@ def simulate_trades(
     # bit-identical runs (p = 0 or 1) at exactly zero
     std = float((totals - totals[0]).std(ddof=1)) if cfg.runs > 1 else 0.0
     mean_total = float(totals.mean())
-    excess_bp = excess / BP
     n_long = int(long_mask.sum())
+    # without trades the mean excess, hence the break-even, is undefined
+    p_be, clamped = analytic_break_even(*split, cfg.loss_bp) if n else (None, False)
     summary = SimulationSummary(
         total_profit=mean_total,
         total_profit_std=std,
@@ -204,8 +203,9 @@ def simulate_trades(
         n_long=n_long,
         n_short=n - n_long,
         mean_excess_bp=_mean(excess_bp),
-        mean_long_bp=_mean(excess_bp[long_mask]),
-        mean_short_bp=_mean(excess_bp[~long_mask]),
+        analytic_total_profit=analytic_total_profit(*split, cfg.volume, cfg.fill_prob, cfg.loss_bp),
+        analytic_break_even_p=p_be,
+        analytic_break_even_clamped=clamped,
     )
 
     # surface total(p, lam) = V*(const + mean filled excess[p]) - V*lam*mean unfilled[p] - fees
@@ -224,8 +224,7 @@ def simulate_trades(
         curve_mean=curves.mean(axis=0),
         curve_std=curves.std(axis=0, ddof=1) if cfg.runs > 1 else np.zeros(P_GRID.size),
         surface=ProfitSurface(P_GRID, lam_bp, mean_bp, contour),
-        # without trades the mean excess, hence the analytic break-even, is undefined
-        break_even=_break_even(cfg.scenario, summary, lam_bp, crossings) if n else (),
+        break_even=_break_even(split, lam_bp, crossings) if n else (),
     )
 
 
@@ -239,11 +238,10 @@ def _trade_arrays(trades: Sequence[ArbitrageOpportunity], min_long: int):
     return excess, long_mask
 
 
-def _scenario_split(excess: np.ndarray, long_mask: np.ndarray, scenario: Scenario):
-    """(certain excess sum, random-trade index array) for the scenario."""
-    if scenario is Scenario.FIXED_FILL:
-        return 0.0, np.arange(excess.size)
-    return float(excess[long_mask].sum()), np.flatnonzero(~long_mask)
+def _scenario_split(long_mask: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Mask of the trades that fill surely: none under FIXED_FILL, the long
+    runs under DURATION_FILL. Every other trade fills with the fill probability."""
+    return long_mask if scenario is Scenario.DURATION_FILL else np.zeros_like(long_mask)
 
 
 def _sorted_fill_curves(
@@ -276,14 +274,12 @@ def _zero_crossings(p_grid: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return crossing
 
 
-def _break_even(
-    scenario: Scenario, summary: SimulationSummary, lam_bp: np.ndarray, crossings: np.ndarray,
-) -> tuple[BreakEvenResult, ...]:
+def _break_even(split: tuple, lam_bp: np.ndarray, crossings: np.ndarray):
     """Analytic break-even fill probability per loss, plus the mean and std of
     the per-run zero crossings (one row of `crossings` per loss)."""
     results = []
     for lam, estimates in zip(lam_bp.tolist(), crossings):
-        analytic_p, clamped = analytic_break_even(summary, scenario, lam)
+        analytic_p, clamped = analytic_break_even(*split, lam)
         results.append(BreakEvenResult(
             lambda_bp=lam,
             analytic_p=analytic_p,
@@ -295,120 +291,38 @@ def _break_even(
 
 
 # ---------------------------------------------------------------------------
-# analytic forms
+# closed forms over the sure/random split; FIXED_FILL is n_certain = 0
 
 
-def analytic_total_profit_fixed(
-    n_trades: int, volume: float, fill_prob: float, loss_bp: float, mean_excess: float
+def analytic_total_profit(
+    n_certain: int, n_random: int, mean_certain_bp: float, mean_random_bp: float,
+    volume: float, fill_prob: float, loss_bp: float,
 ) -> float:
-    """Expected total profit when every trade fills independently with fill_prob."""
-    _check_analytic_args(n_trades, volume, fill_prob, loss_bp)
-    return n_trades * volume * (fill_prob * mean_excess - (1.0 - fill_prob) * loss_bp * BP)
-
-
-def analytic_total_profit_duration(
-    n_long: int,
-    n_short: int,
-    volume: float,
-    fill_prob: float,
-    loss_bp: float,
-    mean_excess_long: float,
-    mean_excess_short: float,
-) -> float:
-    """Expected total profit when long runs fill surely and short ones with fill_prob."""
-    _check_analytic_args(n_long, volume, fill_prob, loss_bp)
-    if n_short < 0:
-        raise ValueError(f"counts must be >= 0, got n_short={n_short}")
-    certain = n_long * volume * mean_excess_long
-    return certain + analytic_total_profit_fixed(
-        n_short, volume, fill_prob, loss_bp, mean_excess_short
+    """Expected total profit, before fees, when n_certain trades fill surely
+    and n_random fill independently with fill_prob; means are excess in bp."""
+    if n_certain < 0 or n_random < 0:
+        raise ValueError(f"counts must be >= 0, got {n_certain} and {n_random}")
+    return n_certain * volume * (mean_certain_bp * BP) + n_random * volume * (
+        fill_prob * (mean_random_bp * BP) - (1.0 - fill_prob) * loss_bp * BP
     )
 
 
 def analytic_break_even(
-    summary: SimulationSummary, scenario: Scenario, loss_bp: float
+    n_certain: int, n_random: int, mean_certain_bp: float, mean_random_bp: float, loss_bp: float
 ) -> tuple[float, bool]:
-    """(p, clamped): the scenario's closed-form break-even for the summary's trades."""
-    if scenario is Scenario.FIXED_FILL:
-        return analytic_break_even_fixed(summary.mean_excess_bp, loss_bp), False
-    return analytic_break_even_duration(
-        summary.n_long, summary.n_short, summary.mean_long_bp, summary.mean_short_bp, loss_bp
-    )
+    """Fill probability at which the expected total profit is zero, clamped to [0, 1].
 
-
-def analytic_break_even_fixed(mean_excess_bp: float, loss_bp: float) -> float:
-    """Fill probability at which the fixed-fill expected profit is zero."""
-    if loss_bp <= 0:
-        raise ValueError(f"loss_bp must be positive, got {loss_bp}")
-    return 1.0 / (1.0 + mean_excess_bp / loss_bp)
-
-
-def analytic_break_even_duration(
-    n_long: int,
-    n_short: int,
-    mean_excess_long_bp: float,
-    mean_excess_short_bp: float,
-    loss_bp: float,
-) -> tuple[float, bool]:
-    """Break-even fill probability for the duration scenario, clamped to [0, 1].
-
-    Returns (p, clamped); clamped is True when the certain long-run profits
-    alone cover every possible short-run loss, which drives the raw value
-    below zero (or there is no short trade at all).
+    Returns (p, clamped); clamped is True when the sure fills alone cover
+    every possible loss of the random ones, which drives the raw value below
+    zero (or there is no random trade at all).
     """
     if loss_bp <= 0:
         raise ValueError(f"loss_bp must be positive, got {loss_bp}")
-    if n_long < 0 or n_short < 0:
-        raise ValueError("counts must be >= 0")
-    if n_short == 0:
+    if n_random == 0:
         return 0.0, True
-    raw = (1.0 - n_long * mean_excess_long_bp / (n_short * loss_bp)) / (
-        1.0 + mean_excess_short_bp / loss_bp
+    raw = (1.0 - n_certain * mean_certain_bp / (n_random * loss_bp)) / (
+        1.0 + mean_random_bp / loss_bp
     )
     if raw < 0.0:
         return 0.0, True
     return min(raw, 1.0), False
-
-
-def _check_analytic_args(count: int, volume: float, fill_prob: float, loss_bp: float) -> None:
-    if count < 0:
-        raise ValueError(f"counts must be >= 0, got {count}")
-    if volume <= 0:
-        raise ValueError(f"volume must be positive, got {volume}")
-    if not 0.0 <= fill_prob <= 1.0:
-        raise ValueError(f"fill_prob must be in [0, 1], got {fill_prob}")
-    if loss_bp < 0:
-        raise ValueError(f"loss_bp must be >= 0, got {loss_bp}")
-
-
-# ---------------------------------------------------------------------------
-# leg volume arithmetic
-
-
-def max_arb_volume(
-    leg_limits: Sequence[Optional[float]], rates: Sequence[float]
-) -> MaxVolumeResult:
-    """Largest initial stake that keeps every leg inside its available volume.
-
-    `leg_limits[i]` caps the amount entering leg i, denominated in that
-    leg's input currency; None means unconstrained. `rates[i]` is the
-    effective conversion rate of leg i, so the amount entering leg i equals
-    the stake times the product of the previous legs' rates.
-    """
-    if len(leg_limits) != len(rates) or not rates:
-        raise ValueError("need one limit per leg")
-    gamma = 1.0
-    bounds = []
-    for limit, rate in zip(leg_limits, rates):
-        if rate <= 0:
-            raise ValueError(f"leg rates must be positive, got {rate}")
-        if limit is not None:
-            if limit <= 0:
-                raise ValueError(f"leg limits must be positive, got {limit}")
-            bounds.append(limit / gamma)  # gamma so far = product of previous rates
-        gamma *= rate
-    if not bounds:
-        return MaxVolumeResult(None, True, gamma, None)
-    stake = min(bounds)
-    return MaxVolumeResult(stake, False, gamma, stake * (gamma - 1.0))
-

@@ -154,12 +154,10 @@ class _PairDraft:
     def ask_price(self, i: int) -> float:
         return self.ask_ticks[i] * self.point
 
-    def to_series(self, window: SeriesWindow, times: np.ndarray) -> PairSeries:
+    def to_series(self, window: SeriesWindow) -> PairSeries:
         bid_m = np.where(self.missing, 0, self.bid_ticks)
         ask_m = np.where(self.missing, 0, self.ask_ticks)
-        return PairSeries(
-            self.pair, window, times, bid_m, ask_m, self.missing.copy(), self.scale
-        )
+        return PairSeries(self.pair, window, bid_m, ask_m, self.missing.copy(), self.scale)
 
 
 def generate(
@@ -202,7 +200,7 @@ def generate(
     for inj in cfg.injections:
         _apply_injection(inj, cfg.triangle, drafts, times, hours, cfg.spread_points)
 
-    out = tuple(drafts[p.name].to_series(cfg.window, times) for p in cfg.triangle.pairs)
+    out = tuple(drafts[p.name].to_series(cfg.window) for p in cfg.triangle.pairs)
     return out[0], out[1], out[2], list(cfg.injections)
 
 

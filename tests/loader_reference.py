@@ -100,7 +100,7 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
             ) from None
     missing = np.ones(times.size, dtype=bool)
     missing[index] = False
-    return PairSeries(pair, window, times, bid_m, ask_m, missing, scale)
+    return PairSeries(pair, window, bid_m, ask_m, missing, scale)
 
 
 def _looks_like_int(text: str) -> bool:
@@ -118,7 +118,7 @@ def write_pair_series_csv(path, series: PairSeries) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp", "bid", "ask"])
-        columns = (series.times[quoted], series.bid_m[quoted], series.ask_m[quoted])
+        columns = (series.window.grid_times()[quoted], series.bid_m[quoted], series.ask_m[quoted])
         writer.writerows(
             (t, Decimal(b).scaleb(shift), Decimal(a).scaleb(shift))
             for t, b, a in zip(*(c.tolist() for c in columns))

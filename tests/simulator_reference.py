@@ -14,8 +14,7 @@ from triarb.simulator import (
     BP,
     LEGS_PER_TRANSACTION,
     Scenario,
-    analytic_break_even_duration,
-    analytic_break_even_fixed,
+    analytic_break_even,
 )
 
 
@@ -131,16 +130,15 @@ def break_even(trades, scenario, lambda_bp, runs, seed, volume, certain_fill_min
     excess, long_mask = _trade_arrays(trades, certain_fill_min_run_length)
     excess_bp = excess / BP
     if scenario is Scenario.FIXED_FILL:
-        analytic_p = analytic_break_even_fixed(float(excess_bp.mean()), lambda_bp)
-        clamped = False
+        analytic_p, clamped = analytic_break_even(
+            0, excess.size, 0.0, float(excess_bp.mean()), lambda_bp
+        )
     else:
         n_long = int(long_mask.sum())
         n_short = int(excess.size - n_long)
         mean_long = float(excess_bp[long_mask].mean()) if n_long else 0.0
         mean_short = float(excess_bp[~long_mask].mean()) if n_short else 0.0
-        analytic_p, clamped = analytic_break_even_duration(
-            n_long, n_short, mean_long, mean_short, lambda_bp
-        )
+        analytic_p, clamped = analytic_break_even(n_long, n_short, mean_long, mean_short, lambda_bp)
     const_excess, random_idx = _scenario_split(excess, long_mask, scenario)
     p_grid = np.linspace(0.0, 1.0, 101)
     lam_frac = lambda_bp * BP

@@ -29,11 +29,9 @@ from triarb.seasonal import SessionTable, hourly_profile
 from triarb.simulator import (
     Scenario,
     SimulationConfig,
-    analytic_break_even_fixed,
-    analytic_total_profit_duration,
-    analytic_total_profit_fixed,
+    analytic_break_even,
+    analytic_total_profit,
     filter_trades,
-    max_arb_volume,
     simulate_trades,
 )
 from triarb.synth import (
@@ -69,15 +67,6 @@ def test_worked_gamma_example():
     assert abs(gammas[0, 0] - 1.000115903) <= 0.5e-9
 
 
-def test_leg_volume_arithmetic():
-    """10 M on the second leg caps the stake at 8.29 M; 10 M stake caps profit at 1,159."""
-    rates = [1.2065, 115.72, 1.0 / 139.60]
-    capped = max_arb_volume([10e6, 10e6, None], rates)
-    assert round(capped.max_stake / 1e6, 2) == 8.29
-    staked = max_arb_volume([10e6, None, None], rates)
-    assert round(staked.profit_cap) == 1159
-
-
 def _simulation_series(seed=20250810, n_runs=900):
     rng = np.random.default_rng(seed)
     inits = 1.0 + rng.uniform(0.05, 3.0, size=n_runs) * 1e-4
@@ -100,26 +89,24 @@ def test_analytic_simulation_agreement():
     for scenario in (Scenario.FIXED_FILL, Scenario.DURATION_FILL):
         for gamma_t in (1.0, 1.00005, 1.0001):
             trades = filter_trades(all_ops, gamma_t)
-            excess = np.array([t.initial_gamma - 1.0 for t in trades])
-            long_mask = np.array([t.run_length >= 2 for t in trades])
-            n_long = int(long_mask.sum())
-            n_short = len(trades) - n_long
-            mean_long = float(excess[long_mask].mean()) if n_long else 0.0
-            mean_short = float(excess[~long_mask].mean()) if n_short else 0.0
+            excess_bp = np.array([t.initial_gamma - 1.0 for t in trades]) / 1e-4
+            # runs of 2 s or more fill surely under the duration model, none under fixed
+            certain = np.array([t.run_length >= 2 for t in trades])
+            if scenario is Scenario.FIXED_FILL:
+                certain[:] = False
+            split = (
+                int(certain.sum()), int((~certain).sum()),
+                float(excess_bp[certain].mean()) if certain.any() else 0.0,
+                float(excess_bp[~certain].mean()) if (~certain).any() else 0.0,
+            )
             for loss_bp in (1.0, 1.5, 2.0):
                 cfg = SimulationConfig(
                     gamma_t=gamma_t, scenario=scenario, fill_prob=p, loss_bp=loss_bp,
                     volume=volume, runs=1000, seed=314159,
                 )
                 result = simulate_trades(trades, cfg, [loss_bp]).summary
-                if scenario is Scenario.FIXED_FILL:
-                    expected = analytic_total_profit_fixed(
-                        len(trades), volume, p, loss_bp, float(excess.mean())
-                    )
-                else:
-                    expected = analytic_total_profit_duration(
-                        n_long, n_short, volume, p, loss_bp, mean_long, mean_short
-                    )
+                expected = analytic_total_profit(*split, volume, p, loss_bp)
+                assert result.analytic_total_profit == pytest.approx(expected, rel=1e-12)
                 stderr = result.total_profit_std / math.sqrt(cfg.runs)
                 assert abs(result.total_profit - expected) <= 3 * stderr, (
                     scenario, gamma_t, loss_bp
@@ -127,11 +114,12 @@ def test_analytic_simulation_agreement():
                 be_cfg = dataclasses.replace(cfg, runs=300, seed=2718)
                 (be,) = simulate_trades(trades, be_cfg, [loss_bp]).break_even
                 assert abs(be.simulated_p - be.analytic_p) <= 0.02, (scenario, gamma_t, loss_bp)
+                assert be.analytic_p == analytic_break_even(*split, loss_bp)[0]
 
 
 def test_break_even_inversion_identity():
     """A 0.375 bp mean excess at a 1.5 bp loss breaks even at exactly 80% fill."""
-    assert analytic_break_even_fixed(0.375, 1.5) == 0.8
+    assert analytic_break_even(0, 1, 0.0, 0.375, 1.5) == (0.8, False)
     # same identity read in the other direction: p = 0.8 implies the excess
     implied_excess = 1.5 * (1.0 / 0.8 - 1.0)
     assert implied_excess == pytest.approx(0.375, rel=1e-12)
@@ -183,7 +171,7 @@ def test_injection_recovery_hundred_episodes():
     a, b, c, truth = generate(cfg)
     detected = {
         (o.start, o.run_length, o.direction): o
-        for o in segment_opportunities(a.times, compute_rate_products((a, b, c), spec))
+        for o in segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
     }
     expected = {(i.start, i.duration_seconds, i.direction): i for i in truth}
     assert set(detected) == set(expected)  # recall and precision both exact
@@ -219,7 +207,7 @@ def test_seasonality_mechanism_reproduction():
             injections=injections,
         )
         a, b, c, _ = generate(cfg)
-        ops = segment_opportunities(a.times, compute_rate_products((a, b, c), spec))
+        ops = segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
         profile = hourly_profile(ops)
         liquid_count = sum(profile.counts[h] for h in liquid_hours)
         quiet_count = sum(profile.counts[h] for h in quiet_hours)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -144,6 +145,17 @@ class TestSynthCommand:
         assert rc == 0
         rows = read_csv(out / "EURUSD.csv")
         assert int(rows[-1][0]) < MONDAY + 600
+
+    def test_bad_currency_list_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(synth_payload([])))
+        cases = [(["synth", "--synth-config", str(cfg_path), "--triangle", "EUR,USD"],
+                  "three currency codes")]
+        for i, currencies in enumerate([["EUR", "USD"], 5]):
+            bad_path = tmp_path / f"bad{i}.json"
+            bad_path.write_text(json.dumps({**synth_payload([]), "currencies": currencies}))
+            cases.append((["synth", "--synth-config", str(bad_path)], "three currency codes"))
+        assert_exits_2_before_any_output(tmp_path, capsys, cases)
 
 
 class TestDetectCommand:
@@ -428,6 +440,22 @@ class TestSimulateCommand:
             assert main([*base, flag, "1e308", "--out-dir", str(out)]) == 2
             assert "summary.json: a result is not finite" in capsys.readouterr().err
             assert list(out.iterdir()) == []
+
+    def test_gamma_t_above_every_opportunity_writes_zero_totals(self, tmp_path):
+        # no trade: both closed-form totals are 0.0, never -0.0
+        data_dir = run_synth(tmp_path, five_injections())
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--data-dir", str(data_dir), "--window", WINDOW,
+                   "--out-dir", str(out), "--scenario", "both", "--p", "0.5",
+                   "--gamma-t", "1.01", "--runs", "3", "--seed", "1"])
+        assert rc == 0
+        text = (out / "summary.json").read_text()
+        assert "-0.0" not in text
+        entries = json.loads(text)["per_config"]
+        assert [e["scenario"] for e in entries] == ["fixed", "duration"]
+        for e in entries:
+            assert e["trades"] == 0 and e["analytic_break_even_p"] is None
+            assert math.copysign(1.0, e["analytic_total_profit"]) == 1.0
 
     def test_no_opportunities_still_exits_0(self, tmp_path):
         data_dir = run_synth(tmp_path, [], name="flat")

@@ -28,6 +28,7 @@ from triarb.market_data import (
     TriangleSpec,
     load_pair_series,
     market_convention_pair,
+    parse_iso_timestamp,
     write_pair_series_csv,
 )
 from triarb.rate_product import compute_rate_products
@@ -114,6 +115,16 @@ class TestLoadPairSeries:
         assert series.missing.tolist() == [False, True, False]
         assert (series.bid_m[0], series.bid_m[2], series.scale) == (12065, 12066, 4)
 
+    def test_iso_fraction_truncates_exactly(self, tmp_path):
+        # toward zero, without a float: a late 6-digit fraction stays in its second
+        assert parse_iso_timestamp("9999-12-31T23:59:59.999999") == 253402300799
+        assert parse_iso_timestamp("1969-12-31T23:59:59.5") == 0
+        path = tmp_path / "ticks.csv"
+        write_rows(path, [("9999-12-31T23:59:58.5Z", "1.2065", "1.2067"),
+                          ("9999-12-31T23:59:59.999999", "1.2066", "1.2068")])
+        series = load_pair_series(path, EURUSD, SeriesWindow(253402300798, 253402300800))
+        assert series.bid_m.tolist() == [12065, 12066]
+
     def test_crossed_quote_warns_but_loads(self, tmp_path):
         path = tmp_path / "ticks.csv"
         write_rows(path, [(0, "1.2070", "1.2067")])
@@ -134,7 +145,7 @@ class TestLoadPairSeries:
         w = SeriesWindow(MONDAY - 10, MONDAY + 10, frozenset({0, 1, 2, 3, 4}))
         series = load_pair_series(path, EURUSD, w)
         assert len(series) == 10  # only the Monday seconds
-        assert series.times[0] == MONDAY
+        assert w.grid_times()[0] == MONDAY
 
     def test_mantissa_overflow_names_line(self, tmp_path):
         # 23 decimal places put every mantissa of the file past int64
@@ -184,7 +195,7 @@ class TestLoadPairSeries:
         # 5 at scale 7 is written in str(Decimal)'s exponent notation
         window = SeriesWindow(7, 10)
         series = PairSeries(
-            EURUSD, window, window.grid_times(),
+            EURUSD, window,
             np.array([12065000, 0, 5], dtype=np.int64),
             np.array([12067000, 0, 12068000], dtype=np.int64),
             np.array([False, True, False]), 7,
@@ -210,7 +221,7 @@ def pair_series(draw):
     bid[missing] = 0
     ask[missing] = 0
     scale = draw(st.integers(min_value=0, max_value=8))
-    return PairSeries(EURUSD, window, window.grid_times(), bid, ask, missing, scale)
+    return PairSeries(EURUSD, window, bid, ask, missing, scale)
 
 
 @given(pair_series(), st.integers(min_value=64, max_value=1024))
@@ -388,7 +399,7 @@ class TestAlignTriangle:
         skips = [set(rng.choice(10, size=3, replace=False).tolist()) for _ in range(3)]
         series = [self.full_series(p, skip=s) for p, s in zip(self.spec.pairs, skips)]
         gammas = compute_rate_products(series, self.spec)
-        for i, t in enumerate(series[0].times.tolist()):
+        for i, t in enumerate(series[0].window.grid_times().tolist()):
             for s, skip in zip(series, skips):
                 assert s.missing[i] == (t in skip)
             assert (gammas[:, i] == 0.0).all() == any(t in skip for skip in skips)

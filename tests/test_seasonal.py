@@ -9,7 +9,7 @@ from triarb.seasonal import (
     SessionTable,
     daily_profile,
     hourly_profile,
-    session_overlap_count,
+    overlap_by_hour,
 )
 
 from conftest import MONDAY
@@ -110,19 +110,15 @@ class TestDailyProfile:
 
 class TestSessionTable:
     def test_default_overlaps(self):
-        table = SessionTable.default()
-        assert session_overlap_count(table, 14) == 2  # Europe + Americas
-        assert session_overlap_count(table, 23) == 1  # Americas only
-        assert session_overlap_count(table, 8) == 2   # Asia + Europe
-        assert session_overlap_count(table, 12) == 1  # Europe only
+        overlap = overlap_by_hour(SessionTable.default())
+        assert overlap[14] == 2  # Europe + Americas
+        assert overlap[23] == 1  # Americas only
+        assert overlap[8] == 2   # Asia + Europe
+        assert overlap[12] == 1  # Europe only
+        assert overlap.tolist() == [1] * 7 + [2] * 4 + [1] * 2 + [2] * 5 + [1] * 6
 
     def test_empty_table(self):
-        table = SessionTable(sessions={})
-        assert session_overlap_count(table, 5) == 0
-
-    def test_hour_out_of_range(self):
-        with pytest.raises(ValueError):
-            session_overlap_count(SessionTable.default(), 24)
+        assert overlap_by_hour(SessionTable(sessions={})).tolist() == [0] * 24
 
     def test_default_hours_match_builtin_table(self):
         table = SessionTable.default().sessions

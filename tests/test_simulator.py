@@ -1,4 +1,4 @@
-"""Monte Carlo simulation, analytic cross-checks, break-even, leg volumes."""
+"""Monte Carlo simulation, analytic cross-checks, break-even."""
 
 import dataclasses
 
@@ -11,12 +11,9 @@ from triarb.simulator import (
     P_GRID,
     Scenario,
     SimulationConfig,
-    analytic_break_even_duration,
-    analytic_break_even_fixed,
-    analytic_total_profit_duration,
-    analytic_total_profit_fixed,
+    analytic_break_even,
+    analytic_total_profit,
     filter_trades,
-    max_arb_volume,
     simulate_trades,
 )
 
@@ -96,9 +93,8 @@ class TestRunSimulation:
             fill_prob=0.5, loss_bp=1.5, volume=1e6, runs=1000, seed=11
         )
         result = simulate_trades(trades, cfg, [1.5]).summary
-        analytic = analytic_total_profit_fixed(
-            len(trades), 1e6, 0.5, 1.5, float(excess.mean())
-        )
+        analytic = analytic_total_profit(0, len(trades), 0.0, float(excess.mean()) / BP, 1e6, 0.5, 1.5)
+        assert result.analytic_total_profit == pytest.approx(analytic, rel=1e-12)
         stderr = result.total_profit_std / np.sqrt(cfg.runs)
         assert abs(result.total_profit - analytic) < 3 * stderr
 
@@ -175,36 +171,45 @@ class TestRunSimulation:
 
 
 class TestAnalyticForms:
+    """The closed forms over (n_certain, n_random, mean_certain_bp, mean_random_bp);
+    the fixed fill model is the case n_certain = 0."""
+
     def test_full_fill_worked_example(self):
-        assert analytic_total_profit_fixed(100, 1e6, 1.0, 1.5, 1e-4) == pytest.approx(10_000.0)
+        assert analytic_total_profit(0, 100, 0.0, 1.0, 1e6, 1.0, 1.5) == pytest.approx(10_000.0)
 
     def test_zero_fill_worked_example(self):
-        assert analytic_total_profit_fixed(100, 1e6, 0.0, 1.5, 1e-4) == pytest.approx(-15_000.0)
+        assert analytic_total_profit(0, 100, 0.0, 1.0, 1e6, 0.0, 1.5) == pytest.approx(-15_000.0)
 
     def test_duration_form_reduces_when_no_long_runs(self):
-        t_duration = analytic_total_profit_duration(0, 50, 1e6, 0.7, 1.5, 0.0, 2e-4)
-        t_fixed = analytic_total_profit_fixed(50, 1e6, 0.7, 1.5, 2e-4)
-        assert t_duration == pytest.approx(t_fixed)
+        # no sure fill: the certain mean does not enter
+        with_mean = analytic_total_profit(0, 50, 3.0, 2.0, 1e6, 0.7, 1.5)
+        assert with_mean == analytic_total_profit(0, 50, 0.0, 2.0, 1e6, 0.7, 1.5)
+        assert with_mean == pytest.approx(50 * 1e6 * (0.7 * 2e-4 - 0.3 * 1.5e-4))
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_total_profit_fixed(-1, 1e6, 0.5, 1.5, 1e-4)
+        for counts in ((0, -1), (-1, 5)):
+            with pytest.raises(ValueError):
+                analytic_total_profit(*counts, 1.0, 1.0, 1e6, 0.5, 1.5)
 
     def test_break_even_symmetric_case(self):
         # mean excess equal to the loss gives exactly one half
-        assert analytic_break_even_fixed(1.5, 1.5) == pytest.approx(0.5)
+        assert analytic_break_even(0, 7, 0.0, 1.5, 1.5) == (pytest.approx(0.5), False)
 
     def test_break_even_inversion_consistency(self):
         # mean excess of 0.375 bp at a 1.5 bp loss breaks even at 80%
-        assert analytic_break_even_fixed(0.375, 1.5) == 0.8
+        assert analytic_break_even(0, 1, 0.0, 0.375, 1.5) == (0.8, False)
 
     def test_duration_break_even_clamps_at_zero(self):
-        p, clamped = analytic_break_even_duration(100, 1, 5.0, 0.5, 1.5)
+        p, clamped = analytic_break_even(100, 1, 5.0, 0.5, 1.5)
         assert p == 0.0 and clamped
 
     def test_duration_break_even_no_shorts(self):
-        p, clamped = analytic_break_even_duration(10, 0, 1.0, 0.0, 1.5)
+        p, clamped = analytic_break_even(10, 0, 1.0, 0.0, 1.5)
         assert p == 0.0 and clamped
+
+    def test_break_even_needs_a_positive_loss(self):
+        with pytest.raises(ValueError, match="loss_bp must be positive"):
+            analytic_break_even(0, 3, 0.0, 1.0, 0.0)
 
 
 def break_even(series, scenario, gamma_t, lambda_bp, runs, seed):
@@ -244,7 +249,7 @@ class TestBreakEven:
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):
             if abs(p - be.analytic_p) < 0.05:
                 continue
-            total = analytic_total_profit_fixed(len(trades), 1e6, p, 1.5, float(excess.mean()))
+            total = analytic_total_profit(0, len(trades), 0.0, float(excess.mean()) / BP, 1e6, p, 1.5)
             assert (total > 0) == (p > be.analytic_p)
 
 
@@ -272,7 +277,7 @@ class TestProfitSurface:
         cfg = SimulationConfig(runs=200, seed=6)
         surface = simulate_trades(trades, cfg, [1.0, 1.5, 2.0]).surface
         for lam, p_star in surface.breakeven_contour:
-            analytic = analytic_break_even_fixed(float(excess_bp.mean()), lam)
+            analytic, _ = analytic_break_even(0, len(trades), 0.0, float(excess_bp.mean()), lam)
             assert p_star == pytest.approx(analytic, abs=0.02)
 
     def test_empty_grids_rejected(self):
@@ -347,32 +352,6 @@ class TestReferenceOracle:
         other = dataclasses.replace(cfg, fill_prob=0.2, loss_bp=4.0, fee_per_trade=9.0)
         assert (simulate_trades(trades, cfg, ORACLE_LAMBDAS).break_even
                 == simulate_trades(trades, other, ORACLE_LAMBDAS).break_even)
-
-
-class TestMaxArbVolume:
-    def test_second_leg_limits_initial_stake(self):
-        result = max_arb_volume(
-            [10e6, 10e6, None], [1.2065, 115.72, 1.0 / 139.60]
-        )
-        assert result.max_stake / 1e6 == pytest.approx(8.29, abs=0.005)
-
-    def test_profit_cap_on_ten_million(self):
-        result = max_arb_volume([10e6, None, None], [1.2065, 115.72, 1.0 / 139.60])
-        assert result.max_stake == pytest.approx(10e6)
-        assert round(result.profit_cap) == 1159
-
-    def test_unconstrained_legs_flagged(self):
-        result = max_arb_volume([None, None, None], [1.2, 1.0, 1.0 / 1.19])
-        assert result.unbounded
-        assert result.max_stake is None
-
-    def test_non_positive_limit_rejected(self):
-        with pytest.raises(ValueError):
-            max_arb_volume([0.0, None, None], [1.2, 1.0, 0.8])
-
-    def test_first_leg_binding(self):
-        result = max_arb_volume([5e6, None, None], [2.0, 1.0, 0.51])
-        assert result.max_stake == pytest.approx(5e6)
 
 
 class TestConfigValidation:

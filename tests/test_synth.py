@@ -41,7 +41,7 @@ def base_config(fine_chf_triangle, injections=(), seed=42, hours=1, gap_rate=0.0
 def detect(cfg, spec):
     a, b, c, _ = generate(cfg)
     gammas = compute_rate_products((a, b, c), spec)
-    ops = segment_opportunities(a.times, gammas)
+    ops = segment_opportunities(cfg.window.grid_times(), gammas)
     ops1, ops2 = ([o for o in ops if o.direction is d] for d in Direction)
     return ops1, ops2, gammas
 
