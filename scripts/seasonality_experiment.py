@@ -43,7 +43,7 @@ def month_stats(month: int, seed: int, table: SessionTable, spec: TriangleSpec):
         gap_rate=profiles.gap_rate,
         injections=injections,
     )
-    a, b, c, _ = generate(cfg)
+    a, b, c = generate(cfg)
     ops = segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
     profile = hourly_profile(ops)
 

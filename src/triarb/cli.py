@@ -276,17 +276,17 @@ def cmd_synth(args) -> int:
     if args.triangle:
         payload["currencies"] = args.triangle
     cfg = synth_config_from_json(payload, app, seed_override=args.seed)
-    a, b, c, injections = generate(cfg)
+    triangle_series = generate(cfg)
     out = _out_dir(args)
-    for series in (a, b, c):
+    for series in triangle_series:
         write_pair_series_csv(out / f"{series.pair.file_stem}.csv", series)
     write_json(
         out / "injections.json",
-        [{**dataclasses.asdict(inj), "direction": inj.direction.value} for inj in injections],
+        [{**dataclasses.asdict(inj), "direction": inj.direction.value} for inj in cfg.injections],
     )
     _write_manifest(
         out, "synth", app, cfg.triangle, cfg.window, cfg.seed,
-        {"synth_config": str(args.synth_config), "n_injections": len(injections)},
+        {"synth_config": str(args.synth_config), "n_injections": len(cfg.injections)},
     )
     return 0
 

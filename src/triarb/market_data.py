@@ -127,13 +127,6 @@ class SeriesWindow:
             inside &= np.isin(_weekday_of(times // SECONDS_PER_DAY), sorted(self.weekday_filter))
         return inside
 
-    def contains(self, t: int) -> bool:
-        if not (self.start <= t < self.end):
-            return False
-        if self.weekday_filter is None:
-            return True
-        return _weekday_of(t // SECONDS_PER_DAY) in self.weekday_filter
-
     def days(self) -> list[date]:
         """Calendar days (UTC) covered by the grid, in order."""
         first = self.start // SECONDS_PER_DAY
@@ -168,12 +161,6 @@ class PairSeries:
     @property
     def n_missing(self) -> int:
         return int(self.missing.sum())
-
-    def bid_float(self) -> np.ndarray:
-        return self.bid_m.astype(np.float64) * 10.0 ** (-self.scale)
-
-    def ask_float(self) -> np.ndarray:
-        return self.ask_m.astype(np.float64) * 10.0 ** (-self.scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairSeries):

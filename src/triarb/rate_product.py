@@ -33,13 +33,16 @@ def compute_rate_products(series: Sequence[PairSeries], spec: TriangleSpec) -> n
     gammas = np.ones((2, n), dtype=np.float64)
     for gamma, direction in zip(gammas, Direction):
         for pair, side in spec.legs(direction):
-            s = by_pair[pair]
-            if side is Side.BID:
-                gamma *= np.where(s.missing, 1.0, s.bid_float())
-            else:
-                gamma *= 1.0 / np.where(s.missing, 1.0, s.ask_float())
+            gamma *= leg_rate(by_pair[pair], side)
     gammas[:, any_missing] = 0.0
     return gammas
+
+
+def leg_rate(series: PairSeries, side: Side) -> np.ndarray:
+    """One leg's conversion rate per grid second: the bid, or 1/ask; 1.0 where missing."""
+    mantissa = series.bid_m if side is Side.BID else series.ask_m
+    price = np.where(series.missing, 1.0, mantissa * 10.0 ** (-series.scale))
+    return price if side is Side.BID else 1.0 / price
 
 
 def _by_pair(series: Sequence[PairSeries], spec: TriangleSpec) -> dict[Pair, PairSeries]:

@@ -4,7 +4,7 @@ A trade is attempted once per opportunity whose initial rate product exceeds
 the trade threshold; it is taken at that initial value. Both fill models are
 one model: some trades fill surely and the rest fill independently with the
 configured probability. Under FIXED_FILL no trade fills surely; under
-DURATION_FILL the trades on runs of at least `certain_fill_min_run_length`
+DURATION_FILL the trades on runs of at least `CERTAIN_FILL_MIN_RUN_LENGTH`
 grid seconds do. A filled trade earns volume * (initial_gamma - 1); an
 unfilled one loses a fixed number of basis points of volume.
 
@@ -34,6 +34,9 @@ BP = 1e-4
 LEGS_PER_TRANSACTION = 3
 # Fill probability grid of the profit curves, the surface and the break-even sweep.
 P_GRID = np.linspace(0.0, 1.0, 101)
+# Runs at least this long (grid seconds) fill with certainty under DURATION_FILL:
+# a one-second label means the opportunity lasted under a second.
+CERTAIN_FILL_MIN_RUN_LENGTH = 2
 
 
 class Scenario(Enum):
@@ -51,17 +54,13 @@ class SimulationConfig:
     runs: int = 100
     seed: int = 0
     fee_per_trade: float = 0.0
-    # Runs at least this long (grid seconds) fill with certainty under
-    # DURATION_FILL; a one-second label means the opportunity lasted under
-    # a second, hence the default of 2.
-    certain_fill_min_run_length: int = 2
 
     def __post_init__(self):
         # each check states what must hold, so that NaN fails it too
         if not 0.0 <= self.fill_prob <= 1.0:
             raise ValueError(f"fill_prob must be in [0, 1], got {self.fill_prob}")
-        if not 0.0 <= self.loss_bp < math.inf:
-            raise ValueError(f"loss_bp must be finite and >= 0, got {self.loss_bp}")
+        if not 0.0 < self.loss_bp < math.inf:
+            raise ValueError(f"loss_bp must be finite and positive, got {self.loss_bp}")
         if not 0.0 < self.volume < math.inf:
             raise ValueError(f"volume must be finite and positive, got {self.volume}")
         if not self.runs >= 1:
@@ -70,8 +69,6 @@ class SimulationConfig:
             raise ValueError(f"gamma_t must be finite and >= 1, got {self.gamma_t}")
         if not 0.0 <= self.fee_per_trade < math.inf:
             raise ValueError(f"fee_per_trade must be finite and >= 0, got {self.fee_per_trade}")
-        if not self.certain_fill_min_run_length >= 1:
-            raise ValueError("certain_fill_min_run_length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,7 @@ class SimulationSummary:
     trades_attempted: int
     trades_filled_mean: float
     run_totals: np.ndarray
-    # trades on long runs (see certain_fill_min_run_length) and the others,
+    # trades on long runs (see CERTAIN_FILL_MIN_RUN_LENGTH) and the others,
     # and the mean excess (initial gamma - 1) in bp of all trades
     n_long: int
     n_short: int
@@ -152,7 +149,7 @@ def simulate_trades(
     """
     lam_bp = check_lambda_grid(lambda_grid_bp)
     n = len(trades)
-    excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
+    excess, long_mask = _trade_arrays(trades)
     certain = _scenario_split(long_mask, cfg.scenario)
     random_idx = np.flatnonzero(~certain)
     const_excess = float(excess[certain].sum())
@@ -232,9 +229,11 @@ def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else 0.0
 
 
-def _trade_arrays(trades: Sequence[ArbitrageOpportunity], min_long: int):
+def _trade_arrays(trades: Sequence[ArbitrageOpportunity]):
     excess = np.array([t.initial_gamma - 1.0 for t in trades], dtype=np.float64)
-    long_mask = np.array([t.run_length >= min_long for t in trades], dtype=bool)
+    long_mask = np.array(
+        [t.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for t in trades], dtype=bool
+    )
     return excess, long_mask
 
 

@@ -10,13 +10,14 @@ An injected episode perturbs only the derived pair: its quote is shifted
 against parity just enough that the requested direction's rate product sits
 at the requested magnitude for the requested run of seconds. The other two
 pairs are untouched, which keeps the realized magnitude an explicit
-function of one rounded price. Episodes where the point grid is too coarse
-to land within 0.05 bp of the target are rejected as configuration errors.
+function of one rounded price. The realized magnitude is checked with the
+detector's own rate products (`compute_rate_products`), and episodes where
+the point grid is too coarse to land within 0.05 bp of the target are
+rejected as configuration errors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Sequence
@@ -32,6 +33,7 @@ from .market_data import (
     Side,
     TriangleSpec,
 )
+from .rate_product import compute_rate_products, leg_rate
 from .seasonal import HOURS, SessionTable, overlap_by_hour
 
 PEAK_TOLERANCE_BP = 0.05
@@ -126,9 +128,10 @@ def _validate_injections(injections: Sequence[InjectionSpec], window: SeriesWind
     ordered = sorted(injections, key=lambda i: i.start)
     prev_end = None
     for inj in ordered:
-        for s in range(inj.start, inj.end):
-            if not window.contains(s):
-                raise SynthConfigError(f"injection second {s} is outside the window grid")
+        seconds = np.arange(inj.start, inj.end, dtype=np.int64)
+        outside = seconds[~window.mask(seconds)]
+        if outside.size:
+            raise SynthConfigError(f"injection second {outside[0]} is outside the window grid")
         if prev_end is not None and inj.start <= prev_end:
             # one clean second between episodes keeps runs from merging
             raise SynthConfigError(
@@ -137,33 +140,8 @@ def _validate_injections(injections: Sequence[InjectionSpec], window: SeriesWind
         prev_end = inj.end
 
 
-class _PairDraft:
-    """Mutable per-pair state while the generator assembles the grid."""
-
-    def __init__(self, pair: Pair, n: int):
-        self.pair = pair
-        self.point = float(pair.point_size)
-        self.scale = -pair.point_size.normalize().as_tuple().exponent
-        self.bid_ticks = np.zeros(n, dtype=np.int64)
-        self.ask_ticks = np.zeros(n, dtype=np.int64)
-        self.missing = np.zeros(n, dtype=bool)
-
-    def bid_price(self, i: int) -> float:
-        return self.bid_ticks[i] * self.point
-
-    def ask_price(self, i: int) -> float:
-        return self.ask_ticks[i] * self.point
-
-    def to_series(self, window: SeriesWindow) -> PairSeries:
-        bid_m = np.where(self.missing, 0, self.bid_ticks)
-        ask_m = np.where(self.missing, 0, self.ask_ticks)
-        return PairSeries(self.pair, window, bid_m, ask_m, self.missing.copy(), self.scale)
-
-
-def generate(
-    cfg: SynthConfig,
-) -> tuple[PairSeries, PairSeries, PairSeries, list[InjectionSpec]]:
-    """Generate the three pair series plus the injected ground truth."""
+def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
+    """The three pair series, in `cfg.triangle.pairs` order, with `cfg.injections` applied."""
     times = cfg.window.grid_times()
     if times.size == 0:
         raise SynthConfigError("window grid is empty")
@@ -182,26 +160,31 @@ def generate(
         mids[pair.name] = cfg.mid_prices[pair.name] * np.exp(np.cumsum(steps))
     mids[p3.name] = _parity_mid(cfg.triangle, mids[p1.name], mids[p2.name])
 
-    drafts = {}
+    series = {}
     for pair, gap_seed in zip((p1, p2, p3), gap_seeds):
-        draft = _PairDraft(pair, times.size)
+        point = float(pair.point_size)
         profile = np.asarray(cfg.spread_points[pair.name], dtype=np.float64)
-        half = profile[hours] * draft.point / 2.0
+        half = profile[hours] * point / 2.0
         mid = mids[pair.name]
         if np.any(mid - half <= 0):
             raise SynthConfigError(f"spread exceeds the mid price for {pair.name}")
-        draft.bid_ticks = np.floor((mid - half) / draft.point).astype(np.int64)
-        draft.ask_ticks = np.ceil((mid + half) / draft.point).astype(np.int64)
         gap_rng = np.random.default_rng(gap_seed)
         rates = np.asarray(cfg.gap_rate, dtype=np.float64)[hours]
-        draft.missing = gap_rng.random(times.size) < rates
-        drafts[pair.name] = draft
+        series[pair] = PairSeries(
+            pair,
+            cfg.window,
+            np.floor((mid - half) / point).astype(np.int64),
+            np.ceil((mid + half) / point).astype(np.int64),
+            gap_rng.random(times.size) < rates,
+            -pair.point_size.normalize().as_tuple().exponent,
+        )
 
-    for inj in cfg.injections:
-        _apply_injection(inj, cfg.triangle, drafts, times, hours, cfg.spread_points)
-
-    out = tuple(drafts[p.name].to_series(cfg.window) for p in cfg.triangle.pairs)
-    return out[0], out[1], out[2], list(cfg.injections)
+    if cfg.injections:
+        _inject(cfg, series, times, hours)
+    for s in series.values():
+        s.bid_m[s.missing] = 0
+        s.ask_m[s.missing] = 0
+    return tuple(series[p] for p in cfg.triangle.pairs)
 
 
 def _parity_mid(spec: TriangleSpec, mid1: np.ndarray, mid2: np.ndarray) -> np.ndarray:
@@ -215,65 +198,60 @@ def _parity_mid(spec: TriangleSpec, mid1: np.ndarray, mid2: np.ndarray) -> np.nd
     return rates[(p3.base, middle)] * rates[(middle, p3.quote)]
 
 
-def _apply_injection(
-    inj: InjectionSpec,
-    spec: TriangleSpec,
-    drafts: dict[str, "_PairDraft"],
-    times: np.ndarray,
-    hours: np.ndarray,
-    spread_points: dict[str, tuple[float, ...]],
+def _inject(
+    cfg: SynthConfig, series: dict[Pair, PairSeries], times: np.ndarray, hours: np.ndarray
 ) -> None:
+    """Requote the direct pair at every injected second so that the episode's
+    direction reaches its target rate product, then check the realized one.
+
+    Every injected second is quoted on all three pairs. `SynthConfig` has put
+    each second on the grid, so `searchsorted` finds it exactly.
+    """
+    spec, injections = cfg.triangle, cfg.injections
     direct = triangle_roles(spec)[2]
-    draft3 = drafts[direct.name]
-    legs = spec.legs(inj.direction)
-    side3 = next(side for pair, side in legs if pair == direct)
-    others = [(pair, side) for pair, side in legs if pair != direct]
-    target = 1.0 + inj.magnitude_bp * 1e-4
+    owner = np.repeat(np.arange(len(injections)), [i.duration_seconds for i in injections])
+    idx = np.searchsorted(times, np.concatenate([np.arange(i.start, i.end) for i in injections]))
+    rows = np.array([list(Direction).index(i.direction) for i in injections])[owner]
+    magnitude = np.array([i.magnitude_bp for i in injections])[owner]
+    target = 1.0 + magnitude * 1e-4
+    for s in series.values():
+        s.missing[idx] = False
 
-    i0 = int(np.searchsorted(times, inj.start))
-    if i0 >= times.size or times[i0] != inj.start:
-        raise SynthConfigError(f"injection start {inj.start} is not on the grid")
-    for k in range(inj.duration_seconds):
-        i = i0 + k
-        # episodes must be quoted on every leg
-        for d in drafts.values():
-            d.missing[i] = False
-        other_product = 1.0
-        for pair, side in others:
-            d = drafts[pair.name]
-            other_product *= float(d.bid_price(i)) if side is Side.BID else 1.0 / float(d.ask_price(i))
-        spread_ticks = max(1, math.ceil(spread_points[direct.name][int(hours[i])]))
-        if side3 is Side.INV_ASK:
-            ticks = int(round(other_product / target / draft3.point))
-            draft3.ask_ticks[i] = ticks
-            draft3.bid_ticks[i] = ticks - spread_ticks
+    point = float(direct.point_size)
+    profile = np.asarray(cfg.spread_points[direct.name], dtype=np.float64)
+    spread = np.maximum(np.ceil(profile[hours[idx]]), 1.0).astype(np.int64)
+    bid = np.empty(idx.size, dtype=np.int64)
+    for row, direction in enumerate(Direction):
+        sel = rows == row
+        other = np.ones(int(sel.sum()))
+        for pair, side in spec.legs(direction):
+            if pair == direct:
+                inv_ask = side is Side.INV_ASK
+            else:
+                other *= leg_rate(series[pair], side)[idx[sel]]
+        if inv_ask:
+            bid[sel] = np.rint(other / target[sel] / point).astype(np.int64) - spread[sel]
         else:
-            ticks = int(round(target / other_product / draft3.point))
-            draft3.bid_ticks[i] = ticks
-            draft3.ask_ticks[i] = ticks + spread_ticks
-        if draft3.bid_ticks[i] <= 0:
-            raise SynthConfigError(f"injection at t={inj.start} drives the price non-positive")
-        realized_bp = (_gamma_at(spec, inj.direction, drafts, i) - 1.0) * 1e4
-        if realized_bp <= 0:
-            raise SynthConfigError(
-                f"infeasible injection {inj}: rounding to {direct.name}'s point grid erases it"
-            )
-        if abs(realized_bp - inj.magnitude_bp) > PEAK_TOLERANCE_BP:
-            raise SynthConfigError(
-                f"infeasible injection {inj}: point grid of {direct.name} only reaches "
-                f"{realized_bp:.4f} bp (target {inj.magnitude_bp} +/- {PEAK_TOLERANCE_BP})"
-            )
+            bid[sel] = np.rint(target[sel] / other / point).astype(np.int64)
+    series[direct].bid_m[idx] = bid
+    series[direct].ask_m[idx] = bid + spread
 
-
-def _gamma_at(
-    spec: TriangleSpec, direction: Direction, drafts: dict[str, "_PairDraft"], i: int
-) -> float:
-    """Rate product at one grid index, multiplying legs exactly like the detector."""
-    gamma = 1.0
-    for pair, side in spec.legs(direction):
-        d = drafts[pair.name]
-        gamma *= float(d.bid_price(i)) if side is Side.BID else 1.0 / float(d.ask_price(i))
-    return gamma
+    realized = (compute_rate_products(list(series.values()), spec)[rows, idx] - 1.0) * 1e4
+    bad = (bid <= 0) | (realized <= 0) | (np.abs(realized - magnitude) > PEAK_TOLERANCE_BP)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    inj = injections[owner[k]]
+    if bid[k] <= 0:
+        raise SynthConfigError(f"injection at t={inj.start} drives the price non-positive")
+    if realized[k] <= 0:
+        raise SynthConfigError(
+            f"infeasible injection {inj}: rounding to {direct.name}'s point grid erases it"
+        )
+    raise SynthConfigError(
+        f"infeasible injection {inj}: point grid of {direct.name} only reaches "
+        f"{realized[k]:.4f} bp (target {inj.magnitude_bp} +/- {PEAK_TOLERANCE_BP})"
+    )
 
 
 def seasonal_injection_schedule(
@@ -319,7 +297,7 @@ def seasonal_injection_schedule(
     for inj in sorted(candidates, key=lambda i: i.start):
         if kept and inj.start <= kept[-1].end:
             continue
-        if not all(window.contains(s) for s in range(inj.start, inj.end)):
+        if not window.mask(np.arange(inj.start, inj.end, dtype=np.int64)).all():
             continue
         kept.append(inj)
     return tuple(kept)

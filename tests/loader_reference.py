@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from datetime import date, timedelta
 from decimal import Decimal, InvalidOperation
 
 import numpy as np
@@ -71,7 +72,7 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
             last_raw_t = t
             if bid > ask:
                 n_crossed += 1
-            if window.contains(t):
+            if _in_window(window, t):
                 per_second[t] = (bid, ask, line_no)
     if n_crossed:
         warnings.warn(
@@ -101,6 +102,14 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     missing = np.ones(times.size, dtype=bool)
     missing[index] = False
     return PairSeries(pair, window, bid_m, ask_m, missing, scale)
+
+
+def _in_window(window: SeriesWindow, t: int) -> bool:
+    """Grid membership of one second, apart from `SeriesWindow.mask`."""
+    if not window.start <= t < window.end:
+        return False
+    day = date(1970, 1, 1) + timedelta(days=t // 86400)
+    return window.weekday_filter is None or day.weekday() in window.weekday_filter
 
 
 def _looks_like_int(text: str) -> bool:

@@ -1,7 +1,8 @@
 """Reference simulator: one seeded loop per quantity, as the simulator was first written.
 
 Each function re-spawns the per-run streams from the config seed and reduces
-one quantity from them. `simulate_trades` in the package must reproduce every
+one quantity from them. `min_long` is the run length from which trades fill
+surely under DURATION_FILL. `simulate_trades` in the package must reproduce every
 number here exactly, since it draws the same uniforms and keeps each
 reduction's float arithmetic.
 """
@@ -61,10 +62,10 @@ def _zero_crossing(p_grid, totals):
     return float(p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0))
 
 
-def summary(trades, cfg):
+def summary(trades, cfg, min_long):
     """(mean total, std, per-trade bp, trades, mean filled, run totals)."""
     n = len(trades)
-    excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
+    excess, long_mask = _trade_arrays(trades, min_long)
     loss = cfg.volume * cfg.loss_bp * BP
     fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
     totals = np.empty(cfg.runs, dtype=np.float64)
@@ -80,12 +81,12 @@ def summary(trades, cfg):
     return mean_total, std, per_trade_bp, n, float(filled_counts.mean()), totals
 
 
-def surface(trades, p_grid, lambda_grid_bp, cfg):
+def surface(trades, p_grid, lambda_grid_bp, cfg, min_long):
     """(mean profit bp matrix, contour rows)."""
     p = np.asarray(p_grid, dtype=np.float64)
     lam_bp = np.asarray(lambda_grid_bp, dtype=np.float64)
     n = len(trades)
-    excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
+    excess, long_mask = _trade_arrays(trades, min_long)
     const_excess, random_idx = _scenario_split(excess, long_mask, cfg.scenario)
     fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
     filled_sum = np.zeros(p.size, dtype=np.float64)
@@ -109,10 +110,10 @@ def surface(trades, p_grid, lambda_grid_bp, cfg):
     return mean_bp, contour
 
 
-def profit_curves(trades, p_grid, cfg):
+def profit_curves(trades, p_grid, cfg, min_long):
     """(mean, std) of the total profit across runs at each fill probability."""
     p = np.asarray(p_grid, dtype=np.float64)
-    excess, long_mask = _trade_arrays(trades, cfg.certain_fill_min_run_length)
+    excess, long_mask = _trade_arrays(trades, min_long)
     const_excess, random_idx = _scenario_split(excess, long_mask, cfg.scenario)
     fees = len(trades) * LEGS_PER_TRANSACTION * cfg.fee_per_trade
     lam = cfg.volume * cfg.loss_bp * BP
@@ -125,9 +126,9 @@ def profit_curves(trades, p_grid, cfg):
     return totals.mean(axis=0), std
 
 
-def break_even(trades, scenario, lambda_bp, runs, seed, volume, certain_fill_min_run_length):
+def break_even(trades, scenario, lambda_bp, runs, seed, volume, min_long):
     """(analytic p, simulated p, its std, analytic clamped); trades must be non-empty."""
-    excess, long_mask = _trade_arrays(trades, certain_fill_min_run_length)
+    excess, long_mask = _trade_arrays(trades, min_long)
     excess_bp = excess / BP
     if scenario is Scenario.FIXED_FILL:
         analytic_p, clamped = analytic_break_even(

@@ -168,12 +168,12 @@ def test_injection_recovery_hundred_episodes():
         gap_rate=tuple([0.001] * 24),
         injections=tuple(injections),
     )
-    a, b, c, truth = generate(cfg)
+    a, b, c = generate(cfg)
     detected = {
         (o.start, o.run_length, o.direction): o
         for o in segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
     }
-    expected = {(i.start, i.duration_seconds, i.direction): i for i in truth}
+    expected = {(i.start, i.duration_seconds, i.direction): i for i in cfg.injections}
     assert set(detected) == set(expected)  # recall and precision both exact
     for key, inj in expected.items():
         assert detected[key].magnitude_bp == pytest.approx(inj.magnitude_bp, abs=0.05)
@@ -206,7 +206,7 @@ def test_seasonality_mechanism_reproduction():
             gap_rate=profiles.gap_rate,
             injections=injections,
         )
-        a, b, c, _ = generate(cfg)
+        a, b, c = generate(cfg)
         ops = segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
         profile = hourly_profile(ops)
         liquid_count = sum(profile.counts[h] for h in liquid_hours)

@@ -417,6 +417,8 @@ class TestSimulateCommand:
             ([*base, "--volume", "0"], "volume"),
             ([*base, "--fee-per-trade", "-1"], "fee_per_trade"),
             ([*base, "--lambda-bp", "-1"], "loss_bp"),
+            ([*base, "--runs", "5", "--lambda-bp", "0"], "loss_bp"),
+            ([*base, "--runs", "5", "--lambda-bp", "0", "--gamma-t", "1.5"], "loss_bp"),
             ([*base, "--lambda-bp", "nan"], "loss_bp"),
             ([*base, "--lambda-bp", "inf"], "loss_bp"),
             ([*base, "--volume", "nan"], "volume"),

@@ -1,11 +1,14 @@
-"""Golden outputs: every file that detect, seasonal, compare and simulate write.
+"""Golden outputs: every file that synth, detect, seasonal, compare and simulate write.
 
 The tick files are built here from literal decimal quotes (no random walk),
-so the expected text does not depend on the platform's libm. The commands
-run from the temp dir with relative paths, which keeps the manifests'
-`out_dir` and `data_dir` fields fixed too.
+so the expected text does not depend on the platform's libm. The synth run
+sets both volatilities to zero, so every mid is exp(0) = 1 times a constant
+and only basic float arithmetic and numpy's PCG64 gap draws shape the ticks.
+The commands run from the temp dir with relative paths, which keeps the
+manifests' `out_dir` and `data_dir` fields fixed too.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -60,7 +63,30 @@ PERIOD_B = {
     },
 }
 
+# 06:55 to 07:05 UTC on a Monday: the liquidity preset narrows the spread at
+# 07:00, and the DIR1 episode straddles that hour. The injections are listed
+# out of start order, which injections.json keeps.
+SYNTH = {
+    "seed": 8,
+    "currencies": "EUR,USD,CHF",
+    "window": {"start": MONDAY + 6 * 3600 + 55 * 60, "end": MONDAY + 7 * 3600 + 5 * 60},
+    "pairs": {
+        "EUR/USD": {"mid": 1.2065, "vol": 0, "point": "0.00001"},
+        "USD/CHF": {"mid": 1.303, "vol": 0, "point": "0.00001"},
+        "EUR/CHF": {"point": "0.00001"},
+    },
+    "liquidity_preset": True,
+    "base_gap_rate": 0.05,
+    "injections": [
+        {"start": MONDAY + 7 * 3600 + 180, "duration_seconds": 2, "magnitude_bp": 2.5,
+         "direction": 2},
+        {"start": MONDAY + 7 * 3600 - 2, "duration_seconds": 4, "magnitude_bp": 1.5,
+         "direction": 1},
+    ],
+}
+
 RUNS = {
+    "synth": ["synth", "--synth-config", "synth.json"],
     "detect": ["detect", "--data-dir", "ticks_a", "--window", WINDOW,
                "--thresholds", "0,0.5,1,2,5", "--hist-bin-width", "1e-4"],
     "seasonal": ["seasonal", "--data-dir", "ticks_a", "--window", WINDOW],
@@ -94,6 +120,7 @@ def ticks(tmp_path, monkeypatch):
     monkeypatch.delenv("TRIARB_CONFIG", raising=False)
     write_ticks(tmp_path / "ticks_a", PERIOD_A)
     write_ticks(tmp_path / "ticks_b", PERIOD_B)
+    (tmp_path / "synth.json").write_text(json.dumps(SYNTH))
     return tmp_path
 
 

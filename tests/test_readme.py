@@ -33,7 +33,7 @@ def test_library_use_block_runs(tmp_path, monkeypatch, fine_chf_triangle):
         gap_rate=tuple([0.001] * 24),
         injections=injections,
     )
-    for series in generate(cfg)[:3]:
+    for series in generate(cfg):
         write_pair_series_csv(tmp_path / f"{series.pair.file_stem}.csv", series)
     monkeypatch.chdir(tmp_path)  # the block reads <BASEQUOTE>.csv from the cwd
 

@@ -8,6 +8,7 @@ import pytest
 from triarb.opportunity import segment_opportunities
 from triarb.simulator import (
     BP,
+    CERTAIN_FILL_MIN_RUN_LENGTH,
     P_GRID,
     Scenario,
     SimulationConfig,
@@ -152,15 +153,15 @@ class TestRunSimulation:
             assert np.all(np.diff(curves[loss_bp]) >= -1e-9)
         assert np.all(curves[3.0] <= curves[1.0] + 1e-9)
 
-    def test_certain_fill_cutoff_is_configurable(self):
-        # with the cutoff raised to 3, a 2-second run is no longer certain
-        series = series_with_runs([(2, 1.0002, 1.0002)])
-        base = dict(scenario=Scenario.DURATION_FILL, fill_prob=0.0, loss_bp=1.0,
-                    volume=1e6, runs=5, seed=2)
-        default_cfg = SimulationConfig(**base)
-        raised_cfg = SimulationConfig(certain_fill_min_run_length=3, **base)
-        assert run_simulation(series, default_cfg).summary.total_profit > 0
-        assert run_simulation(series, raised_cfg).summary.total_profit == pytest.approx(-1e6 * BP)
+    def test_certain_fill_cutoff_is_two_seconds(self):
+        # a 1-second run fills with the fill probability, a 2-second run surely
+        series = series_with_runs([(1, 1.0002, 1.0002), (2, 1.0003, 1.0003)])
+        base = dict(scenario=Scenario.DURATION_FILL, loss_bp=1.0, volume=1e6, runs=5, seed=2)
+        never = run_simulation(series, SimulationConfig(fill_prob=0.0, **base)).summary
+        assert (never.n_long, never.n_short, never.trades_filled_mean) == (1, 1, 1.0)
+        assert never.total_profit == pytest.approx(1e6 * 3e-4 - 1e6 * BP)
+        always = run_simulation(series, SimulationConfig(fill_prob=1.0, **base)).summary
+        assert always.trades_filled_mean == 2.0
 
     def test_fee_deducted_per_transaction(self):
         series = series_with_runs([(1, 1.0001, 1.0001)] * 2)
@@ -297,8 +298,6 @@ ORACLE_CASES = {
     "one_run": dict(scenario=Scenario.DURATION_FILL, fill_prob=0.8, loss_bp=1.0, runs=1),
     "no_trades": dict(scenario=Scenario.DURATION_FILL, gamma_t=1.01, fill_prob=0.5, runs=10),
     "no_trades_one_run": dict(scenario=Scenario.FIXED_FILL, gamma_t=1.01, runs=1),
-    "long_cutoff": dict(scenario=Scenario.DURATION_FILL, fill_prob=0.4, runs=30,
-                        certain_fill_min_run_length=4),
 }
 
 
@@ -312,7 +311,9 @@ class TestReferenceOracle:
         assert (len(trades) == 0) == case.startswith("no_trades")
         result = simulate_trades(trades, cfg, ORACLE_LAMBDAS)
 
-        mean, std, per_trade_bp, n, filled_mean, run_totals = reference.summary(trades, cfg)
+        mean, std, per_trade_bp, n, filled_mean, run_totals = reference.summary(
+            trades, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
+        )
         s = result.summary
         assert (s.total_profit, s.total_profit_std, s.mean_profit_per_trade_bp) == (
             mean, std, per_trade_bp
@@ -320,11 +321,15 @@ class TestReferenceOracle:
         assert (s.trades_attempted, s.trades_filled_mean) == (n, filled_mean)
         assert np.array_equal(s.run_totals, run_totals)
 
-        curve_mean, curve_std = reference.profit_curves(trades, P_GRID, cfg)
+        curve_mean, curve_std = reference.profit_curves(
+            trades, P_GRID, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
+        )
         assert np.array_equal(result.curve_mean, curve_mean)
         assert np.array_equal(result.curve_std, curve_std)
 
-        mean_bp, contour = reference.surface(trades, P_GRID, ORACLE_LAMBDAS, cfg)
+        mean_bp, contour = reference.surface(
+            trades, P_GRID, ORACLE_LAMBDAS, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
+        )
         assert np.array_equal(result.surface.p_grid, P_GRID)
         assert np.array_equal(result.surface.mean_profit_bp, mean_bp)
         assert np.array_equal(
@@ -338,7 +343,7 @@ class TestReferenceOracle:
             return
         expected = [
             reference.break_even(trades, cfg.scenario, lam, cfg.runs, cfg.seed, cfg.volume,
-                                 cfg.certain_fill_min_run_length)
+                                 CERTAIN_FILL_MIN_RUN_LENGTH)
             for lam in ORACLE_LAMBDAS
         ]
         got = [(be.analytic_p, be.simulated_p, be.simulated_p_std, be.analytic_clamped)

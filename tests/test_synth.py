@@ -39,7 +39,7 @@ def base_config(fine_chf_triangle, injections=(), seed=42, hours=1, gap_rate=0.0
 
 
 def detect(cfg, spec):
-    a, b, c, _ = generate(cfg)
+    a, b, c = generate(cfg)
     gammas = compute_rate_products((a, b, c), spec)
     ops = segment_opportunities(cfg.window.grid_times(), gammas)
     ops1, ops2 = ([o for o in ops if o.direction is d] for d in Direction)
@@ -71,13 +71,13 @@ class TestGenerate:
 
     def test_same_seed_is_bit_identical(self, fine_chf_triangle):
         cfg = base_config(fine_chf_triangle, seed=11)
-        a1, b1, c1, _ = generate(cfg)
-        a2, b2, c2, _ = generate(cfg)
+        a1, b1, c1 = generate(cfg)
+        a2, b2, c2 = generate(cfg)
         assert a1 == a2 and b1 == b2 and c1 == c2
 
     def test_different_seeds_differ(self, fine_chf_triangle):
-        a1, _, _, _ = generate(base_config(fine_chf_triangle, seed=11))
-        a2, _, _, _ = generate(base_config(fine_chf_triangle, seed=12))
+        a1, _, _ = generate(base_config(fine_chf_triangle, seed=11))
+        a2, _, _ = generate(base_config(fine_chf_triangle, seed=12))
         assert a1 != a2
 
     def test_parity_discipline_everywhere(self, fine_chf_triangle):
@@ -89,7 +89,7 @@ class TestGenerate:
 
     def test_gap_rate_produces_missing_seconds(self, fine_chf_triangle):
         cfg = base_config(fine_chf_triangle, seed=5, gap_rate=0.01)
-        a, b, c, _ = generate(cfg)
+        a, b, c = generate(cfg)
         total_missing = a.n_missing + b.n_missing + c.n_missing
         expected = 3 * 3600 * 0.01
         assert 0.5 * expected < total_missing < 2 * expected
@@ -102,18 +102,25 @@ class TestGenerate:
         assert [(o.start, o.run_length) for o in ops1] == [(inj.start, 5)]
 
     def test_coarse_point_grid_is_infeasible(self, chf_triangle):
-        # conventional 4-digit points cannot land within 0.05 bp
-        cfg = dict(
-            seed=7,
-            window=SeriesWindow(MONDAY, MONDAY + 3600, WEEKDAYS),
-            triangle=chf_triangle,
-            mid_prices={"EUR/USD": 1.2065, "USD/CHF": 1.3030},
-            volatilities={"EUR/USD": 2e-6, "USD/CHF": 2e-6},
-            spread_points={p.name: tuple([2.0] * 24) for p in chf_triangle.pairs},
-            injections=(InjectionSpec(MONDAY + 10, 1, 0.7, Direction.DIR1),),
-        )
-        with pytest.raises(SynthConfigError):
-            generate(SynthConfig(**cfg))
+        # conventional 4-digit points cannot land within 0.05 bp; both episodes
+        # miss, and the error names the first one in list order, not in time
+        for magnitude, reason in [
+            (0.7, "point grid of EUR/CHF only reaches 0.5059 bp (target 0.7 +/- 0.05)"),
+            (0.1, "rounding to EUR/CHF's point grid erases it"),
+        ]:
+            first = InjectionSpec(MONDAY + 30, 2, magnitude, Direction.DIR2)
+            cfg = SynthConfig(
+                seed=7,
+                window=SeriesWindow(MONDAY, MONDAY + 3600, WEEKDAYS),
+                triangle=chf_triangle,
+                mid_prices={"EUR/USD": 1.2065, "USD/CHF": 1.3030},
+                volatilities={"EUR/USD": 0.0, "USD/CHF": 0.0},
+                spread_points={p.name: tuple([2.0] * 24) for p in chf_triangle.pairs},
+                injections=(first, InjectionSpec(MONDAY + 10, 1, 0.7, Direction.DIR1)),
+            )
+            with pytest.raises(SynthConfigError) as err:
+                generate(cfg)
+            assert str(err.value) == f"infeasible injection {first}: {reason}"
 
     def test_overlapping_injections_rejected(self, fine_chf_triangle):
         injections = [
