@@ -230,11 +230,16 @@ def write_json(path: Path, payload: Any) -> None:
     NaN and infinity are refused before the file is opened, so a refused
     payload leaves no truncated file.
     """
+    path.write_text(json_text(path.name, payload))
+
+
+def json_text(name: str, payload: Any) -> str:
+    """The text write_json writes to the file `name`; NaN or infinity raise ValueError."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise ValueError(f"cannot write {path.name}: a result is not finite ({exc})") from exc
-    path.write_text(text + "\n")
+        raise ValueError(f"cannot write {name}: a result is not finite ({exc})") from exc
+    return text + "\n"
 
 
 def write_histogram(path: Path, dist: DistributionStats) -> None:
@@ -361,16 +366,14 @@ def cmd_simulate(args) -> int:
         for gamma_t in gamma_ts
     ]
     ops, _ = _detect(args.data_dir, triangle, window)
+    results = simulate_trades([(filter_trades(ops, cfg.gamma_t), cfg) for cfg in configs],
+                              lambda_grid)
 
-    surface = None  # the surface covers the first config only
+    surface = results[0].surface  # the surface covers the first config only
     curve_rows = []
     breakeven_rows = []
     summary: dict = {"per_config": []}
-    for cfg in configs:
-        trades = filter_trades(ops, cfg.gamma_t)
-        result = simulate_trades(trades, cfg, lambda_grid)
-        if surface is None:
-            surface = result.surface
+    for cfg, result in zip(configs, results):
         curve_rows.extend(
             (cfg.scenario.value, cfg.gamma_t, p, m, s)
             for p, m, s in zip(
@@ -394,8 +397,10 @@ def cmd_simulate(args) -> int:
          "p": args.p, "lambda_bp": args.lambda_bp}
     )
 
+    # serialised before the out-dir exists: an overflowed result leaves no output
+    summary_text = json_text("summary.json", summary)
     out = _out_dir(args)
-    write_json(out / "summary.json", summary)  # first: it refuses an overflowed result
+    (out / "summary.json").write_text(summary_text)
     p_grid, lambdas = surface.p_grid.tolist(), surface.lambda_grid_bp.tolist()
     write_csv(out / "profit_surface.csv", ["p", "lambda_bp", "mean_profit_bp"],
               ([p, lam, m] for p, row in zip(p_grid, surface.mean_profit_bp.tolist())

@@ -8,15 +8,19 @@ DURATION_FILL the trades on runs of at least `CERTAIN_FILL_MIN_RUN_LENGTH`
 grid seconds do. A filled trade earns volume * (initial_gamma - 1); an
 unfilled one loses a fixed number of basis points of volume.
 
-`simulate_trades` makes one pass over per-run random streams spawned from
-the config seed with numpy's SeedSequence, so runs are reproducible and
-independent of execution order. Each run draws one uniform per trade, and
-every quantity is reduced from that draw as the pass goes: the summary
-totals at the configured fill probability, the profit curve over the fill
-probability grid, the profit surface over (fill probability, loss) and the
-per-run break-even fill probability for each loss. Sharing the draw across
-the whole sweep (common random numbers) keeps profit monotone in the fill
-probability within a run and makes zero crossings well defined.
+`simulate_trades` evaluates (trades, config) jobs that share one seed and
+run count. Run r draws its uniforms once, from the r-th SeedSequence child
+of the seed, so runs are reproducible and independent of execution order.
+The draw is as long as the largest trade list and each job reads a prefix:
+`default_rng(c).random(n)` is a prefix of `.random(N)` for N >= n, so a job
+sees what it would draw alone. Runs come in blocks of `BLOCK`, reduced in
+run order with no matrix over all runs: the summary totals, the profit curve
+over the fill probability grid, the surface over (fill probability, loss)
+and each run's break-even fill probability per loss. The curve std needs the
+finished mean, so a second pass draws the same streams and adds up squared
+deviations. Sharing one draw across the sweep (common random numbers) keeps
+profit monotone in the fill probability within a run and makes zero
+crossings well defined.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ P_GRID = np.linspace(0.0, 1.0, 101)
 # Runs at least this long (grid seconds) fill with certainty under DURATION_FILL:
 # a one-second label means the opportunity lasted under a second.
 CERTAIN_FILL_MIN_RUN_LENGTH = 2
+# Runs drawn and reduced together by simulate_trades.
+BLOCK = 64
 
 
 class Scenario(Enum):
@@ -136,122 +142,156 @@ def check_lambda_grid(lambda_grid_bp: Sequence[float]) -> np.ndarray:
 
 
 def simulate_trades(
-    trades: Sequence[ArbitrageOpportunity],
-    cfg: SimulationConfig,
+    jobs: Sequence[tuple[Sequence[ArbitrageOpportunity], SimulationConfig]],
     lambda_grid_bp: Sequence[float],
-) -> SimulationResult:
-    """Monte Carlo fills over an already selected trade list, in one seeded pass.
+) -> list[SimulationResult]:
+    """Monte Carlo fills for each job of already selected trades and a config.
 
-    The summary and the profit curves charge cfg.loss_bp per unfilled trade
-    and deduct fees; the surface charges each loss of the grid and deducts
-    fees; the break-even estimates charge each loss of the grid and ignore
-    fees. A run whose profit curve never reaches zero breaks even at 1.
+    The jobs must share cfg.seed and cfg.runs. The summary and the profit
+    curves charge cfg.loss_bp per unfilled trade and deduct fees; the surface
+    charges each loss of the grid and deducts fees; the break-even estimates
+    charge each loss of the grid and ignore fees. A run whose profit curve
+    never reaches zero breaks even at 1.
     """
     lam_bp = check_lambda_grid(lambda_grid_bp)
-    n = len(trades)
-    excess, long_mask = _trade_arrays(trades)
-    certain = _scenario_split(long_mask, cfg.scenario)
-    random_idx = np.flatnonzero(~certain)
-    const_excess = float(excess[certain].sum())
-    random_excess = excess[random_idx]
-    excess_bp = excess / BP
-    # the closed forms' inputs: counts and mean excess (bp) of sure and random fills
-    split = (int(certain.sum()), random_idx.size,
-             _mean(excess_bp[certain]), _mean(excess_bp[random_idx]))
-    loss = cfg.volume * cfg.loss_bp * BP
-    lam_cost = cfg.volume * (lam_bp * BP)
-    fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
+    shared = {(cfg.seed, cfg.runs) for _, cfg in jobs}
+    if len(shared) != 1:
+        raise ValueError(f"jobs must share one (seed, runs), got {sorted(shared)}")
+    ((seed, runs),) = shared
+    sweeps = [_Sweep(trades, cfg, lam_bp) for trades, cfg in jobs]
+    n_max = max(s.n for s in sweeps)
+    # 0/0 at flat zero crossings, overflow at huge volumes: callers refuse non-finite results
+    with np.errstate(all="ignore"):
+        for start, u, cell in _uniform_blocks(seed, runs, n_max):
+            for s in sweeps:
+                s.add_block(start, u[:, :s.n], cell[:, :s.n])
+        if runs > 1:
+            for _, u, cell in _uniform_blocks(seed, runs, n_max):
+                for s in sweeps:
+                    s.add_squared_deviations(u[:, :s.n], cell[:, :s.n])
+        return [s.result() for s in sweeps]
 
-    totals = np.empty(cfg.runs, dtype=np.float64)
-    filled_counts = np.empty(cfg.runs, dtype=np.float64)
-    curves = np.empty((cfg.runs, P_GRID.size), dtype=np.float64)
-    filled_sum = np.zeros(P_GRID.size, dtype=np.float64)
-    unfilled = np.zeros(P_GRID.size, dtype=np.float64)
-    # one row per loss, so that each row reduces as a contiguous 1-D array
-    crossings = np.empty((lam_bp.size, cfg.runs), dtype=np.float64)
-    for r, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.runs)):
-        u = np.random.default_rng(child).random(n)
-        filled = certain | (u < cfg.fill_prob)
-        totals[r] = cfg.volume * excess[filled].sum() - loss * (n - filled.sum()) - fees
-        filled_counts[r] = filled.sum()
 
-        fs, nu = _sorted_fill_curves(u[random_idx], random_excess, P_GRID)
-        filled_sum += fs
-        unfilled += nu
-        gains = cfg.volume * (const_excess + fs)
-        curves[r] = gains - loss * nu - fees
-        run_crossings = _zero_crossings(P_GRID, gains[:, None] - lam_cost[None, :] * nu[:, None])
-        crossings[:, r] = np.where(np.isnan(run_crossings), 1.0, run_crossings)
+def _uniform_blocks(seed: int, runs: int, n: int):
+    """Per block of BLOCK runs: its first run, its uniforms and their P_GRID cells."""
+    parent = np.random.SeedSequence(seed)
+    for start in range(0, runs, BLOCK):
+        # successive spawn calls give the children of one spawn(runs), not all held at once
+        children = parent.spawn(min(BLOCK, runs - start))
+        u = np.array([np.random.default_rng(c).random(n) for c in children])
+        yield start, u, np.searchsorted(P_GRID, u, side="right")
 
-    # shift by a run total before the moment computation; keeps the std of
-    # bit-identical runs (p = 0 or 1) at exactly zero
-    std = float((totals - totals[0]).std(ddof=1)) if cfg.runs > 1 else 0.0
-    mean_total = float(totals.mean())
-    n_long = int(long_mask.sum())
-    # without trades the mean excess, hence the break-even, is undefined
-    p_be, clamped = analytic_break_even(*split, cfg.loss_bp) if n else (None, False)
-    summary = SimulationSummary(
-        total_profit=mean_total,
-        total_profit_std=std,
-        mean_profit_per_trade_bp=mean_total / (n * cfg.volume) / BP if n else 0.0,
-        trades_attempted=n,
-        trades_filled_mean=float(filled_counts.mean()),
-        run_totals=totals,
-        n_long=n_long,
-        n_short=n - n_long,
-        mean_excess_bp=_mean(excess_bp),
-        analytic_total_profit=analytic_total_profit(*split, cfg.volume, cfg.fill_prob, cfg.loss_bp),
-        analytic_break_even_p=p_be,
-        analytic_break_even_clamped=clamped,
-    )
 
-    # surface total(p, lam) = V*(const + mean filled excess[p]) - V*lam*mean unfilled[p] - fees
-    surface_totals = (
-        cfg.volume * (const_excess + filled_sum / cfg.runs)[:, None]
-        - lam_cost[None, :] * (unfilled / cfg.runs)[:, None]
-        - fees
-    )
-    contour = tuple(
-        (float(lam), float(p)) for lam, p in zip(lam_bp, _zero_crossings(P_GRID, surface_totals))
-    )
-    mean_bp = surface_totals / (n * cfg.volume) / BP if n else np.zeros_like(surface_totals)
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """acc plus each row in turn: the order of a sum over axis 0 of all runs."""
+    return np.concatenate((acc[None], rows)).sum(axis=0)
 
-    return SimulationResult(
-        summary=summary,
-        curve_mean=curves.mean(axis=0),
-        curve_std=curves.std(axis=0, ddof=1) if cfg.runs > 1 else np.zeros(P_GRID.size),
-        surface=ProfitSurface(P_GRID, lam_bp, mean_bp, contour),
-        break_even=_break_even(split, lam_bp, crossings) if n else (),
-    )
+
+class _Sweep:
+    """One job's trade arrays and its reductions over the blocks of runs."""
+
+    def __init__(self, trades, cfg: SimulationConfig, lam_bp: np.ndarray):
+        self.cfg, self.lam_bp, self.n = cfg, lam_bp, len(trades)
+        self.excess = np.array([t.initial_gamma - 1.0 for t in trades], dtype=np.float64)
+        self.long_mask = np.array(
+            [t.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for t in trades], dtype=bool)
+        # sure fills: none under FIXED_FILL, the long runs under DURATION_FILL
+        self.certain = self.long_mask & (cfg.scenario is Scenario.DURATION_FILL)
+        self.random_idx = np.flatnonzero(~self.certain)
+        self.const_excess = float(self.excess[self.certain].sum())
+        self.loss = cfg.volume * cfg.loss_bp * BP
+        self.lam_cost = cfg.volume * (lam_bp * BP)
+        self.fees = self.n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
+        self.totals, self.filled_counts = np.empty((2, cfg.runs))
+        # per P_GRID point, summed over runs
+        self.filled_sum, self.unfilled, self.curve_sum, self.curve_sq = np.zeros((4, P_GRID.size))
+        # one row per loss, so that each row reduces as a contiguous 1-D array
+        self.crossings = np.empty((lam_bp.size, cfg.runs), dtype=np.float64)
+
+    def _fill_curves(self, u: np.ndarray, cell: np.ndarray):
+        """Per run (row of u) and P_GRID point p: the summed excess of the
+        random trades with u < p, the number of them unfilled, and the gain."""
+        b, m = u.shape[0], self.random_idx.size
+        order = np.argsort(u[:, self.random_idx], axis=1, kind="stable")
+        prefix = np.zeros((b, m + 1))
+        np.cumsum(self.excess[self.random_idx[order]], axis=1, out=prefix[:, 1:])
+        # fills below each p: count the draws per cell (the number of grid
+        # points at or below the draw), in cells offset per run
+        bins = P_GRID.size + 1
+        idx = cell[:, self.random_idx] + bins * np.arange(b)[:, None]
+        k = np.bincount(idx.ravel(), minlength=b * bins).reshape(b, bins).cumsum(axis=1)[:, :-1]
+        filled_excess = np.take_along_axis(prefix, k, axis=1)
+        return filled_excess, m - k, self.cfg.volume * (self.const_excess + filled_excess)
+
+    def add_block(self, start: int, u: np.ndarray, cell: np.ndarray) -> None:
+        rows = slice(start, start + u.shape[0])
+        filled = self.certain | (u < self.cfg.fill_prob)
+        counts = filled.sum(axis=1)
+        # one pairwise sum per run; a masked row sum adds in another order
+        sums = np.array([self.excess[f].sum() for f in filled])
+        self.totals[rows] = self.cfg.volume * sums - self.loss * (self.n - counts) - self.fees
+        self.filled_counts[rows] = counts
+        fs, nu, gains = self._fill_curves(u, cell)
+        self.filled_sum = _add_rows(self.filled_sum, fs)
+        self.unfilled = _add_rows(self.unfilled, nu)
+        self.curve_sum = _add_rows(self.curve_sum, gains - self.loss * nu - self.fees)
+        # break-even profit over (p, run, loss), one column per (run, loss)
+        profit = gains.T[:, :, None] - self.lam_cost * nu.T[:, :, None]
+        crossing = _zero_crossings(P_GRID, profit.reshape(P_GRID.size, -1))
+        crossing[np.isnan(crossing)] = 1.0
+        self.crossings[:, rows] = crossing.reshape(-1, self.lam_bp.size).T
+
+    def add_squared_deviations(self, u: np.ndarray, cell: np.ndarray) -> None:
+        _, nu, gains = self._fill_curves(u, cell)
+        dev = gains - self.loss * nu - self.fees - self.curve_sum / self.cfg.runs
+        self.curve_sq = _add_rows(self.curve_sq, np.square(dev))
+
+    def result(self) -> SimulationResult:
+        cfg, n, runs, totals = self.cfg, self.n, self.cfg.runs, self.totals
+        excess_bp = self.excess / BP
+        # the closed forms' inputs: counts and mean excess (bp) of sure and random fills
+        split = (int(self.certain.sum()), self.random_idx.size,
+                 _mean(excess_bp[self.certain]), _mean(excess_bp[self.random_idx]))
+        mean_total = float(totals.mean())
+        n_long = int(self.long_mask.sum())
+        # without trades the mean excess, hence the break-even, is undefined
+        p_be, clamped = analytic_break_even(*split, cfg.loss_bp) if n else (None, False)
+        summary = SimulationSummary(
+            total_profit=mean_total,
+            # shift by a run total before the moment computation; keeps the std
+            # of bit-identical runs (p = 0 or 1) at exactly zero
+            total_profit_std=float((totals - totals[0]).std(ddof=1)) if runs > 1 else 0.0,
+            mean_profit_per_trade_bp=mean_total / (n * cfg.volume) / BP if n else 0.0,
+            trades_attempted=n, trades_filled_mean=float(self.filled_counts.mean()),
+            run_totals=totals, n_long=n_long, n_short=n - n_long, mean_excess_bp=_mean(excess_bp),
+            analytic_total_profit=analytic_total_profit(
+                *split, cfg.volume, cfg.fill_prob, cfg.loss_bp),
+            analytic_break_even_p=p_be, analytic_break_even_clamped=clamped,
+        )
+        # surface total(p, lam) = V*(const + mean filled excess[p]) - V*lam*mean unfilled[p] - fees
+        surface_totals = (cfg.volume * (self.const_excess + self.filled_sum / runs)[:, None]
+                          - self.lam_cost[None, :] * (self.unfilled / runs)[:, None] - self.fees)
+        contour = tuple((float(lam), float(p)) for lam, p in
+                        zip(self.lam_bp, _zero_crossings(P_GRID, surface_totals)))
+        mean_bp = surface_totals / (n * cfg.volume) / BP if n else np.zeros_like(surface_totals)
+        # the analytic break-even per loss, and the mean and std of the run crossings
+        break_even = []
+        for lam, estimates in zip(self.lam_bp.tolist(), self.crossings if n else ()):
+            analytic_p, analytic_clamped = analytic_break_even(*split, lam)
+            break_even.append(BreakEvenResult(
+                lam, analytic_p, float(estimates.mean()),
+                float(estimates.std(ddof=1)) if runs > 1 else 0.0, analytic_clamped))
+        return SimulationResult(
+            summary=summary,
+            curve_mean=self.curve_sum / runs,
+            curve_std=np.sqrt(self.curve_sq / (runs - 1)) if runs > 1 else np.zeros(P_GRID.size),
+            surface=ProfitSurface(P_GRID, self.lam_bp, mean_bp, contour),
+            break_even=tuple(break_even),
+        )
 
 
 def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else 0.0
-
-
-def _trade_arrays(trades: Sequence[ArbitrageOpportunity]):
-    excess = np.array([t.initial_gamma - 1.0 for t in trades], dtype=np.float64)
-    long_mask = np.array(
-        [t.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for t in trades], dtype=bool
-    )
-    return excess, long_mask
-
-
-def _scenario_split(long_mask: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Mask of the trades that fill surely: none under FIXED_FILL, the long
-    runs under DURATION_FILL. Every other trade fills with the fill probability."""
-    return long_mask if scenario is Scenario.DURATION_FILL else np.zeros_like(long_mask)
-
-
-def _sorted_fill_curves(
-    u: np.ndarray, excess: np.ndarray, p_grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each p: (sum of excess over trades with u < p, number unfilled)."""
-    order = np.argsort(u, kind="stable")
-    u_sorted = u[order]
-    prefix = np.concatenate(([0.0], np.cumsum(excess[order])))
-    k = np.searchsorted(u_sorted, p_grid, side="left")
-    return prefix[k], u.size - k
 
 
 def _zero_crossings(p_grid: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -266,27 +306,10 @@ def _zero_crossings(p_grid: np.ndarray, totals: np.ndarray) -> np.ndarray:
     prev = np.maximum(k - 1, 0)
     t0, t1 = totals[prev, cols], totals[k, cols]
     p0, p1 = p_grid[prev], p_grid[k]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        crossing = p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0)
+    crossing = p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0)
     crossing[k == 0] = p_grid[0]
     crossing[~nonneg[k, cols]] = np.nan
     return crossing
-
-
-def _break_even(split: tuple, lam_bp: np.ndarray, crossings: np.ndarray):
-    """Analytic break-even fill probability per loss, plus the mean and std of
-    the per-run zero crossings (one row of `crossings` per loss)."""
-    results = []
-    for lam, estimates in zip(lam_bp.tolist(), crossings):
-        analytic_p, clamped = analytic_break_even(*split, lam)
-        results.append(BreakEvenResult(
-            lambda_bp=lam,
-            analytic_p=analytic_p,
-            simulated_p=float(estimates.mean()),
-            simulated_p_std=float(estimates.std(ddof=1)) if estimates.size > 1 else 0.0,
-            analytic_clamped=clamped,
-        ))
-    return tuple(results)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def test_analytic_simulation_agreement():
                     gamma_t=gamma_t, scenario=scenario, fill_prob=p, loss_bp=loss_bp,
                     volume=volume, runs=1000, seed=314159,
                 )
-                result = simulate_trades(trades, cfg, [loss_bp]).summary
+                (result,) = simulate_trades([(trades, cfg)], [loss_bp])
+                result = result.summary
                 expected = analytic_total_profit(*split, volume, p, loss_bp)
                 assert result.analytic_total_profit == pytest.approx(expected, rel=1e-12)
                 stderr = result.total_profit_std / math.sqrt(cfg.runs)
@@ -112,7 +113,8 @@ def test_analytic_simulation_agreement():
                     scenario, gamma_t, loss_bp
                 )
                 be_cfg = dataclasses.replace(cfg, runs=300, seed=2718)
-                (be,) = simulate_trades(trades, be_cfg, [loss_bp]).break_even
+                (be_result,) = simulate_trades([(trades, be_cfg)], [loss_bp])
+                (be,) = be_result.break_even
                 assert abs(be.simulated_p - be.analytic_p) <= 0.02, (scenario, gamma_t, loss_bp)
                 assert be.analytic_p == analytic_break_even(*split, loss_bp)[0]
 

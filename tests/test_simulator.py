@@ -1,12 +1,15 @@
 """Monte Carlo simulation, analytic cross-checks, break-even."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from triarb.opportunity import segment_opportunities
 from triarb.simulator import (
+    BLOCK,
     BP,
     CERTAIN_FILL_MIN_RUN_LENGTH,
     P_GRID,
@@ -20,6 +23,9 @@ from triarb.simulator import (
 
 import simulator_reference as reference
 from conftest import make_series
+
+# the sweep runs under one np.errstate; any numpy warning that escapes it fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def series_with_runs(specs, gap_value=0.9999, start=0):
@@ -45,7 +51,8 @@ def select_trades(series, gamma_t):
 
 
 def run_simulation(series, cfg, lambda_grid_bp=(1.5,)):
-    return simulate_trades(select_trades(series, cfg.gamma_t), cfg, lambda_grid_bp)
+    (result,) = simulate_trades([(select_trades(series, cfg.gamma_t), cfg)], lambda_grid_bp)
+    return result
 
 
 class TestSelectTrades:
@@ -93,7 +100,8 @@ class TestRunSimulation:
         cfg = SimulationConfig(
             fill_prob=0.5, loss_bp=1.5, volume=1e6, runs=1000, seed=11
         )
-        result = simulate_trades(trades, cfg, [1.5]).summary
+        (result,) = simulate_trades([(trades, cfg)], [1.5])
+        result = result.summary
         analytic = analytic_total_profit(0, len(trades), 0.0, float(excess.mean()) / BP, 1e6, 0.5, 1.5)
         assert result.analytic_total_profit == pytest.approx(analytic, rel=1e-12)
         stderr = result.total_profit_std / np.sqrt(cfg.runs)
@@ -149,7 +157,8 @@ class TestRunSimulation:
         curves = {}
         for loss_bp in (1.0, 2.0, 3.0):
             cfg = SimulationConfig(loss_bp=loss_bp, runs=15, seed=33)
-            curves[loss_bp] = simulate_trades(trades, cfg, [loss_bp]).curve_mean
+            (result,) = simulate_trades([(trades, cfg)], [loss_bp])
+            curves[loss_bp] = result.curve_mean
             assert np.all(np.diff(curves[loss_bp]) >= -1e-9)
         assert np.all(curves[3.0] <= curves[1.0] + 1e-9)
 
@@ -246,7 +255,8 @@ class TestBreakEven:
         series = random_trade_series(seed=15, n_runs=500)
         trades = select_trades(series, 1.0)
         excess = np.array([t.initial_gamma - 1.0 for t in trades])
-        (be,) = simulate_trades(trades, SimulationConfig(runs=50, seed=7), [1.5]).break_even
+        (result,) = simulate_trades([(trades, SimulationConfig(runs=50, seed=7))], [1.5])
+        (be,) = result.break_even
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):
             if abs(p - be.analytic_p) < 0.05:
                 continue
@@ -260,8 +270,8 @@ class TestProfitSurface:
         trades = select_trades(series, 1.0)
         excess = np.array([t.initial_gamma - 1.0 for t in trades])
         cfg = SimulationConfig(runs=10, seed=5)
-        surface = simulate_trades(trades, cfg, [1.0, 1.5, 2.0]).surface
-        full_fill = surface.mean_profit_bp[-1]
+        (result,) = simulate_trades([(trades, cfg)], [1.0, 1.5, 2.0])
+        full_fill = result.surface.mean_profit_bp[-1]
         assert np.allclose(full_fill, excess.mean() / BP)
         assert np.allclose(full_fill, full_fill[0])
 
@@ -276,8 +286,8 @@ class TestProfitSurface:
         trades = select_trades(series, 1.0)
         excess_bp = np.array([t.initial_gamma - 1.0 for t in trades]) / BP
         cfg = SimulationConfig(runs=200, seed=6)
-        surface = simulate_trades(trades, cfg, [1.0, 1.5, 2.0]).surface
-        for lam, p_star in surface.breakeven_contour:
+        (result,) = simulate_trades([(trades, cfg)], [1.0, 1.5, 2.0])
+        for lam, p_star in result.surface.breakeven_contour:
             analytic, _ = analytic_break_even(0, len(trades), 0.0, float(excess_bp.mean()), lam)
             assert p_star == pytest.approx(analytic, abs=0.02)
 
@@ -298,7 +308,65 @@ ORACLE_CASES = {
     "one_run": dict(scenario=Scenario.DURATION_FILL, fill_prob=0.8, loss_bp=1.0, runs=1),
     "no_trades": dict(scenario=Scenario.DURATION_FILL, gamma_t=1.01, fill_prob=0.5, runs=10),
     "no_trades_one_run": dict(scenario=Scenario.FIXED_FILL, gamma_t=1.01, runs=1),
+    # more than two blocks of runs, the last one partial
+    "blocks": dict(scenario=Scenario.DURATION_FILL, fill_prob=0.4, loss_bp=2.5, runs=150,
+                   fee_per_trade=0.5),
 }
+assert ORACLE_CASES["blocks"]["runs"] > 2 * BLOCK and ORACLE_CASES["blocks"]["runs"] % BLOCK
+
+
+def assert_matches_reference(result, trades, cfg):
+    """Every number of result equals the per-quantity reference loops exactly."""
+    mean, std, per_trade_bp, n, filled_mean, run_totals = reference.summary(
+        trades, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
+    )
+    s = result.summary
+    assert (s.total_profit, s.total_profit_std, s.mean_profit_per_trade_bp) == (
+        mean, std, per_trade_bp
+    )
+    assert (s.trades_attempted, s.trades_filled_mean) == (n, filled_mean)
+    assert np.array_equal(s.run_totals, run_totals)
+
+    curve_mean, curve_std = reference.profit_curves(
+        trades, P_GRID, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
+    )
+    assert np.array_equal(result.curve_mean, curve_mean)
+    assert np.array_equal(result.curve_std, curve_std)
+
+    mean_bp, contour = reference.surface(
+        trades, P_GRID, ORACLE_LAMBDAS, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
+    )
+    assert np.array_equal(result.surface.p_grid, P_GRID)
+    assert np.array_equal(result.surface.mean_profit_bp, mean_bp)
+    assert np.array_equal(
+        np.array(result.surface.breakeven_contour), np.array(contour), equal_nan=True
+    )
+
+    if not trades:
+        assert result.break_even == ()
+        return
+    expected = [
+        reference.break_even(trades, cfg.scenario, lam, cfg.runs, cfg.seed, cfg.volume,
+                             CERTAIN_FILL_MIN_RUN_LENGTH)
+        for lam in ORACLE_LAMBDAS
+    ]
+    got = [(be.analytic_p, be.simulated_p, be.simulated_p_std, be.analytic_clamped)
+           for be in result.break_even]
+    assert got == expected
+    assert [be.lambda_bp for be in result.break_even] == ORACLE_LAMBDAS
+
+
+def assert_same_result(a, b):
+    """Two results hold the same numbers, bit for bit."""
+    assert np.array_equal(a.summary.run_totals, b.summary.run_totals)
+    assert (dataclasses.replace(a.summary, run_totals=None)
+            == dataclasses.replace(b.summary, run_totals=None))
+    for name in ("curve_mean", "curve_std"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.surface.mean_profit_bp, b.surface.mean_profit_bp)
+    assert np.array_equal(np.array(a.surface.breakeven_contour),
+                          np.array(b.surface.breakeven_contour), equal_nan=True)
+    assert a.break_even == b.break_even
 
 
 class TestReferenceOracle:
@@ -309,54 +377,76 @@ class TestReferenceOracle:
         cfg = SimulationConfig(seed=2024, **ORACLE_CASES[case])
         trades = select_trades(random_trade_series(seed=21, n_runs=150), cfg.gamma_t)
         assert (len(trades) == 0) == case.startswith("no_trades")
-        result = simulate_trades(trades, cfg, ORACLE_LAMBDAS)
-
-        mean, std, per_trade_bp, n, filled_mean, run_totals = reference.summary(
-            trades, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
-        )
-        s = result.summary
-        assert (s.total_profit, s.total_profit_std, s.mean_profit_per_trade_bp) == (
-            mean, std, per_trade_bp
-        )
-        assert (s.trades_attempted, s.trades_filled_mean) == (n, filled_mean)
-        assert np.array_equal(s.run_totals, run_totals)
-
-        curve_mean, curve_std = reference.profit_curves(
-            trades, P_GRID, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
-        )
-        assert np.array_equal(result.curve_mean, curve_mean)
-        assert np.array_equal(result.curve_std, curve_std)
-
-        mean_bp, contour = reference.surface(
-            trades, P_GRID, ORACLE_LAMBDAS, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
-        )
-        assert np.array_equal(result.surface.p_grid, P_GRID)
-        assert np.array_equal(result.surface.mean_profit_bp, mean_bp)
-        assert np.array_equal(
-            np.array(result.surface.breakeven_contour), np.array(contour), equal_nan=True
-        )
+        (result,) = simulate_trades([(trades, cfg)], ORACLE_LAMBDAS)
+        assert_matches_reference(result, trades, cfg)
         if case == "duration_fee_unreachable":
-            assert np.isnan(contour[-1][1])
+            assert np.isnan(result.surface.breakeven_contour[-1][1])
 
-        if not trades:
-            assert result.break_even == ()
-            return
-        expected = [
-            reference.break_even(trades, cfg.scenario, lam, cfg.runs, cfg.seed, cfg.volume,
-                                 CERTAIN_FILL_MIN_RUN_LENGTH)
-            for lam in ORACLE_LAMBDAS
+    def test_one_call_over_jobs_matches_each_job_alone(self):
+        # both scenarios, and trade counts that differ and include 0, share one draw per run
+        series = random_trade_series(seed=21, n_runs=150)
+        base = dict(fill_prob=0.6, runs=150, seed=2024)
+        configs = [
+            SimulationConfig(scenario=Scenario.FIXED_FILL, **base),
+            SimulationConfig(scenario=Scenario.DURATION_FILL, gamma_t=1.0001, **base),
+            SimulationConfig(scenario=Scenario.FIXED_FILL, gamma_t=1.01, **base),
+            SimulationConfig(scenario=Scenario.DURATION_FILL, gamma_t=1.00005, loss_bp=2.0,
+                             fee_per_trade=1.25, **base),
         ]
-        got = [(be.analytic_p, be.simulated_p, be.simulated_p_std, be.analytic_clamped)
-               for be in result.break_even]
-        assert got == expected
-        assert [be.lambda_bp for be in result.break_even] == ORACLE_LAMBDAS
+        jobs = [(select_trades(series, cfg.gamma_t), cfg) for cfg in configs]
+        counts = [len(trades) for trades, _ in jobs]
+        assert 0 in counts and len(set(counts)) == len(counts)
+        for (trades, cfg), result in zip(jobs, simulate_trades(jobs, ORACLE_LAMBDAS)):
+            (alone,) = simulate_trades([(trades, cfg)], ORACLE_LAMBDAS)
+            assert_same_result(result, alone)
+            assert_matches_reference(result, trades, cfg)
+
+    def test_jobs_must_share_seed_and_runs(self):
+        trades = select_trades(random_trade_series(seed=22, n_runs=20), 1.0)
+        cfg = SimulationConfig(runs=4, seed=3)
+        for other in (dataclasses.replace(cfg, seed=4), dataclasses.replace(cfg, runs=5)):
+            with pytest.raises(ValueError, match="share one"):
+                simulate_trades([(trades, cfg), (trades, other)], ORACLE_LAMBDAS)
 
     def test_break_even_ignores_fill_prob_loss_and_fees(self):
         trades = select_trades(random_trade_series(seed=22, n_runs=80), 1.0)
         cfg = SimulationConfig(runs=12, seed=3)
         other = dataclasses.replace(cfg, fill_prob=0.2, loss_bp=4.0, fee_per_trade=9.0)
-        assert (simulate_trades(trades, cfg, ORACLE_LAMBDAS).break_even
-                == simulate_trades(trades, other, ORACLE_LAMBDAS).break_even)
+        (result,) = simulate_trades([(trades, cfg)], ORACLE_LAMBDAS)
+        (result_other,) = simulate_trades([(trades, other)], ORACLE_LAMBDAS)
+        assert result.break_even == result_other.break_even
+
+
+class TestSweepBounds:
+    def test_memory_stays_below_one_curve_matrix(self):
+        # runs x (losses + 2) floats plus one block, never a (runs x P_GRID) matrix
+        runs = 20_000
+        trades = select_trades(random_trade_series(seed=23, n_runs=40), 1.0)
+        cfg = SimulationConfig(fill_prob=0.5, runs=runs, seed=5)
+        tracemalloc.start()
+        try:
+            simulate_trades([(trades, cfg)], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < runs * P_GRID.size * np.dtype(np.float64).itemsize
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_total_profit_variance_matches_closed_form(self, scenario):
+        # independent Bernoulli fills: each random trade adds p(1-p)(V*excess + V*loss)^2
+        trades = select_trades(random_trade_series(seed=24, n_runs=300), 1.0)
+        runs, p, loss_bp, volume = 4000, 0.6, 1.5, 1e6
+        cfg = SimulationConfig(scenario=scenario, fill_prob=p, loss_bp=loss_bp, volume=volume,
+                               runs=runs, seed=99)
+        (result,) = simulate_trades([(trades, cfg)], [loss_bp])
+        excess = np.array([t.initial_gamma - 1.0 for t in trades])
+        is_random = np.ones(len(trades), dtype=bool)
+        if scenario is Scenario.DURATION_FILL:
+            is_random = np.array([t.run_length < CERTAIN_FILL_MIN_RUN_LENGTH for t in trades])
+        variance = np.sum(p * (1 - p) * (volume * excess[is_random] + volume * loss_bp * BP) ** 2)
+        # four standard errors of a sample variance
+        tolerance = 4 * math.sqrt(2 / (runs - 1))
+        assert abs(result.summary.total_profit_std ** 2 / variance - 1) < tolerance
 
 
 class TestConfigValidation:
