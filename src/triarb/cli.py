@@ -81,7 +81,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (TriarbError, ValueError, OSError, KeyError) as exc:
+    except (TriarbError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
@@ -100,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file (default: $TRIARB_CONFIG)")
     common.add_argument("--out-dir", required=True, help="directory for outputs")
-    common.add_argument("--seed", type=int, help="RNG seed (generated and recorded if omitted)")
-    common.add_argument("--triangle", help="three currency codes, e.g. EUR,USD,CHF")
+
+    tick_args = argparse.ArgumentParser(add_help=False, parents=[common])
+    tick_args.add_argument("--triangle", help="three currency codes, e.g. EUR,USD,CHF")
 
     window_args = argparse.ArgumentParser(add_help=False)
     window_args.add_argument("--window", required=True, help="START..END, epoch seconds or ISO-8601")
@@ -115,23 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", parents=[common], help="generate synthetic triangle tick data")
     p_synth.add_argument("--synth-config", required=True, help="JSON synth config file")
-    p_synth.add_argument("--window", help="override the config window (START..END)")
-    p_synth.add_argument("--weekdays", default="mon-fri")
-    p_synth.add_argument(
-        "--preset",
-        choices=["table3"],
-        help="table3: built-in session hours drive the liquidity profiles",
-    )
     p_synth.set_defaults(func=cmd_synth)
 
-    p_detect = sub.add_parser("detect", parents=[common, window_args, hist_args], help="detect arbitrage opportunities")
+    p_detect = sub.add_parser("detect", parents=[tick_args, window_args, hist_args], help="detect arbitrage opportunities")
     p_detect.add_argument("--thresholds", default=DEFAULT_THRESHOLDS, help="bp thresholds, ascending")
     p_detect.set_defaults(func=cmd_detect)
 
-    p_seasonal = sub.add_parser("seasonal", parents=[common, window_args], help="hourly and daily statistics")
+    p_seasonal = sub.add_parser("seasonal", parents=[tick_args, window_args], help="hourly and daily statistics")
     p_seasonal.set_defaults(func=cmd_seasonal)
 
-    p_sim = sub.add_parser("simulate", parents=[common, window_args], help="Monte Carlo trading simulation")
+    p_sim = sub.add_parser("simulate", parents=[tick_args, window_args], help="Monte Carlo trading simulation")
+    p_sim.add_argument("--seed", type=int, help="RNG seed (generated and recorded if omitted)")
     p_sim.add_argument("--scenario", choices=["fixed", "duration", "both"], default="both")
     p_sim.add_argument("--gamma-t", default=DEFAULT_GAMMA_T_SWEEP, help="trade thresholds to sweep")
     p_sim.add_argument("--p", type=float, default=1.0, help="fill probability for the summary totals")
@@ -142,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--fee-per-trade", type=float, default=0.0, help="fee per leg trade; 3 legs per transaction")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cmp = sub.add_parser("compare", parents=[common, hist_args], help="compare detection statistics across periods")
+    p_cmp = sub.add_parser("compare", parents=[tick_args, hist_args], help="compare detection statistics across periods")
     p_cmp.add_argument(
         "--dataset",
         action="append",
@@ -160,14 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(np.random.SeedSequence().entropy) & 0xFFFF_FFFF_FFFF_FFFF
-
-
 def _resolve_triangle(args, app: AppConfig) -> TriangleSpec:
-    if getattr(args, "triangle", None):
+    if args.triangle:
         return triangle_for_currencies(app, args.triangle)
     return app.triangle
 
@@ -272,15 +261,7 @@ def _detect(
 def cmd_synth(args) -> int:
     app = load_app_config(args.config)
     with open(args.synth_config) as fh:
-        payload = json.load(fh)
-    if args.preset == "table3":
-        payload.setdefault("liquidity_preset", True)
-    if args.window:
-        window = parse_window(args.window, args.weekdays)
-        payload["window"] = {"start": window.start, "end": window.end, "weekdays": args.weekdays}
-    if args.triangle:
-        payload["currencies"] = args.triangle
-    cfg = synth_config_from_json(payload, app, seed_override=args.seed)
+        cfg = synth_config_from_json(json.load(fh), app)
     triangle_series = generate(cfg)
     out = _out_dir(args)
     for series in triangle_series:
@@ -345,7 +326,9 @@ def cmd_simulate(args) -> int:
     app = load_app_config(args.config)
     triangle = _resolve_triangle(args, app)
     window = parse_window(args.window, args.weekdays)
-    seed = _resolve_seed(args)
+    seed = args.seed
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy) & 0xFFFF_FFFF_FFFF_FFFF
     gamma_ts = parse_float_list(args.gamma_t)
     if not gamma_ts:
         raise ValueError(f"--gamma-t needs at least one threshold, got {args.gamma_t!r}")

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import configparser
 import os
+import sys
 from dataclasses import dataclass
-from decimal import Decimal
-from typing import Optional
+from typing import Any, Optional
 
+from .errors import SynthConfigError, TriarbError
 from .market_data import (
     Direction,
     Pair,
@@ -64,15 +65,29 @@ def load_app_config(path: Optional[str]) -> AppConfig:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
         return default_app_config()
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.MissingSectionHeaderError as exc:
+        raise TriarbError(f"{path}:{exc.lineno}: no [section] header before {exc.line!r}") from None
+    except configparser.ParsingError as exc:
+        line, text = exc.errors[0]
+        raise TriarbError(f"{path}:{line}: expected KEY = VALUE, got {text}") from None
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
+        raise TriarbError(f"{path}:{exc.lineno}: {exc.message.rpartition(']: ')[2]}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    for section in parser.sections() + ([parser.default_section] if parser.defaults() else []):
+        if section not in ("triangle", "points", "sessions"):
+            raise TriarbError(f"{path}: unknown section [{section}]")
+    for key in parser.options("triangle") if parser.has_section("triangle") else ():
+        if key not in ("currencies", "pairs"):
+            raise TriarbError(f"{path}: unknown key {key!r} in [triangle]")
 
-    points: dict[str, Decimal] = {}
+    points: dict[str, str] = {}  # Pair checks the point sizes it is given
     if parser.has_section("points"):
         for name, value in parser.items("points"):
-            points[_canonical_pair_name(name)] = Decimal(value)
+            points[_parse_pair(name, {}).name] = value
 
     # without a [triangle] section both lookups fall back
     currencies = parse_currencies(parser.get("triangle", "currencies", fallback="EUR,USD,CHF"))
@@ -98,11 +113,7 @@ def _split_csv(text: str) -> list[str]:
     return [t.strip().upper() for t in text.split(",") if t.strip()]
 
 
-def _canonical_pair_name(name: str) -> str:
-    return name.strip().upper()
-
-
-def _parse_pair(text: str, points: dict[str, Decimal]) -> Pair:
+def _parse_pair(text: str, points: dict[str, str]) -> Pair:
     base, sep, quote = text.strip().upper().partition("/")
     if not sep or not base or not quote:
         raise ValueError(f"bad pair {text!r}, expected BASE/QUOTE")
@@ -141,9 +152,7 @@ def parse_timestamp(text: str) -> int:
     return parse_iso_timestamp(text)
 
 
-def parse_weekdays(text: Optional[str]) -> Optional[frozenset[int]]:
-    if text is None:
-        return frozenset(WEEKDAYS)
+def parse_weekdays(text: str) -> Optional[frozenset[int]]:
     text = text.strip().lower()
     if text == "all":
         return None
@@ -174,104 +183,101 @@ def parse_float_list(text: str) -> list[float]:
 # synth JSON config
 
 
-def window_from_json(payload: dict) -> SeriesWindow:
+def window_from_json(payload: Any) -> SeriesWindow:
+    fields = _object(payload, "window", ("start", "end"), ("weekdays",))
     return SeriesWindow(
-        start=parse_timestamp(str(payload["start"])),
-        end=parse_timestamp(str(payload["end"])),
-        weekday_filter=parse_weekdays(payload.get("weekdays", "mon-fri")),
+        start=parse_timestamp(str(fields["start"])),
+        end=parse_timestamp(str(fields["end"])),
+        weekday_filter=parse_weekdays(str(fields.get("weekdays", "mon-fri"))),
     )
 
 
-def synth_config_from_json(
-    payload: dict, app: AppConfig, seed_override: Optional[int] = None
-) -> SynthConfig:
-    """Build a SynthConfig from the JSON payload of a synth config file."""
-    seed = seed_override if seed_override is not None else payload.get("seed")
-    if seed is None:
-        raise ValueError("synth config needs a seed (file key 'seed' or --seed)")
-    window = window_from_json(payload["window"])
+def synth_config_from_json(payload: Any, app: AppConfig) -> SynthConfig:
+    """Build a SynthConfig from the parsed JSON of a synth config file. Each
+    object takes the keys its `_object` call lists, and null counts as absent."""
+    cfg = _object(
+        payload, "synth config", ("seed", "window"),
+        ("currencies", "pairs", "liquidity_preset", "base_spread_points", "base_gap_rate",
+         "gap_rate", "injections", "schedule"),
+    )
+    seed = _check(cfg["seed"], int, "seed")
+    window = window_from_json(cfg["window"])
+    triangle = (
+        triangle_for_currencies(app, cfg["currencies"]) if "currencies" in cfg else app.triangle
+    )
 
-    currencies = payload.get("currencies")
-    if currencies:
-        triangle = triangle_for_currencies(app, currencies)
-    else:
-        triangle = app.triangle
+    names = [p.name for p in triangle.pairs]
+    pair_cfg: dict[str, dict] = {}
+    for name, entry in _check(cfg.get("pairs", {}), dict, "pairs").items():
+        key = _parse_pair(name, {}).name
+        if key not in names:
+            raise SynthConfigError(f"pairs: {name!r} is not a pair of the triangle {names}")
+        if key in pair_cfg:
+            raise SynthConfigError(f"pairs: {key} is given twice")
+        entry = {} if entry is None else entry
+        pair_cfg[key] = _object(entry, f"pairs.{key}", (), ("point", "mid", "vol", "spread_points"))
+    triangle = TriangleSpec(triangle.currencies, tuple(
+        Pair(p.base, p.quote, pair_cfg.get(p.name, {}).get("point", p.point_size))
+        for p in triangle.pairs
+    ))
 
-    pair_cfg = payload.get("pairs", {})
-    points = {}
-    for name, entry in pair_cfg.items():
-        if "point" in entry:
-            points[_canonical_pair_name(name)] = Decimal(str(entry["point"]))
-    if points:
-        pairs = tuple(
-            Pair(p.base, p.quote, points.get(p.name, p.point_size)) for p in triangle.pairs
-        )
-        triangle = TriangleSpec(currencies=triangle.currencies, pairs=pairs)
-
-    sessions = app.sessions
     preset = None
-    if payload.get("liquidity_preset", False):
+    if _check(cfg.get("liquidity_preset", False), bool, "liquidity_preset"):
         preset = liquidity_preset(
-            sessions,
-            base_spread_points=float(payload.get("base_spread_points", 3.0)),
-            base_gap_rate=float(payload.get("base_gap_rate", 0.002)),
+            app.sessions,
+            base_spread_points=_number(cfg.get("base_spread_points", 3.0), "base_spread_points"),
+            base_gap_rate=_number(cfg.get("base_gap_rate", 0.002), "base_gap_rate"),
         )
 
-    mid_prices = {}
-    volatilities = {}
-    spread_points = {}
+    mid_prices, volatilities, spread_points = {}, {}, {}
     for pair in triangle.pairs:
-        entry = pair_cfg.get(pair.name, {})
+        entry, where = pair_cfg.get(pair.name, {}), f"pairs.{pair.name}"
         if "mid" in entry:
-            mid_prices[pair.name] = float(entry["mid"])
+            mid_prices[pair.name] = _number(entry["mid"], f"{where}.mid")
         if "vol" in entry:
-            volatilities[pair.name] = float(entry["vol"])
-        spread = entry.get("spread_points")
-        if spread is None:
-            if preset is None:
-                raise ValueError(
-                    f"no spread_points for {pair.name} and liquidity_preset is off"
-                )
-            spread_points[pair.name] = preset.spread_points
-        elif isinstance(spread, (int, float)):
-            spread_points[pair.name] = tuple([float(spread)] * HOURS)
+            volatilities[pair.name] = _number(entry["vol"], f"{where}.vol")
+        if "spread_points" in entry:
+            spread_points[pair.name] = _profile(entry["spread_points"], f"{where}.spread_points")
+        elif preset is None:
+            raise SynthConfigError(f"no spread_points for {pair.name} and liquidity_preset is off")
         else:
-            spread_points[pair.name] = tuple(float(s) for s in spread)
+            spread_points[pair.name] = preset.spread_points
 
-    gap = payload.get("gap_rate")
-    if gap is None:
-        gap_rate = preset.gap_rate if preset is not None else tuple([0.0] * HOURS)
-    elif isinstance(gap, (int, float)):
-        gap_rate = tuple([float(gap)] * HOURS)
+    if "gap_rate" in cfg:
+        gap_rate = _profile(cfg["gap_rate"], "gap_rate")
     else:
-        gap_rate = tuple(float(g) for g in gap)
+        gap_rate = preset.gap_rate if preset is not None else tuple([0.0] * HOURS)
 
-    injections = [
-        InjectionSpec(
-            start=parse_timestamp(str(item["start"])),
-            duration_seconds=int(item["duration_seconds"]),
-            magnitude_bp=float(item["magnitude_bp"]),
-            direction=Direction(int(item["direction"])),
-        )
-        for item in payload.get("injections", [])
-    ]
-    schedule = payload.get("schedule")
-    if schedule:
-        injections = list(injections) + list(
-            seasonal_injection_schedule(
-                seed=int(schedule.get("seed", seed)),
-                window=window,
-                table=sessions,
-                base_rate_per_hour=float(schedule.get("base_rate_per_hour", 1.0)),
-                duration_base=int(schedule.get("duration_base", 3)),
-                magnitude_range=tuple(schedule.get("magnitude_range", (0.5, 4.0))),
-                max_duration=int(schedule.get("max_duration", 10)),
-            )
+    injections = []
+    for i, item in enumerate(_check(cfg.get("injections", []), list, "injections")):
+        where = f"injections[{i}]"
+        fields = _object(item, where, ("start", "duration_seconds", "magnitude_bp", "direction"))
+        injections.append(InjectionSpec(
+            start=parse_timestamp(str(fields["start"])),
+            duration_seconds=_check(fields["duration_seconds"], int, f"{where}.duration_seconds"),
+            magnitude_bp=_number(fields["magnitude_bp"], f"{where}.magnitude_bp"),
+            direction=Direction(_check(fields["direction"], int, f"{where}.direction")),
+        ))
+    if "schedule" in cfg:
+        schedule = {"base_rate_per_hour": 1.0, "magnitude_range": [0.5, 4.0]}
+        schedule.update(_object(cfg["schedule"], "schedule", (), tuple(schedule)))
+        where = "schedule.magnitude_range"
+        bounds = _check(schedule["magnitude_range"], list, where)
+        if len(bounds) != 2:
+            raise SynthConfigError(f"{where}: expected [lo, hi], got {bounds}")
+        injections += seasonal_injection_schedule(
+            seed=seed,
+            window=window,
+            table=app.sessions,
+            base_rate_per_hour=_number(
+                schedule["base_rate_per_hour"], "schedule.base_rate_per_hour"
+            ),
+            magnitude_range=tuple(_number(b, where) for b in bounds),
         )
         injections.sort(key=lambda i: i.start)
 
     return SynthConfig(
-        seed=int(seed),
+        seed=seed,
         window=window,
         triangle=triangle,
         mid_prices=mid_prices,
@@ -280,3 +286,41 @@ def synth_config_from_json(
         gap_rate=gap_rate,
         injections=tuple(injections),
     )
+
+
+def _object(value: Any, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """The members of the JSON object `value` that are not null."""
+    allowed = required + optional
+    for key in _check(value, dict, where):
+        if key not in allowed:
+            raise SynthConfigError(f"{where}: unknown key {key!r}, expected one of {allowed}")
+    members = {k: v for k, v in value.items() if v is not None}
+    for key in required:
+        if key not in members:
+            raise SynthConfigError(f"{where}: missing key {key!r}")
+    return members
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", bool: "true or false"}
+
+
+def _check(value: Any, kind: type, where: str) -> Any:
+    """`value` if it is a `kind`; a bool is no integer."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise SynthConfigError(f"{where}: expected {_JSON_TYPES[kind]}, got {value!r:.60}")
+
+
+def _number(value: Any, where: str) -> float:
+    """A finite JSON number as a float; a bool is no number."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if finite and not isinstance(value, bool):
+        return float(value)
+    raise SynthConfigError(f"{where}: expected a finite number, got {value!r:.60}")
+
+
+def _profile(value: Any, where: str) -> tuple[float, ...]:
+    """A number for every hour of the day, or a list of hourly numbers."""
+    if isinstance(value, list):
+        return tuple(_number(v, where) for v in value)
+    return tuple([_number(value, where)] * HOURS)

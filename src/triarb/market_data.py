@@ -78,9 +78,12 @@ class Pair:
         if self.point_size is None:
             object.__setattr__(self, "point_size", default_point_size(self.quote))
         else:
-            object.__setattr__(self, "point_size", Decimal(str(self.point_size)))
-        if self.point_size <= 0:
-            raise ValueError(f"point size must be positive, got {self.point_size}")
+            try:
+                object.__setattr__(self, "point_size", Decimal(str(self.point_size)))
+            except InvalidOperation:
+                raise ValueError(f"bad point size {self.point_size!r} for {self.name}") from None
+        if not self.point_size.is_finite() or self.point_size <= 0:
+            raise ValueError(f"point size of {self.name} must be positive, got {self.point_size}")
 
     @property
     def name(self) -> str:
@@ -233,7 +236,7 @@ class TriangleSpec:
         a: str,
         b: str,
         c: str,
-        point_sizes: Optional[dict[str, Decimal]] = None,
+        point_sizes: Optional[dict[str, object]] = None,
     ) -> "TriangleSpec":
         """Build a spec with market-convention pair ordering for (a, b, c)."""
         pairs = []

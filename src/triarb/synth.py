@@ -37,6 +37,8 @@ from .rate_product import compute_rate_products, leg_rate
 from .seasonal import HOURS, SessionTable, overlap_by_hour
 
 PEAK_TOLERANCE_BP = 0.05
+EXTRA_SECONDS_MEAN = 3
+LONGEST_EPISODE_SECONDS = 10
 
 
 @dataclass(frozen=True)
@@ -166,14 +168,15 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
         profile = np.asarray(cfg.spread_points[pair.name], dtype=np.float64)
         half = profile[hours] * point / 2.0
         mid = mids[pair.name]
-        if np.any(mid - half <= 0):
-            raise SynthConfigError(f"spread exceeds the mid price for {pair.name}")
+        bid = np.floor((mid - half) / point)
+        if not np.all(bid > 0):
+            raise SynthConfigError(f"the spread leaves {pair.name} no positive bid on its point grid")
         gap_rng = np.random.default_rng(gap_seed)
         rates = np.asarray(cfg.gap_rate, dtype=np.float64)[hours]
         series[pair] = PairSeries(
             pair,
             cfg.window,
-            np.floor((mid - half) / point).astype(np.int64),
+            bid.astype(np.int64),
             np.ceil((mid + half) / point).astype(np.int64),
             gap_rng.random(times.size) < rates,
             -pair.point_size.normalize().as_tuple().exponent,
@@ -259,15 +262,14 @@ def seasonal_injection_schedule(
     window: SeriesWindow,
     table: SessionTable,
     base_rate_per_hour: float = 1.0,
-    duration_base: int = 3,
     magnitude_range: tuple[float, float] = (0.5, 4.0),
-    max_duration: int = 10,
 ) -> tuple[InjectionSpec, ...]:
     """Episode schedule whose rate rises, and duration falls, with liquidity.
 
     For each grid hour the number of episodes is Poisson with mean
     base_rate_per_hour * (1 + overlap); durations are 1 + Poisson with mean
-    max(duration_base - overlap, 0). Episodes keep one clean second apart.
+    max(EXTRA_SECONDS_MEAN - overlap, 0), capped at LONGEST_EPISODE_SECONDS.
+    Episodes keep one clean second apart.
     """
     if base_rate_per_hour <= 0:
         raise ValueError("base_rate_per_hour must be positive")
@@ -285,11 +287,11 @@ def seasonal_injection_schedule(
         if n == 0:
             continue
         starts = np.sort(rng.integers(0, 3600, size=n)) + int(h0)
-        extras = rng.poisson(max(duration_base - int(overlap[h]), 0), size=n)
+        extras = rng.poisson(max(EXTRA_SECONDS_MEAN - int(overlap[h]), 0), size=n)
         mags = rng.uniform(lo_bp, hi_bp, size=n)
         dirs = rng.integers(1, 3, size=n)
         for s, ex, m, d in zip(starts, extras, mags, dirs):
-            dur = int(min(1 + ex, max_duration))
+            dur = int(min(1 + ex, LONGEST_EPISODE_SECONDS))
             candidates.append(
                 InjectionSpec(int(s), dur, float(round(m, 2)), Direction(int(d)))
             )

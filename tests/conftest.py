@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from triarb.cli import build_parser
 from triarb.market_data import (
     Pair,
     PairSeries,
@@ -67,6 +69,15 @@ def brute_force_segments(times, gammas):
     if start is not None:
         runs.append((int(start), length, init, peak))
     return runs
+
+
+def cli_flags() -> dict[str, list[str]]:
+    """The sorted long flags of each `triarb` subcommand, without --help."""
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(f for f in sub._option_string_actions if f.startswith("--") and f != "--help")
+        for name, sub in action.choices.items()
+    }
 
 
 @pytest.fixture

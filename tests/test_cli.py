@@ -1,20 +1,25 @@
 """End-to-end command line runs against synthetic data in temp dirs."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triarb.cli import _summary_entry, main
 from triarb.market_data import Direction
 from triarb.opportunity import ArbitrageOpportunity
 from triarb.simulator import Scenario, SimulationConfig, simulate_trades
 
-from conftest import MONDAY
+from conftest import MONDAY, cli_flags
 
 WINDOW = f"{MONDAY}..{MONDAY + 7200}"
 
@@ -74,6 +79,52 @@ def sha256_tree(root: Path, exclude=()) -> dict:
     }
 
 
+def fuzz_base_payload() -> dict:
+    """A valid synth config that sets every key the synth config schema has."""
+    payload = synth_payload(
+        [{"start": MONDAY + 60, "duration_seconds": 2, "magnitude_bp": 1.5, "direction": 1}],
+        hours=1,
+    )
+    payload["window"]["end"] = MONDAY + 600
+    payload["pairs"]["USD/CHF"]["spread_points"] = [2] * 24
+    del payload["pairs"]["EUR/CHF"]["spread_points"]
+    payload.update(
+        currencies="EUR,USD,CHF", liquidity_preset=True, base_spread_points=3.0,
+        base_gap_rate=0.002, schedule={"base_rate_per_hour": 1.0, "magnitude_range": [0.5, 4.0]},
+    )
+    return payload
+
+
+def value_paths(node, prefix=()) -> list[tuple]:
+    """The key path of every value below `node`, except the window's bounds and
+    list items after the first."""
+    paths = []
+    items = node.items() if isinstance(node, dict) else enumerate(node[:1])
+    for key, value in items:
+        path = (*prefix, key)
+        if path not in (("window", "start"), ("window", "end")):
+            paths.append(path)
+        if isinstance(value, (dict, list)):
+            paths += value_paths(value, path)
+    return paths
+
+
+def json_type(value) -> str:
+    """JSON's name for the type of a parsed value."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def json_values():
+    scalars = (st.none() | st.booleans() | st.integers(-3, 3)
+               | st.floats(-3, 3) | st.text(max_size=5))
+    return (scalars | st.lists(scalars, max_size=3)
+            | st.dictionaries(st.text(max_size=5), scalars, max_size=2))
+
+
 class TestSynthCommand:
     def test_output_loads_without_warnings(self, tmp_path):
         data_dir = run_synth(tmp_path, five_injections())
@@ -114,43 +165,103 @@ class TestSynthCommand:
         rc = main(["synth", "--synth-config", str(cfg_path), "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
-    def test_preset_table3_generates(self, tmp_path):
-        payload = {
-            "seed": 9,
-            "window": {"start": MONDAY, "end": MONDAY + 3600, "weekdays": "mon-fri"},
-            "pairs": {
-                "EUR/USD": {"mid": 1.2065, "vol": 2e-6, "point": "0.00001"},
-                "USD/CHF": {"mid": 1.3030, "vol": 2e-6, "point": "0.00001"},
-                "EUR/CHF": {"point": "0.00001"},
-            },
-        }
+    def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
+        ini = tmp_path / "triarb.ini"
+        ini.write_text("[sessions]\nasia = 0-9\neurope = 6-16\namericas = 12-21\n")
+        payload = synth_payload(
+            [{"start": MONDAY + 60, "duration_seconds": 3, "magnitude_bp": 2.0, "direction": 2}]
+        )
+        for entry in payload["pairs"].values():
+            del entry["spread_points"]
+        payload["liquidity_preset"] = True  # the session table sets the spreads
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps(payload))
-        out = tmp_path / "preset"
-        rc = main(
-            ["synth", "--synth-config", str(cfg_path), "--preset", "table3",
-             "--out-dir", str(out)]
-        )
-        assert rc == 0
-        assert (out / "EURUSD.csv").exists()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["synth", "--config", str(ini), "--synth-config", str(cfg_path),
+                     "--out-dir", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert main(["synth", "--config", manifest["config_path"],
+                     "--synth-config", manifest["synth_config"], "--out-dir", str(second)]) == 0
+        produced = sha256_tree(second, exclude={"manifest.json"})
+        assert sorted(produced) == ["EURCHF.csv", "EURUSD.csv", "USDCHF.csv", "injections.json"]
+        assert produced == sha256_tree(first, exclude={"manifest.json"})
 
-    def test_window_flag_overrides_config_window(self, tmp_path):
-        cfg_path = tmp_path / "synth.json"
-        cfg_path.write_text(json.dumps(synth_payload([], hours=2)))
-        out = tmp_path / "short"
-        rc = main(
-            ["synth", "--synth-config", str(cfg_path), "--out-dir", str(out),
-             "--window", f"{MONDAY}..{MONDAY + 600}"]
-        )
-        assert rc == 0
-        rows = read_csv(out / "EURUSD.csv")
-        assert int(rows[-1][0]) < MONDAY + 600
+    def test_malformed_config_exits_2_naming_it(self, tmp_path, capsys):
+        def without_end(p):
+            del p["window"]["end"]
+
+        def twice(p):
+            p["pairs"]["eur/usd"] = p["pairs"]["EUR/USD"]
+
+        edits = [
+            (lambda p: [p], "synth config: expected an object"),
+            (lambda p: {k: v for k, v in p.items() if k != "seed"},
+             "synth config: missing key 'seed'"),
+            (lambda p: p.update({"gap-rate": 0.1}), "synth config: unknown key 'gap-rate'"),
+            (without_end, "window: missing key 'end'"),
+            (lambda p: p["window"].update(weekdays=5), "unknown weekday '5'"),
+            (lambda p: p.update(pairs=[]), "pairs: expected an object"),
+            (lambda p: p["pairs"].update({"EUR/CHF": "x"}), "pairs.EUR/CHF: expected an object"),
+            (lambda p: p["pairs"].update(EURCHF={}), "bad pair 'EURCHF', expected BASE/QUOTE"),
+            (lambda p: p["pairs"].update({"CHF/EUR": {}}), "'CHF/EUR' is not a pair of the triangle"),
+            (twice, "pairs: EUR/USD is given twice"),
+            (lambda p: p["pairs"]["EUR/USD"].update(point="abc"), "bad point size 'abc' for EUR/USD"),
+            (lambda p: p["pairs"]["EUR/USD"].update(point=1), "leaves EUR/USD no positive bid"),
+            (lambda p: p["pairs"]["EUR/USD"].update(mid="1.2"), "pairs.EUR/USD.mid: expected a"),
+            (lambda p: p["pairs"]["USD/CHF"].update(vol=[]), "pairs.USD/CHF.vol: expected a"),
+            (lambda p: p.update(gap_rate=float("nan")), "gap_rate: expected a finite number"),
+            (lambda p: p.update(liquidity_preset=1), "liquidity_preset: expected true or false"),
+            (lambda p: p.update(injections={}), "injections: expected a list"),
+            (lambda p: p.update(injections=5), "injections: expected a list"),
+            (lambda p: p.update(injections=[{}]), "injections[0]: missing key 'start'"),
+            (lambda p: p.update(injections=[{**five_injections()[0], "duration_seconds": 2.5}]),
+             "injections[0].duration_seconds: expected an integer"),
+            (lambda p: p.update(schedule=[1]), "schedule: expected an object"),
+            (lambda p: p.update(schedule={"magnitude_range": "ab"}),
+             "schedule.magnitude_range: expected a list"),
+            (lambda p: p.update(schedule={"magnitude_range": [1]}),
+             "schedule.magnitude_range: expected [lo, hi]"),
+        ]
+        cases = []
+        for i, (edit, message) in enumerate(edits):
+            payload = synth_payload([])
+            payload = edit(payload) or payload  # an edit returns a new payload or changes this one
+            bad_path = tmp_path / f"bad{i}.json"
+            bad_path.write_text(json.dumps(payload))
+            cases.append((["synth", "--synth-config", str(bad_path)], message))
+        assert_exits_2_before_any_output(tmp_path, capsys, cases)
+
+    @pytest.mark.parametrize("mutation", ["retype_value", "add_key"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning exits 1
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_or_2_without_traceback(self, mutation, data):
+        payload = fuzz_base_payload()
+
+        def at(path):
+            return reduce(lambda node, key: node[key], path, payload)
+
+        if mutation == "retype_value":
+            *parent, key = data.draw(st.sampled_from(value_paths(payload)), label="path")
+            old = json_type(at(parent)[key])
+            value = data.draw(json_values().filter(lambda v: json_type(v) != old), label="value")
+        else:
+            objects = [(), *(path for path in value_paths(payload) if isinstance(at(path), dict))]
+            parent = data.draw(st.sampled_from(objects), label="object")
+            key = data.draw(st.text(min_size=1, max_size=8), label="key")
+            value = data.draw(json_values(), label="value")
+        at(parent)[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "synth.json"
+            cfg_path.write_text(json.dumps(payload))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["synth", "--synth-config", str(cfg_path), "--out-dir", f"{tmp}/out"])
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
     def test_bad_currency_list_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "synth.json"
-        cfg_path.write_text(json.dumps(synth_payload([])))
-        cases = [(["synth", "--synth-config", str(cfg_path), "--triangle", "EUR,USD"],
-                  "three currency codes")]
+        cases = []
         for i, currencies in enumerate([["EUR", "USD"], 5]):
             bad_path = tmp_path / f"bad{i}.json"
             bad_path.write_text(json.dumps({**synth_payload([]), "currencies": currencies}))
@@ -616,6 +727,33 @@ americas = 13-23
                    "--window", f"{MONDAY}..{MONDAY + 3600}", "--out-dir", str(out)])
         assert rc == 0
 
+    @pytest.mark.parametrize("text, message", [
+        ("currencies = EUR,USD,JPY\n", ".ini:1: no [section] header before"),
+        ("[sessions]\nasia\n", ".ini:2: expected KEY = VALUE"),
+        ("[points]\n[points]\n", ".ini:2: section 'points' already exists"),
+        ("[point]\nEUR/USD = 0.00001\n", "unknown section [point]"),
+        ("[triangle]\ncurrency = EUR,USD,JPY\n", "unknown key 'currency' in [triangle]"),
+        ("[points]\nEUR/USD = abc\n", "bad point size 'abc' for EUR/USD"),
+        ("[points]\nEURUSD = 0.00001\n", "bad pair 'eurusd', expected BASE/QUOTE"),
+    ], ids=["no-header", "no-value", "repeated-section", "unknown-section", "unknown-key",
+            "bad-point", "bad-pair"])
+    def test_malformed_ini_exits_2(self, tmp_path, capsys, text, message):
+        cfg_ini = tmp_path / "triarb.ini"
+        cfg_ini.write_text(text)
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            (["detect", "--config", str(cfg_ini), "--data-dir", str(tmp_path), "--window", WINDOW],
+             message),
+        ])
+
+    def test_pair_names_are_case_insensitive(self):
+        from triarb.config import default_app_config, synth_config_from_json
+
+        payload = synth_payload([])
+        payload["pairs"]["eur/usd "] = {**payload["pairs"].pop("EUR/USD"), "point": "0.001"}
+        cfg = synth_config_from_json(payload, default_app_config())
+        assert cfg.mid_prices["EUR/USD"] == 1.2065
+        assert str(cfg.triangle.pair_for("EUR", "USD").point_size) == "0.001"
+
     def test_preset_scales_spreads_with_liquidity(self, tmp_path):
         from triarb.config import default_app_config, synth_config_from_json
 
@@ -639,6 +777,50 @@ americas = 13-23
 class TestCliBasics:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
+
+    def test_flag_surface(self):
+        """Every flag of every subcommand; a new option shows up here."""
+        hist = ["--hist-bin-width", "--hist-hi", "--hist-lo"]
+        ticks = ["--data-dir", "--triangle", "--weekdays", "--window"]
+        flags = cli_flags()
+        assert flags == {
+            "synth": ["--config", "--out-dir", "--synth-config"],
+            "detect": sorted(["--config", "--out-dir", *ticks, *hist, "--thresholds"]),
+            "seasonal": sorted(["--config", "--out-dir", *ticks]),
+            "simulate": sorted(["--config", "--out-dir", *ticks, "--fee-per-trade", "--gamma-t",
+                                "--lambda-bp", "--lambda-grid", "--p", "--runs", "--scenario",
+                                "--seed", "--volume"]),
+            "compare": sorted(["--config", "--out-dir", *hist, "--dataset", "--triangle",
+                               "--weekdays", "--window"]),
+        }
+        assert sum(map(len, flags.values())) == 43
+
+    def test_removed_flags_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "synth.json"
+        cfg_path.write_text(json.dumps(synth_payload([])))
+        synth = ["synth", "--synth-config", str(cfg_path)]
+        ticks = ["--data-dir", str(tmp_path), "--window", WINDOW]
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            ([*synth, "--seed", "1"], "unrecognized arguments: --seed"),
+            ([*synth, "--window", WINDOW], "unrecognized arguments: --window"),
+            ([*synth, "--weekdays", "all"], "unrecognized arguments: --weekdays"),
+            ([*synth, "--triangle", "EUR,USD,JPY"], "unrecognized arguments: --triangle"),
+            ([*synth, "--preset", "table3"], "unrecognized arguments: --preset"),
+            (["detect", *ticks, "--seed", "1"], "unrecognized arguments: --seed"),
+            (["seasonal", *ticks, "--seed", "1"], "unrecognized arguments: --seed"),
+            (["compare", "--dataset", f"a={tmp_path}", "--dataset", f"b={tmp_path}",
+              "--window", WINDOW, "--seed", "1"], "unrecognized arguments: --seed"),
+        ])
+
+    def test_internal_key_error_exits_1_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(path):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("triarb.cli.load_app_config", broken)
+        rc = main(["seasonal", "--data-dir", str(tmp_path), "--window", WINDOW,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "Traceback" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
