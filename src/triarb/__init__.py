@@ -52,7 +52,6 @@ from .simulator import (
     SimulationConfig,
     SimulationResult,
     SimulationSummary,
-    filter_trades,
     simulate_trades,
 )
 from .synth import InjectionSpec, SynthConfig, generate, liquidity_preset
@@ -93,7 +92,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "SimulationSummary",
-    "filter_trades",
     "simulate_trades",
     "InjectionSpec",
     "SynthConfig",

@@ -60,7 +60,6 @@ from .simulator import (
     SimulationConfig,
     SimulationSummary,
     check_lambda_grid,
-    filter_trades,
     simulate_trades,
 )
 from .synth import generate
@@ -259,9 +258,12 @@ def _detect(
 
 
 def cmd_synth(args) -> int:
+    import hashlib  # loads OpenSSL, about 3.5 MB of RSS that only synth needs
+
     app = load_app_config(args.config)
-    with open(args.synth_config) as fh:
-        cfg = synth_config_from_json(json.load(fh), app)
+    raw = Path(args.synth_config).read_bytes()
+    content = json.loads(raw)
+    cfg = synth_config_from_json(content, app)
     triangle_series = generate(cfg)
     out = _out_dir(args)
     for series in triangle_series:
@@ -272,7 +274,10 @@ def cmd_synth(args) -> int:
     )
     _write_manifest(
         out, "synth", app, cfg.triangle, cfg.window, cfg.seed,
-        {"synth_config": str(args.synth_config), "n_injections": len(cfg.injections)},
+        # the file's bytes and content, so that a rerun can tell whether it changed
+        {"synth_config": str(args.synth_config),
+         "synth_config_sha256": hashlib.sha256(raw).hexdigest(),
+         "synth_config_content": content, "n_injections": len(cfg.injections)},
     )
     return 0
 
@@ -349,8 +354,7 @@ def cmd_simulate(args) -> int:
         for gamma_t in gamma_ts
     ]
     ops, _ = _detect(args.data_dir, triangle, window)
-    results = simulate_trades([(filter_trades(ops, cfg.gamma_t), cfg) for cfg in configs],
-                              lambda_grid)
+    results = simulate_trades(ops, configs, lambda_grid)
 
     surface = results[0].surface  # the surface covers the first config only
     curve_rows = []

@@ -39,9 +39,14 @@ def compute_rate_products(series: Sequence[PairSeries], spec: TriangleSpec) -> n
 
 
 def leg_rate(series: PairSeries, side: Side) -> np.ndarray:
-    """One leg's conversion rate per grid second: the bid, or 1/ask; 1.0 where missing."""
+    """One leg's conversion rate per grid second: the bid, or 1/ask; 1.0 where missing.
+
+    A mantissa below 2**53 and 10**scale (scale <= 22) are exact floats, so
+    their quotient is the correctly rounded price whatever the series' scale:
+    a more precise tick elsewhere in the window leaves every other price alone.
+    """
     mantissa = series.bid_m if side is Side.BID else series.ask_m
-    price = np.where(series.missing, 1.0, mantissa * 10.0 ** (-series.scale))
+    price = np.where(series.missing, 1.0, mantissa / 10.0**series.scale)
     return price if side is Side.BID else 1.0 / price
 
 

@@ -1,26 +1,17 @@
 """Monte Carlo trading simulation over rate-product series.
 
-A trade is attempted once per opportunity whose initial rate product exceeds
-the trade threshold; it is taken at that initial value. Both fill models are
-one model: some trades fill surely and the rest fill independently with the
-configured probability. Under FIXED_FILL no trade fills surely; under
-DURATION_FILL the trades on runs of at least `CERTAIN_FILL_MIN_RUN_LENGTH`
-grid seconds do. A filled trade earns volume * (initial_gamma - 1); an
-unfilled one loses a fixed number of basis points of volume.
-
-`simulate_trades` evaluates (trades, config) jobs that share one seed and
-run count. Run r draws its uniforms once, from the r-th SeedSequence child
-of the seed, so runs are reproducible and independent of execution order.
-The draw is as long as the largest trade list and each job reads a prefix:
-`default_rng(c).random(n)` is a prefix of `.random(N)` for N >= n, so a job
-sees what it would draw alone. Runs come in blocks of `BLOCK`, reduced in
-run order with no matrix over all runs: the summary totals, the profit curve
-over the fill probability grid, the surface over (fill probability, loss)
-and each run's break-even fill probability per loss. The curve std needs the
-finished mean, so a second pass draws the same streams and adds up squared
-deviations. Sharing one draw across the sweep (common random numbers) keeps
-profit monotone in the fill probability within a run and makes zero
-crossings well defined.
+A trade is attempted, at its initial value, on each opportunity whose
+initial rate product exceeds the trade threshold. Some trades fill surely
+(none under FIXED_FILL; under DURATION_FILL those on runs of at least
+`CERTAIN_FILL_MIN_RUN_LENGTH` grid seconds), the rest independently with the
+fill probability. A filled trade earns volume * (initial_gamma - 1); an
+unfilled one loses a fixed number of basis points of volume. All configs read
+one uniform per (run, opportunity i), the run-th double that
+`Generator(Philox(key=seed, counter=i * 2**128)).random` draws, so a higher
+threshold reuses the uniforms of its trades (common random numbers) and profit
+is monotone in the fill probability within a run. Runs come in blocks of
+`BLOCK`, reduced with no per-run loop and summed in run order, so no result
+depends on BLOCK.
 """
 
 from __future__ import annotations
@@ -41,8 +32,7 @@ P_GRID = np.linspace(0.0, 1.0, 101)
 # Runs at least this long (grid seconds) fill with certainty under DURATION_FILL:
 # a one-second label means the opportunity lasted under a second.
 CERTAIN_FILL_MIN_RUN_LENGTH = 2
-# Runs drawn and reduced together by simulate_trades.
-BLOCK = 64
+BLOCK = 64  # runs drawn and reduced together by simulate_trades
 
 
 class Scenario(Enum):
@@ -63,18 +53,18 @@ class SimulationConfig:
 
     def __post_init__(self):
         # each check states what must hold, so that NaN fails it too
-        if not 0.0 <= self.fill_prob <= 1.0:
-            raise ValueError(f"fill_prob must be in [0, 1], got {self.fill_prob}")
-        if not 0.0 < self.loss_bp < math.inf:
-            raise ValueError(f"loss_bp must be finite and positive, got {self.loss_bp}")
-        if not 0.0 < self.volume < math.inf:
-            raise ValueError(f"volume must be finite and positive, got {self.volume}")
-        if not self.runs >= 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if not 1.0 <= self.gamma_t < math.inf:
-            raise ValueError(f"gamma_t must be finite and >= 1, got {self.gamma_t}")
-        if not 0.0 <= self.fee_per_trade < math.inf:
-            raise ValueError(f"fee_per_trade must be finite and >= 0, got {self.fee_per_trade}")
+        for holds, rule, value in (
+            (0.0 <= self.fill_prob <= 1.0, "fill_prob must be in [0, 1]", self.fill_prob),
+            (0.0 < self.loss_bp < math.inf, "loss_bp must be finite and positive", self.loss_bp),
+            (0.0 < self.volume < math.inf, "volume must be finite and positive", self.volume),
+            (self.runs >= 1, "runs must be >= 1", self.runs),
+            (1.0 <= self.gamma_t < math.inf, "gamma_t must be finite and >= 1", self.gamma_t),
+            (0.0 <= self.fee_per_trade < math.inf, "fee_per_trade must be finite and >= 0",
+             self.fee_per_trade),
+            (0 <= self.seed < 2**128, "seed (a Philox key) must be in [0, 2**128)", self.seed),
+        ):
+            if not holds:
+                raise ValueError(f"{rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,14 +75,11 @@ class SimulationSummary:
     trades_attempted: int
     trades_filled_mean: float
     run_totals: np.ndarray
-    # trades on long runs (see CERTAIN_FILL_MIN_RUN_LENGTH) and the others,
-    # and the mean excess (initial gamma - 1) in bp of all trades
-    n_long: int
-    n_short: int
-    mean_excess_bp: float
-    # closed forms at cfg.fill_prob and cfg.loss_bp (no break-even without trades)
-    analytic_total_profit: float
-    analytic_break_even_p: Optional[float]
+    n_long: int               # trades on runs of CERTAIN_FILL_MIN_RUN_LENGTH or more
+    n_short: int              # and the others
+    mean_excess_bp: float     # of all trades: initial gamma - 1, in bp
+    analytic_total_profit: float            # closed forms at cfg.fill_prob and cfg.loss_bp
+    analytic_break_even_p: Optional[float]  # None without trades
     analytic_break_even_clamped: bool
 
 
@@ -102,7 +89,6 @@ class BreakEvenResult:
     analytic_p: float
     simulated_p: float
     simulated_p_std: float
-    analytic_clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,171 +108,150 @@ class SimulationResult:
     break_even: tuple[BreakEvenResult, ...]  # one per lambda; empty without trades
 
 
-def filter_trades(
-    ops: Sequence[ArbitrageOpportunity], gamma_t: float
-) -> list[ArbitrageOpportunity]:
-    """One trade per opportunity whose initial rate product strictly exceeds gamma_t."""
-    if not gamma_t >= 1.0:
-        raise ValueError(f"gamma_t must be >= 1, got {gamma_t}")
-    return [op for op in ops if op.initial_gamma > gamma_t]
-
-
 def check_lambda_grid(lambda_grid_bp: Sequence[float]) -> np.ndarray:
     """The loss grid (bp) as an array; it must be non-empty, finite and positive."""
     lam_bp = np.asarray(lambda_grid_bp, dtype=np.float64)
     if lam_bp.size == 0 or not np.all((0 < lam_bp) & (lam_bp < np.inf)):
         raise ValueError(
-            f"loss grid must be non-empty, finite and positive, got {list(lambda_grid_bp)}"
-        )
+            f"loss grid must be non-empty, finite and positive, got {lam_bp.tolist()}")
     return lam_bp
 
 
-def simulate_trades(
-    jobs: Sequence[tuple[Sequence[ArbitrageOpportunity], SimulationConfig]],
-    lambda_grid_bp: Sequence[float],
-) -> list[SimulationResult]:
-    """Monte Carlo fills for each job of already selected trades and a config.
-
-    The jobs must share cfg.seed and cfg.runs. The summary and the profit
-    curves charge cfg.loss_bp per unfilled trade and deduct fees; the surface
-    charges each loss of the grid and deducts fees; the break-even estimates
-    charge each loss of the grid and ignore fees. A run whose profit curve
-    never reaches zero breaks even at 1.
-    """
+def simulate_trades(ops: Sequence[ArbitrageOpportunity], configs: Sequence[SimulationConfig],
+                    lambda_grid_bp: Sequence[float]) -> list[SimulationResult]:
+    """Monte Carlo fills for configs sharing seed and runs; each trades the
+    opportunities whose initial rate product strictly exceeds its gamma_t.
+    The summary and profit curves charge cfg.loss_bp per unfilled trade, the
+    surface and the break-even estimates each loss of the grid; only the
+    break-even ignores fees. A run whose curve never reaches zero breaks even at 1."""
     lam_bp = check_lambda_grid(lambda_grid_bp)
-    shared = {(cfg.seed, cfg.runs) for _, cfg in jobs}
+    shared = {(cfg.seed, cfg.runs) for cfg in configs}
     if len(shared) != 1:
-        raise ValueError(f"jobs must share one (seed, runs), got {sorted(shared)}")
+        raise ValueError(f"configs must share one (seed, runs), got {sorted(shared)}")
     ((seed, runs),) = shared
-    sweeps = [_Sweep(trades, cfg, lam_bp) for trades, cfg in jobs]
-    n_max = max(s.n for s in sweeps)
+    initial = np.array([op.initial_gamma for op in ops], dtype=np.float64)
+    long_run = np.array([op.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for op in ops], dtype=bool)
+    sweeps = [_Sweep(initial, long_run, cfg, lam_bp) for cfg in configs]
     # 0/0 at flat zero crossings, overflow at huge volumes: callers refuse non-finite results
     with np.errstate(all="ignore"):
-        for start, u, cell in _uniform_blocks(seed, runs, n_max):
+        for start, u, cell in _uniform_blocks(seed, runs, initial.size):
             for s in sweeps:
-                s.add_block(start, u[:, :s.n], cell[:, :s.n])
-        if runs > 1:
-            for _, u, cell in _uniform_blocks(seed, runs, n_max):
-                for s in sweeps:
-                    s.add_squared_deviations(u[:, :s.n], cell[:, :s.n])
+                s.add_block(start, u, cell)
         return [s.result() for s in sweeps]
 
 
 def _uniform_blocks(seed: int, runs: int, n: int):
-    """Per block of BLOCK runs: its first run, its uniforms and their P_GRID cells."""
-    parent = np.random.SeedSequence(seed)
+    """Per block of BLOCK runs: its first run, its (run, opportunity) uniforms
+    and their P_GRID cells (the number of grid points at or below each)."""
+    bitgen = np.random.Philox(key=seed)
+    state, steps = bitgen.state, P_GRID.size - 1  # the state holds no buffered words
     for start in range(0, runs, BLOCK):
-        # successive spawn calls give the children of one spawn(runs), not all held at once
-        children = parent.spawn(min(BLOCK, runs - start))
-        u = np.array([np.random.default_rng(c).random(n) for c in children])
-        yield start, u, np.searchsorted(P_GRID, u, side="right")
-
-
-def _add_rows(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """acc plus each row in turn: the order of a sum over axis 0 of all runs."""
-    return np.concatenate((acc[None], rows)).sum(axis=0)
+        b = min(BLOCK, runs - start)
+        skip = start % 4  # a counter value gives four words; run `start` reads word `skip`
+        raw = np.empty((n, skip + b), dtype=np.uint64)
+        for i, row in enumerate(raw):
+            state["state"]["counter"] = np.array([start // 4, 0, i, 0], dtype=np.uint64)
+            bitgen.state = state
+            row[:] = bitgen.random_raw(skip + b)
+        # Generator.random's doubles: the top 53 bits
+        u = np.ascontiguousarray(((raw[:, skip:] >> np.uint64(11)) * 2.0**-53).T)
+        # u * steps is off by at most one cell; one comparison each way corrects it
+        cell = np.minimum(u * steps, steps - 1).astype(np.intp) + 1
+        cell += P_GRID[cell] <= u
+        cell -= P_GRID[cell - 1] > u
+        yield start, u, cell
 
 
 class _Sweep:
-    """One job's trade arrays and its reductions over the blocks of runs."""
+    """One config's reductions over the blocks of runs; its trade arrays span
+    every opportunity, zero or False off the config's trades."""
 
-    def __init__(self, trades, cfg: SimulationConfig, lam_bp: np.ndarray):
-        self.cfg, self.lam_bp, self.n = cfg, lam_bp, len(trades)
-        self.excess = np.array([t.initial_gamma - 1.0 for t in trades], dtype=np.float64)
-        self.long_mask = np.array(
-            [t.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for t in trades], dtype=bool)
-        # sure fills: none under FIXED_FILL, the long runs under DURATION_FILL
+    def __init__(self, initial, long_run, cfg: SimulationConfig, lam_bp: np.ndarray):
+        self.cfg, self.lam_bp = cfg, lam_bp
+        self.trade = initial > cfg.gamma_t
+        self.n = int(self.trade.sum())
+        self.excess = np.where(self.trade, initial - 1.0, 0.0)
+        self.long_mask = long_run & self.trade
         self.certain = self.long_mask & (cfg.scenario is Scenario.DURATION_FILL)
-        self.random_idx = np.flatnonzero(~self.certain)
+        self.random_idx = np.flatnonzero(self.trade & ~self.certain)
         self.const_excess = float(self.excess[self.certain].sum())
         self.loss = cfg.volume * cfg.loss_bp * BP
         self.lam_cost = cfg.volume * (lam_bp * BP)
         self.fees = self.n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-        self.totals, self.filled_counts = np.empty((2, cfg.runs))
-        # per P_GRID point, summed over runs
-        self.filled_sum, self.unfilled, self.curve_sum, self.curve_sq = np.zeros((4, P_GRID.size))
+        self.totals, self.filled_total, self.shift = np.empty(cfg.runs), 0, None
+        # per P_GRID point, summed over runs: the filled excess, the unfilled trades,
+        # the profit curve's deviations from the first run's curve and their squares
+        self.sums = np.zeros((4, P_GRID.size))
         # one row per loss, so that each row reduces as a contiguous 1-D array
-        self.crossings = np.empty((lam_bp.size, cfg.runs), dtype=np.float64)
-
-    def _fill_curves(self, u: np.ndarray, cell: np.ndarray):
-        """Per run (row of u) and P_GRID point p: the summed excess of the
-        random trades with u < p, the number of them unfilled, and the gain."""
-        b, m = u.shape[0], self.random_idx.size
-        order = np.argsort(u[:, self.random_idx], axis=1, kind="stable")
-        prefix = np.zeros((b, m + 1))
-        np.cumsum(self.excess[self.random_idx[order]], axis=1, out=prefix[:, 1:])
-        # fills below each p: count the draws per cell (the number of grid
-        # points at or below the draw), in cells offset per run
-        bins = P_GRID.size + 1
-        idx = cell[:, self.random_idx] + bins * np.arange(b)[:, None]
-        k = np.bincount(idx.ravel(), minlength=b * bins).reshape(b, bins).cumsum(axis=1)[:, :-1]
-        filled_excess = np.take_along_axis(prefix, k, axis=1)
-        return filled_excess, m - k, self.cfg.volume * (self.const_excess + filled_excess)
+        self.crossings = np.empty((lam_bp.size, cfg.runs))
 
     def add_block(self, start: int, u: np.ndarray, cell: np.ndarray) -> None:
-        rows = slice(start, start + u.shape[0])
-        filled = self.certain | (u < self.cfg.fill_prob)
+        cfg, b, bins = self.cfg, u.shape[0], P_GRID.size
+        rows = slice(start, start + b)
+        filled = self.certain | (self.trade & (u < cfg.fill_prob))
         counts = filled.sum(axis=1)
-        # one pairwise sum per run; a masked row sum adds in another order
-        sums = np.array([self.excess[f].sum() for f in filled])
-        self.totals[rows] = self.cfg.volume * sums - self.loss * (self.n - counts) - self.fees
-        self.filled_counts[rows] = counts
-        fs, nu, gains = self._fill_curves(u, cell)
-        self.filled_sum = _add_rows(self.filled_sum, fs)
-        self.unfilled = _add_rows(self.unfilled, nu)
-        self.curve_sum = _add_rows(self.curve_sum, gains - self.loss * nu - self.fees)
-        # break-even profit over (p, run, loss), one column per (run, loss)
-        profit = gains.T[:, :, None] - self.lam_cost * nu.T[:, :, None]
-        crossing = _zero_crossings(P_GRID, profit.reshape(P_GRID.size, -1))
-        crossing[np.isnan(crossing)] = 1.0
-        self.crossings[:, rows] = crossing.reshape(-1, self.lam_bp.size).T
-
-    def add_squared_deviations(self, u: np.ndarray, cell: np.ndarray) -> None:
-        _, nu, gains = self._fill_curves(u, cell)
-        dev = gains - self.loss * nu - self.fees - self.curve_sum / self.cfg.runs
-        self.curve_sq = _add_rows(self.curve_sq, np.square(dev))
+        sums = np.where(filled, self.excess, 0.0).sum(axis=1)
+        self.totals[rows] = cfg.volume * sums - self.loss * (self.n - counts) - self.fees
+        self.filled_total += int(counts.sum())
+        # per run and P_GRID point p, the random trades with u < p (cell at or below p)
+        # and their summed excess (float even with none), from cells offset per run
+        idx = (cell[:, self.random_idx] + bins * np.arange(b)[:, None]).ravel()
+        unfilled = self.random_idx.size - np.bincount(
+            idx, minlength=b * bins).reshape(b, bins).cumsum(axis=1)
+        filled_excess = np.bincount(idx, weights=np.tile(self.excess[self.random_idx], b),
+                                    minlength=b * bins).reshape(b, bins).cumsum(axis=1, dtype=float)
+        gains = cfg.volume * (self.const_excess + filled_excess)
+        curves = gains - self.loss * unfilled - self.fees
+        self.shift = curves[0].copy() if self.shift is None else self.shift
+        dev = curves - self.shift
+        # acc + row 0 + row 1 + ...: sums in run order, whatever the block
+        block_sums = np.stack((filled_excess, unfilled, dev, dev * dev), axis=1)
+        block_sums[0] += self.sums
+        self.sums = block_sums.sum(axis=0)
+        # break-even profit over (run, loss, p), C-contiguous so that the reshape is a view
+        profit = unfilled[:, None, :] * self.lam_cost[:, None]
+        np.subtract(gains[:, None, :], profit, out=profit)
+        crossing = _zero_crossings(profit.reshape(-1, bins))
+        self.crossings[:, rows] = np.where(np.isnan(crossing), 1.0, crossing).reshape(b, -1).T
 
     def result(self) -> SimulationResult:
         cfg, n, runs, totals = self.cfg, self.n, self.cfg.runs, self.totals
         excess_bp = self.excess / BP
-        # the closed forms' inputs: counts and mean excess (bp) of sure and random fills
+        # the closed forms' inputs: counts and mean excess (bp) of sure and random
+        # fills; without trades the mean excess, hence the break-even, is undefined
         split = (int(self.certain.sum()), self.random_idx.size,
                  _mean(excess_bp[self.certain]), _mean(excess_bp[self.random_idx]))
-        mean_total = float(totals.mean())
-        n_long = int(self.long_mask.sum())
-        # without trades the mean excess, hence the break-even, is undefined
+        mean_total, n_long = float(totals.mean()), int(self.long_mask.sum())
         p_be, clamped = analytic_break_even(*split, cfg.loss_bp) if n else (None, False)
+        analytic_total = analytic_total_profit(*split, cfg.volume, cfg.fill_prob, cfg.loss_bp)
         summary = SimulationSummary(
             total_profit=mean_total,
-            # shift by a run total before the moment computation; keeps the std
-            # of bit-identical runs (p = 0 or 1) at exactly zero
+            # shifted by a run total: bit-identical runs (p = 0 or 1) have std exactly 0
             total_profit_std=float((totals - totals[0]).std(ddof=1)) if runs > 1 else 0.0,
             mean_profit_per_trade_bp=mean_total / (n * cfg.volume) / BP if n else 0.0,
-            trades_attempted=n, trades_filled_mean=float(self.filled_counts.mean()),
-            run_totals=totals, n_long=n_long, n_short=n - n_long, mean_excess_bp=_mean(excess_bp),
-            analytic_total_profit=analytic_total_profit(
-                *split, cfg.volume, cfg.fill_prob, cfg.loss_bp),
-            analytic_break_even_p=p_be, analytic_break_even_clamped=clamped,
+            trades_attempted=n, trades_filled_mean=self.filled_total / runs, run_totals=totals,
+            n_long=n_long, n_short=n - n_long, mean_excess_bp=_mean(excess_bp[self.trade]),
+            analytic_total_profit=analytic_total, analytic_break_even_p=p_be,
+            analytic_break_even_clamped=clamped,
         )
-        # surface total(p, lam) = V*(const + mean filled excess[p]) - V*lam*mean unfilled[p] - fees
-        surface_totals = (cfg.volume * (self.const_excess + self.filled_sum / runs)[:, None]
-                          - self.lam_cost[None, :] * (self.unfilled / runs)[:, None] - self.fees)
-        contour = tuple((float(lam), float(p)) for lam, p in
-                        zip(self.lam_bp, _zero_crossings(P_GRID, surface_totals)))
+        filled_mean, unfilled_mean, dev_mean, dev_sq_mean = self.sums / runs
+        filled_mean += self.const_excess
+        surface_totals = (cfg.volume * filled_mean[:, None]
+                          - self.lam_cost[None, :] * unfilled_mean[:, None] - self.fees)
+        contour = tuple(zip(self.lam_bp.tolist(), _zero_crossings(surface_totals.T).tolist()))
         mean_bp = surface_totals / (n * cfg.volume) / BP if n else np.zeros_like(surface_totals)
-        # the analytic break-even per loss, and the mean and std of the run crossings
-        break_even = []
-        for lam, estimates in zip(self.lam_bp.tolist(), self.crossings if n else ()):
-            analytic_p, analytic_clamped = analytic_break_even(*split, lam)
-            break_even.append(BreakEvenResult(
-                lam, analytic_p, float(estimates.mean()),
-                float(estimates.std(ddof=1)) if runs > 1 else 0.0, analytic_clamped))
+        break_even = tuple(
+            BreakEvenResult(lam, analytic_break_even(*split, lam)[0], float(estimates.mean()),
+                            float(estimates.std(ddof=1)) if runs > 1 else 0.0)
+            for lam, estimates in zip(self.lam_bp.tolist(), self.crossings if n else ()))
         return SimulationResult(
             summary=summary,
-            curve_mean=self.curve_sum / runs,
-            curve_std=np.sqrt(self.curve_sq / (runs - 1)) if runs > 1 else np.zeros(P_GRID.size),
+            curve_mean=cfg.volume * filled_mean - self.loss * unfilled_mean - self.fees,
+            # from the shifted sums: mean square deviation less squared mean deviation
+            curve_std=np.sqrt(np.maximum(dev_sq_mean - dev_mean**2, 0.0) * (runs / (runs - 1)))
+            if runs > 1 else np.zeros(P_GRID.size),
             surface=ProfitSurface(P_GRID, self.lam_bp, mean_bp, contour),
-            break_even=tuple(break_even),
+            break_even=break_even,
         )
 
 
@@ -294,57 +259,42 @@ def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else 0.0
 
 
-def _zero_crossings(p_grid: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """First zero crossing of each column of nondecreasing profit curves.
-
-    Rows follow p_grid. A column that is nonnegative from the start crosses
-    at p_grid[0]; one that never reaches zero on the grid gives NaN.
-    """
-    cols = np.arange(totals.shape[1])
-    nonneg = totals >= 0.0
-    k = nonneg.argmax(axis=0)
+def _zero_crossings(curves: np.ndarray) -> np.ndarray:
+    """First zero crossing of each row of nondecreasing profit curves over P_GRID:
+    P_GRID[0] for a row nonnegative from the start, NaN for one never reaching 0."""
+    rows = np.arange(curves.shape[0])
+    nonneg = curves >= 0.0
+    k = nonneg.argmax(axis=1)
     prev = np.maximum(k - 1, 0)
-    t0, t1 = totals[prev, cols], totals[k, cols]
-    p0, p1 = p_grid[prev], p_grid[k]
+    t0, t1 = curves[rows, prev], curves[rows, k]
+    p0, p1 = P_GRID[prev], P_GRID[k]
     crossing = p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0)
-    crossing[k == 0] = p_grid[0]
-    crossing[~nonneg[k, cols]] = np.nan
+    crossing[k == 0] = P_GRID[0]
+    crossing[~nonneg[rows, k]] = np.nan
     return crossing
 
 
-# ---------------------------------------------------------------------------
 # closed forms over the sure/random split; FIXED_FILL is n_certain = 0
-
-
-def analytic_total_profit(
-    n_certain: int, n_random: int, mean_certain_bp: float, mean_random_bp: float,
-    volume: float, fill_prob: float, loss_bp: float,
-) -> float:
+def analytic_total_profit(n_certain: int, n_random: int, mean_certain_bp: float,
+                          mean_random_bp: float, volume: float, fill_prob: float,
+                          loss_bp: float) -> float:
     """Expected total profit, before fees, when n_certain trades fill surely
     and n_random fill independently with fill_prob; means are excess in bp."""
     if n_certain < 0 or n_random < 0:
         raise ValueError(f"counts must be >= 0, got {n_certain} and {n_random}")
     return n_certain * volume * (mean_certain_bp * BP) + n_random * volume * (
-        fill_prob * (mean_random_bp * BP) - (1.0 - fill_prob) * loss_bp * BP
-    )
+        fill_prob * (mean_random_bp * BP) - (1.0 - fill_prob) * loss_bp * BP)
 
 
-def analytic_break_even(
-    n_certain: int, n_random: int, mean_certain_bp: float, mean_random_bp: float, loss_bp: float
-) -> tuple[float, bool]:
-    """Fill probability at which the expected total profit is zero, clamped to [0, 1].
-
-    Returns (p, clamped); clamped is True when the sure fills alone cover
-    every possible loss of the random ones, which drives the raw value below
-    zero (or there is no random trade at all).
-    """
+def analytic_break_even(n_certain: int, n_random: int, mean_certain_bp: float,
+                        mean_random_bp: float, loss_bp: float) -> tuple[float, bool]:
+    """(p, clamped): the fill probability at which the expected total profit is
+    zero, clamped to [0, 1]; clamped when the sure fills alone cover every loss
+    of the random ones, or there is no random trade."""
     if loss_bp <= 0:
         raise ValueError(f"loss_bp must be positive, got {loss_bp}")
     if n_random == 0:
         return 0.0, True
     raw = (1.0 - n_certain * mean_certain_bp / (n_random * loss_bp)) / (
-        1.0 + mean_random_bp / loss_bp
-    )
-    if raw < 0.0:
-        return 0.0, True
-    return min(raw, 1.0), False
+        1.0 + mean_random_bp / loss_bp)
+    return (0.0, True) if raw < 0.0 else (min(raw, 1.0), False)

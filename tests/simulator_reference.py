@@ -1,10 +1,13 @@
-"""Reference simulator: one seeded loop per quantity, as the simulator was first written.
+"""Reference simulator: one loop over runs, one run at a time.
 
-Each function re-spawns the per-run streams from the config seed and reduces
-one quantity from them. `min_long` is the run length from which trades fill
-surely under DURATION_FILL. `simulate_trades` in the package must reproduce every
-number here exactly, since it draws the same uniforms and keeps each
-reduction's float arithmetic.
+The draws follow the contract stated in `triarb.simulator`: opportunity i's
+uniforms over runs are `Generator(Philox(key=seed, counter=i * 2**128)).random`.
+Each run then places its uniforms with `searchsorted`, takes its fills and
+totals with a masked sum, and its profit curves from a weighted `bincount`
+and a `cumsum`, so `simulate_trades` must reproduce every number here
+exactly, except the curve std: the reference keeps every run's curve and
+takes numpy's two-pass std, which the package's one-pass shifted sums match
+only within a rounding bound (see `tests/test_simulator.py`).
 """
 
 from __future__ import annotations
@@ -13,142 +16,108 @@ import numpy as np
 
 from triarb.simulator import (
     BP,
+    CERTAIN_FILL_MIN_RUN_LENGTH,
     LEGS_PER_TRANSACTION,
+    P_GRID,
     Scenario,
     analytic_break_even,
+    analytic_total_profit,
 )
 
 
-def _run_rngs(seed, runs):
-    children = np.random.SeedSequence(seed).spawn(runs)
-    return [np.random.default_rng(c) for c in children]
+def uniforms(seed, runs, n_ops):
+    """(runs, n_ops): column i is opportunity i's stream."""
+    u = np.empty((runs, n_ops))
+    for i in range(n_ops):
+        u[:, i] = np.random.Generator(np.random.Philox(key=seed, counter=i << 128)).random(runs)
+    return u
 
 
-def _trade_arrays(trades, min_long):
-    excess = np.array([t.initial_gamma - 1.0 for t in trades], dtype=np.float64)
-    long_mask = np.array([t.run_length >= min_long for t in trades], dtype=bool)
-    return excess, long_mask
-
-
-def _fills(u, cfg, long_mask):
-    if cfg.scenario is Scenario.FIXED_FILL:
-        return u < cfg.fill_prob
-    return long_mask | (u < cfg.fill_prob)
-
-
-def _scenario_split(excess, long_mask, scenario):
-    if scenario is Scenario.FIXED_FILL:
-        return 0.0, np.arange(excess.size)
-    return float(excess[long_mask].sum()), np.flatnonzero(~long_mask)
-
-
-def _sorted_fill_curves(u, excess, p_grid):
-    order = np.argsort(u, kind="stable")
-    u_sorted = u[order]
-    prefix = np.concatenate(([0.0], np.cumsum(excess[order])))
-    k = np.searchsorted(u_sorted, p_grid, side="left")
-    return prefix[k], u.size - k
-
-
-def _zero_crossing(p_grid, totals):
+def _zero_crossing(totals):
     nonneg = np.flatnonzero(totals >= 0.0)
     if nonneg.size == 0:
         return float("nan")
     k = int(nonneg[0])
     if k == 0:
-        return float(p_grid[0])
+        return float(P_GRID[0])
     t0, t1 = totals[k - 1], totals[k]
-    p0, p1 = p_grid[k - 1], p_grid[k]
+    p0, p1 = P_GRID[k - 1], P_GRID[k]
     return float(p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0))
 
 
-def summary(trades, cfg, min_long):
-    """(mean total, std, per-trade bp, trades, mean filled, run totals)."""
-    n = len(trades)
-    excess, long_mask = _trade_arrays(trades, min_long)
-    loss = cfg.volume * cfg.loss_bp * BP
-    fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-    totals = np.empty(cfg.runs, dtype=np.float64)
-    filled_counts = np.empty(cfg.runs, dtype=np.float64)
-    for r, rng in enumerate(_run_rngs(cfg.seed, cfg.runs)):
-        u = rng.random(n)
-        filled = _fills(u, cfg, long_mask)
-        totals[r] = cfg.volume * excess[filled].sum() - loss * (n - filled.sum()) - fees
-        filled_counts[r] = filled.sum()
-    std = float((totals - totals[0]).std(ddof=1)) if cfg.runs > 1 else 0.0
-    mean_total = float(totals.mean())
-    per_trade_bp = mean_total / (n * cfg.volume) / BP if n else 0.0
-    return mean_total, std, per_trade_bp, n, float(filled_counts.mean()), totals
+def _mean(values):
+    return float(values.mean()) if values.size else 0.0
 
 
-def surface(trades, p_grid, lambda_grid_bp, cfg, min_long):
-    """(mean profit bp matrix, contour rows)."""
-    p = np.asarray(p_grid, dtype=np.float64)
+def simulate(ops, cfg, lambda_grid_bp):
+    """Every number of a SimulationResult, as a dict, plus each run's profit curve."""
     lam_bp = np.asarray(lambda_grid_bp, dtype=np.float64)
-    n = len(trades)
-    excess, long_mask = _trade_arrays(trades, min_long)
-    const_excess, random_idx = _scenario_split(excess, long_mask, cfg.scenario)
+    initial = np.array([op.initial_gamma for op in ops], dtype=np.float64)
+    trade = initial > cfg.gamma_t
+    n = int(trade.sum())
+    excess = np.where(trade, initial - 1.0, 0.0)
+    long_mask = trade & np.array(
+        [op.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for op in ops], dtype=bool)
+    certain = long_mask & (cfg.scenario is Scenario.DURATION_FILL)
+    random = trade & ~certain
+    m = int(random.sum())
+    const_excess = float(excess[certain].sum())
+    loss = cfg.volume * cfg.loss_bp * BP
+    lam_cost = cfg.volume * (lam_bp * BP)
     fees = n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-    filled_sum = np.zeros(p.size, dtype=np.float64)
-    unfilled = np.zeros(p.size, dtype=np.float64)
-    for rng in _run_rngs(cfg.seed, cfg.runs):
-        u = rng.random(n)
-        fs, nu = _sorted_fill_curves(u[random_idx], excess[random_idx], p)
-        filled_sum += fs
-        unfilled += nu
-    filled_sum /= cfg.runs
-    unfilled /= cfg.runs
-    totals = (
-        cfg.volume * (const_excess + filled_sum)[:, None]
-        - cfg.volume * (lam_bp * BP)[None, :] * unfilled[:, None]
-        - fees
-    )
-    mean_bp = totals / (n * cfg.volume) / BP if n else np.zeros_like(totals)
-    contour = tuple(
-        (float(lam_bp[j]), _zero_crossing(p, totals[:, j])) for j in range(lam_bp.size)
-    )
-    return mean_bp, contour
 
+    totals, filled_counts = np.empty((2, cfg.runs))
+    curves = np.empty((cfg.runs, P_GRID.size))
+    filled_sum = np.zeros(P_GRID.size)
+    unfilled_sum = np.zeros(P_GRID.size)
+    crossings = np.empty((lam_bp.size, cfg.runs))
+    for r, u in enumerate(uniforms(cfg.seed, cfg.runs, initial.size)):
+        filled = certain | (random & (u < cfg.fill_prob))
+        totals[r] = (cfg.volume * np.where(filled, excess, 0.0).sum()
+                     - loss * (n - filled.sum()) - fees)
+        filled_counts[r] = filled.sum()
+        cells = np.searchsorted(P_GRID, u[random], side="right")
+        k = np.bincount(cells, minlength=P_GRID.size).cumsum()
+        filled_excess = np.bincount(cells, weights=excess[random],
+                                    minlength=P_GRID.size).cumsum(dtype=float)
+        gains = cfg.volume * (const_excess + filled_excess)
+        curves[r] = gains - loss * (m - k) - fees
+        filled_sum = filled_sum + filled_excess
+        unfilled_sum = unfilled_sum + (m - k)
+        for j, cost in enumerate(lam_cost):
+            crossing = _zero_crossing(gains - cost * (m - k))
+            crossings[j, r] = 1.0 if np.isnan(crossing) else crossing
 
-def profit_curves(trades, p_grid, cfg, min_long):
-    """(mean, std) of the total profit across runs at each fill probability."""
-    p = np.asarray(p_grid, dtype=np.float64)
-    excess, long_mask = _trade_arrays(trades, min_long)
-    const_excess, random_idx = _scenario_split(excess, long_mask, cfg.scenario)
-    fees = len(trades) * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-    lam = cfg.volume * cfg.loss_bp * BP
-    totals = np.empty((cfg.runs, p.size), dtype=np.float64)
-    for r, rng in enumerate(_run_rngs(cfg.seed, cfg.runs)):
-        u = rng.random(excess.size)
-        fs, nu = _sorted_fill_curves(u[random_idx], excess[random_idx], p)
-        totals[r] = cfg.volume * (const_excess + fs) - lam * nu - fees
-    std = totals.std(axis=0, ddof=1) if cfg.runs > 1 else np.zeros(p.size)
-    return totals.mean(axis=0), std
-
-
-def break_even(trades, scenario, lambda_bp, runs, seed, volume, min_long):
-    """(analytic p, simulated p, its std, analytic clamped); trades must be non-empty."""
-    excess, long_mask = _trade_arrays(trades, min_long)
     excess_bp = excess / BP
-    if scenario is Scenario.FIXED_FILL:
-        analytic_p, clamped = analytic_break_even(
-            0, excess.size, 0.0, float(excess_bp.mean()), lambda_bp
-        )
-    else:
-        n_long = int(long_mask.sum())
-        n_short = int(excess.size - n_long)
-        mean_long = float(excess_bp[long_mask].mean()) if n_long else 0.0
-        mean_short = float(excess_bp[~long_mask].mean()) if n_short else 0.0
-        analytic_p, clamped = analytic_break_even(n_long, n_short, mean_long, mean_short, lambda_bp)
-    const_excess, random_idx = _scenario_split(excess, long_mask, scenario)
-    p_grid = np.linspace(0.0, 1.0, 101)
-    lam_frac = lambda_bp * BP
-    estimates = np.empty(runs, dtype=np.float64)
-    for r, rng in enumerate(_run_rngs(seed, runs)):
-        u = rng.random(excess.size)
-        fs, nu = _sorted_fill_curves(u[random_idx], excess[random_idx], p_grid)
-        totals = volume * (const_excess + fs) - volume * lam_frac * nu
-        crossing = _zero_crossing(p_grid, totals)
-        estimates[r] = 1.0 if np.isnan(crossing) else crossing
-    std = float(estimates.std(ddof=1)) if runs > 1 else 0.0
-    return analytic_p, float(estimates.mean()), std, clamped
+    split = (int(certain.sum()), m, _mean(excess_bp[certain]), _mean(excess_bp[random]))
+    mean_total = float(totals.mean())
+    n_long = int(long_mask.sum())
+    p_be, clamped = analytic_break_even(*split, cfg.loss_bp) if n else (None, False)
+    filled_mean = const_excess + filled_sum / cfg.runs
+    unfilled_mean = unfilled_sum / cfg.runs
+    surface = np.empty((P_GRID.size, lam_bp.size))
+    for j, cost in enumerate(lam_cost):
+        surface[:, j] = cfg.volume * filled_mean - cost * unfilled_mean - fees
+    return {
+        "summary": dict(
+            total_profit=mean_total,
+            total_profit_std=float((totals - totals[0]).std(ddof=1)) if cfg.runs > 1 else 0.0,
+            mean_profit_per_trade_bp=mean_total / (n * cfg.volume) / BP if n else 0.0,
+            trades_attempted=n, trades_filled_mean=float(filled_counts.mean()),
+            n_long=n_long, n_short=n - n_long, mean_excess_bp=_mean(excess_bp[trade]),
+            analytic_total_profit=analytic_total_profit(
+                *split, cfg.volume, cfg.fill_prob, cfg.loss_bp),
+            analytic_break_even_p=p_be, analytic_break_even_clamped=clamped,
+        ),
+        "run_totals": totals,
+        "curves": curves,
+        "curve_mean": cfg.volume * filled_mean - loss * unfilled_mean - fees,
+        "curve_std": curves.std(axis=0, ddof=1) if cfg.runs > 1 else np.zeros(P_GRID.size),
+        "mean_profit_bp": surface / (n * cfg.volume) / BP if n else np.zeros_like(surface),
+        "contour": [(float(lam), _zero_crossing(surface[:, j])) for j, lam in enumerate(lam_bp)],
+        "break_even": [
+            (float(lam), analytic_break_even(*split, lam)[0], float(row.mean()),
+             float(row.std(ddof=1)) if cfg.runs > 1 else 0.0)
+            for lam, row in zip(lam_bp, crossings)
+        ] if n else [],
+    }

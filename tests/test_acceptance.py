@@ -31,7 +31,6 @@ from triarb.simulator import (
     SimulationConfig,
     analytic_break_even,
     analytic_total_profit,
-    filter_trades,
     simulate_trades,
 )
 from triarb.synth import (
@@ -88,7 +87,7 @@ def test_analytic_simulation_agreement():
     p = 0.6
     for scenario in (Scenario.FIXED_FILL, Scenario.DURATION_FILL):
         for gamma_t in (1.0, 1.00005, 1.0001):
-            trades = filter_trades(all_ops, gamma_t)
+            trades = [op for op in all_ops if op.initial_gamma > gamma_t]
             excess_bp = np.array([t.initial_gamma - 1.0 for t in trades]) / 1e-4
             # runs of 2 s or more fill surely under the duration model, none under fixed
             certain = np.array([t.run_length >= 2 for t in trades])
@@ -104,7 +103,7 @@ def test_analytic_simulation_agreement():
                     gamma_t=gamma_t, scenario=scenario, fill_prob=p, loss_bp=loss_bp,
                     volume=volume, runs=1000, seed=314159,
                 )
-                (result,) = simulate_trades([(trades, cfg)], [loss_bp])
+                (result,) = simulate_trades(all_ops, [cfg], [loss_bp])
                 result = result.summary
                 expected = analytic_total_profit(*split, volume, p, loss_bp)
                 assert result.analytic_total_profit == pytest.approx(expected, rel=1e-12)
@@ -113,7 +112,7 @@ def test_analytic_simulation_agreement():
                     scenario, gamma_t, loss_bp
                 )
                 be_cfg = dataclasses.replace(cfg, runs=300, seed=2718)
-                (be_result,) = simulate_trades([(trades, be_cfg)], [loss_bp])
+                (be_result,) = simulate_trades(all_ops, [be_cfg], [loss_bp])
                 (be,) = be_result.break_even
                 assert abs(be.simulated_p - be.analytic_p) <= 0.02, (scenario, gamma_t, loss_bp)
                 assert be.analytic_p == analytic_break_even(*split, loss_bp)[0]

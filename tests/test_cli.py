@@ -155,6 +155,23 @@ class TestSynthCommand:
         assert manifest["command"] == "synth"
         assert manifest["tool_version"]
 
+    def test_manifest_records_config_hash_and_content(self, tmp_path):
+        data_dir = run_synth(tmp_path, [], seed=77)
+        cfg_path = tmp_path / "synth_data.json"
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        assert manifest["synth_config"] == str(cfg_path)
+        assert manifest["synth_config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+        assert manifest["synth_config_content"] == json.loads(cfg_path.read_text())
+        # editing the seed changes the recorded hash and content
+        payload = json.loads(cfg_path.read_text())
+        payload["seed"] = 78
+        cfg_path.write_text(json.dumps(payload))
+        rerun = tmp_path / "rerun"
+        assert main(["synth", "--synth-config", str(cfg_path), "--out-dir", str(rerun)]) == 0
+        edited = json.loads((rerun / "manifest.json").read_text())
+        assert edited["synth_config_sha256"] != manifest["synth_config_sha256"]
+        assert edited["synth_config_content"]["seed"] == edited["seed"] == 78
+
     def test_infeasible_injection_exits_2(self, tmp_path):
         payload = synth_payload(
             [{"start": MONDAY + 10, "duration_seconds": 1, "magnitude_bp": 1.0, "direction": 1}]
@@ -425,13 +442,13 @@ class TestSeasonalCommand:
 class TestSimulateCommand:
     def test_one_analytic_break_even_per_config(self):
         # the summary entry and the break-even row read the same closed-form inputs
-        trades = [
+        ops = [
             ArbitrageOpportunity(MONDAY + 10 * i, length, g, g, Direction.DIR1)
             for i, (g, length) in enumerate([(1.00005, 1), (1.00021, 3), (1.00033, 1)])
         ]
         for scenario in Scenario:
             cfg = SimulationConfig(scenario=scenario, loss_bp=1.5, runs=3, seed=1)
-            (result,) = simulate_trades([(trades, cfg)], [1.0, 1.5])
+            (result,) = simulate_trades(ops, [cfg], [1.0, 1.5])
             entry = _summary_entry(cfg, result.summary)
             assert entry["analytic_break_even_p"] == result.break_even[1].analytic_p
             if scenario is Scenario.FIXED_FILL:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triarb.market_data import SeriesWindow, TriangleSpec
-from triarb.rate_product import compute_rate_products
+from triarb.market_data import PairSeries, SeriesWindow, Side, TriangleSpec
+from triarb.rate_product import compute_rate_products, leg_rate
 
 from conftest import load_rows
 
@@ -173,6 +173,45 @@ class TestProperties:
         g_base = compute_rate_products(single_second(spec, base), spec)
         g_raised = compute_rate_products(single_second(spec, raised), spec)
         assert g_raised[0, 0] >= g_base[0, 0]
+
+
+class TestScaleFreePrices:
+    def test_extra_precise_tick_leaves_other_gammas_alone(self):
+        # 300 seconds quoted at 5 dp; one more tick at 7 dp raises EUR/USD's
+        # scale to 7, and every gamma of the 5 dp seconds stays bit-identical
+        spec = triangle()
+        rng = np.random.default_rng(77)
+        n = 300
+        mids = {"EUR/USD": 120_650, "USD/CHF": 130_300, "EUR/CHF": 157_200}
+        rows = {}
+        for name, mid in mids.items():
+            bids = mid + rng.integers(-5000, 5000, size=n)
+            rows[name] = [(t, f"{b / 1e5:.5f}", f"{(b + 3) / 1e5:.5f}")
+                          for t, b in enumerate(bids.tolist())]
+        five = compute_rate_products(tick_series(spec, rows, SeriesWindow(0, n + 1)), spec)
+        rows["EUR/USD"] = rows["EUR/USD"] + [(n, "1.2065001", "1.2065301")]
+        seven_series = tick_series(spec, rows, SeriesWindow(0, n + 1))
+        assert [s.scale for s in seven_series] == [7, 5, 5]
+        seven = compute_rate_products(seven_series, spec)
+        assert np.array_equal(five[:, :n], seven[:, :n])
+
+    # (extra places, a mantissa whose finer form still lies below 2**53)
+    @given(st.integers(1, 7).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(1, (2**53 - 1) // 10**k))),
+        st.integers(0, 15))
+    @settings(max_examples=200, deadline=None)
+    def test_price_does_not_depend_on_scale(self, extra_and_mantissa, scale):
+        # the same price written with `extra` more decimal places gives the same rate
+        extra, mantissa = extra_and_mantissa
+
+        def series(m, s):
+            mantissas = np.array([m], dtype=np.int64)
+            return PairSeries(triangle().pairs[0], SeriesWindow(0, 1), mantissas, mantissas,
+                              np.zeros(1, dtype=bool), s)
+
+        coarse, fine = series(mantissa, scale), series(mantissa * 10**extra, scale + extra)
+        for side in Side:
+            assert leg_rate(coarse, side)[0] == leg_rate(fine, side)[0]
 
 
 class TestSeriesShape:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from triarb import simulator
 from triarb.opportunity import segment_opportunities
 from triarb.simulator import (
     BLOCK,
@@ -17,7 +18,6 @@ from triarb.simulator import (
     SimulationConfig,
     analytic_break_even,
     analytic_total_profit,
-    filter_trades,
     simulate_trades,
 )
 
@@ -46,34 +46,40 @@ def random_trade_series(seed=7, n_runs=600):
     return series_with_runs(specs)
 
 
-def select_trades(series, gamma_t):
-    return filter_trades(segment_opportunities(*series), gamma_t)
+def trades_of(ops, gamma_t):
+    """The opportunities a config with this threshold trades."""
+    return [op for op in ops if op.initial_gamma > gamma_t]
 
 
 def run_simulation(series, cfg, lambda_grid_bp=(1.5,)):
-    (result,) = simulate_trades([(select_trades(series, cfg.gamma_t), cfg)], lambda_grid_bp)
+    (result,) = simulate_trades(segment_opportunities(*series), [cfg], lambda_grid_bp)
     return result
+
+
+def trades_attempted(series, gamma_t):
+    return run_simulation(series, SimulationConfig(gamma_t=gamma_t, runs=1)).summary.trades_attempted
 
 
 class TestSelectTrades:
     def test_threshold_one_trades_every_opportunity(self):
         series = series_with_runs([(1, 1.00001, 1.00001), (3, 1.0002, 1.0003)])
-        assert len(select_trades(series, 1.0)) == 2
+        assert trades_attempted(series, 1.0) == 2
 
     def test_initial_below_threshold_excluded(self):
         series = series_with_runs([(2, 1.00005, 1.0003)])
         # threshold tests the tradeable initial value, not the later peak
-        assert select_trades(series, 1.0001) == []
+        assert trades_attempted(series, 1.0001) == 0
 
     def test_filter_example(self):
         series = series_with_runs(
             [(1, 1.00002, 1.00002), (1, 1.00007, 1.00007), (1, 1.00012, 1.00012)]
         )
-        assert len(select_trades(series, 1.00005)) == 2
+        assert trades_attempted(series, 1.00005) == 2
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            filter_trades([], 0.99)
+        for gamma_t in (0.99, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SimulationConfig(gamma_t=gamma_t)
 
 
 class TestRunSimulation:
@@ -94,13 +100,13 @@ class TestRunSimulation:
         assert result.trades_attempted == 4
 
     def test_mean_converges_to_analytic_form(self):
-        series = random_trade_series()
-        trades = select_trades(series, 1.0)
+        ops = segment_opportunities(*random_trade_series())
+        trades = trades_of(ops, 1.0)
         excess = np.array([t.initial_gamma - 1.0 for t in trades])
         cfg = SimulationConfig(
             fill_prob=0.5, loss_bp=1.5, volume=1e6, runs=1000, seed=11
         )
-        (result,) = simulate_trades([(trades, cfg)], [1.5])
+        (result,) = simulate_trades(ops, [cfg], [1.5])
         result = result.summary
         analytic = analytic_total_profit(0, len(trades), 0.0, float(excess.mean()) / BP, 1e6, 0.5, 1.5)
         assert result.analytic_total_profit == pytest.approx(analytic, rel=1e-12)
@@ -152,12 +158,11 @@ class TestRunSimulation:
         assert totals == sorted(totals, reverse=True)
 
     def test_monotone_in_p_and_lambda(self):
-        series = random_trade_series(seed=9, n_runs=120)
-        trades = select_trades(series, 1.0)
+        ops = segment_opportunities(*random_trade_series(seed=9, n_runs=120))
         curves = {}
         for loss_bp in (1.0, 2.0, 3.0):
             cfg = SimulationConfig(loss_bp=loss_bp, runs=15, seed=33)
-            (result,) = simulate_trades([(trades, cfg)], [loss_bp])
+            (result,) = simulate_trades(ops, [cfg], [loss_bp])
             curves[loss_bp] = result.curve_mean
             assert np.all(np.diff(curves[loss_bp]) >= -1e-9)
         assert np.all(curves[3.0] <= curves[1.0] + 1e-9)
@@ -252,10 +257,10 @@ class TestBreakEven:
 
     def test_sign_consistency_with_analytic_total(self):
         # profit at p is positive iff p sits above the break-even point
-        series = random_trade_series(seed=15, n_runs=500)
-        trades = select_trades(series, 1.0)
+        ops = segment_opportunities(*random_trade_series(seed=15, n_runs=500))
+        trades = trades_of(ops, 1.0)
         excess = np.array([t.initial_gamma - 1.0 for t in trades])
-        (result,) = simulate_trades([(trades, SimulationConfig(runs=50, seed=7))], [1.5])
+        (result,) = simulate_trades(ops, [SimulationConfig(runs=50, seed=7)], [1.5])
         (be,) = result.break_even
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):
             if abs(p - be.analytic_p) < 0.05:
@@ -266,11 +271,10 @@ class TestBreakEven:
 
 class TestProfitSurface:
     def test_full_fill_row_ignores_lambda(self):
-        series = random_trade_series(seed=16, n_runs=100)
-        trades = select_trades(series, 1.0)
-        excess = np.array([t.initial_gamma - 1.0 for t in trades])
+        ops = segment_opportunities(*random_trade_series(seed=16, n_runs=100))
+        excess = np.array([t.initial_gamma - 1.0 for t in trades_of(ops, 1.0)])
         cfg = SimulationConfig(runs=10, seed=5)
-        (result,) = simulate_trades([(trades, cfg)], [1.0, 1.5, 2.0])
+        (result,) = simulate_trades(ops, [cfg], [1.0, 1.5, 2.0])
         full_fill = result.surface.mean_profit_bp[-1]
         assert np.allclose(full_fill, excess.mean() / BP)
         assert np.allclose(full_fill, full_fill[0])
@@ -282,11 +286,11 @@ class TestProfitSurface:
         assert surface.mean_profit_bp[0, 0] == pytest.approx(-1.5)
 
     def test_zero_contour_matches_analytic(self):
-        series = random_trade_series(seed=18, n_runs=800)
-        trades = select_trades(series, 1.0)
+        ops = segment_opportunities(*random_trade_series(seed=18, n_runs=800))
+        trades = trades_of(ops, 1.0)
         excess_bp = np.array([t.initial_gamma - 1.0 for t in trades]) / BP
         cfg = SimulationConfig(runs=200, seed=6)
-        (result,) = simulate_trades([(trades, cfg)], [1.0, 1.5, 2.0])
+        (result,) = simulate_trades(ops, [cfg], [1.0, 1.5, 2.0])
         for lam, p_star in result.surface.breakeven_contour:
             analytic, _ = analytic_break_even(0, len(trades), 0.0, float(excess_bp.mean()), lam)
             assert p_star == pytest.approx(analytic, abs=0.02)
@@ -313,47 +317,54 @@ ORACLE_CASES = {
                    fee_per_trade=0.5),
 }
 assert ORACLE_CASES["blocks"]["runs"] > 2 * BLOCK and ORACLE_CASES["blocks"]["runs"] % BLOCK
+EPS = np.finfo(np.float64).eps / 2  # unit roundoff
 
 
-def assert_matches_reference(result, trades, cfg):
-    """Every number of result equals the per-quantity reference loops exactly."""
-    mean, std, per_trade_bp, n, filled_mean, run_totals = reference.summary(
-        trades, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
-    )
+def assert_curve_std_within_rounding(curve_std, curves):
+    """The one-pass curve std equals numpy's two-pass std of the run curves
+    up to the rounding of the two algorithms.
+
+    For R runs with curves y_r (one P_GRID point at a time), S = sum (y_r - mean)^2,
+    S_K = sum (y_r - y_0)^2 and Q = sum y_r^2, Chan, Golub & LeVeque (1983)
+    bound the error of the sample variance S/(R-1): the textbook one-pass sums
+    shifted by y_0 err by at most (R+3)u S_K/(R-1), and the two-pass algorithm
+    by at most ((R+3)u S + (R+2)^2 u^2 Q)/(R-1), u being the unit roundoff.
+    The sum of the two bounds caps the distance between the two variances;
+    the factor 2 covers the sweep's divisions by R, the rounding of S, S_K
+    and Q themselves and the squaring of the stds, all of relative order u.
+    """
+    runs = curves.shape[0]
+    s = np.sum((curves - curves.mean(axis=0)) ** 2, axis=0)
+    s_k = np.sum((curves - curves[0]) ** 2, axis=0)
+    q = np.sum(curves ** 2, axis=0)
+    bound = ((runs + 3) * EPS * (s + s_k) + (runs + 2) ** 2 * EPS ** 2 * q) / (runs - 1)
+    two_pass = curves.std(axis=0, ddof=1)
+    assert np.all(np.abs(curve_std ** 2 - two_pass ** 2) <= 2 * bound)
+
+
+def assert_matches_reference(result, ops, cfg):
+    """Every number of result equals the per-run reference loop exactly, but for
+    the curve std, which is checked against numpy's two-pass std within its bound."""
+    expected = reference.simulate(ops, cfg, ORACLE_LAMBDAS)
     s = result.summary
-    assert (s.total_profit, s.total_profit_std, s.mean_profit_per_trade_bp) == (
-        mean, std, per_trade_bp
-    )
-    assert (s.trades_attempted, s.trades_filled_mean) == (n, filled_mean)
-    assert np.array_equal(s.run_totals, run_totals)
-
-    curve_mean, curve_std = reference.profit_curves(
-        trades, P_GRID, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
-    )
-    assert np.array_equal(result.curve_mean, curve_mean)
-    assert np.array_equal(result.curve_std, curve_std)
-
-    mean_bp, contour = reference.surface(
-        trades, P_GRID, ORACLE_LAMBDAS, cfg, CERTAIN_FILL_MIN_RUN_LENGTH
-    )
+    assert dataclasses.asdict(dataclasses.replace(s, run_totals=None)) == dict(
+        expected["summary"], run_totals=None)
+    assert np.array_equal(s.run_totals, expected["run_totals"])
+    assert np.array_equal(result.curve_mean, expected["curve_mean"])
+    if cfg.runs > 1:
+        assert_curve_std_within_rounding(result.curve_std, expected["curves"])
+    else:
+        assert np.array_equal(result.curve_std, np.zeros(P_GRID.size))
     assert np.array_equal(result.surface.p_grid, P_GRID)
-    assert np.array_equal(result.surface.mean_profit_bp, mean_bp)
+    assert np.array_equal(result.surface.mean_profit_bp, expected["mean_profit_bp"])
     assert np.array_equal(
-        np.array(result.surface.breakeven_contour), np.array(contour), equal_nan=True
+        np.array(result.surface.breakeven_contour), np.array(expected["contour"]), equal_nan=True
     )
-
-    if not trades:
-        assert result.break_even == ()
-        return
-    expected = [
-        reference.break_even(trades, cfg.scenario, lam, cfg.runs, cfg.seed, cfg.volume,
-                             CERTAIN_FILL_MIN_RUN_LENGTH)
-        for lam in ORACLE_LAMBDAS
-    ]
-    got = [(be.analytic_p, be.simulated_p, be.simulated_p_std, be.analytic_clamped)
+    got = [(be.lambda_bp, be.analytic_p, be.simulated_p, be.simulated_p_std)
            for be in result.break_even]
-    assert got == expected
-    assert [be.lambda_bp for be in result.break_even] == ORACLE_LAMBDAS
+    assert got == expected["break_even"]
+    assert [be.lambda_bp for be in result.break_even] == (ORACLE_LAMBDAS if s.trades_attempted
+                                                          else [])
 
 
 def assert_same_result(a, b):
@@ -370,21 +381,21 @@ def assert_same_result(a, b):
 
 
 class TestReferenceOracle:
-    """The single pass reproduces the per-quantity reference loops exactly."""
+    """The single pass reproduces the per-run reference loop."""
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_single_pass_matches_reference_loops(self, case):
         cfg = SimulationConfig(seed=2024, **ORACLE_CASES[case])
-        trades = select_trades(random_trade_series(seed=21, n_runs=150), cfg.gamma_t)
-        assert (len(trades) == 0) == case.startswith("no_trades")
-        (result,) = simulate_trades([(trades, cfg)], ORACLE_LAMBDAS)
-        assert_matches_reference(result, trades, cfg)
+        ops = segment_opportunities(*random_trade_series(seed=21, n_runs=150))
+        (result,) = simulate_trades(ops, [cfg], ORACLE_LAMBDAS)
+        assert (result.summary.trades_attempted == 0) == case.startswith("no_trades")
+        assert_matches_reference(result, ops, cfg)
         if case == "duration_fee_unreachable":
             assert np.isnan(result.surface.breakeven_contour[-1][1])
 
     def test_one_call_over_jobs_matches_each_job_alone(self):
         # both scenarios, and trade counts that differ and include 0, share one draw per run
-        series = random_trade_series(seed=21, n_runs=150)
+        ops = segment_opportunities(*random_trade_series(seed=21, n_runs=150))
         base = dict(fill_prob=0.6, runs=150, seed=2024)
         configs = [
             SimulationConfig(scenario=Scenario.FIXED_FILL, **base),
@@ -393,39 +404,124 @@ class TestReferenceOracle:
             SimulationConfig(scenario=Scenario.DURATION_FILL, gamma_t=1.00005, loss_bp=2.0,
                              fee_per_trade=1.25, **base),
         ]
-        jobs = [(select_trades(series, cfg.gamma_t), cfg) for cfg in configs]
-        counts = [len(trades) for trades, _ in jobs]
+        results = simulate_trades(ops, configs, ORACLE_LAMBDAS)
+        counts = [r.summary.trades_attempted for r in results]
         assert 0 in counts and len(set(counts)) == len(counts)
-        for (trades, cfg), result in zip(jobs, simulate_trades(jobs, ORACLE_LAMBDAS)):
-            (alone,) = simulate_trades([(trades, cfg)], ORACLE_LAMBDAS)
+        for cfg, result in zip(configs, results):
+            (alone,) = simulate_trades(ops, [cfg], ORACLE_LAMBDAS)
             assert_same_result(result, alone)
-            assert_matches_reference(result, trades, cfg)
+            assert_matches_reference(result, ops, cfg)
 
     def test_jobs_must_share_seed_and_runs(self):
-        trades = select_trades(random_trade_series(seed=22, n_runs=20), 1.0)
+        ops = segment_opportunities(*random_trade_series(seed=22, n_runs=20))
         cfg = SimulationConfig(runs=4, seed=3)
         for other in (dataclasses.replace(cfg, seed=4), dataclasses.replace(cfg, runs=5)):
             with pytest.raises(ValueError, match="share one"):
-                simulate_trades([(trades, cfg), (trades, other)], ORACLE_LAMBDAS)
+                simulate_trades(ops, [cfg, other], ORACLE_LAMBDAS)
+        with pytest.raises(ValueError, match="share one"):
+            simulate_trades(ops, [], ORACLE_LAMBDAS)
 
     def test_break_even_ignores_fill_prob_loss_and_fees(self):
-        trades = select_trades(random_trade_series(seed=22, n_runs=80), 1.0)
+        ops = segment_opportunities(*random_trade_series(seed=22, n_runs=80))
         cfg = SimulationConfig(runs=12, seed=3)
         other = dataclasses.replace(cfg, fill_prob=0.2, loss_bp=4.0, fee_per_trade=9.0)
-        (result,) = simulate_trades([(trades, cfg)], ORACLE_LAMBDAS)
-        (result_other,) = simulate_trades([(trades, other)], ORACLE_LAMBDAS)
+        (result,) = simulate_trades(ops, [cfg], ORACLE_LAMBDAS)
+        (result_other,) = simulate_trades(ops, [other], ORACLE_LAMBDAS)
         assert result.break_even == result_other.break_even
+
+
+class TestDrawContract:
+    @pytest.mark.parametrize("seed", [0, 2024, 2**64 + 5, 2**128 - 1])
+    def test_uniform_is_a_function_of_seed_run_and_opportunity(self, seed):
+        # run r's uniform for opportunity i: word r of the Philox stream whose
+        # counter starts at i * 2**128, that is word r % 4 after r // 4 counter steps
+        u = reference.uniforms(seed, 11, 5)
+        for r, i in [(0, 0), (3, 0), (4, 2), (10, 4), (7, 1)]:
+            bitgen = np.random.Philox(key=seed, counter=i << 128)
+            bitgen.advance(r // 4)
+            word = bitgen.random_raw(r % 4 + 1)[-1]
+            assert u[r, i] == float(word >> np.uint64(11)) * 2.0**-53
+
+    @pytest.mark.parametrize("block", [7, BLOCK])
+    def test_blocks_hold_the_reference_draws_and_their_cells(self, monkeypatch, block):
+        monkeypatch.setattr(simulator, "BLOCK", block)
+        blocks = list(simulator._uniform_blocks(2024, 300, 9))
+        assert [start for start, _, _ in blocks] == list(range(0, 300, block))
+        u = np.concatenate([u for _, u, _ in blocks])
+        assert np.array_equal(u, reference.uniforms(2024, 300, 9))
+        cells = np.concatenate([cell for _, _, cell in blocks])
+        assert np.array_equal(cells, np.searchsorted(P_GRID, u, side="right"))
+
+    def test_cells_at_the_grid_points(self, monkeypatch):
+        # the uniforms (multiples of 2**-53) next to each grid point, where u * 100
+        # rounds; a fake bit generator hands the sweep the words that give them
+        near = np.floor(P_GRID * 2.0**53).astype(np.int64)[:, None] + np.arange(-2, 3)
+        k = np.unique(np.clip(near, 0, 2**53 - 1)).astype(np.uint64)
+        u, words = k * 2.0**-53, k << np.uint64(11)
+
+        class FakePhilox:
+            def __init__(self, key):
+                self.state = {"state": {}}
+
+            def random_raw(self, size):
+                return words[:size]
+
+        monkeypatch.setattr(np.random, "Philox", FakePhilox)
+        monkeypatch.setattr(simulator, "BLOCK", u.size)
+        ((_, drawn, cells),) = simulator._uniform_blocks(0, u.size, 1)
+        assert np.array_equal(drawn[:, 0], u)
+        assert np.array_equal(cells[:, 0], np.searchsorted(P_GRID, u, side="right"))
+
+    def test_seed_outside_the_philox_key_range_rejected(self):
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed"):
+                SimulationConfig(seed=seed)
+
+    def test_results_do_not_depend_on_block_or_run_count(self, monkeypatch):
+        ops = segment_opportunities(*random_trade_series(seed=25, n_runs=60))
+        base = dict(fill_prob=0.45, loss_bp=2.0, fee_per_trade=0.25, runs=130, seed=77)
+        configs = [SimulationConfig(scenario=scenario, gamma_t=gamma_t, **base)
+                   for scenario in Scenario for gamma_t in (1.0, 1.0001)]
+        results = {}
+        for block in (1, 7, 64, base["runs"]):
+            monkeypatch.setattr(simulator, "BLOCK", block)
+            results[block] = simulate_trades(ops, configs, ORACLE_LAMBDAS)
+        for block, got in results.items():
+            for a, b in zip(got, results[base["runs"]]):
+                assert_same_result(a, b)
+        # a shorter sweep draws the same uniforms for its runs
+        fewer = [dataclasses.replace(cfg, runs=50) for cfg in configs]
+        for a, b in zip(simulate_trades(ops, fewer, ORACLE_LAMBDAS), results[7]):
+            assert np.array_equal(a.summary.run_totals, b.summary.run_totals[:50])
+
+    def test_thresholds_share_the_fills_of_shared_opportunities(self):
+        # one opportunity below the higher threshold and twenty above it: under
+        # common random numbers the two configs' run totals differ only by that
+        # one trade, a gain when it fills and a loss when it does not
+        low = 1.00002
+        series = series_with_runs([(1, low, low)] + [(1, 1.0002 + 1e-5 * i, 1.0003)
+                                                     for i in range(20)])
+        ops = segment_opportunities(*series)
+        base = dict(fill_prob=0.5, loss_bp=1.5, volume=1e6, runs=300, seed=8)
+        every, high = simulate_trades(
+            ops, [SimulationConfig(**base), SimulationConfig(gamma_t=1.0001, **base)], [1.5])
+        assert (every.summary.trades_attempted, high.summary.trades_attempted) == (21, 20)
+        diff = every.summary.run_totals - high.summary.run_totals
+        gain, loss = 1e6 * (low - 1.0), -1e6 * 1.5 * BP
+        filled = np.isclose(diff, gain, rtol=0, atol=1e-6)
+        assert np.all(filled | np.isclose(diff, loss, rtol=0, atol=1e-6))
+        assert 0 < filled.sum() < base["runs"]
 
 
 class TestSweepBounds:
     def test_memory_stays_below_one_curve_matrix(self):
         # runs x (losses + 2) floats plus one block, never a (runs x P_GRID) matrix
         runs = 20_000
-        trades = select_trades(random_trade_series(seed=23, n_runs=40), 1.0)
+        ops = segment_opportunities(*random_trade_series(seed=23, n_runs=40))
         cfg = SimulationConfig(fill_prob=0.5, runs=runs, seed=5)
         tracemalloc.start()
         try:
-            simulate_trades([(trades, cfg)], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+            simulate_trades(ops, [cfg], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -434,11 +530,12 @@ class TestSweepBounds:
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_total_profit_variance_matches_closed_form(self, scenario):
         # independent Bernoulli fills: each random trade adds p(1-p)(V*excess + V*loss)^2
-        trades = select_trades(random_trade_series(seed=24, n_runs=300), 1.0)
+        ops = segment_opportunities(*random_trade_series(seed=24, n_runs=300))
+        trades = trades_of(ops, 1.0)
         runs, p, loss_bp, volume = 4000, 0.6, 1.5, 1e6
         cfg = SimulationConfig(scenario=scenario, fill_prob=p, loss_bp=loss_bp, volume=volume,
                                runs=runs, seed=99)
-        (result,) = simulate_trades([(trades, cfg)], [loss_bp])
+        (result,) = simulate_trades(ops, [cfg], [loss_bp])
         excess = np.array([t.initial_gamma - 1.0 for t in trades])
         is_random = np.ones(len(trades), dtype=bool)
         if scenario is Scenario.DURATION_FILL:
