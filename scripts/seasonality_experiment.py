@@ -2,7 +2,8 @@
 """Liquidity seasonality experiment on synthetic months.
 
 Generates N seeded months where mis-alignment episodes arrive faster, and
-die faster, in hours where more market sessions are liquid. Compares the
+die faster, in hours where more market sessions are open
+(`triarb.synth.OPEN_SESSIONS`). Compares the
 13:00-16:00 block against 22:00-01:00 per month and reports a one-sided
 sign test over the months.
 """
@@ -12,10 +13,10 @@ import math
 import sys
 from decimal import Decimal
 
-from triarb.market_data import Pair, SeriesWindow, TriangleSpec
+from triarb.market_data import SeriesWindow, TriangleSpec
 from triarb.opportunity import segment_opportunities
 from triarb.rate_product import compute_rate_products
-from triarb.seasonal import SessionTable, hourly_profile
+from triarb.seasonal import hourly_profile
 from triarb.synth import SynthConfig, generate, liquidity_preset, seasonal_injection_schedule
 
 MONDAY = 4 * 86400
@@ -24,19 +25,20 @@ LIQUID = (13, 14, 15)
 QUIET = (22, 23, 0)
 
 
-def month_stats(month: int, seed: int, table: SessionTable, spec: TriangleSpec):
+def month_stats(month: int, seed: int, spec: TriangleSpec):
     month_seconds = 28 * 86400
     window = SeriesWindow(
         MONDAY + month * month_seconds, MONDAY + (month + 1) * month_seconds, WEEKDAYS
     )
-    profiles = liquidity_preset(table, base_spread_points=6.0, base_gap_rate=0.001)
+    profiles = liquidity_preset(base_spread_points=6.0, base_gap_rate=0.001)
     injections = seasonal_injection_schedule(
-        seed=seed + 9000, window=window, table=table, base_rate_per_hour=1.0
+        seed=seed + 9000, window=window, base_rate_per_hour=1.0
     )
     cfg = SynthConfig(
         seed=seed,
         window=window,
         triangle=spec,
+        points={p.name: Decimal("0.000001") for p in spec.pairs},
         mid_prices={"EUR/USD": 1.2065, "USD/CHF": 1.3030},
         volatilities={"EUR/USD": 2e-6, "USD/CHF": 2e-6},
         spread_points={p.name: profiles.spread_points for p in spec.pairs},
@@ -65,18 +67,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=500)
     args = parser.parse_args()
 
-    base = TriangleSpec.from_currencies("EUR", "USD", "CHF")
-    spec = TriangleSpec(
-        currencies=base.currencies,
-        pairs=tuple(Pair(p.base, p.quote, Decimal("0.000001")) for p in base.pairs),
-    )
-    table = SessionTable.default()
+    spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
 
     count_wins = 0
     duration_wins = 0
     print(f"{'month':>5} {'liq_count':>9} {'qt_count':>9} {'liq_dur':>8} {'qt_dur':>8}")
     for m in range(args.months):
-        (lc, ld), (qc, qd) = month_stats(m, args.seed + m, table, spec)
+        (lc, ld), (qc, qd) = month_stats(m, args.seed + m, spec)
         count_wins += lc > qc
         duration_wins += ld < qd
         print(f"{m:>5} {lc:>9} {qc:>9} {ld:>8.2f} {qd:>8.2f}")

@@ -41,7 +41,6 @@ from .rate_product import compute_rate_products
 from .seasonal import (
     DailyProfile,
     HourlyProfile,
-    SessionTable,
     daily_profile,
     hourly_profile,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "compute_rate_products",
     "DailyProfile",
     "HourlyProfile",
-    "SessionTable",
     "daily_profile",
     "hourly_profile",
     "BreakEvenResult",

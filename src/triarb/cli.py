@@ -5,6 +5,10 @@ Outputs are plot-ready CSV/JSON; rendering is left to external tooling. All
 randomness is controlled by an explicit seed, or by a generated one that is
 recorded in the manifest, so any published number can be reproduced.
 
+The four tick commands read the triangle from --triangle (default
+EUR,USD,CHF), each pair in market-convention order; synth reads every
+setting, point sizes included, from its JSON file.
+
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
 """
 
@@ -25,14 +29,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import (
-    AppConfig,
-    load_app_config,
-    parse_float_list,
-    parse_window,
-    synth_config_from_json,
-    triangle_for_currencies,
-)
+from .config import parse_currencies, parse_float_list, parse_window, synth_config_from_json
 from .errors import TriarbError
 from .market_data import (
     SeriesWindow,
@@ -97,11 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI config file (default: $TRIARB_CONFIG)")
     common.add_argument("--out-dir", required=True, help="directory for outputs")
 
     tick_args = argparse.ArgumentParser(add_help=False, parents=[common])
-    tick_args.add_argument("--triangle", help="three currency codes, e.g. EUR,USD,CHF")
+    tick_args.add_argument(
+        "--triangle", default="EUR,USD,CHF", help="three currency codes (default: %(default)s)"
+    )
 
     window_args = argparse.ArgumentParser(add_help=False)
     window_args.add_argument("--window", required=True, help="START..END, epoch seconds or ISO-8601")
@@ -154,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 
-def _resolve_triangle(args, app: AppConfig) -> TriangleSpec:
-    if args.triangle:
-        return triangle_for_currencies(app, args.triangle)
-    return app.triangle
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -175,17 +167,14 @@ def _window_json(window: SeriesWindow) -> dict:
 
 
 def _write_manifest(
-    out: Path, command: str, app: AppConfig, triangle: TriangleSpec,
+    out: Path, command: str, triangle: TriangleSpec,
     window: Optional[SeriesWindow], seed: Optional[int], extra: dict,
 ) -> None:
     manifest = {
         "command": command,
-        "config_path": app.config_path,
         "triangle": {
             "currencies": list(triangle.currencies),
-            "pairs": [
-                {"name": p.name, "point_size": str(p.point_size)} for p in triangle.pairs
-            ],
+            "pairs": [p.name for p in triangle.pairs],
         },
         "window": _window_json(window) if window else None,
         "out_dir": str(out),
@@ -260,10 +249,9 @@ def _detect(
 def cmd_synth(args) -> int:
     import hashlib  # loads OpenSSL, about 3.5 MB of RSS that only synth needs
 
-    app = load_app_config(args.config)
     raw = Path(args.synth_config).read_bytes()
     content = json.loads(raw)
-    cfg = synth_config_from_json(content, app)
+    cfg = synth_config_from_json(content)
     triangle_series = generate(cfg)
     out = _out_dir(args)
     for series in triangle_series:
@@ -273,7 +261,7 @@ def cmd_synth(args) -> int:
         [{**dataclasses.asdict(inj), "direction": inj.direction.value} for inj in cfg.injections],
     )
     _write_manifest(
-        out, "synth", app, cfg.triangle, cfg.window, cfg.seed,
+        out, "synth", cfg.triangle, cfg.window, cfg.seed,
         # the file's bytes and content, so that a rerun can tell whether it changed
         {"synth_config": str(args.synth_config),
          "synth_config_sha256": hashlib.sha256(raw).hexdigest(),
@@ -283,8 +271,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    app = load_app_config(args.config)
-    triangle = _resolve_triangle(args, app)
+    triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     thresholds = check_thresholds(parse_float_list(args.thresholds))
     hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
@@ -304,7 +291,7 @@ def cmd_detect(args) -> int:
     dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
     write_histogram(out / "histogram.csv", dist)
     _write_manifest(
-        out, "detect", app, triangle, window, None,
+        out, "detect", triangle, window, None,
         {"data_dir": str(args.data_dir), "thresholds_bp": thresholds,
          "histogram": {"lo": args.hist_lo, "hi": args.hist_hi, "bin_width": args.hist_bin_width}},
     )
@@ -312,8 +299,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_seasonal(args) -> int:
-    app = load_app_config(args.config)
-    triangle = _resolve_triangle(args, app)
+    triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     ops, _ = _detect(args.data_dir, triangle, window)
     out = _out_dir(args)
@@ -323,13 +309,12 @@ def cmd_seasonal(args) -> int:
     daily = daily_profile(ops, window)
     write_csv(out / "daily.csv", ["date", "count", "mean_duration"],
               zip(map(date.isoformat, daily.days), daily.counts, daily.mean_durations))
-    _write_manifest(out, "seasonal", app, triangle, window, None, {"data_dir": str(args.data_dir)})
+    _write_manifest(out, "seasonal", triangle, window, None, {"data_dir": str(args.data_dir)})
     return 0
 
 
 def cmd_simulate(args) -> int:
-    app = load_app_config(args.config)
-    triangle = _resolve_triangle(args, app)
+    triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     seed = args.seed
     if seed is None:
@@ -400,7 +385,7 @@ def cmd_simulate(args) -> int:
               ["scenario", "gamma_t", "lambda_bp", "analytic_p", "simulated_p", "simulated_p_std"],
               breakeven_rows)
     _write_manifest(
-        out, "simulate", app, triangle, window, seed,
+        out, "simulate", triangle, window, seed,
         {"data_dir": str(args.data_dir), "scenario": args.scenario,
          "gamma_t": gamma_ts, "lambda_grid_bp": lambda_grid, "runs": args.runs},
     )
@@ -430,25 +415,26 @@ def _summary_entry(cfg: SimulationConfig, s: SimulationSummary) -> dict:
 
 
 def cmd_compare(args) -> int:
-    app = load_app_config(args.config)
-    triangle = _resolve_triangle(args, app)
+    triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     datasets = _parse_datasets(args.dataset)
     hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
 
-    out = _out_dir(args)
     stats = []
     for label, data_dir in datasets:
         ops, gammas = _detect(data_dir, triangle, window)
         dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
-        write_histogram(out / f"histogram_{label}.csv", dist)
         stats.append((label, dist, duration_stats(ops)))
+
+    out = _out_dir(args)
+    for label, dist, _ in stats:
+        write_histogram(out / f"histogram_{label}.csv", dist)
     write_csv(out / "comparison.csv",
               ["label", "count", *BUCKET_LABELS, "mean", "stdev", "delta_count", "delta_1s"],
               ([r.label, r.count, *(r.bucket_pct[k] for k in BUCKET_LABELS),
                 r.mean, r.std, r.delta_count, r.delta_pct_1s] for r in compare_periods(stats)))
     _write_manifest(
-        out, "compare", app, triangle, window, None,
+        out, "compare", triangle, window, None,
         {"datasets": [{"label": l, "data_dir": d} for l, d in datasets]},
     )
     return 0

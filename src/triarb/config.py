@@ -1,34 +1,19 @@
-"""Configuration files and flag-value parsing for the command line tools.
+"""Flag-value parsing for the command line tools, and the synth JSON config.
 
-The application config is a small INI file. Every section is optional; the
-defaults describe the EUR/USD/CHF triangle with conventional pair ordering
-and the built-in liquidity session table.
-
-    [triangle]
-    currencies = EUR,USD,CHF
-    pairs = EUR/USD,USD/CHF,EUR/CHF
-
-    [points]
-    EUR/USD = 0.00001
-
-    [sessions]
-    asia = 0-10
-    europe = 7-17
-    americas = 13-23
-
-Synthetic-data runs take a separate JSON config, documented in the README,
-because injection lists do not fit a flat key-value format.
+The tick commands take their triangle from `--triangle` (default
+EUR,USD,CHF), with each pair in market-convention order. Point sizes are a
+synth setting: `synth` reads them, with every other setting, from its JSON
+file, documented in the README; the hours of the market sessions are
+`synth.OPEN_SESSIONS`.
 """
 
 from __future__ import annotations
 
-import configparser
-import os
 import sys
-from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from typing import Any, Optional
 
-from .errors import SynthConfigError, TriarbError
+from .errors import SynthConfigError
 from .market_data import (
     Direction,
     Pair,
@@ -37,107 +22,32 @@ from .market_data import (
     WEEKDAYS,
     parse_iso_timestamp,
 )
-from .seasonal import HOURS, SessionTable, parse_hour_span
+from .seasonal import HOURS
 from .synth import InjectionSpec, SynthConfig, liquidity_preset, seasonal_injection_schedule
-
-CONFIG_ENV_VAR = "TRIARB_CONFIG"
 
 _DAY_NAMES = {"mon": 0, "tue": 1, "wed": 2, "thu": 3, "fri": 4, "sat": 5, "sun": 6}
 
 
-@dataclass(frozen=True)
-class AppConfig:
-    triangle: TriangleSpec
-    sessions: SessionTable
-    config_path: Optional[str] = None
-
-
-def default_app_config() -> AppConfig:
-    return AppConfig(
-        triangle=TriangleSpec.from_currencies("EUR", "USD", "CHF"),
-        sessions=SessionTable.default(),
-    )
-
-
-def load_app_config(path: Optional[str]) -> AppConfig:
-    """Load the INI config; fall back to $TRIARB_CONFIG, then to defaults."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR) or None
-    if path is None:
-        return default_app_config()
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        read = parser.read(path)
-    except configparser.MissingSectionHeaderError as exc:
-        raise TriarbError(f"{path}:{exc.lineno}: no [section] header before {exc.line!r}") from None
-    except configparser.ParsingError as exc:
-        line, text = exc.errors[0]
-        raise TriarbError(f"{path}:{line}: expected KEY = VALUE, got {text}") from None
-    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
-        raise TriarbError(f"{path}:{exc.lineno}: {exc.message.rpartition(']: ')[2]}") from None
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-    for section in parser.sections() + ([parser.default_section] if parser.defaults() else []):
-        if section not in ("triangle", "points", "sessions"):
-            raise TriarbError(f"{path}: unknown section [{section}]")
-    for key in parser.options("triangle") if parser.has_section("triangle") else ():
-        if key not in ("currencies", "pairs"):
-            raise TriarbError(f"{path}: unknown key {key!r} in [triangle]")
-
-    points: dict[str, str] = {}  # Pair checks the point sizes it is given
-    if parser.has_section("points"):
-        for name, value in parser.items("points"):
-            points[_parse_pair(name, {}).name] = value
-
-    # without a [triangle] section both lookups fall back
-    currencies = parse_currencies(parser.get("triangle", "currencies", fallback="EUR,USD,CHF"))
-    pairs_text = parser.get("triangle", "pairs", fallback=None)
-    if pairs_text:
-        pairs = tuple(_parse_pair(p, points) for p in _split_csv(pairs_text))
-        if len(pairs) != 3:
-            raise ValueError(f"triangle needs exactly 3 pairs, got {pairs_text}")
-        triangle = TriangleSpec(currencies=currencies, pairs=pairs)
-    else:
-        triangle = TriangleSpec.from_currencies(*currencies, point_sizes=points)
-
-    if parser.has_section("sessions"):
-        sessions = SessionTable(
-            sessions={k: parse_hour_span(v) for k, v in parser.items("sessions")}
-        )
-    else:
-        sessions = SessionTable.default()
-    return AppConfig(triangle=triangle, sessions=sessions, config_path=path)
-
-
-def _split_csv(text: str) -> list[str]:
-    return [t.strip().upper() for t in text.split(",") if t.strip()]
-
-
-def _parse_pair(text: str, points: dict[str, str]) -> Pair:
+def _parse_pair(text: str) -> Pair:
     base, sep, quote = text.strip().upper().partition("/")
     if not sep or not base or not quote:
         raise ValueError(f"bad pair {text!r}, expected BASE/QUOTE")
-    ps = points.get(f"{base}/{quote}")
-    return Pair(base, quote, ps) if ps is not None else Pair(base, quote)
+    return Pair(base, quote)
 
 
 def parse_currencies(codes) -> tuple[str, str, str]:
-    """A triangle's three currency codes, from "EUR,USD,CHF" or a list of codes."""
+    """A triangle's three currency codes, from "EUR,USD,CHF" or a list of codes;
+    a code is three ASCII letters in any case."""
     items = codes.split(",") if isinstance(codes, str) else codes if isinstance(codes, list) else ()
-    currencies = tuple(c.strip().upper() for c in map(str, items) if c.strip())
+    currencies = []
+    for item in items:
+        code = item.strip() if isinstance(item, str) else ""
+        if not (len(code) == 3 and code.isascii() and code.isalpha()):
+            raise ValueError(f"bad currency code {item!r}, expected three letters such as EUR")
+        currencies.append(code.upper())
     if len(currencies) != 3:
         raise ValueError(f"a triangle needs three currency codes, got {codes!r}")
-    return currencies
-
-
-def triangle_for_currencies(cfg: AppConfig, codes) -> TriangleSpec:
-    """The config triangle if the codes match it, else a convention-ordered one."""
-    currencies = parse_currencies(codes)
-    if currencies == cfg.triangle.currencies:
-        return cfg.triangle
-    points = {p.name: p.point_size for p in cfg.triangle.pairs}
-    # reuse configured point sizes where the convention pair matches
-    return TriangleSpec.from_currencies(*currencies, point_sizes=points)
+    return tuple(currencies)
 
 
 def parse_timestamp(text: str) -> int:
@@ -192,7 +102,7 @@ def window_from_json(payload: Any) -> SeriesWindow:
     )
 
 
-def synth_config_from_json(payload: Any, app: AppConfig) -> SynthConfig:
+def synth_config_from_json(payload: Any) -> SynthConfig:
     """Build a SynthConfig from the parsed JSON of a synth config file. Each
     object takes the keys its `_object` call lists, and null counts as absent."""
     cfg = _object(
@@ -202,36 +112,34 @@ def synth_config_from_json(payload: Any, app: AppConfig) -> SynthConfig:
     )
     seed = _check(cfg["seed"], int, "seed")
     window = window_from_json(cfg["window"])
-    triangle = (
-        triangle_for_currencies(app, cfg["currencies"]) if "currencies" in cfg else app.triangle
-    )
+    triangle = TriangleSpec.from_currencies(*parse_currencies(cfg.get("currencies", "EUR,USD,CHF")))
 
     names = [p.name for p in triangle.pairs]
     pair_cfg: dict[str, dict] = {}
     for name, entry in _check(cfg.get("pairs", {}), dict, "pairs").items():
-        key = _parse_pair(name, {}).name
+        key = _parse_pair(name).name
         if key not in names:
             raise SynthConfigError(f"pairs: {name!r} is not a pair of the triangle {names}")
         if key in pair_cfg:
             raise SynthConfigError(f"pairs: {key} is given twice")
         entry = {} if entry is None else entry
         pair_cfg[key] = _object(entry, f"pairs.{key}", (), ("point", "mid", "vol", "spread_points"))
-    triangle = TriangleSpec(triangle.currencies, tuple(
-        Pair(p.base, p.quote, pair_cfg.get(p.name, {}).get("point", p.point_size))
-        for p in triangle.pairs
-    ))
 
     preset = None
     if _check(cfg.get("liquidity_preset", False), bool, "liquidity_preset"):
         preset = liquidity_preset(
-            app.sessions,
             base_spread_points=_number(cfg.get("base_spread_points", 3.0), "base_spread_points"),
             base_gap_rate=_number(cfg.get("base_gap_rate", 0.002), "base_gap_rate"),
         )
 
-    mid_prices, volatilities, spread_points = {}, {}, {}
+    points, mid_prices, volatilities, spread_points = {}, {}, {}, {}
     for pair in triangle.pairs:
         entry, where = pair_cfg.get(pair.name, {}), f"pairs.{pair.name}"
+        point = entry.get("point", "0.01" if pair.quote == "JPY" else "0.0001")
+        try:
+            points[pair.name] = Decimal(str(point))
+        except InvalidOperation:
+            raise SynthConfigError(f"bad point size {point!r} for {pair.name}") from None
         if "mid" in entry:
             mid_prices[pair.name] = _number(entry["mid"], f"{where}.mid")
         if "vol" in entry:
@@ -268,7 +176,6 @@ def synth_config_from_json(payload: Any, app: AppConfig) -> SynthConfig:
         injections += seasonal_injection_schedule(
             seed=seed,
             window=window,
-            table=app.sessions,
             base_rate_per_hour=_number(
                 schedule["base_rate_per_hour"], "schedule.base_rate_per_hour"
             ),
@@ -280,6 +187,7 @@ def synth_config_from_json(payload: Any, app: AppConfig) -> SynthConfig:
         seed=seed,
         window=window,
         triangle=triangle,
+        points=points,
         mid_prices=mid_prices,
         volatilities=volatilities,
         spread_points=spread_points,

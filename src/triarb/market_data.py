@@ -49,11 +49,6 @@ def _weekday_of(epoch_day):
 _CONVENTION_ORDER = ("EUR", "GBP", "AUD", "NZD", "USD", "CAD", "CHF", "JPY")
 
 
-def default_point_size(quote_currency: str) -> Decimal:
-    """Smallest conventional price increment for a pair quoted in `quote_currency`."""
-    return Decimal("0.01") if quote_currency == "JPY" else Decimal("0.0001")
-
-
 def market_convention_pair(x: str, y: str) -> tuple[str, str]:
     """Order two currency codes as (base, quote) by market convention."""
 
@@ -68,22 +63,10 @@ def market_convention_pair(x: str, y: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class Pair:
-    """An ordered currency pair with its conventional point size."""
+    """An ordered currency pair: `base` priced in units of `quote`."""
 
     base: str
     quote: str
-    point_size: Decimal = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.point_size is None:
-            object.__setattr__(self, "point_size", default_point_size(self.quote))
-        else:
-            try:
-                object.__setattr__(self, "point_size", Decimal(str(self.point_size)))
-            except InvalidOperation:
-                raise ValueError(f"bad point size {self.point_size!r} for {self.name}") from None
-        if not self.point_size.is_finite() or self.point_size <= 0:
-            raise ValueError(f"point size of {self.name} must be positive, got {self.point_size}")
 
     @property
     def name(self) -> str:
@@ -231,20 +214,9 @@ class TriangleSpec:
         return self.legs_dir1 if direction is Direction.DIR1 else self.legs_dir2
 
     @classmethod
-    def from_currencies(
-        cls,
-        a: str,
-        b: str,
-        c: str,
-        point_sizes: Optional[dict[str, object]] = None,
-    ) -> "TriangleSpec":
+    def from_currencies(cls, a: str, b: str, c: str) -> "TriangleSpec":
         """Build a spec with market-convention pair ordering for (a, b, c)."""
-        pairs = []
-        for x, y in ((a, b), (b, c), (a, c)):
-            base, quote = market_convention_pair(x, y)
-            name = f"{base}/{quote}"
-            ps = (point_sizes or {}).get(name)
-            pairs.append(Pair(base, quote, ps) if ps is not None else Pair(base, quote))
+        pairs = (Pair(*market_convention_pair(x, y)) for x, y in ((a, b), (b, c), (a, c)))
         return cls(currencies=(a, b, c), pairs=tuple(pairs))
 
 

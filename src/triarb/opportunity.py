@@ -60,7 +60,7 @@ class DistributionStats:
     """Mean, population stdev, and histogram of the nonzero rate products.
 
     Missing seconds (rate product zero) are structural, not price
-    observations; they are excluded from all three and counted separately.
+    observations; they are excluded from all three.
     """
 
     mean: float
@@ -69,8 +69,6 @@ class DistributionStats:
     counts: np.ndarray
     underflow: int
     overflow: int
-    n_points: int
-    n_missing: int
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,6 @@ def distribution_stats(
     """Statistics of all rate products in `gammas`, both directions pooled."""
     lo, hi = check_histogram(bin_width, value_range)
     valid = gammas[gammas != 0.0]
-    n_missing = int(gammas.size - valid.size)
     n_bins = max(1, math.ceil((hi - lo) / bin_width - 1e-9))
     edges = lo + np.arange(n_bins + 1) * bin_width
     counts, _ = np.histogram(valid, bins=edges)
@@ -203,8 +200,6 @@ def distribution_stats(
         counts=counts,
         underflow=underflow,
         overflow=overflow,
-        n_points=int(valid.size),
-        n_missing=n_missing,
     )
 
 

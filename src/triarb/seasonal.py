@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .market_data import SECONDS_PER_DAY, SeriesWindow
 from .opportunity import ArbitrageOpportunity
 
@@ -33,28 +31,6 @@ class DailyProfile:
     days: tuple[date, ...]
     counts: tuple[int, ...]
     mean_durations: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SessionTable:
-    """Liquid hours (GMT) per market."""
-
-    sessions: dict[str, frozenset[int]]
-
-    def __post_init__(self):
-        for name, hours in self.sessions.items():
-            if not all(0 <= h < HOURS for h in hours):
-                raise ValueError(f"session {name} has hours outside [0, 24)")
-
-    @classmethod
-    def default(cls) -> "SessionTable":
-        return cls(
-            sessions={
-                "asia": frozenset(range(0, 11)),
-                "europe": frozenset(range(7, 18)),
-                "americas": frozenset(range(13, 24)),
-            }
-        )
 
 
 def hour_of(timestamp: int) -> int:
@@ -87,20 +63,3 @@ def _tally(ops: Sequence[ArbitrageOpportunity], keys: Sequence, key_of: Callable
         counts[i] += 1
         length_sums[i] += op.run_length
     return tuple(counts), tuple(s / c if c else 0.0 for s, c in zip(length_sums, counts))
-
-
-def overlap_by_hour(table: SessionTable) -> np.ndarray:
-    """Number of markets liquid at each GMT hour (24 entries)."""
-    sessions = table.sessions.values()
-    return np.array([sum(h in hours for hours in sessions) for h in range(HOURS)], dtype=np.int64)
-
-
-def parse_hour_span(span: str) -> frozenset[int]:
-    lo_s, sep, hi_s = span.strip().partition("-")
-    if not sep:
-        return frozenset({int(lo_s)})
-    lo, hi = int(lo_s), int(hi_s)
-    if not (0 <= lo <= hi < HOURS):
-        raise ValueError(f"bad hour span {span!r}")
-    return frozenset(range(lo, hi + 1))
-

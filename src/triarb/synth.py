@@ -34,11 +34,15 @@ from .market_data import (
     TriangleSpec,
 )
 from .rate_product import compute_rate_products, leg_rate
-from .seasonal import HOURS, SessionTable, overlap_by_hour
+from .seasonal import HOURS
 
 PEAK_TOLERANCE_BP = 0.05
 EXTRA_SECONDS_MEAN = 3
 LONGEST_EPISODE_SECONDS = 10
+# Markets open at each GMT hour: Asia 0-10, Europe 7-17 and Americas 13-23.
+OPEN_SESSIONS = tuple(
+    sum(lo <= h <= hi for lo, hi in ((0, 10), (7, 17), (13, 23))) for h in range(HOURS)
+)
 
 
 @dataclass(frozen=True)
@@ -68,16 +72,13 @@ class LiquidityProfiles:
 
 
 def liquidity_preset(
-    table: SessionTable,
-    base_spread_points: float = 3.0,
-    base_gap_rate: float = 0.002,
+    base_spread_points: float = 3.0, base_gap_rate: float = 0.002
 ) -> LiquidityProfiles:
-    """Profiles scaled by 1 / (1 + number of liquid markets) per hour."""
-    overlap = overlap_by_hour(table)
-    scale = 1.0 / (1.0 + overlap)
+    """Profiles scaled by 1 / (1 + number of open markets) per hour."""
+    scale = [1.0 / (1.0 + n) for n in OPEN_SESSIONS]
     return LiquidityProfiles(
-        spread_points=tuple(float(base_spread_points * s) for s in scale),
-        gap_rate=tuple(float(base_gap_rate * s) for s in scale),
+        spread_points=tuple(base_spread_points * s for s in scale),
+        gap_rate=tuple(base_gap_rate * s for s in scale),
     )
 
 
@@ -92,6 +93,7 @@ class SynthConfig:
     seed: int
     window: SeriesWindow
     triangle: TriangleSpec
+    points: dict[str, Decimal]  # the price increment per pair name
     mid_prices: dict[str, float]
     volatilities: dict[str, float]
     spread_points: dict[str, tuple[float, ...]]  # 24 entries per pair name
@@ -111,10 +113,9 @@ class SynthConfig:
                 raise SynthConfigError(f"need a 24-hour spread profile for {p.name}")
             if any(s <= 0 for s in profile):
                 raise SynthConfigError(f"spreads must be positive for {p.name}")
-            if not _is_power_of_ten(p.point_size):
-                raise SynthConfigError(
-                    f"synthetic pairs need a power-of-ten point size, got {p.point_size}"
-                )
+            point = self.points.get(p.name)
+            if point is None or not _is_power_of_ten(point):
+                raise SynthConfigError(f"{p.name} needs a power-of-ten point size, got {point}")
         if len(self.gap_rate) != HOURS or any(not 0.0 <= g <= 1.0 for g in self.gap_rate):
             raise SynthConfigError("gap_rate must be 24 probabilities in [0, 1]")
         object.__setattr__(self, "injections", tuple(self.injections))
@@ -122,8 +123,7 @@ class SynthConfig:
 
 
 def _is_power_of_ten(d: Decimal) -> bool:
-    sign, digits, _ = d.normalize().as_tuple()
-    return sign == 0 and digits == (1,)
+    return d.is_finite() and d.normalize().as_tuple()[:2] == (0, (1,))
 
 
 def _validate_injections(injections: Sequence[InjectionSpec], window: SeriesWindow) -> None:
@@ -164,7 +164,7 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
 
     series = {}
     for pair, gap_seed in zip((p1, p2, p3), gap_seeds):
-        point = float(pair.point_size)
+        point = float(cfg.points[pair.name])
         profile = np.asarray(cfg.spread_points[pair.name], dtype=np.float64)
         half = profile[hours] * point / 2.0
         mid = mids[pair.name]
@@ -179,7 +179,7 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
             bid.astype(np.int64),
             np.ceil((mid + half) / point).astype(np.int64),
             gap_rng.random(times.size) < rates,
-            -pair.point_size.normalize().as_tuple().exponent,
+            -cfg.points[pair.name].normalize().as_tuple().exponent,
         )
 
     if cfg.injections:
@@ -220,7 +220,7 @@ def _inject(
     for s in series.values():
         s.missing[idx] = False
 
-    point = float(direct.point_size)
+    point = float(cfg.points[direct.name])
     profile = np.asarray(cfg.spread_points[direct.name], dtype=np.float64)
     spread = np.maximum(np.ceil(profile[hours[idx]]), 1.0).astype(np.int64)
     bid = np.empty(idx.size, dtype=np.int64)
@@ -260,34 +260,32 @@ def _inject(
 def seasonal_injection_schedule(
     seed: int,
     window: SeriesWindow,
-    table: SessionTable,
     base_rate_per_hour: float = 1.0,
     magnitude_range: tuple[float, float] = (0.5, 4.0),
 ) -> tuple[InjectionSpec, ...]:
     """Episode schedule whose rate rises, and duration falls, with liquidity.
 
     For each grid hour the number of episodes is Poisson with mean
-    base_rate_per_hour * (1 + overlap); durations are 1 + Poisson with mean
-    max(EXTRA_SECONDS_MEAN - overlap, 0), capped at LONGEST_EPISODE_SECONDS.
-    Episodes keep one clean second apart.
+    base_rate_per_hour * (1 + n), where n is the hour's OPEN_SESSIONS;
+    durations are 1 + Poisson with mean max(EXTRA_SECONDS_MEAN - n, 0), capped
+    at LONGEST_EPISODE_SECONDS. Episodes keep one clean second apart.
     """
     if base_rate_per_hour <= 0:
         raise ValueError("base_rate_per_hour must be positive")
     lo_bp, hi_bp = magnitude_range
     if not 0 < lo_bp <= hi_bp:
         raise ValueError(f"bad magnitude range {magnitude_range}")
-    overlap = overlap_by_hour(table)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     times = window.grid_times()
     hour_starts = times[times % 3600 == 0]
     candidates = []
     for h0 in hour_starts:
         h = int(h0 % 86_400) // 3600
-        n = rng.poisson(base_rate_per_hour * (1.0 + overlap[h]))
+        n = rng.poisson(base_rate_per_hour * (1.0 + OPEN_SESSIONS[h]))
         if n == 0:
             continue
         starts = np.sort(rng.integers(0, 3600, size=n)) + int(h0)
-        extras = rng.poisson(max(EXTRA_SECONDS_MEAN - int(overlap[h]), 0), size=n)
+        extras = rng.poisson(max(EXTRA_SECONDS_MEAN - OPEN_SESSIONS[h], 0), size=n)
         mags = rng.uniform(lo_bp, hi_bp, size=n)
         dirs = rng.integers(1, 3, size=n)
         for s, ex, m, d in zip(starts, extras, mags, dirs):

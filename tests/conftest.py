@@ -85,12 +85,10 @@ def chf_triangle() -> TriangleSpec:
     return TriangleSpec.from_currencies("EUR", "USD", "CHF")
 
 
-@pytest.fixture
-def fine_chf_triangle() -> TriangleSpec:
-    """CHF triangle with a fine point grid so injections can hit tight targets."""
-    spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
-    pairs = tuple(Pair(p.base, p.quote, Decimal("0.00001")) for p in spec.pairs)
-    return TriangleSpec(currencies=spec.currencies, pairs=pairs)
+def points(spec: TriangleSpec, point: str = "0.00001") -> dict[str, Decimal]:
+    """One point size for every pair of `spec`; the default grid is fine enough
+    for injections to hit tight targets."""
+    return {p.name: Decimal(point) for p in spec.pairs}
 
 
 @pytest.fixture

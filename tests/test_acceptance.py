@@ -11,21 +11,15 @@ import dataclasses
 import hashlib
 import json
 import math
-from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from triarb.cli import main
-from triarb.market_data import (
-    Direction,
-    Pair,
-    SeriesWindow,
-    TriangleSpec,
-)
+from triarb.market_data import Direction, SeriesWindow, TriangleSpec
 from triarb.opportunity import duration_stats, segment_opportunities, threshold_table
 from triarb.rate_product import compute_rate_products
-from triarb.seasonal import SessionTable, hourly_profile
+from triarb.seasonal import hourly_profile
 from triarb.simulator import (
     Scenario,
     SimulationConfig,
@@ -41,15 +35,9 @@ from triarb.synth import (
     seasonal_injection_schedule,
 )
 
-from conftest import MONDAY, brute_force_segments, load_rows, make_series
+from conftest import MONDAY, brute_force_segments, load_rows, make_series, points
 
 WEEKDAYS = frozenset({0, 1, 2, 3, 4})
-
-
-def fine_triangle(currencies=("EUR", "USD", "CHF"), point="0.000001"):
-    spec = TriangleSpec.from_currencies(*currencies)
-    pairs = tuple(Pair(p.base, p.quote, Decimal(point)) for p in spec.pairs)
-    return TriangleSpec(currencies=spec.currencies, pairs=pairs)
 
 
 def test_worked_gamma_example():
@@ -148,7 +136,7 @@ def test_oracle_equivalence_on_random_series():
 
 def test_injection_recovery_hundred_episodes():
     """100 injected episodes recovered with 100% precision and recall."""
-    spec = fine_triangle()
+    spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
     rng = np.random.default_rng(77)
     injections = []
     t = MONDAY + 60
@@ -163,6 +151,7 @@ def test_injection_recovery_hundred_episodes():
         seed=123,
         window=window,
         triangle=spec,
+        points=points(spec, "0.000001"),
         mid_prices={"EUR/USD": 1.2065, "USD/CHF": 1.3030},
         volatilities={"EUR/USD": 2e-6, "USD/CHF": 2e-6},
         spread_points={p.name: tuple([2.0] * 24) for p in spec.pairs},
@@ -182,9 +171,8 @@ def test_injection_recovery_hundred_episodes():
 
 def test_seasonality_mechanism_reproduction():
     """Liquid-session hours show more, shorter opportunities (sign test, p < 0.01)."""
-    table = SessionTable.default()
-    spec = fine_triangle()
-    profiles = liquidity_preset(table, base_spread_points=6.0, base_gap_rate=0.001)
+    spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
+    profiles = liquidity_preset(base_spread_points=6.0, base_gap_rate=0.001)
     month_seconds = 28 * 86400  # 20 weekdays under the filter
     liquid_hours = (13, 14, 15)
     quiet_hours = (22, 23, 0)
@@ -195,12 +183,13 @@ def test_seasonality_mechanism_reproduction():
         window = SeriesWindow(MONDAY + month * month_seconds,
                               MONDAY + (month + 1) * month_seconds, WEEKDAYS)
         injections = seasonal_injection_schedule(
-            seed=9000 + month, window=window, table=table, base_rate_per_hour=1.0
+            seed=9000 + month, window=window, base_rate_per_hour=1.0
         )
         cfg = SynthConfig(
             seed=500 + month,
             window=window,
             triangle=spec,
+            points=points(spec, "0.000001"),
             mid_prices={"EUR/USD": 1.2065, "USD/CHF": 1.3030},
             volatilities={"EUR/USD": 2e-6, "USD/CHF": 2e-6},
             spread_points={p.name: profiles.spread_points for p in spec.pairs},

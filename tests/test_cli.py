@@ -183,22 +183,19 @@ class TestSynthCommand:
         assert rc == 2
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
-        ini = tmp_path / "triarb.ini"
-        ini.write_text("[sessions]\nasia = 0-9\neurope = 6-16\namericas = 12-21\n")
         payload = synth_payload(
             [{"start": MONDAY + 60, "duration_seconds": 3, "magnitude_bp": 2.0, "direction": 2}]
         )
         for entry in payload["pairs"].values():
             del entry["spread_points"]
-        payload["liquidity_preset"] = True  # the session table sets the spreads
+        payload["liquidity_preset"] = True  # the open sessions set the spreads
         cfg_path = tmp_path / "synth.json"
         cfg_path.write_text(json.dumps(payload))
         first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["synth", "--config", str(ini), "--synth-config", str(cfg_path),
-                     "--out-dir", str(first)]) == 0
+        assert main(["synth", "--synth-config", str(cfg_path), "--out-dir", str(first)]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
-        assert main(["synth", "--config", manifest["config_path"],
-                     "--synth-config", manifest["synth_config"], "--out-dir", str(second)]) == 0
+        assert main(["synth", "--synth-config", manifest["synth_config"],
+                     "--out-dir", str(second)]) == 0
         produced = sha256_tree(second, exclude={"manifest.json"})
         assert sorted(produced) == ["EURCHF.csv", "EURUSD.csv", "USDCHF.csv", "injections.json"]
         assert produced == sha256_tree(first, exclude={"manifest.json"})
@@ -279,10 +276,21 @@ class TestSynthCommand:
 
     def test_bad_currency_list_exits_2(self, tmp_path, capsys):
         cases = []
-        for i, currencies in enumerate([["EUR", "USD"], 5]):
+        for i, (currencies, message) in enumerate([
+            (["EUR", "USD"], "three currency codes"),
+            (5, "three currency codes"),
+            (["EUR", 1, "USD"], "bad currency code 1,"),
+            (["EUR", None, "USD"], "bad currency code None"),
+            ("EUR,USD,C/F", "bad currency code 'C/F'"),
+            ("EUR,USD,CHF,", "bad currency code ''"),
+            (["EUR", "USD", "SWFR"], "bad currency code 'SWFR'"),
+            (["EUR", "USD", "ÇHF"], "bad currency code 'ÇHF'"),
+        ]):
             bad_path = tmp_path / f"bad{i}.json"
             bad_path.write_text(json.dumps({**synth_payload([]), "currencies": currencies}))
-            cases.append((["synth", "--synth-config", str(bad_path)], "three currency codes"))
+            cases.append((["synth", "--synth-config", str(bad_path)], message))
+        cases.append((["detect", "--triangle", "EUR,USD,C/F", "--data-dir", str(tmp_path),
+                       "--window", WINDOW], "bad currency code 'C/F'"))
         assert_exits_2_before_any_output(tmp_path, capsys, cases)
 
 
@@ -662,6 +670,15 @@ class TestCompareCommand:
             ([*base, "--dataset", f"b{data_dir}"], "expected LABEL=DIR"),
         ])
 
+    def test_missing_tick_file_exits_2_before_any_output(self, tmp_path, capsys):
+        x = run_synth(tmp_path, [], name="x")
+        y = run_synth(tmp_path, [], name="y")
+        (y / "EURCHF.csv").unlink()
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            (["compare", "--dataset", f"x={x}", "--dataset", f"y={y}", "--window", WINDOW],
+             f"missing tick file {y / 'EURCHF.csv'}"),
+        ])
+
     def test_single_dataset_exits_2(self, tmp_path):
         data_dir = run_synth(tmp_path, [])
         rc = main(
@@ -672,22 +689,6 @@ class TestCompareCommand:
 
 
 class TestConfigHandling:
-    CONFIG = """\
-[triangle]
-currencies = EUR,USD,JPY
-pairs = EUR/USD,USD/JPY,EUR/JPY
-
-[points]
-EUR/USD = 0.00001
-USD/JPY = 0.001
-EUR/JPY = 0.001
-
-[sessions]
-asia = 0-10
-europe = 7-17
-americas = 13-23
-"""
-
     def jpy_payload(self, seed=21):
         return {
             "seed": seed,
@@ -703,76 +704,49 @@ americas = 13-23
         }
 
     def test_jpy_triangle_end_to_end(self, tmp_path):
-        cfg_ini = tmp_path / "triarb.ini"
-        cfg_ini.write_text(self.CONFIG)
         synth_cfg = tmp_path / "synth.json"
-        synth_cfg.write_text(json.dumps(self.jpy_payload()))
+        synth_cfg.write_text(json.dumps({**self.jpy_payload(), "currencies": "EUR,USD,JPY"}))
         data_dir = tmp_path / "data"
-        rc = main(["synth", "--config", str(cfg_ini), "--synth-config", str(synth_cfg),
-                   "--out-dir", str(data_dir)])
+        rc = main(["synth", "--synth-config", str(synth_cfg), "--out-dir", str(data_dir)])
         assert rc == 0
         assert (data_dir / "USDJPY.csv").exists()
         out = tmp_path / "detect"
-        rc = main(["detect", "--config", str(cfg_ini), "--data-dir", str(data_dir),
+        rc = main(["detect", "--triangle", "EUR,USD,JPY", "--data-dir", str(data_dir),
                    "--window", f"{MONDAY}..{MONDAY + 3600}", "--out-dir", str(out)])
         assert rc == 0
         rows = read_csv(out / "opportunities.csv")
         assert len(rows) - 1 == 1
         assert rows[1][2] == "2"  # run_length
 
-    def test_config_via_environment_variable(self, tmp_path, monkeypatch):
-        cfg_ini = tmp_path / "triarb.ini"
-        cfg_ini.write_text(self.CONFIG)
-        monkeypatch.setenv("TRIARB_CONFIG", str(cfg_ini))
-        synth_cfg = tmp_path / "synth.json"
-        synth_cfg.write_text(json.dumps(self.jpy_payload()))
-        data_dir = tmp_path / "data"
-        rc = main(["synth", "--synth-config", str(synth_cfg), "--out-dir", str(data_dir)])
-        assert rc == 0
-        manifest = json.loads((data_dir / "manifest.json").read_text())
-        assert manifest["triangle"]["currencies"] == ["EUR", "USD", "JPY"]
-
-    def test_triangle_flag_overrides_config(self, tmp_path):
+    def test_triangle_flag_overrides_config(self, tmp_path, capsys):
         synth_cfg = tmp_path / "synth.json"
         payload = self.jpy_payload()
         payload["currencies"] = ["EUR", "USD", "JPY"]
         synth_cfg.write_text(json.dumps(payload))
         data_dir = tmp_path / "data"
         assert main(["synth", "--synth-config", str(synth_cfg), "--out-dir", str(data_dir)]) == 0
+        args = ["--data-dir", str(data_dir), "--window", f"{MONDAY}..{MONDAY + 3600}"]
+        # without the flag the triangle is EUR,USD,CHF
+        assert main(["detect", *args, "--out-dir", str(tmp_path / "chf")]) == 2
+        assert f"missing tick file {data_dir / 'USDCHF.csv'}" in capsys.readouterr().err
         out = tmp_path / "detect"
-        rc = main(["detect", "--triangle", "EUR,USD,JPY", "--data-dir", str(data_dir),
-                   "--window", f"{MONDAY}..{MONDAY + 3600}", "--out-dir", str(out)])
-        assert rc == 0
-
-    @pytest.mark.parametrize("text, message", [
-        ("currencies = EUR,USD,JPY\n", ".ini:1: no [section] header before"),
-        ("[sessions]\nasia\n", ".ini:2: expected KEY = VALUE"),
-        ("[points]\n[points]\n", ".ini:2: section 'points' already exists"),
-        ("[point]\nEUR/USD = 0.00001\n", "unknown section [point]"),
-        ("[triangle]\ncurrency = EUR,USD,JPY\n", "unknown key 'currency' in [triangle]"),
-        ("[points]\nEUR/USD = abc\n", "bad point size 'abc' for EUR/USD"),
-        ("[points]\nEURUSD = 0.00001\n", "bad pair 'eurusd', expected BASE/QUOTE"),
-    ], ids=["no-header", "no-value", "repeated-section", "unknown-section", "unknown-key",
-            "bad-point", "bad-pair"])
-    def test_malformed_ini_exits_2(self, tmp_path, capsys, text, message):
-        cfg_ini = tmp_path / "triarb.ini"
-        cfg_ini.write_text(text)
-        assert_exits_2_before_any_output(tmp_path, capsys, [
-            (["detect", "--config", str(cfg_ini), "--data-dir", str(tmp_path), "--window", WINDOW],
-             message),
-        ])
+        assert main(["detect", "--triangle", "eur,usd,jpy", *args, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["triangle"] == {
+            "currencies": ["EUR", "USD", "JPY"], "pairs": ["EUR/USD", "USD/JPY", "EUR/JPY"]
+        }
 
     def test_pair_names_are_case_insensitive(self):
-        from triarb.config import default_app_config, synth_config_from_json
+        from triarb.config import synth_config_from_json
 
         payload = synth_payload([])
         payload["pairs"]["eur/usd "] = {**payload["pairs"].pop("EUR/USD"), "point": "0.001"}
-        cfg = synth_config_from_json(payload, default_app_config())
+        cfg = synth_config_from_json(payload)
         assert cfg.mid_prices["EUR/USD"] == 1.2065
-        assert str(cfg.triangle.pair_for("EUR", "USD").point_size) == "0.001"
+        assert str(cfg.points["EUR/USD"]) == "0.001"
 
     def test_preset_scales_spreads_with_liquidity(self, tmp_path):
-        from triarb.config import default_app_config, synth_config_from_json
+        from triarb.config import synth_config_from_json
 
         payload = {
             "seed": 1,
@@ -785,7 +759,7 @@ americas = 13-23
                 "EUR/CHF": {"point": "0.00001"},
             },
         }
-        cfg = synth_config_from_json(payload, default_app_config())
+        cfg = synth_config_from_json(payload)
         spreads = cfg.spread_points["EUR/USD"]
         assert spreads[14] < spreads[23]  # two liquid markets vs one
         assert cfg.gap_rate[14] < cfg.gap_rate[23]
@@ -801,16 +775,16 @@ class TestCliBasics:
         ticks = ["--data-dir", "--triangle", "--weekdays", "--window"]
         flags = cli_flags()
         assert flags == {
-            "synth": ["--config", "--out-dir", "--synth-config"],
-            "detect": sorted(["--config", "--out-dir", *ticks, *hist, "--thresholds"]),
-            "seasonal": sorted(["--config", "--out-dir", *ticks]),
-            "simulate": sorted(["--config", "--out-dir", *ticks, "--fee-per-trade", "--gamma-t",
+            "synth": ["--out-dir", "--synth-config"],
+            "detect": sorted(["--out-dir", *ticks, *hist, "--thresholds"]),
+            "seasonal": sorted(["--out-dir", *ticks]),
+            "simulate": sorted(["--out-dir", *ticks, "--fee-per-trade", "--gamma-t",
                                 "--lambda-bp", "--lambda-grid", "--p", "--runs", "--scenario",
                                 "--seed", "--volume"]),
-            "compare": sorted(["--config", "--out-dir", *hist, "--dataset", "--triangle",
+            "compare": sorted(["--out-dir", *hist, "--dataset", "--triangle",
                                "--weekdays", "--window"]),
         }
-        assert sum(map(len, flags.values())) == 43
+        assert sum(map(len, flags.values())) == 38
 
     def test_removed_flags_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "synth.json"
@@ -823,6 +797,8 @@ class TestCliBasics:
             ([*synth, "--weekdays", "all"], "unrecognized arguments: --weekdays"),
             ([*synth, "--triangle", "EUR,USD,JPY"], "unrecognized arguments: --triangle"),
             ([*synth, "--preset", "table3"], "unrecognized arguments: --preset"),
+            ([*synth, "--config", "triarb.ini"], "unrecognized arguments: --config"),
+            (["detect", *ticks, "--config", "triarb.ini"], "unrecognized arguments: --config"),
             (["detect", *ticks, "--seed", "1"], "unrecognized arguments: --seed"),
             (["seasonal", *ticks, "--seed", "1"], "unrecognized arguments: --seed"),
             (["compare", "--dataset", f"a={tmp_path}", "--dataset", f"b={tmp_path}",
@@ -830,10 +806,10 @@ class TestCliBasics:
         ])
 
     def test_internal_key_error_exits_1_with_traceback(self, tmp_path, capsys, monkeypatch):
-        def broken(path):
+        def broken(*args):
             raise KeyError("internal")
 
-        monkeypatch.setattr("triarb.cli.load_app_config", broken)
+        monkeypatch.setattr("triarb.cli.parse_window", broken)
         rc = main(["seasonal", "--data-dir", str(tmp_path), "--window", WINDOW,
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1

@@ -117,7 +117,6 @@ def write_ticks(root: Path, overrides: dict) -> None:
 @pytest.fixture
 def ticks(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("TRIARB_CONFIG", raising=False)
     write_ticks(tmp_path / "ticks_a", PERIOD_A)
     write_ticks(tmp_path / "ticks_b", PERIOD_B)
     (tmp_path / "synth.json").write_text(json.dumps(SYNTH))

@@ -359,8 +359,22 @@ class TestTriangleSpec:
         assert market_convention_pair("CHF", "USD") == ("USD", "CHF")
 
     def test_jpy_point_size_default(self):
-        assert Pair("EUR", "JPY").point_size == Decimal("0.01")
-        assert Pair("EUR", "USD").point_size == Decimal("0.0001")
+        # point sizes are a synth setting; a pair without one gets the convention's
+        from triarb.config import synth_config_from_json
+
+        cfg = synth_config_from_json({
+            "seed": 1,
+            "currencies": "EUR,USD,JPY",
+            "window": {"start": MONDAY, "end": MONDAY + 60},
+            "pairs": {
+                "EUR/USD": {"mid": 1.2065, "vol": 0.0, "spread_points": 2},
+                "USD/JPY": {"mid": 115.72, "vol": 0.0, "spread_points": 2},
+                "EUR/JPY": {"spread_points": 2},
+            },
+        })
+        assert cfg.points == {
+            "EUR/USD": Decimal("0.0001"), "USD/JPY": Decimal("0.01"), "EUR/JPY": Decimal("0.01")
+        }
 
     def test_rejects_duplicate_currencies(self):
         spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")

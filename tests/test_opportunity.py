@@ -203,12 +203,11 @@ class TestDistributionStats:
         assert np.all(np.abs(dist.counts - expected) < 5 * sigma)
 
     def test_zeros_excluded_and_counted(self):
-        dist = distribution_stats(np.array([0.9999, 0.0, 1.0001, 0.0]), 1e-4, (0.999, 1.001))
-        assert dist.n_missing == 2
-        assert dist.n_points == 2
+        gammas = np.array([0.9999, 0.0, 1.0001, 0.0])
+        dist = distribution_stats(gammas, 1e-4, (0.999, 1.001))
         assert dist.mean == pytest.approx((0.9999 + 1.0001) / 2)
         total = dist.counts.sum() + dist.underflow + dist.overflow
-        assert total == dist.n_points
+        assert total == np.count_nonzero(gammas) == 2
 
     def test_overflow_bins(self):
         dist = distribution_stats(np.array([0.9, 1.1, 0.9995]), 1e-4, (0.999, 1.001))
@@ -226,10 +225,12 @@ class TestDistributionStats:
         gammas[:, ::7] = 0.0
         pooled = distribution_stats(gammas, 1e-4, (0.999, 1.001))
         flat = distribution_stats(np.concatenate(gammas), 1e-4, (0.999, 1.001))
-        assert (pooled.mean, pooled.std, pooled.n_points, pooled.n_missing) == (
-            flat.mean, flat.std, flat.n_points, flat.n_missing
+        assert (pooled.mean, pooled.std, pooled.underflow, pooled.overflow) == (
+            flat.mean, flat.std, flat.underflow, flat.overflow
         )
         assert np.array_equal(pooled.counts, flat.counts)
+        total = pooled.counts.sum() + pooled.underflow + pooled.overflow
+        assert total == np.count_nonzero(gammas)
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):

@@ -1,49 +1,32 @@
-"""The README's "Library use" block runs as written against the package, and
+"""The README's "Library use" blocks run as written against the package, and
 its flags and synth JSON example are ones the command line accepts."""
 
 import json
 import re
 from pathlib import Path
 
-from triarb.config import default_app_config, synth_config_from_json
-from triarb.market_data import Direction, SeriesWindow, write_pair_series_csv
+from triarb.config import synth_config_from_json
 from triarb.opportunity import ArbitrageOpportunity
-from triarb.synth import InjectionSpec, SynthConfig, generate
 
 from conftest import MONDAY, cli_flags
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_use_block() -> str:
+def library_use_blocks() -> list[str]:
     section = README.read_text().split("\n## Library use\n", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.findall(r"```python\n(.*?)```", section, re.S)
 
 
-def test_library_use_block_runs(tmp_path, monkeypatch, fine_chf_triangle):
-    start, end = MONDAY, MONDAY + 3600
-    injections = (
-        InjectionSpec(MONDAY + 600, 3, 2.0, Direction.DIR1),
-        InjectionSpec(MONDAY + 1200, 1, 1.0, Direction.DIR2),
-    )
-    cfg = SynthConfig(
-        seed=9,
-        window=SeriesWindow(start, end, frozenset(range(5))),
-        triangle=fine_chf_triangle,
-        mid_prices={"EUR/USD": 1.2065, "USD/CHF": 1.3030},
-        volatilities={"EUR/USD": 2e-6, "USD/CHF": 2e-6},
-        spread_points={p.name: tuple([2.0] * 24) for p in fine_chf_triangle.pairs},
-        gap_rate=tuple([0.001] * 24),
-        injections=injections,
-    )
-    for series in generate(cfg):
-        write_pair_series_csv(tmp_path / f"{series.pair.file_stem}.csv", series)
-    monkeypatch.chdir(tmp_path)  # the block reads <BASEQUOTE>.csv from the cwd
-
-    namespace = {"start": start, "end": end}
-    exec(compile(library_use_block(), str(README), "exec"), namespace)
+def test_library_use_block_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the blocks write and read <BASEQUOTE>.csv in the cwd
+    namespace = {"start": MONDAY, "end": MONDAY + 3600}
+    for block in library_use_blocks():
+        exec(compile(block, str(README), "exec"), namespace)
 
     ops = namespace["ops"]
+    injections = namespace["synth_cfg"].injections
+    assert len(injections) == 2
     assert all(isinstance(op, ArbitrageOpportunity) for op in ops)
     assert [(op.start, op.run_length, op.direction) for op in ops] == [
         (i.start, i.duration_seconds, i.direction) for i in injections
@@ -70,5 +53,5 @@ def test_flags_are_accepted():
 def test_synth_json_example_is_accepted():
     section = README.read_text().split("\n## Configuration\n", 1)[1]
     payload = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
-    cfg = synth_config_from_json(payload, default_app_config())
+    cfg = synth_config_from_json(payload)
     assert len(cfg.injections) == 237  # one listed, the rest from the schedule

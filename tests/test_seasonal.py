@@ -1,16 +1,12 @@
-"""Hourly/daily aggregation and the liquidity session table."""
+"""Hourly/daily aggregation and the market sessions open at each hour."""
 
 import numpy as np
 import pytest
 
 from triarb.market_data import Direction, SeriesWindow
 from triarb.opportunity import ArbitrageOpportunity
-from triarb.seasonal import (
-    SessionTable,
-    daily_profile,
-    hourly_profile,
-    overlap_by_hour,
-)
+from triarb.seasonal import daily_profile, hourly_profile
+from triarb.synth import OPEN_SESSIONS
 
 from conftest import MONDAY
 
@@ -110,18 +106,13 @@ class TestDailyProfile:
 
 class TestSessionTable:
     def test_default_overlaps(self):
-        overlap = overlap_by_hour(SessionTable.default())
+        overlap = OPEN_SESSIONS
         assert overlap[14] == 2  # Europe + Americas
         assert overlap[23] == 1  # Americas only
         assert overlap[8] == 2   # Asia + Europe
         assert overlap[12] == 1  # Europe only
-        assert overlap.tolist() == [1] * 7 + [2] * 4 + [1] * 2 + [2] * 5 + [1] * 6
-
-    def test_empty_table(self):
-        assert overlap_by_hour(SessionTable(sessions={})).tolist() == [0] * 24
+        assert list(overlap) == [1] * 7 + [2] * 4 + [1] * 2 + [2] * 5 + [1] * 6
 
     def test_default_hours_match_builtin_table(self):
-        table = SessionTable.default().sessions
-        assert table["asia"] == frozenset(range(0, 11))
-        assert table["europe"] == frozenset(range(7, 18))
-        assert table["americas"] == frozenset(range(13, 24))
+        sessions = [range(0, 11), range(7, 18), range(13, 24)]  # Asia, Europe, Americas
+        assert OPEN_SESSIONS == tuple(sum(h in s for s in sessions) for h in range(24))
