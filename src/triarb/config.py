@@ -13,6 +13,8 @@ import sys
 from decimal import Decimal, InvalidOperation
 from typing import Any, Optional
 
+import numpy as np
+
 from .errors import SynthConfigError
 from .market_data import (
     Direction,
@@ -20,7 +22,7 @@ from .market_data import (
     SeriesWindow,
     TriangleSpec,
     WEEKDAYS,
-    parse_iso_timestamp,
+    _iso_seconds,
 )
 from .seasonal import HOURS
 from .synth import InjectionSpec, SynthConfig, liquidity_preset, seasonal_injection_schedule
@@ -51,15 +53,22 @@ def parse_currencies(codes) -> tuple[str, str, str]:
 
 
 def parse_timestamp(text: str) -> int:
-    """Epoch seconds from an integer or an ISO-8601 date/datetime (UTC)."""
+    """Epoch seconds from an integer, a date YYYY-MM-DD, or a time in the tick
+    grammar's ISO form YYYY-MM-DDTHH:MM:SS[.fff][Z] (UTC, from 1970 on)."""
     text = text.strip()
     try:
         return int(text)
     except ValueError:
         pass
-    if "T" not in text and ":" not in text:
-        text = text + "T00:00:00"
-    return parse_iso_timestamp(text)
+    iso = text if "T" in text or ":" in text else text + "T00:00:00"
+    raw = np.frombuffer(iso.encode("utf-8", "replace"), dtype=np.uint8)
+    seconds, ok = _iso_seconds(raw, np.zeros(1, np.int64), np.full(1, raw.size))
+    if not ok[0]:
+        raise ValueError(
+            f"bad timestamp {text!r}, expected epoch seconds, YYYY-MM-DD or "
+            "YYYY-MM-DDTHH:MM:SS[.fff][Z] from 1970 on"
+        )
+    return int(seconds[0])
 
 
 def parse_weekdays(text: str) -> Optional[frozenset[int]]:

@@ -4,9 +4,10 @@ A pair's quotes live in one representation, the columns of `PairSeries`, one
 entry per grid second of a window: int64 bid and ask mantissas that share one
 decimal exponent (`scale`), and a mask of missing seconds. Prices stay exact
 here; the conversion to floating point happens downstream, when rate
-products are computed. The loader parses each tick file with numpy passes
-over fixed-size blocks of its bytes and builds those columns once; the
-writer formats them straight back to text from digit matrices.
+products are computed. Tick files follow one grammar, set out in
+`load_pair_series`: the loader parses it with numpy passes over fixed-size
+blocks of a file's bytes and builds those columns once, and the writer
+formats the columns straight back to it from digit matrices.
 
 The time grid has a fixed resolution of one second. A grid second carries a
 quote only if at least one raw tick fell inside that second; when several
@@ -16,11 +17,9 @@ optional weekday filter removes excluded days from the grid entirely.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
-from decimal import Decimal, InvalidOperation
+from datetime import date, timedelta
 from enum import Enum
 from typing import Optional
 
@@ -220,20 +219,6 @@ class TriangleSpec:
         return cls(currencies=(a, b, c), pairs=tuple(pairs))
 
 
-def parse_iso_timestamp(raw: str) -> int:
-    """Epoch seconds of an ISO-8601 time, UTC unless it has an offset; exact,
-    with a fraction truncated toward zero."""
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    delta = dt - datetime(1970, 1, 1, tzinfo=timezone.utc)
-    seconds = delta.days * SECONDS_PER_DAY + delta.seconds
-    return seconds + (seconds < 0 and delta.microseconds > 0)
-
-
 # Tick files are read and written in blocks of about this many bytes. A
 # block's partial last line is carried into the next block, so the loader's
 # temporaries follow the block size and its result follows the window, never
@@ -241,9 +226,6 @@ def parse_iso_timestamp(raw: str) -> int:
 BLOCK_BYTES = 1 << 18
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-# Mantissa of a price whose digits do not fit int64 even at its own places.
-_TOO_LARGE = -1
 _COMMA, _DOT, _LF, _CR, _ZERO = (ord(c) for c in ",.\n\r0")
 # Byte layout of YYYY-MM-DDTHH:MM:SS, the fixed part of an ISO timestamp.
 _ISO_DIGIT_COLS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
@@ -253,20 +235,24 @@ _ISO_PUNCT = ((4, ord("-")), (7, ord("-")), (10, ord("T")), (13, ord(":")), (16,
 def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     """Load the tick CSV at `path` onto the window's per-second grid.
 
-    Format: header ``timestamp,bid,ask``; timestamps are integer epoch
-    seconds or ISO-8601 UTC (auto-detected from the first data row); prices
-    are finite, positive decimals. Several ticks in one second collapse to
-    the last one. Crossed quotes (bid > ask) are accepted with a
-    CrossedQuoteWarning.
-    All prices share the largest number of decimal places among the ticks
-    kept; a price whose mantissa at that scale does not fit int64 is a parse
-    error.
+    The file follows the tick grammar, which `write_pair_series_csv` writes:
 
-    The file is read in blocks of `BLOCK_BYTES`. Rows of the regular grammar
-    (digits, one '.', ISO timestamps of the form YYYY-MM-DDTHH:MM:SS[.fff][Z])
-    are parsed by numpy passes over the block's bytes; every other row goes
-    through `_parse_row`, which follows `int`, `datetime.fromisoformat` and
-    `Decimal`. Only the last in-window tick of each second survives a block.
+    - the first line is ``timestamp,bid,ask`` in any ASCII case; lines end
+      in LF or CRLF, and blank lines are skipped but keep their numbers;
+    - a timestamp is 1 to 18 ASCII digits of epoch seconds, or
+      YYYY-MM-DDTHH:MM:SS[.fff][Z] in UTC from 1970 on, its fraction
+      dropped; the first data row decides which (epoch if its timestamp is
+      all digits), and timestamps never decrease;
+    - a price is 1 to 18 ASCII digits with at most one '.', and positive.
+
+    Any other row is a TickParseError naming its line. Several ticks in one
+    second collapse to the last one. Crossed quotes (bid > ask) are accepted
+    with a CrossedQuoteWarning. All prices share the largest number of
+    decimal places among the ticks kept; that scale is at most 17 and every
+    mantissa at it below 10**18, so the series can be written back.
+
+    The file is parsed by numpy passes over blocks of `BLOCK_BYTES`; only
+    the last in-window tick of each second survives a block.
     """
     iso = None
     last_t = None
@@ -275,10 +261,10 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     with open(path, "rb") as fh:
         for line_no, buf, starts, ends in _line_blocks(fh, path):
             if line_no == 1:
-                header = _row_fields(path, 1, buf[starts[0]:ends[0]])
-                if [h.strip().lower() for h in header] != ["timestamp", "bid", "ask"]:
+                header = buf[starts[0]:ends[0]].tobytes()
+                if header.lower() != b"timestamp,bid,ask":
                     raise TickParseError(
-                        path, 1, f"expected header timestamp,bid,ask, got {header!r}"
+                        path, 1, f"expected header timestamp,bid,ask, got {header[:80]!r}"
                     )
                 line_no, starts, ends = 2, starts[1:], ends[1:]
             lines = line_no + np.arange(starts.size)
@@ -286,13 +272,8 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
             lines, starts, ends = lines[data], starts[data], ends[data]
             if not lines.size:
                 continue
-            if iso is None:  # epoch seconds if the first data row's timestamp reads as an int
-                raw_t = _row_fields(path, int(lines[0]), buf[starts[0]:ends[0]])[0]
-                try:
-                    int(raw_t.strip())
-                    iso = False
-                except ValueError:
-                    iso = True
+            if iso is None:  # epoch seconds if the first data row's timestamp is all digits
+                iso = not buf[starts[0]:ends[0]].tobytes().partition(b",")[0].isdigit()
             t, bid, ask, crossed = _parse_block(path, buf, starts, ends, lines, iso, last_t)
             last_t = int(t[-1])
             n_crossed += int(crossed.sum())
@@ -317,7 +298,7 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     if over.size:
         raise TickParseError(
             path, int(lines[last][over[0]]),
-            f"price does not fit an int64 mantissa at the file's {scale} decimal places",
+            f"price needs more than 18 digits at the file's {scale} decimal places",
         )
     times = window.grid_times()
     index = np.searchsorted(times, t[last])
@@ -331,11 +312,10 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
 def _line_blocks(fh, path):
     """Yield (first line number, bytes, line starts, line ends) per block of `fh`.
 
-    A line ends at LF, CRLF or a lone CR, as Python's universal newlines split
-    it; `ends` excludes the terminator. The bytes after a block's last
-    terminator are carried into the next block, and at the end of the file
-    they are its last line. An empty file, or a line longer than a block, is
-    a TickParseError.
+    A line ends at LF or CRLF; `ends` excludes the terminator. The bytes
+    after a block's last LF are carried into the next block, and at the end
+    of the file they are its last line. An empty file, or a line longer than
+    a block, is a TickParseError.
     """
     line_no = 1
     carry = b""
@@ -345,14 +325,6 @@ def _line_blocks(fh, path):
         eof = not data
         buf = np.frombuffer(carry + data, dtype=np.uint8)
         ends = np.flatnonzero(buf == _LF)
-        cr = np.flatnonzero(buf == _CR)
-        if cr.size:
-            # a CR ends a line unless an LF follows; a CR that ends the
-            # block waits for the next block, unless there is none
-            inside = cr + 1 < buf.size
-            lone = ~inside if eof else np.zeros(cr.size, dtype=bool)
-            lone[inside] = buf[cr[inside] + 1] != _LF
-            ends = np.union1d(ends, cr[lone])
         rest = int(ends[-1]) + 1 if ends.size else 0
         if eof and rest < buf.size:
             ends = np.append(ends, buf.size)
@@ -362,10 +334,8 @@ def _line_blocks(fh, path):
             starts = np.empty_like(ends)
             starts[0] = 0
             starts[1:] = ends[:-1] + 1
-            if cr.size:
-                crlf = (ends > starts) & (buf[np.minimum(ends, buf.size - 1)] == _LF)
-                crlf &= buf[np.maximum(ends - 1, 0)] == _CR
-                ends = ends - crlf
+            # only a line that ends at an LF can end in CRLF
+            ends = ends - ((ends > starts) & (ends < buf.size) & (buf[ends - 1] == _CR))
             yield line_no, buf, starts, ends
             line_no += ends.size
         if len(carry) > BLOCK_BYTES:
@@ -378,69 +348,55 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
     """Parse and check the data rows of one block.
 
     Returns the timestamps, the (mantissa, places) rows of bids and asks and
-    the crossed-quote flags. Raises the error of the first bad row: its own
-    parse error, a non-positive price, or a timestamp before the one of the
-    row above it (`last_t` for the block's first row).
+    the crossed-quote flags. Raises the error of the first bad row: not three
+    fields, a bad timestamp or price, a non-positive price, or a timestamp
+    before the one of the row above it (`last_t` for the block's first row).
     """
     n = starts.size
     t = np.zeros(n, dtype=np.int64)
     bid = np.zeros((2, n), dtype=np.int64)
     ask = np.zeros((2, n), dtype=np.int64)
-    crossed = np.zeros(n, dtype=bool)
-    regular = np.zeros(n, dtype=bool)
+    t_ok = np.zeros(n, dtype=bool)
+    price_ok = np.zeros(n, dtype=bool)
 
     commas = np.flatnonzero(buf == _COMMA)
     first = np.searchsorted(commas, starts)
-    rows = np.flatnonzero(np.searchsorted(commas, ends) - first == 2)
+    three = np.searchsorted(commas, ends) - first == 2
+    rows = np.flatnonzero(three)
     if rows.size:
         c1, c2 = commas[first[rows]], commas[first[rows] + 1]
         if iso:
-            ts, ok = _iso_seconds(buf, starts[rows], c1)
+            t[rows], t_ok[rows] = _iso_seconds(buf, starts[rows], c1)
         else:
-            ts, places, ok = _decimal_fields(buf, starts[rows], c1)
-            ok &= places < 0  # no '.'
+            t[rows], places, t_ok[rows] = _decimal_fields(buf, starts[rows], c1)
+            t_ok[rows] &= places < 0  # no '.'
         b, bp, b_ok = _decimal_fields(buf, c1 + 1, c2)
         a, ap, a_ok = _decimal_fields(buf, c2 + 1, ends[rows])
-        ok &= b_ok & a_ok
-        rows = rows[ok]
-        regular[rows] = True
-        t[rows] = ts[ok]
-        bid[:, rows] = b[ok], np.maximum(bp[ok], 0)
-        ask[:, rows] = a[ok], np.maximum(ap[ok], 0)
-        crossed[rows] = _greater(bid[:, rows], ask[:, rows])
+        price_ok[rows] = b_ok & a_ok
+        bid[:, rows] = b, np.maximum(bp, 0)
+        ask[:, rows] = a, np.maximum(ap, 0)
 
-    error = None
-    for i in np.flatnonzero(~regular).tolist():
-        try:
-            t[i], bid[:, i], ask[:, i], crossed[i] = _parse_row(
-                path, int(lines[i]), buf[starts[i]:ends[i]], iso
-            )
-        except TickParseError as exc:
-            error, n = exc, i
-            break
-    t, bid, ask, crossed = t[:n], bid[:, :n], ask[:, :n], crossed[:n]
     before = np.empty_like(t)
     before[1:] = t[:-1]
     before[:1] = t[:1] if last_t is None else last_t
-    non_positive = (bid[0] == 0) | (ask[0] == 0)  # only regular rows can hold a zero
-    bad = np.flatnonzero(non_positive | (t < before))
+    non_positive = (bid[0] == 0) | (ask[0] == 0)
+    bad = np.flatnonzero(~(three & t_ok & price_ok) | non_positive | (t < before))
     if bad.size:
         i = int(bad[0])
-        if non_positive[i]:
-            row = _row_fields(path, int(lines[i]), buf[starts[i]:ends[i]])
-            raise TickParseError(path, int(lines[i]), f"non-positive price in {row!r}")
+        row = buf[starts[i]:ends[i]][:80].tobytes()
+        for ok, what in ((three, "expected 3 fields"), (t_ok, "bad timestamp"),
+                         (price_ok, "bad price"), (~non_positive, "non-positive price")):
+            if not ok[i]:
+                raise TickParseError(path, int(lines[i]), f"{what} in {row!r}")
         raise TickOrderingError(f"{path}:{lines[i]}: timestamp {t[i]} precedes {before[i]}")
-    if error is not None:
-        raise error
-    return t, bid, ask, crossed
+    return t, bid, ask, _greater(bid, ask)
 
 
 def _decimal_fields(buf, starts, ends):
     """Right-aligned digit gather of the fields buf[starts:ends].
 
     Returns each field's mantissa, its number of decimal places (-1 without
-    a '.') and whether it is regular: 1 to 18 ASCII digits with at most one
-    '.', which `int` and `Decimal` read the same way.
+    a '.') and whether it is 1 to 18 ASCII digits with at most one '.'.
     """
     lengths = ends - starts
     width = int(min(lengths.max(), 19))
@@ -463,37 +419,34 @@ def _decimal_fields(buf, starts, ends):
 
 
 def _iso_seconds(buf, starts, ends):
-    """Epoch seconds of ISO fields YYYY-MM-DDTHH:MM:SS[.fff][Z], and which fields
-    have that form and a valid date and time.
-
-    The seconds truncate toward zero, as `parse_iso_timestamp` does, so a
-    fraction moves a time before 1970 one second up.
-    """
+    """Epoch seconds of ISO fields YYYY-MM-DDTHH:MM:SS[.fff][Z], fraction
+    dropped, and which fields have that form and a valid date and time from
+    1970 on."""
     lengths = ends - starts
     chars = buf[np.minimum(starts[:, None] + np.arange(24), buf.size - 1)]
     ok = np.isin(lengths, (19, 20, 23, 24))
     ok &= (chars[:, _ISO_DIGIT_COLS] - _ZERO < 10).all(axis=1)
-    ok &= (chars[:, :4] != _ZERO).any(axis=1)  # year 0 is outside datetime's range
     for col, char in _ISO_PUNCT:
         ok &= chars[:, col] == char
     zulu = (lengths == 20) | (lengths == 24)
     ok &= ~zulu | (chars[np.arange(lengths.size), np.clip(lengths - 1, 0, 23)] == ord("Z"))
     fraction = lengths >= 23
     ok &= ~fraction | ((chars[:, 19] == _DOT) & (chars[:, 20:23] - _ZERO < 10).all(axis=1))
-    seconds = np.zeros(lengths.size, dtype=np.int64)
+    stamps = np.ascontiguousarray(chars[:, :19]).view("S19")[:, 0]
+    seconds = np.full(lengths.size, -1, dtype=np.int64)
     try:
-        seconds[ok] = np.ascontiguousarray(chars[ok, :19]).view("S19")[:, 0].astype(
-            "datetime64[s]"
-        ).astype(np.int64)
-    except ValueError:  # an impossible date such as 02-30: leave the block to _parse_row
-        return seconds, np.zeros(lengths.size, dtype=bool)
-    millis = (chars[:, 20:23].astype(np.int64) - _ZERO) @ np.array([100, 10, 1])
-    seconds += (seconds < 0) & fraction & (millis > 0)
-    return seconds, ok
+        seconds[ok] = stamps[ok].astype("datetime64[s]").astype(np.int64)
+    except ValueError:  # an impossible date such as 02-30: cast row by row to find it
+        for i in np.flatnonzero(ok).tolist():
+            try:
+                seconds[i] = stamps[i:i + 1].astype("datetime64[s]").astype(np.int64)[0]
+            except ValueError:
+                pass
+    return seconds, ok & (seconds >= 0)
 
 
 def _greater(x, y):
-    """Exact x > y for (mantissa, places) rows of regular prices (places <= 18):
+    """Exact x > y for (mantissa, places) rows of prices (places <= 18):
     integer parts first, then fractions padded to 18 places."""
     xi, xf = np.divmod(x[0], _POW10[x[1]])
     yi, yf = np.divmod(y[0], _POW10[y[1]])
@@ -501,11 +454,10 @@ def _greater(x, y):
 
 
 def _at_scale(mantissa, places, scale):
-    """Mantissas at `scale` decimal places, and which of them overflow int64."""
+    """Mantissas at `scale` decimal places, and which of them the grammar
+    cannot write: all of them past 17 places, else those of 10**18 or more."""
     shift = scale - places
-    factor = _POW10[np.minimum(shift, 18)]
-    over = (mantissa == _TOO_LARGE) | (shift > 18) | (mantissa > _INT64_MAX // factor)
-    return mantissa * factor, over
+    return mantissa * _POW10[shift], (scale > 17) | (mantissa >= _POW10[18 - shift])
 
 
 def _last_per_second(t):
@@ -515,77 +467,26 @@ def _last_per_second(t):
     return last
 
 
-def _row_fields(path, line_no: int, raw: np.ndarray) -> list[str]:
-    """The csv fields of one line's bytes, which must be UTF-8 text with its
-    quotes closed."""
-    try:
-        text = raw.tobytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TickParseError(
-            path, line_no, f"not UTF-8 text: {exc.reason} at byte {exc.start} of the line"
-        ) from None
-    try:
-        fields = next(csv.reader([text + "\n"]))
-    except csv.Error as exc:
-        raise TickParseError(path, line_no, f"bad csv row: {exc}") from None
-    if any("\n" in f for f in fields):
-        raise TickParseError(path, line_no, "unbalanced quote")
-    return fields
-
-
-def _parse_row(path, line_no: int, raw: np.ndarray, iso: bool):
-    """Parse one row outside the regular grammar: (timestamp, bid, ask, crossed),
-    with bid and ask as (mantissa, places), or raise its `TickParseError`.
-
-    Fields are stripped of surrounding whitespace and may be quoted;
-    timestamps are read by `int` or `parse_iso_timestamp` and prices by
-    `Decimal`, but underscores between digits are refused.
-    """
-    row = _row_fields(path, line_no, raw)
-    if len(row) != 3:
-        raise TickParseError(path, line_no, f"expected 3 fields, got {len(row)}")
-    raw_t, raw_bid, raw_ask = (f.strip() for f in row)
-    try:
-        if "_" in raw_t:
-            raise ValueError(raw_t)
-        t = parse_iso_timestamp(raw_t) if iso else int(raw_t)
-    except ValueError:
-        raise TickParseError(path, line_no, f"bad timestamp {raw_t!r}") from None
-    if not _INT64_MIN <= t <= _INT64_MAX:
-        raise TickParseError(path, line_no, f"timestamp {raw_t!r} out of the int64 range")
-    try:
-        if "_" in raw_bid + raw_ask:
-            raise InvalidOperation(row)
-        bid = Decimal(raw_bid)
-        ask = Decimal(raw_ask)
-    except InvalidOperation:
-        raise TickParseError(path, line_no, f"bad price in {row!r}") from None
-    if not (bid.is_finite() and ask.is_finite()):
-        raise TickParseError(path, line_no, f"non-finite price in {row!r}")
-    if bid <= 0 or ask <= 0:
-        raise TickParseError(path, line_no, f"non-positive price in {row!r}")
-    return t, _mantissa(bid), _mantissa(ask), bid > ask
-
-
-def _mantissa(price: Decimal) -> tuple[int, int]:
-    """(mantissa, places) of a positive finite price, with places >= 0; the
-    mantissa is _TOO_LARGE when it does not fit int64 even at those places."""
-    _, digits, exponent = price.as_tuple()
-    places = max(0, -exponent)
-    if len(digits) + max(exponent, 0) > 19:
-        return _TOO_LARGE, places
-    mantissa = int("".join(map(str, digits))) * 10 ** max(exponent, 0)
-    return (mantissa if mantissa <= _INT64_MAX else _TOO_LARGE), places
-
-
 def write_pair_series_csv(path, series: PairSeries) -> None:
-    """Write the quoted seconds of `series` as a tick CSV in the loader's format.
+    """Write the quoted seconds of `series` as a tick CSV in the loader's grammar:
+    epoch seconds, and prices with `scale` decimal places, as
+    ``f"{Decimal(mantissa).scaleb(-scale):f}"`` prints them. The text is built
+    from digit matrices, one block of rows at a time.
 
-    Prices read as `str(Decimal(mantissa).scaleb(-scale))` would print them;
-    the text is built from digit matrices, one block of rows at a time.
+    A series with a negative time, a non-positive price, a mantissa of 10**18
+    or more, or a scale outside 0 to 17 has no rows in the grammar: it is a
+    ValueError, and no file is written.
     """
     quoted = ~series.missing
     columns = (series.window.grid_times()[quoted], series.bid_m[quoted], series.ask_m[quoted])
+    if not 0 <= series.scale <= 17 or any(
+        c.min(initial=low) < low or c.max(initial=0) >= _POW10[18]
+        for c, low in zip(columns, (0, 1, 1))
+    ):
+        raise ValueError(
+            f"{series.pair}: no tick row holds a negative time, a non-positive price, a "
+            f"mantissa of 10**18 or more, or scale {series.scale} outside 0 to 17"
+        )
     rows = BLOCK_BYTES // 32
     with open(path, "wb") as fh:
         fh.write(b"timestamp,bid,ask\n")
@@ -594,36 +495,14 @@ def write_pair_series_csv(path, series: PairSeries) -> None:
 
 
 def _format_rows(times, bid_m, ask_m, scale: int) -> bytes:
-    """Tick CSV lines for the given rows.
-
-    Rows with a negative time or a price that is not positive, or that
-    `Decimal` prints in E-notation (fewer digits than scale - 5), take their
-    text from `Decimal` itself.
-    """
+    """Tick CSV lines for the given rows."""
     text, used = [], []
     for values, places in ((times, 0), (bid_m, scale), (ask_m, scale)):
         chars, mask = _digit_matrix(values, places)
         text += [chars, np.full((values.size, 1), _COMMA, dtype=np.uint8)]
         used += [mask, np.ones((values.size, 1), dtype=bool)]
     text[-1][:] = _LF
-    chars, mask = np.hstack(text), np.hstack(used)
-    out = chars[mask].tobytes()
-    plain = (times >= 0) & (bid_m > 0) & (ask_m > 0)
-    if scale > 18:
-        plain[:] = False
-    elif scale > 6:
-        plain &= (bid_m >= _POW10[scale - 6]) & (ask_m >= _POW10[scale - 6])
-    if plain.all():
-        return out
-    lengths = mask.sum(axis=1)
-    ends = np.cumsum(lengths)
-    pieces, pos = [], 0
-    for i in np.flatnonzero(~plain).tolist():
-        b, a = (Decimal(int(m[i])).scaleb(-scale) for m in (bid_m, ask_m))
-        pieces += [out[pos:ends[i] - lengths[i]], f"{times[i]},{b},{a}\n".encode()]
-        pos = ends[i]
-    pieces.append(out[pos:])
-    return b"".join(pieces)
+    return np.hstack(text)[np.hstack(used)].tobytes()
 
 
 def _digit_matrix(values, places: int):

@@ -114,16 +114,24 @@ class SynthConfig:
             if any(s <= 0 for s in profile):
                 raise SynthConfigError(f"spreads must be positive for {p.name}")
             point = self.points.get(p.name)
-            if point is None or not _is_power_of_ten(point):
-                raise SynthConfigError(f"{p.name} needs a power-of-ten point size, got {point}")
+            if point is None or _point_places(point) is None:
+                raise SynthConfigError(
+                    f"{p.name} needs a point size of 10**-k with k from 0 to 17, got {point}"
+                )
         if len(self.gap_rate) != HOURS or any(not 0.0 <= g <= 1.0 for g in self.gap_rate):
             raise SynthConfigError("gap_rate must be 24 probabilities in [0, 1]")
         object.__setattr__(self, "injections", tuple(self.injections))
         _validate_injections(self.injections, self.window)
 
 
-def _is_power_of_ten(d: Decimal) -> bool:
-    return d.is_finite() and d.normalize().as_tuple()[:2] == (0, (1,))
+def _point_places(point: Decimal):
+    """k for a point size of 10**-k with 0 <= k <= 17, the tick grammar's
+    decimal places, else None."""
+    sign, digits, exponent = point.as_tuple()
+    if sign or not isinstance(exponent, int) or digits[0] != 1 or any(digits[1:]):
+        return None
+    k = -exponent - (len(digits) - 1)
+    return k if 0 <= k <= 17 else None
 
 
 def _validate_injections(injections: Sequence[InjectionSpec], window: SeriesWindow) -> None:
@@ -169,17 +177,20 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
         half = profile[hours] * point / 2.0
         mid = mids[pair.name]
         bid = np.floor((mid - half) / point)
+        ask = np.ceil((mid + half) / point)
         if not np.all(bid > 0):
             raise SynthConfigError(f"the spread leaves {pair.name} no positive bid on its point grid")
+        if not np.all(ask < 1e18):  # the tick grammar's 18 digits
+            raise SynthConfigError(f"{pair.name} quotes reach 10**18 points, past 18 digits")
         gap_rng = np.random.default_rng(gap_seed)
         rates = np.asarray(cfg.gap_rate, dtype=np.float64)[hours]
         series[pair] = PairSeries(
             pair,
             cfg.window,
             bid.astype(np.int64),
-            np.ceil((mid + half) / point).astype(np.int64),
+            ask.astype(np.int64),
             gap_rng.random(times.size) < rates,
-            -cfg.points[pair.name].normalize().as_tuple().exponent,
+            _point_places(cfg.points[pair.name]),
         )
 
     if cfg.injections:
@@ -240,13 +251,17 @@ def _inject(
     series[direct].ask_m[idx] = bid + spread
 
     realized = (compute_rate_products(list(series.values()), spec)[rows, idx] - 1.0) * 1e4
-    bad = (bid <= 0) | (realized <= 0) | (np.abs(realized - magnitude) > PEAK_TOLERANCE_BP)
+    off_grammar = (bid <= 0) | (bid + spread >= 10**18)
+    bad = off_grammar | (realized <= 0) | (np.abs(realized - magnitude) > PEAK_TOLERANCE_BP)
     if not bad.any():
         return
     k = int(np.argmax(bad))
     inj = injections[owner[k]]
-    if bid[k] <= 0:
-        raise SynthConfigError(f"injection at t={inj.start} drives the price non-positive")
+    if off_grammar[k]:
+        raise SynthConfigError(
+            f"injection at t={inj.start} drives the price of {direct.name} non-positive "
+            "or to 10**18 points"
+        )
     if realized[k] <= 0:
         raise SynthConfigError(
             f"infeasible injection {inj}: rounding to {direct.name}'s point grid erases it"

@@ -1,23 +1,19 @@
-"""Reference tick loader: the `csv` + `Decimal` row loop the package first used.
+"""Reference tick loader: a regular expression per line, then `int`, `Decimal`
+and `datetime` for the values.
 
-It reads the whole file row by row, checks each row as it goes and builds
+It reads the whole file line by line, checks each row as it goes and builds
 the grid columns from a per-second dict. `load_pair_series` in the package
 must return an equal `PairSeries`, count the same crossed quotes and raise
 the same error class at the same line on every input this loop accepts or
 rejects with a `TickParseError`, `TickOrderingError` or `EmptySeriesError`.
-
-Three inputs are rejected by the package but not here: underscores in a
-number (`int` and `Decimal` accept them), quotes left open at the end of a
-line, and bytes that are not UTF-8. Their tests live in
-`tests/test_market_data.py`.
 """
 
 from __future__ import annotations
 
-import csv
+import re
 import warnings
-from datetime import date, timedelta
-from decimal import Decimal, InvalidOperation
+from datetime import date, datetime, timedelta, timezone
+from decimal import Decimal
 
 import numpy as np
 
@@ -27,53 +23,66 @@ from triarb.errors import (
     TickOrderingError,
     TickParseError,
 )
-from triarb.market_data import Pair, PairSeries, SeriesWindow, parse_iso_timestamp
+from triarb.market_data import Pair, PairSeries, SeriesWindow
+
+_PRICE = r"([0-9]*\.?[0-9]*)"
+_ROW = {
+    False: re.compile(rf"([0-9]{{1,18}}),{_PRICE},{_PRICE}"),
+    True: re.compile(
+        r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.[0-9]{3})?Z?,"
+        rf"{_PRICE},{_PRICE}"
+    ),
+}
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
 
 
 def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     # second -> (bid, ask, line); keys arrive in ascending order
     per_second: dict[int, tuple[Decimal, Decimal, int]] = {}
     iso = None
-    last_raw_t = None
+    last_t = None
     n_crossed = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TickParseError(path, 1, "empty file") from None
-        if [h.strip().lower() for h in header] != ["timestamp", "bid", "ask"]:
-            raise TickParseError(path, 1, f"expected header timestamp,bid,ask, got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise TickParseError(path, line_no, f"expected 3 fields, got {len(row)}")
-            raw_t, raw_bid, raw_ask = (f.strip() for f in row)
-            if iso is None:
-                iso = not _looks_like_int(raw_t)
+    with open(path, "rb") as fh:
+        pieces = fh.read().split(b"\n")
+    # a line ends at LF or CRLF; the last piece has no LF, so no CRLF either
+    lines = [p.removesuffix(b"\r") for p in pieces[:-1]] + pieces[-1:]
+    lines = [line.decode("ascii", "replace") for line in lines]
+    if lines == [""]:
+        raise TickParseError(path, 1, "empty file")
+    if lines[0].lower() != "timestamp,bid,ask":
+        raise TickParseError(path, 1, f"expected header timestamp,bid,ask, got {lines[0]!r}")
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        if iso is None:
+            iso = re.fullmatch("[0-9]+", line.split(",")[0]) is None
+        match = _ROW[iso].fullmatch(line)
+        if match is None:
+            raise TickParseError(path, line_no, f"row outside the grammar: {line!r}")
+        *stamp, raw_bid, raw_ask = match.groups()
+        if any(len(p.replace(".", "")) not in range(1, 19) for p in (raw_bid, raw_ask)):
+            raise TickParseError(path, line_no, f"bad price in {line!r}")
+        if iso:
             try:
-                t = parse_iso_timestamp(raw_t) if iso else int(raw_t)
+                t = (datetime(*map(int, stamp), tzinfo=timezone.utc) - _EPOCH) // _SECOND
             except ValueError:
-                raise TickParseError(path, line_no, f"bad timestamp {raw_t!r}") from None
-            try:
-                bid = Decimal(raw_bid)
-                ask = Decimal(raw_ask)
-            except InvalidOperation:
-                raise TickParseError(path, line_no, f"bad price in {row!r}") from None
-            if not (bid.is_finite() and ask.is_finite()):
-                raise TickParseError(path, line_no, f"non-finite price in {row!r}")
-            if bid <= 0 or ask <= 0:
-                raise TickParseError(path, line_no, f"non-positive price in {row!r}")
-            if last_raw_t is not None and t < last_raw_t:
-                raise TickOrderingError(
-                    f"{path}:{line_no}: timestamp {t} precedes {last_raw_t}"
-                )
-            last_raw_t = t
-            if bid > ask:
-                n_crossed += 1
-            if _in_window(window, t):
-                per_second[t] = (bid, ask, line_no)
+                raise TickParseError(path, line_no, f"bad timestamp in {line!r}") from None
+            if t < 0:
+                raise TickParseError(path, line_no, f"timestamp before 1970 in {line!r}")
+        else:
+            t = int(stamp[0])
+        bid = Decimal(raw_bid)
+        ask = Decimal(raw_ask)
+        if bid <= 0 or ask <= 0:
+            raise TickParseError(path, line_no, f"non-positive price in {line!r}")
+        if last_t is not None and t < last_t:
+            raise TickOrderingError(f"{path}:{line_no}: timestamp {t} precedes {last_t}")
+        last_t = t
+        if bid > ask:
+            n_crossed += 1
+        if _in_window(window, t):
+            per_second[t] = (bid, ask, line_no)
     if n_crossed:
         warnings.warn(
             f"{path}: accepted {n_crossed} crossed quote(s) (bid > ask)",
@@ -90,15 +99,13 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     bid_m = np.zeros(times.size, dtype=np.int64)
     ask_m = np.zeros(times.size, dtype=np.int64)
     for i, (bid, ask, line_no) in zip(index.tolist(), ticks):
-        try:
-            bid_m[i] = int(bid.scaleb(scale))
-            ask_m[i] = int(ask.scaleb(scale))
-        except OverflowError:
+        mantissas = [int(p.scaleb(scale)) for p in (bid, ask)]
+        # the writer prints at least scale + 1 digits, and at most 18 fit the grammar
+        if scale > 17 or max(mantissas) >= 10**18:
             raise TickParseError(
-                path, line_no,
-                f"price in {bid},{ask} does not fit an int64 mantissa at the file's "
-                f"{scale} decimal places",
-            ) from None
+                path, line_no, f"price in {bid},{ask} needs more than 18 digits at {scale} places"
+            )
+        bid_m[i], ask_m[i] = mantissas
     missing = np.ones(times.size, dtype=bool)
     missing[index] = False
     return PairSeries(pair, window, bid_m, ask_m, missing, scale)
@@ -112,23 +119,12 @@ def _in_window(window: SeriesWindow, t: int) -> bool:
     return window.weekday_filter is None or day.weekday() in window.weekday_filter
 
 
-def _looks_like_int(text: str) -> bool:
-    try:
-        int(text)
-        return True
-    except ValueError:
-        return False
-
-
 def write_pair_series_csv(path, series: PairSeries) -> None:
-    """The reference writer: each quoted second through `str(Decimal)`."""
+    """The reference writer: each quoted second through `Decimal`'s fixed-point format."""
     quoted = ~series.missing
     shift = -series.scale
+    columns = (series.window.grid_times()[quoted], series.bid_m[quoted], series.ask_m[quoted])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "bid", "ask"])
-        columns = (series.window.grid_times()[quoted], series.bid_m[quoted], series.ask_m[quoted])
-        writer.writerows(
-            (t, Decimal(b).scaleb(shift), Decimal(a).scaleb(shift))
-            for t, b, a in zip(*(c.tolist() for c in columns))
-        )
+        fh.write("timestamp,bid,ask\n")
+        for t, b, a in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{t},{Decimal(b).scaleb(shift):f},{Decimal(a).scaleb(shift):f}\n")

@@ -207,6 +207,13 @@ class TestSynthCommand:
         def twice(p):
             p["pairs"]["eur/usd"] = p["pairs"]["EUR/USD"]
 
+        def injected_past_18_digits(p):
+            # EUR/CHF's parity mid is 9.9995 at 17 places; the episode lifts its bid
+            p["pairs"]["EUR/USD"].update(mid=5.0, vol=0.0)
+            p["pairs"]["USD/CHF"].update(mid=1.9999, vol=0.0)
+            p["pairs"]["EUR/CHF"].update(point="1e-17")
+            p["injections"] = [five_injections()[3]]  # 4 bp in direction 2
+
         edits = [
             (lambda p: [p], "synth config: expected an object"),
             (lambda p: {k: v for k, v in p.items() if k != "seed"},
@@ -221,6 +228,13 @@ class TestSynthCommand:
             (twice, "pairs: EUR/USD is given twice"),
             (lambda p: p["pairs"]["EUR/USD"].update(point="abc"), "bad point size 'abc' for EUR/USD"),
             (lambda p: p["pairs"]["EUR/USD"].update(point=1), "leaves EUR/USD no positive bid"),
+            (lambda p: p["pairs"]["EUR/USD"].update(point="1e-300"),
+             "EUR/USD needs a point size of 10**-k with k from 0 to 17, got 1E-300"),
+            (lambda p: p["pairs"]["EUR/USD"].update(point="1e9999999"),
+             "EUR/USD needs a point size of 10**-k with k from 0 to 17, got 1E+9999999"),
+            (lambda p: p["pairs"]["EUR/USD"].update(point="1e-17", mid=12.0),
+             "EUR/USD quotes reach 10**18 points"),
+            (injected_past_18_digits, "drives the price of EUR/CHF non-positive or to 10**18"),
             (lambda p: p["pairs"]["EUR/USD"].update(mid="1.2"), "pairs.EUR/USD.mid: expected a"),
             (lambda p: p["pairs"]["USD/CHF"].update(vol=[]), "pairs.USD/CHF.vol: expected a"),
             (lambda p: p.update(gap_rate=float("nan")), "gap_rate: expected a finite number"),
@@ -357,14 +371,27 @@ class TestDetectCommand:
             ([*base, "--hist-bin-width", "1e-12"], "at most 1000000 bins"),
             ([*base, "--thresholds", "nan,1"], "finite and non-negative"),
             ([*base, "--thresholds", "1,inf"], "finite and non-negative"),
+            ([*base, "--window", "1970-W02-1..1970-01-06"], "bad timestamp '1970-W02-1'"),
+            ([*base, "--window", "19700105T000000..1970-01-06"], "bad timestamp '19700105T"),
+            ([*base, "--window", "1970-01-05T00:00:00+00:00..1970-01-06"], "bad timestamp"),
+            ([*base, "--window", "1969-12-31..1970-01-06"], "bad timestamp '1969-12-31'"),
         ])
 
+    def test_window_reads_iso_times_as_tick_files_do(self):
+        from triarb.config import parse_window
+
+        window = parse_window("1970-01-05..1970-01-05T02:00:00.999Z")
+        assert (window.start, window.end) == (MONDAY, MONDAY + 7200)
+        window = parse_window(f"{MONDAY}..1970-01-05T02:00:00")
+        assert (window.start, window.end) == (MONDAY, MONDAY + 7200)
+
     def test_mantissa_overflow_exits_2(self, tmp_path, capsys):
+        # 14 digits at the file's 5 decimal places need 19
         data_dir = run_synth(tmp_path, five_injections())
         path = data_dir / "EURUSD.csv"
         lines = path.read_text().splitlines()
         t = lines[5].split(",")[0]
-        lines[5] = f"{t},1.00000000000000000000001,1.3"
+        lines[5] = f"{t},1.20649,12345678901234"
         path.write_text("\n".join(lines) + "\n")
         rc = main(
             ["detect", "--data-dir", str(data_dir), "--window", WINDOW,
@@ -372,7 +399,7 @@ class TestDetectCommand:
         )
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"{path}:2:" in err and "int64" in err
+        assert f"{path}:6:" in err and "more than 18 digits" in err
         assert "Traceback" not in err
 
     def test_non_finite_price_exits_2(self, tmp_path, capsys):
@@ -388,12 +415,12 @@ class TestDetectCommand:
         )
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"{path}:4:" in err and "non-finite price" in err
+        assert f"{path}:4:" in err and "bad price" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("row, message", [
-        (lambda t: t + b',1.20649,"1.20651', "unbalanced quote"),
-        (lambda t: t + b",1.20649,1.2065\xff", "not UTF-8"),
+        (lambda t: t + b',1.20649,"1.20651', "bad price"),
+        (lambda t: t + b",1.20649,1.2065\xff", "bad price"),
         (lambda t: t[:3] + b"_" + t[3:] + b",1.20649,1.20651", "bad timestamp"),
         (lambda t: t + b",1.2_0649,1.20651", "bad price"),
     ], ids=["open-quote", "non-utf8", "underscore-timestamp", "underscore-price"])

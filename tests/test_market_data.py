@@ -28,7 +28,6 @@ from triarb.market_data import (
     TriangleSpec,
     load_pair_series,
     market_convention_pair,
-    parse_iso_timestamp,
     write_pair_series_csv,
 )
 from triarb.rate_product import compute_rate_products
@@ -85,10 +84,11 @@ class TestLoadPairSeries:
     @pytest.mark.parametrize("value", ["NaN", "sNaN", "Infinity"])
     @pytest.mark.parametrize("field", ["bid", "ask"])
     def test_non_finite_price_names_line(self, tmp_path, value, field):
+        # the grammar has no spelling for a non-finite price
         path = tmp_path / "ticks.csv"
         bad = (1, value, "1.2067") if field == "bid" else (1, "1.2065", value)
         write_rows(path, [(0, "1.2065", "1.2067"), bad])
-        with pytest.raises(TickParseError, match="non-finite price") as err:
+        with pytest.raises(TickParseError, match="bad price") as err:
             load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert err.value.line_no == 3
 
@@ -109,19 +109,17 @@ class TestLoadPairSeries:
         write_rows(
             path,
             [("1970-01-01T00:00:00Z", "1.2065", "1.2067"),
-             ("1970-01-01T00:00:02+00:00", "1.2066", "1.2068")],
+             ("1970-01-01T00:00:02.000", "1.2066", "1.2068")],
         )
         series = load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert series.missing.tolist() == [False, True, False]
         assert (series.bid_m[0], series.bid_m[2], series.scale) == (12065, 12066, 4)
 
     def test_iso_fraction_truncates_exactly(self, tmp_path):
-        # toward zero, without a float: a late 6-digit fraction stays in its second
-        assert parse_iso_timestamp("9999-12-31T23:59:59.999999") == 253402300799
-        assert parse_iso_timestamp("1969-12-31T23:59:59.5") == 0
+        # without a float: a late millisecond fraction stays in its second
         path = tmp_path / "ticks.csv"
-        write_rows(path, [("9999-12-31T23:59:58.5Z", "1.2065", "1.2067"),
-                          ("9999-12-31T23:59:59.999999", "1.2066", "1.2068")])
+        write_rows(path, [("9999-12-31T23:59:58.500Z", "1.2065", "1.2067"),
+                          ("9999-12-31T23:59:59.999", "1.2066", "1.2068")])
         series = load_pair_series(path, EURUSD, SeriesWindow(253402300798, 253402300800))
         assert series.bid_m.tolist() == [12065, 12066]
 
@@ -148,29 +146,45 @@ class TestLoadPairSeries:
         assert w.grid_times()[0] == MONDAY
 
     def test_mantissa_overflow_names_line(self, tmp_path):
-        # 23 decimal places put every mantissa of the file past int64
+        # every field fits 18 digits, but at the file's scale a mantissa reaches 10**18
         path = tmp_path / "ticks.csv"
         for rows, line_no in (
-            ([(0, "1.00000000000000000000001", "1.2068")], 2),
-            ([(0, "1.2065", "1.2067"), (1, "1.00000000000000000000001", "1.2068")], 2),
-            ([(0, "1.2065", "1.2067"), (1, "1.2066", "100000000000000000000")], 3),
+            ([(0, "10", "11"), (1, "0.00000000000000001", "1")], 2),
+            ([(0, "1.2065", "1.2067"), (1, "1.2066", "100000000000000")], 3),
+            ([(0, "9.99999999999999999", "10.0000000000000000")], 2),
+            ([(0, "1.2065", "1.2067"), (1, ".123456789012345678", "1")], 2),
+            ([(0, ".123456789012345678", "0.2")], 2),  # 18 places: "0." and 18 digits
         ):
             write_rows(path, rows)
             with pytest.raises(TickParseError) as err:
                 load_pair_series(path, EURUSD, SeriesWindow(0, 3))
             assert err.value.line_no == line_no
-            assert "int64" in str(err.value)
+            assert "more than 18 digits" in str(err.value)
+        # 17 places and mantissas just below 10**18 load
+        write_rows(path, [(0, "9.99999999999999999", "9.99999999999999999")])
+        series = load_pair_series(path, EURUSD, SeriesWindow(0, 3))
+        assert (series.scale, int(series.ask_m[0])) == (17, 10**18 - 1)
 
     @pytest.mark.parametrize("row, message", [
         (b"1_000,1.2066,1.2068", "bad timestamp"),
         (b"1,1.2_066,1.2068", "bad price"),
-        (b'1,1.2066,"1.2068', "unbalanced quote"),
-        (b"1,1.2066,1.2068\xff", "not UTF-8"),
+        pytest.param(b'1,1.2066,"1.2068', "bad price", id='1,1.2066,"1.2068-unbalanced quote'),
+        pytest.param(b"1,1.2066,1.2068\xff", "bad price", id="1,1.2066,1.2068\xff-not UTF-8"),
+        (b"1,1.2066\r,1.2068", "bad price"),
+        (b"1,1.2066,1.2068,", "expected 3 fields"),
+        (b"2026-W10-1T00:00:00,1.2065,1.2067", "bad timestamp"),
+        (b"20260302T000001,1.2065,1.2067", "bad timestamp"),
+        (b"1970-01-01T00:00:01+00:00,1.2065,1.2067", "bad timestamp"),
+        (b"1970-01-01T00:00:01.000000,1.2065,1.2067", "bad timestamp"),
+        (b"1969-12-31T23:59:59Z,1.2065,1.2067", "bad timestamp"),
     ])
     def test_rejected_row_names_line(self, tmp_path, row, message):
-        # int and Decimal read underscores; csv and the text decoder fail without a line
+        # rows that Python's int, Decimal or datetime.fromisoformat may read, but
+        # outside the grammar; an ISO row follows an ISO row
+        first = b"1970-01-01T00:00:00Z" if b"T" in row.partition(b",")[0] else b"0"
         path = tmp_path / "ticks.csv"
-        path.write_bytes(b"timestamp,bid,ask\n0,1.2065,1.2067\n" + row + b"\n2,1.2,1.3\n")
+        path.write_bytes(b"timestamp,bid,ask\n" + first + b",1.2065,1.2067\n" + row
+                         + b"\n2,1.2,1.3\n")
         with pytest.raises(TickParseError, match=message) as err:
             load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert err.value.line_no == 3
@@ -192,7 +206,7 @@ class TestLoadPairSeries:
         assert err.value.line_no == 3
 
     def test_roundtrip_through_writer(self, tmp_path):
-        # 5 at scale 7 is written in str(Decimal)'s exponent notation
+        # 5 at scale 7 is written in fixed point, never in exponent notation
         window = SeriesWindow(7, 10)
         series = PairSeries(
             EURUSD, window,
@@ -202,25 +216,37 @@ class TestLoadPairSeries:
         )
         path = tmp_path / "ticks.csv"
         write_pair_series_csv(path, series)
-        assert path.read_text() == "timestamp,bid,ask\n7,1.2065000,1.2067000\n9,5E-7,1.2068000\n"
+        assert path.read_text() == "timestamp,bid,ask\n7,1.2065000,1.2067000\n9,0.0000005,1.2068000\n"
         assert load_pair_series(path, EURUSD, window) == series
+
+    @pytest.mark.parametrize("start, bid, scale", [
+        (-1, 12065, 4), (0, 0, 4), (0, 10**18, 4), (0, 12065, 18), (0, 12065, -1),
+    ])
+    def test_writer_refuses_series_outside_grammar(self, tmp_path, start, bid, scale):
+        series = PairSeries(EURUSD, SeriesWindow(start, start + 1), np.array([bid]),
+                            np.array([12067]), np.array([False]), scale)
+        path = tmp_path / "ticks.csv"
+        with pytest.raises(ValueError, match="no tick row holds"):
+            write_pair_series_csv(path, series)
+        assert not path.exists()
 
 
 @st.composite
 def pair_series(draw):
-    """A random grid series: mantissas down to E-notation size, scales 0-8, gaps."""
+    """A random grid series in the tick grammar: mantissas from 1 (many leading
+    zeros at high scales) to 10**18 - 1, scales 0-17, gaps."""
     n = draw(st.integers(min_value=1, max_value=20))
     start = draw(st.integers(min_value=0, max_value=10**9))
     window = SeriesWindow(start, start + n)
-    mantissa = st.one_of(st.integers(1, 99), st.integers(1, 2**62))
-    spread = st.one_of(st.integers(0, 99), st.integers(0, 2**62 - 1))
+    mantissa = st.one_of(st.integers(1, 99), st.integers(1, 10**18 - 1))
+    spread = st.one_of(st.integers(0, 99), st.integers(0, 10**18 - 1))
     bid = np.array(draw(st.lists(mantissa, min_size=n, max_size=n)), dtype=np.int64)
-    ask = bid + np.array(draw(st.lists(spread, min_size=n, max_size=n)), dtype=np.int64)
+    ask = np.minimum(bid + np.array(draw(st.lists(spread, min_size=n, max_size=n))), 10**18 - 1)
     missing = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     missing[draw(st.integers(0, n - 1))] = False  # at least one quoted second
     bid[missing] = 0
     ask[missing] = 0
-    scale = draw(st.integers(min_value=0, max_value=8))
+    scale = draw(st.integers(min_value=0, max_value=17))
     return PairSeries(EURUSD, window, bid, ask, missing, scale)
 
 
@@ -239,44 +265,52 @@ def test_writer_loader_roundtrip(series, block_bytes):
         assert load_pair_series(path, EURUSD, series.window) == series
 
 
-def _price_text(draw, hostile):
-    """A positive decimal in one of the spellings Decimal accepts."""
+def _price_text(draw, plain, hostile):
+    """A positive decimal in one of the spellings Decimal accepts; `plain` keeps
+    to the tick grammar's."""
     m = draw(st.integers(1, 10**7))
     p = draw(st.integers(0, 7))
-    plain = f"{m // 10**p}.{m % 10**p:0{p}d}" if p else str(m)
-    spellings = [plain, plain, plain + "00" if p else plain + ".00", plain.lstrip("0"),
-                 f"{m}E-{p}", f"{m}e-{p + 1}", f"+{plain}", f"00{plain}", f"{m}E+2"]
-    if hostile:
-        spellings += [f"{m}E-{p + 20}", "0", "0.000", "-1.2", "x", "NaN", "Infinity", "", "1.2.3",
-                      "1.00000000000000000000001", "99999999999999999999"]
+    text = f"{m // 10**p}.{m % 10**p:0{p}d}" if p else str(m)
+    spellings = [text, text, text + "00" if p else text + ".00", text.lstrip("0"), f"00{text}"]
+    if not plain:
+        spellings += [f"{m}E-{p}", f"{m}e-{p + 1}", f"+{text}", f"{m}E+2"]
+    if hostile and draw(st.integers(0, 4)) == 0:
+        spellings = [f"{m}E-{p + 20}", "0", "0.000", "-1.2", "x", "NaN", "Infinity", "", "1.2.3",
+                     "1.00000000000000000000001", "99999999999999999999",
+                     "0.00000000000000001", "99999999999999"]
     return draw(st.sampled_from(spellings))
 
 
-def _timestamp_text(draw, t, iso):
+def _timestamp_text(draw, t, iso, plain):
     if not iso:
-        signed = [f"+{t}", f"0{t}"] if t >= 0 else [f" {t}"]
-        return draw(st.sampled_from([str(t), *signed]))
+        spellings = [str(t), f"0{t}"] if plain else [str(t), f"+{t}", f"0{t}", f" {t}"]
+        return draw(st.sampled_from(spellings))
     text = datetime.fromtimestamp(t, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
     millis, micros = draw(st.integers(0, 999)), draw(st.integers(0, 999_999))
-    return text + draw(st.sampled_from(
-        ["", "Z", f".{millis:03d}", f".{millis:03d}Z", f".{micros:06d}", "+00:00", "z"]
-    ))
+    spellings = ["", "Z", f".{millis:03d}", f".{millis:03d}Z"]
+    if not plain:
+        spellings += [f".{micros:06d}", "+00:00", "z"]
+    return text + draw(st.sampled_from(spellings))
 
 
-def _decorated(draw, text):
+def _decorated(draw, text, plain):
+    if plain:
+        return text
     return draw(st.sampled_from([text, text, text, f" {text}", f"{text}\t", f'"{text}"',
-                                 f'" {text} "']))
+                                 f'" {text} "', f"{text}\r"]))
 
 
 @st.composite
 def tick_files(draw):
     """(file text, window): tick rows around a weekend, before or after 1970,
-    in epoch or ISO form, with blank lines, CRLF, quotes, whitespace and
-    mixed price spellings; `hostile` files also hold bad values, wrong field
-    counts, decreasing timestamps and a truncated last row."""
-    iso, hostile = draw(st.booleans()), draw(st.booleans())
+    in epoch or ISO form, with blank lines and CRLF. `plain` files keep to
+    the tick grammar; the others also draw the spellings outside it: quotes,
+    whitespace, a lone CR, '+', E-notation, 6-digit fractions, '+00:00' and
+    'z', and a negative epoch. `hostile` files also hold bad values, wrong
+    field counts, decreasing timestamps and a truncated last row."""
+    iso, plain, hostile = draw(st.booleans()), draw(st.integers(0, 3)) > 0, draw(st.booleans())
     base = draw(st.sampled_from([MONDAY - 5, -3 * 86400 - 5, 1_772_956_795]))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"] + ([] if plain else ["\r"])))
     t = base
     lines = ["timestamp,bid,ask"]
     for _ in range(draw(st.integers(0, 30))):
@@ -284,15 +318,14 @@ def tick_files(draw):
             lines.append("")
             continue
         t += draw(st.sampled_from([0, 1, 1, 1, 2, 3] + ([-1] if hostile else [])))
-        fields = [_timestamp_text(draw, t, iso), _price_text(draw, hostile),
-                  _price_text(draw, hostile)]
+        fields = [_timestamp_text(draw, t, iso, plain), _price_text(draw, plain, hostile),
+                  _price_text(draw, plain, hostile)]
         if hostile and draw(st.integers(0, 19)) == 0:
             fields = fields[:draw(st.integers(1, 4))] + ["1.3"]
-        lines.append(",".join(_decorated(draw, f) for f in fields))
+        lines.append(",".join(_decorated(draw, f, plain) for f in fields))
     text = eol.join(lines) + eol
     if hostile and draw(st.booleans()):
         text = text[:draw(st.integers(0, len(text)))]
-        text += '"' * (text.count('"') % 2)  # the reference reads an open quote to the end
     start = base + draw(st.integers(-3, 12))
     weekdays = draw(st.one_of(st.none(), st.frozensets(st.integers(0, 6), min_size=1)))
     return text, SeriesWindow(start, start + draw(st.integers(1, 40)), weekdays)
@@ -312,7 +345,7 @@ def _outcome(load, path, window):
 
 
 @given(tick_files(), st.integers(min_value=100, max_value=200))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_loader_matches_reference(case, block_bytes):
     # blocks of 100-200 bytes hold a few rows, so most files have rows that straddle two
     text, window = case
@@ -322,6 +355,22 @@ def test_loader_matches_reference(case, block_bytes):
         path.write_bytes(text.encode())
         expected = _outcome(reference.load_pair_series, path, window)
         assert _outcome(load_pair_series, path, window) == expected
+
+
+@given(tick_files(), st.integers(min_value=100, max_value=200))
+@settings(max_examples=200, deadline=None)
+def test_loaded_series_write_back(case, block_bytes):
+    # every series the loader returns is in the grammar the writer writes
+    text, window = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market_data, "BLOCK_BYTES", block_bytes)
+        path = Path(tmp) / "ticks.csv"
+        path.write_bytes(text.encode())
+        loaded, _ = _outcome(load_pair_series, path, window)
+        if isinstance(loaded, PairSeries):
+            written = Path(tmp) / "written.csv"
+            write_pair_series_csv(written, loaded)
+            assert _outcome(load_pair_series, written, window)[0] == loaded
 
 
 class TestSeriesWindow:
