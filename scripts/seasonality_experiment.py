@@ -14,9 +14,8 @@ import sys
 from decimal import Decimal
 
 from triarb.market_data import SeriesWindow, TriangleSpec
-from triarb.opportunity import segment_opportunities
+from triarb.opportunity import hourly_profile, segment_opportunities
 from triarb.rate_product import compute_rate_products
-from triarb.seasonal import hourly_profile
 from triarb.synth import SynthConfig, generate, liquidity_preset, seasonal_injection_schedule
 
 MONDAY = 4 * 86400
@@ -47,11 +46,11 @@ def month_stats(month: int, seed: int, spec: TriangleSpec):
     )
     a, b, c = generate(cfg)
     ops = segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
-    profile = hourly_profile(ops)
+    counts, mean_durations = hourly_profile(ops)
 
     def block(hours):
-        count = sum(profile.counts[h] for h in hours)
-        dur = sum(profile.counts[h] * profile.mean_durations[h] for h in hours)
+        count = sum(counts[h] for h in hours)
+        dur = sum(counts[h] * mean_durations[h] for h in hours)
         return count, dur / count if count else 0.0
 
     return block(LIQUID), block(QUIET)

@@ -32,18 +32,14 @@ from .opportunity import (
     DurationStats,
     ThresholdRow,
     compare_periods,
+    daily_profile,
     distribution_stats,
     duration_stats,
+    hourly_profile,
     segment_opportunities,
     threshold_table,
 )
 from .rate_product import compute_rate_products
-from .seasonal import (
-    DailyProfile,
-    HourlyProfile,
-    daily_profile,
-    hourly_profile,
-)
 from .simulator import (
     BreakEvenResult,
     ProfitSurface,
@@ -75,15 +71,13 @@ __all__ = [
     "DurationStats",
     "ThresholdRow",
     "compare_periods",
+    "daily_profile",
     "distribution_stats",
     "duration_stats",
+    "hourly_profile",
     "segment_opportunities",
     "threshold_table",
     "compute_rate_products",
-    "DailyProfile",
-    "HourlyProfile",
-    "daily_profile",
-    "hourly_profile",
     "BreakEvenResult",
     "ProfitSurface",
     "Scenario",

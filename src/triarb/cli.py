@@ -32,6 +32,7 @@ from . import __version__
 from .config import parse_currencies, parse_float_list, parse_window, synth_config_from_json
 from .errors import TriarbError
 from .market_data import (
+    HOURS,
     SeriesWindow,
     TriangleSpec,
     load_pair_series,
@@ -44,13 +45,14 @@ from .opportunity import (
     check_histogram,
     check_thresholds,
     compare_periods,
+    daily_profile,
     distribution_stats,
     duration_stats,
+    hourly_profile,
     segment_opportunities,
     threshold_table,
 )
 from .rate_product import compute_rate_products
-from .seasonal import HOURS, daily_profile, hourly_profile
 from .simulator import (
     P_GRID,
     Scenario,
@@ -303,12 +305,11 @@ def cmd_seasonal(args) -> int:
     window = parse_window(args.window, args.weekdays)
     ops, _ = _detect(args.data_dir, triangle, window)
     out = _out_dir(args)
-    hourly = hourly_profile(ops)
     write_csv(out / "hourly.csv", ["hour", "count", "mean_duration"],
-              zip(range(HOURS), hourly.counts, hourly.mean_durations))
-    daily = daily_profile(ops, window)
+              zip(range(HOURS), *hourly_profile(ops)))
+    days, counts, mean_durations = daily_profile(ops, window)
     write_csv(out / "daily.csv", ["date", "count", "mean_duration"],
-              zip(map(date.isoformat, daily.days), daily.counts, daily.mean_durations))
+              zip(map(date.isoformat, days), counts, mean_durations))
     _write_manifest(out, "seasonal", triangle, window, None, {"data_dir": str(args.data_dir)})
     return 0
 

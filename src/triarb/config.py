@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SynthConfigError
 from .market_data import (
+    HOURS,
     Direction,
     Pair,
     SeriesWindow,
@@ -24,7 +25,6 @@ from .market_data import (
     WEEKDAYS,
     _iso_seconds,
 )
-from .seasonal import HOURS
 from .synth import InjectionSpec, SynthConfig, liquidity_preset, seasonal_injection_schedule
 
 _DAY_NAMES = {"mon": 0, "tue": 1, "wed": 2, "thu": 3, "fri": 4, "sat": 5, "sun": 6}
@@ -53,19 +53,18 @@ def parse_currencies(codes) -> tuple[str, str, str]:
 
 
 def parse_timestamp(text: str) -> int:
-    """Epoch seconds from an integer, a date YYYY-MM-DD, or a time in the tick
-    grammar's ISO form YYYY-MM-DDTHH:MM:SS[.fff][Z] (UTC, from 1970 on)."""
+    """Epoch seconds from a date YYYY-MM-DD or a timestamp in the tick grammar:
+    1 to 18 ASCII digits of epoch seconds, or YYYY-MM-DDTHH:MM:SS[.fff][Z]
+    (UTC, from 1970 on)."""
     text = text.strip()
-    try:
+    if text.isascii() and text.isdigit() and len(text) <= 18:
         return int(text)
-    except ValueError:
-        pass
     iso = text if "T" in text or ":" in text else text + "T00:00:00"
     raw = np.frombuffer(iso.encode("utf-8", "replace"), dtype=np.uint8)
     seconds, ok = _iso_seconds(raw, np.zeros(1, np.int64), np.full(1, raw.size))
     if not ok[0]:
         raise ValueError(
-            f"bad timestamp {text!r}, expected epoch seconds, YYYY-MM-DD or "
+            f"bad timestamp {text!r}, expected 1 to 18 digits of epoch seconds, YYYY-MM-DD or "
             "YYYY-MM-DDTHH:MM:SS[.fff][Z] from 1970 on"
         )
     return int(seconds[0])

@@ -18,7 +18,7 @@ optional weekday filter removes excluded days from the grid entirely.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from typing import Optional
@@ -33,6 +33,7 @@ from .errors import (
 )
 
 SECONDS_PER_DAY = 86_400
+HOURS = 24
 # Epoch day zero (1970-01-01) was a Thursday; Monday = 0.
 _EPOCH_WEEKDAY = 3
 
@@ -176,47 +177,36 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class TriangleSpec:
-    """Three currencies, their market pairs, and the leg recipe per direction.
+    """Three currencies A, B and C; their pairs and each direction's legs derive from them.
 
     For a conversion from currency X to Y using pair P: if X is P's base the
     leg sells base at P's bid; if X is P's quote the leg buys base at 1/ask.
     """
 
     currencies: tuple[str, str, str]
-    pairs: tuple[Pair, Pair, Pair]
-    legs_dir1: tuple[tuple[Pair, Side], ...] = field(init=False)
-    legs_dir2: tuple[tuple[Pair, Side], ...] = field(init=False)
 
     def __post_init__(self):
-        a, b, c = self.currencies
-        if len({a, b, c}) != 3:
+        if len(set(self.currencies)) != 3:
             raise ValueError(f"triangle currencies must be distinct: {self.currencies}")
-        object.__setattr__(self, "legs_dir1", self._route((a, b), (b, c), (c, a)))
-        object.__setattr__(self, "legs_dir2", self._route((a, c), (c, b), (b, a)))
 
-    def _route(self, *hops: tuple[str, str]) -> tuple[tuple[Pair, Side], ...]:
-        legs = []
-        for src, dst in hops:
-            pair = self.pair_for(src, dst)
-            side = Side.BID if pair.base == src else Side.INV_ASK
-            legs.append((pair, side))
-        return tuple(legs)
-
-    def pair_for(self, x: str, y: str) -> Pair:
-        """The pair quoting currencies x and y, in either order."""
-        for p in self.pairs:
-            if {p.base, p.quote} == {x, y}:
-                return p
-        raise ValueError(f"no pair covers the conversion {x}->{y}")
+    @property
+    def pairs(self) -> tuple[Pair, Pair, Pair]:
+        """The A-B, B-C and A-C pairs, in that order, each in market convention."""
+        a, b, c = self.currencies
+        return tuple(Pair(*market_convention_pair(x, y)) for x, y in ((a, b), (b, c), (a, c)))
 
     def legs(self, direction: Direction) -> tuple[tuple[Pair, Side], ...]:
-        return self.legs_dir1 if direction is Direction.DIR1 else self.legs_dir2
+        """(pair, side) of each hop: A -> B -> C -> A for DIR1, A -> C -> B -> A for DIR2."""
+        a, b, c = self.currencies
+        ab, bc, ac = self.pairs
+        hops = ((a, ab), (b, bc), (c, ac)) if direction is Direction.DIR1 else (
+            (a, ac), (c, bc), (b, ab))
+        return tuple((pair, Side.BID if pair.base == src else Side.INV_ASK) for src, pair in hops)
 
     @classmethod
     def from_currencies(cls, a: str, b: str, c: str) -> "TriangleSpec":
-        """Build a spec with market-convention pair ordering for (a, b, c)."""
-        pairs = (Pair(*market_convention_pair(x, y)) for x, y in ((a, b), (b, c), (a, c)))
-        return cls(currencies=(a, b, c), pairs=tuple(pairs))
+        """The triangle of currencies (a, b, c)."""
+        return cls((a, b, c))
 
 
 # Tick files are read and written in blocks of about this many bytes. A

@@ -5,6 +5,10 @@ product exceeds one, in either direction of the triangle. Missing-data
 seconds (rate product zero) and window boundaries terminate runs, as do
 jumps in the grid (weekday-filtered gaps). A run's duration is its length
 in grid seconds.
+
+The hourly and daily profiles attribute every opportunity to the hour and
+day of its start second (GMT), so a run crossing a boundary counts exactly
+once.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from datetime import date
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .market_data import Direction
+from .market_data import HOURS, SECONDS_PER_DAY, Direction, SeriesWindow
 
 BUCKET_LABELS = ("1s", "2s", "3s", "4s", "5s", ">5s")
 # A histogram needs (bins + 1) edges in memory; a million bins is 8 MB.
@@ -120,18 +125,43 @@ def duration_stats(ops: Sequence[ArbitrageOpportunity]) -> DurationStats:
         return DurationStats(0, 0.0, 0.0, 0, 0, {k: 0.0 for k in BUCKET_LABELS})
     lengths = [op.run_length for op in ops]
     n = len(lengths)
-    buckets = {k: 0 for k in BUCKET_LABELS}
-    for length in lengths:
-        buckets[f"{length}s" if length <= 5 else ">5s"] += 1
-    pct = {k: 100.0 * v / n for k, v in buckets.items()}
+    n_buckets = len(BUCKET_LABELS)  # the last one holds every run longer than the others
+    buckets, _ = _tally(ops, n_buckets, lambda op: min(op.run_length, n_buckets) - 1)
     return DurationStats(
         count=n,
         mean=sum(lengths) / n,
         median=float(statistics.median(lengths)),
         min=min(lengths),
         max=max(lengths),
-        bucket_pct=pct,
+        bucket_pct={k: 100.0 * v / n for k, v in zip(BUCKET_LABELS, buckets)},
     )
+
+
+def hourly_profile(ops: Sequence[ArbitrageOpportunity]) -> tuple[tuple, tuple]:
+    """(counts, mean durations) per GMT hour of day, 24 entries each."""
+    return _tally(ops, HOURS, lambda op: op.start % SECONDS_PER_DAY // 3600)
+
+
+def daily_profile(ops: Sequence[ArbitrageOpportunity], window: SeriesWindow) -> tuple:
+    """(days, counts, mean durations) per calendar day of the window's grid."""
+    days = tuple(window.days())
+    index = {(day - date(1970, 1, 1)).days: i for i, day in enumerate(days)}
+    return (days, *_tally(ops, len(days), lambda op: index.get(op.start // SECONDS_PER_DAY)))
+
+
+def _tally(ops: Sequence[ArbitrageOpportunity], n_groups: int, group_of: Callable):
+    """(counts, mean run lengths) of the opportunities in each of `n_groups`
+    groups; the mean is 0.0 for an empty group. An opportunity whose
+    `group_of` is None starts outside the window's days: a ValueError."""
+    counts = [0] * n_groups
+    length_sums = [0] * n_groups
+    for op in ops:
+        i = group_of(op)
+        if i is None:
+            raise ValueError(f"opportunity at {op.start} starts outside the window's days")
+        counts[i] += 1
+        length_sums[i] += op.run_length
+    return tuple(counts), tuple(s / c if c else 0.0 for s, c in zip(length_sums, counts))
 
 
 def check_thresholds(thresholds_bp: Sequence[float]) -> list[float]:
@@ -184,9 +214,9 @@ def distribution_stats(
     valid = gammas[gammas != 0.0]
     n_bins = max(1, math.ceil((hi - lo) / bin_width - 1e-9))
     edges = lo + np.arange(n_bins + 1) * bin_width
-    counts, _ = np.histogram(valid, bins=edges)
-    underflow = int((valid < edges[0]).sum())
-    overflow = int((valid >= edges[-1]).sum())
+    # one histogram with an open cell on each side: numpy closes only the last
+    # cell, so a gamma on the top edge counts once, as overflow
+    cells, _ = np.histogram(valid, bins=np.concatenate(([-np.inf], edges, [np.inf])))
     if valid.size:
         mean = float(valid.mean())
         std = float(valid.std(ddof=0))
@@ -197,9 +227,9 @@ def distribution_stats(
         mean=mean,
         std=std,
         bin_edges=edges,
-        counts=counts,
-        underflow=underflow,
-        overflow=overflow,
+        counts=cells[1:-1],
+        underflow=int(cells[0]),
+        overflow=int(cells[-1]),
     )
 
 

@@ -14,17 +14,27 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError
-from .market_data import Direction, Pair, PairSeries, Side, TriangleSpec
+from .market_data import Direction, PairSeries, Side, TriangleSpec
 
 
 def compute_rate_products(series: Sequence[PairSeries], spec: TriangleSpec) -> np.ndarray:
     """Both directions' rate products over the grid the three pair series share.
 
-    `series` holds one series per pair of `spec`, in any order, all on one
-    window. Returns a float64 array of shape (2, grid seconds): row 0 is
-    DIR1, row 1 is DIR2.
+    `series` holds one series per pair of `spec`, in `spec.pairs` order, all
+    on one window; anything else is an AlignmentError. Returns a float64
+    array of shape (2, grid seconds): row 0 is DIR1, row 1 is DIR2.
     """
-    by_pair = _by_pair(series, spec)
+    got = tuple(s.pair for s in series)
+    if got != spec.pairs:
+        raise AlignmentError(
+            f"expected series for {', '.join(p.name for p in spec.pairs)} in that order, "
+            f"got {', '.join(p.name for p in got) or 'none'}"
+        )
+    w = series[0].window
+    for s in series[1:]:
+        if s.window != w:
+            raise AlignmentError(f"window mismatch: {s.pair.name} has {s.window}, expected {w}")
+    by_pair = dict(zip(spec.pairs, series))
     n = len(series[0])
     any_missing = np.zeros(n, dtype=bool)
     for s in series:
@@ -48,19 +58,3 @@ def leg_rate(series: PairSeries, side: Side) -> np.ndarray:
     mantissa = series.bid_m if side is Side.BID else series.ask_m
     price = np.where(series.missing, 1.0, mantissa / 10.0**series.scale)
     return price if side is Side.BID else 1.0 / price
-
-
-def _by_pair(series: Sequence[PairSeries], spec: TriangleSpec) -> dict[Pair, PairSeries]:
-    """The series keyed by pair, checked to cover the spec's pairs on one window."""
-    by_pair = {s.pair: s for s in series}
-    if len(series) != 3 or len(by_pair) != 3:
-        raise AlignmentError("the three series must cover three distinct pairs")
-    for pair in spec.pairs:
-        if pair not in by_pair:
-            raise AlignmentError(f"missing series for pair {pair.name}")
-    w = by_pair[spec.pairs[0]].window
-    for pair in spec.pairs[1:]:
-        s = by_pair[pair]
-        if s.window != w:
-            raise AlignmentError(f"window mismatch: {s.pair.name} has {s.window}, expected {w}")
-    return by_pair

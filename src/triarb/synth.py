@@ -18,6 +18,7 @@ rejected as configuration errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Sequence
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import SynthConfigError
 from .market_data import (
+    HOURS,
     Direction,
     Pair,
     PairSeries,
@@ -34,7 +36,6 @@ from .market_data import (
     TriangleSpec,
 )
 from .rate_product import compute_rate_products, leg_rate
-from .seasonal import HOURS
 
 PEAK_TOLERANCE_BP = 0.05
 EXTRA_SECONDS_MEAN = 3
@@ -82,12 +83,6 @@ def liquidity_preset(
     )
 
 
-def triangle_roles(spec: TriangleSpec) -> tuple[Pair, Pair, Pair]:
-    """The spec's pairs keyed by role: (A-B pair, B-C pair, A-C direct pair)."""
-    a, b, c = spec.currencies
-    return spec.pair_for(a, b), spec.pair_for(b, c), spec.pair_for(a, c)
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int
@@ -101,8 +96,7 @@ class SynthConfig:
     injections: tuple[InjectionSpec, ...] = ()
 
     def __post_init__(self):
-        driving = triangle_roles(self.triangle)[:2]
-        for p in driving:
+        for p in self.triangle.pairs[:2]:  # the driving pairs
             if p.name not in self.mid_prices or self.mid_prices[p.name] <= 0:
                 raise SynthConfigError(f"need a positive mid price for {p.name}")
             if self.volatilities.get(p.name, -1.0) < 0:
@@ -160,7 +154,7 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
     walk_seeds = root.spawn(2)
     gap_seeds = root.spawn(3)
 
-    p1, p2, p3 = triangle_roles(cfg.triangle)
+    p1, p2, p3 = cfg.triangle.pairs
     mids = {}
     for pair, seed in zip((p1, p2), walk_seeds):
         rng = np.random.default_rng(seed)
@@ -168,7 +162,13 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
         steps = rng.standard_normal(times.size) * vol
         steps[0] = 0.0
         mids[pair.name] = cfg.mid_prices[pair.name] * np.exp(np.cumsum(steps))
-    mids[p3.name] = _parity_mid(cfg.triangle, mids[p1.name], mids[p2.name])
+    # at parity, the direction that buys the direct pair's base at 1/mid
+    # multiplies its two driving rates to that mid
+    buys_direct = Direction.DIR1 if p3.base == cfg.triangle.currencies[0] else Direction.DIR2
+    mids[p3.name] = math.prod(
+        mids[pair.name] if side is Side.BID else 1.0 / mids[pair.name]
+        for pair, side in cfg.triangle.legs(buys_direct) if pair != p3
+    )
 
     series = {}
     for pair, gap_seed in zip((p1, p2, p3), gap_seeds):
@@ -201,17 +201,6 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
     return tuple(series[p] for p in cfg.triangle.pairs)
 
 
-def _parity_mid(spec: TriangleSpec, mid1: np.ndarray, mid2: np.ndarray) -> np.ndarray:
-    """Mid of the direct pair implied by the two driving pairs (parity)."""
-    p1, p2, p3 = triangle_roles(spec)
-    rates = {}
-    for pair, mid in ((p1, mid1), (p2, mid2)):
-        rates[(pair.base, pair.quote)] = mid
-        rates[(pair.quote, pair.base)] = 1.0 / mid
-    middle = ({p1.base, p1.quote} & {p2.base, p2.quote}).pop()
-    return rates[(p3.base, middle)] * rates[(middle, p3.quote)]
-
-
 def _inject(
     cfg: SynthConfig, series: dict[Pair, PairSeries], times: np.ndarray, hours: np.ndarray
 ) -> None:
@@ -222,7 +211,7 @@ def _inject(
     each second on the grid, so `searchsorted` finds it exactly.
     """
     spec, injections = cfg.triangle, cfg.injections
-    direct = triangle_roles(spec)[2]
+    direct = spec.pairs[2]
     owner = np.repeat(np.arange(len(injections)), [i.duration_seconds for i in injections])
     idx = np.searchsorted(times, np.concatenate([np.arange(i.start, i.end) for i in injections]))
     rows = np.array([list(Direction).index(i.direction) for i in injections])[owner]
@@ -237,20 +226,17 @@ def _inject(
     bid = np.empty(idx.size, dtype=np.int64)
     for row, direction in enumerate(Direction):
         sel = rows == row
-        other = np.ones(int(sel.sum()))
-        for pair, side in spec.legs(direction):
-            if pair == direct:
-                inv_ask = side is Side.INV_ASK
-            else:
-                other *= leg_rate(series[pair], side)[idx[sel]]
-        if inv_ask:
+        legs = spec.legs(direction)
+        other = math.prod(leg_rate(series[p], side)[idx[sel]] for p, side in legs if p != direct)
+        if dict(legs)[direct] is Side.INV_ASK:
             bid[sel] = np.rint(other / target[sel] / point).astype(np.int64) - spread[sel]
         else:
             bid[sel] = np.rint(target[sel] / other / point).astype(np.int64)
     series[direct].bid_m[idx] = bid
     series[direct].ask_m[idx] = bid + spread
 
-    realized = (compute_rate_products(list(series.values()), spec)[rows, idx] - 1.0) * 1e4
+    gammas = compute_rate_products([series[p] for p in spec.pairs], spec)
+    realized = (gammas[rows, idx] - 1.0) * 1e4
     off_grammar = (bid <= 0) | (bid + spread >= 10**18)
     bad = off_grammar | (realized <= 0) | (np.abs(realized - magnitude) > PEAK_TOLERANCE_BP)
     if not bad.any():

@@ -17,9 +17,13 @@ import pytest
 
 from triarb.cli import main
 from triarb.market_data import Direction, SeriesWindow, TriangleSpec
-from triarb.opportunity import duration_stats, segment_opportunities, threshold_table
+from triarb.opportunity import (
+    duration_stats,
+    hourly_profile,
+    segment_opportunities,
+    threshold_table,
+)
 from triarb.rate_product import compute_rate_products
-from triarb.seasonal import hourly_profile
 from triarb.simulator import (
     Scenario,
     SimulationConfig,
@@ -198,15 +202,11 @@ def test_seasonality_mechanism_reproduction():
         )
         a, b, c = generate(cfg)
         ops = segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
-        profile = hourly_profile(ops)
-        liquid_count = sum(profile.counts[h] for h in liquid_hours)
-        quiet_count = sum(profile.counts[h] for h in quiet_hours)
-        liquid_dur = sum(
-            profile.counts[h] * profile.mean_durations[h] for h in liquid_hours
-        ) / liquid_count
-        quiet_dur = sum(
-            profile.counts[h] * profile.mean_durations[h] for h in quiet_hours
-        ) / quiet_count
+        counts, mean_durations = hourly_profile(ops)
+        liquid_count = sum(counts[h] for h in liquid_hours)
+        quiet_count = sum(counts[h] for h in quiet_hours)
+        liquid_dur = sum(counts[h] * mean_durations[h] for h in liquid_hours) / liquid_count
+        quiet_dur = sum(counts[h] * mean_durations[h] for h in quiet_hours) / quiet_count
         if liquid_count > quiet_count:
             count_wins += 1
         if liquid_dur < quiet_dur:

@@ -375,6 +375,12 @@ class TestDetectCommand:
             ([*base, "--window", "19700105T000000..1970-01-06"], "bad timestamp '19700105T"),
             ([*base, "--window", "1970-01-05T00:00:00+00:00..1970-01-06"], "bad timestamp"),
             ([*base, "--window", "1969-12-31..1970-01-06"], "bad timestamp '1969-12-31'"),
+            # epoch seconds are the tick files' 1 to 18 ASCII digits
+            ([*base, "--window", f"345_600..{MONDAY + 60}"], "bad timestamp '345_600'"),
+            ([*base, "--window=-86400..0"], "bad timestamp '-86400'"),
+            ([*base, "--window", f"+5..{MONDAY + 60}"], "bad timestamp '+5'"),
+            ([*base, "--window", f"\u0663\u0664..{MONDAY + 60}"], "bad timestamp '\u0663\u0664'"),
+            ([*base, "--window", f"{MONDAY}..1{'0' * 18}"], "bad timestamp '1000"),
         ])
 
     def test_window_reads_iso_times_as_tick_files_do(self):

@@ -6,6 +6,7 @@ import tempfile
 import warnings
 from datetime import datetime, timezone
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from triarb.errors import (
 )
 from triarb import market_data
 from triarb.market_data import (
+    Direction,
     Pair,
     PairSeries,
     SeriesWindow,
@@ -391,16 +393,39 @@ class TestSeriesWindow:
 class TestTriangleSpec:
     def test_chf_triangle_reproduces_leg_recipes(self):
         spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
-        assert [(p.name, s) for p, s in spec.legs_dir1] == [
+        assert [(p.name, s) for p, s in spec.legs(Direction.DIR1)] == [
             ("EUR/USD", Side.BID),
             ("USD/CHF", Side.BID),
             ("EUR/CHF", Side.INV_ASK),
         ]
-        assert sorted((p.name, s.value) for p, s in spec.legs_dir2) == [
+        assert sorted((p.name, s.value) for p, s in spec.legs(Direction.DIR2)) == [
             ("EUR/CHF", "bid"),
             ("EUR/USD", "inv_ask"),
             ("USD/CHF", "inv_ask"),
         ]
+
+    @given(st.sampled_from([("EUR", "USD", "CHF"), ("EUR", "USD", "JPY")]),
+           st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+                    min_size=3, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_legs_close_the_loop_at_parity_in_every_order(self, codes, values):
+        # each currency's value in a common unit fixes every pair's mid, so
+        # bid = ask = mid is exact parity: each direction's product is 1
+        value = dict(zip(codes, values))
+        for order in itertools.permutations(codes):
+            spec = TriangleSpec.from_currencies(*order)
+            mid = {p: value[p.base] / value[p.quote] for p in spec.pairs}
+            sides = {}
+            for direction in Direction:
+                legs = spec.legs(direction)
+                assert sorted(p.name for p, _ in legs) == sorted(p.name for p in spec.pairs)
+                product = Fraction(1)
+                for pair, side in legs:
+                    product *= mid[pair] if side is Side.BID else 1 / mid[pair]
+                assert product == 1
+                sides[direction] = dict(legs)
+            assert all(sides[Direction.DIR1][p] is not sides[Direction.DIR2][p]
+                       for p in spec.pairs)
 
     def test_market_convention_ordering(self):
         assert market_convention_pair("USD", "EUR") == ("EUR", "USD")
@@ -426,13 +451,15 @@ class TestTriangleSpec:
         }
 
     def test_rejects_duplicate_currencies(self):
-        spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
-        with pytest.raises(ValueError):
-            TriangleSpec(currencies=("EUR", "EUR", "CHF"), pairs=spec.pairs)
+        with pytest.raises(ValueError, match="must be distinct"):
+            TriangleSpec.from_currencies("EUR", "EUR", "CHF")
+
+
+ORDER = "expected series for EUR/USD, USD/CHF, EUR/CHF in that order"
 
 
 class TestAlignTriangle:
-    """`compute_rate_products` aligns the three series by pair and checks their grid."""
+    """`compute_rate_products` checks the three series' pair order and their grid."""
 
     def setup_method(self):
         self.spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
@@ -479,14 +506,14 @@ class TestAlignTriangle:
     def test_missing_pair_raises(self):
         a, b, _ = (self.full_series(p) for p in self.spec.pairs)
         other = self.full_series(Pair("EUR", "JPY"))
-        with pytest.raises(AlignmentError, match="missing series for pair EUR/CHF"):
+        with pytest.raises(AlignmentError, match=ORDER + ", got EUR/USD, USD/CHF, EUR/JPY"):
             compute_rate_products((a, b, other), self.spec)
 
     def test_duplicate_pair_raises(self):
         a, b, _ = (self.full_series(p) for p in self.spec.pairs)
-        with pytest.raises(AlignmentError, match="three distinct pairs"):
+        with pytest.raises(AlignmentError, match=ORDER + ", got EUR/USD, USD/CHF, USD/CHF"):
             compute_rate_products((a, b, b), self.spec)
-        with pytest.raises(AlignmentError, match="three distinct pairs"):
+        with pytest.raises(AlignmentError, match=ORDER + ", got EUR/USD, USD/CHF$"):
             compute_rate_products((a, b), self.spec)
 
     def test_alignment_is_idempotent(self):
@@ -497,13 +524,9 @@ class TestAlignTriangle:
         assert all(s == c for s, c in zip(series, copies))
         assert np.array_equal(compute_rate_products(series, self.spec), first)
 
-    def test_order_independent_of_argument_order(self):
-        rng = np.random.default_rng(3)
-        series = [
-            self.full_series(p, bid=bid, ask=ask, skip={int(rng.integers(10))})
-            for p, bid, ask in zip(self.spec.pairs, ("1.2065", "1.3030", "1.5721"),
-                                    ("1.2067", "1.3032", "1.5723"))
-        ]
-        expected = compute_rate_products(series, self.spec)
-        for order in itertools.permutations(series):
-            assert np.array_equal(compute_rate_products(order, self.spec), expected)
+    def test_permuted_order_raises(self):
+        # the series come in spec.pairs order; every other order is refused
+        series = [self.full_series(p) for p in self.spec.pairs]
+        for order in list(itertools.permutations(series))[1:]:
+            with pytest.raises(AlignmentError, match=ORDER):
+                compute_rate_products(order, self.spec)

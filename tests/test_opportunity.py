@@ -214,6 +214,15 @@ class TestDistributionStats:
         assert dist.underflow == 1
         assert dist.overflow == 1
 
+    def test_top_edge_counts_only_as_overflow(self):
+        top = distribution_stats(np.array([1.0]), 1e-4, (0.999, 1.001)).bin_edges[-1]
+        gammas = np.array([0.0, 0.9985, 0.999, 1.0, top, top])
+        dist = distribution_stats(gammas, 1e-4, (0.999, 1.001))
+        assert (dist.underflow, dist.counts.sum(), dist.overflow) == (1, 2, 2)
+        assert dist.counts[0] == 1 and dist.counts[-1] == 0  # the bottom edge is in the first bin
+        total = dist.counts.sum() + dist.underflow + dist.overflow
+        assert total == np.count_nonzero(gammas) == 5
+
     def test_population_std(self):
         g = [0.9999, 1.0001]
         dist = distribution_stats(np.asarray(g), 1e-4, (0.999, 1.001))

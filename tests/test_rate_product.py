@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triarb.market_data import PairSeries, SeriesWindow, Side, TriangleSpec
+from triarb.market_data import Direction, PairSeries, SeriesWindow, Side, TriangleSpec
 from triarb.rate_product import compute_rate_products, leg_rate
 
 from conftest import load_rows
@@ -83,9 +83,9 @@ class TestOracleAgreement:
                 prices[pair.name] = (round(b, 6), round(b + s, 6))
             series = single_second(spec, prices)
             gammas = compute_rate_products(series, spec)
-            for gamma, legs in zip(gammas, (spec.legs_dir1, spec.legs_dir2)):
+            for gamma, direction in zip(gammas, Direction):
                 exact = Fraction(1)
-                for pair, side in legs:
+                for pair, side in spec.legs(direction):
                     b, a = prices[pair.name]
                     exact *= (
                         Fraction(str(b)) if side.value == "bid" else 1 / Fraction(str(a))

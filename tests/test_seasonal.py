@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from triarb.market_data import Direction, SeriesWindow
-from triarb.opportunity import ArbitrageOpportunity
-from triarb.seasonal import daily_profile, hourly_profile
+from triarb.opportunity import ArbitrageOpportunity, daily_profile, hourly_profile
 from triarb.synth import OPEN_SESSIONS
 
 from conftest import MONDAY
@@ -26,15 +25,14 @@ def op(start, run_length=1):
 class TestHourlyProfile:
     def test_start_attribution_within_hour(self):
         ops = [op(MONDAY + 13 * 3600 + 5), op(MONDAY + 13 * 3600 + 3599)]
-        profile = hourly_profile(ops)
-        assert profile.counts[13] == 2
-        assert sum(profile.counts) == 2
+        counts, _ = hourly_profile(ops)
+        assert counts[13] == 2
+        assert sum(counts) == 2
 
     def test_empty_input_gives_24_zero_entries(self):
-        profile = hourly_profile([])
-        assert len(profile.counts) == 24
-        assert all(c == 0 for c in profile.counts)
-        assert all(m == 0.0 for m in profile.mean_durations)
+        counts, mean_durations = hourly_profile([])
+        assert counts == (0,) * 24
+        assert mean_durations == (0.0,) * 24
 
     def test_injection_schedule_respected(self):
         # opportunities only in hours 8..16 leave all other hours at zero
@@ -43,33 +41,33 @@ class TestHourlyProfile:
         for _ in range(200):
             h = int(rng.integers(8, 17))
             ops.append(op(MONDAY + h * 3600 + int(rng.integers(0, 3600))))
-        profile = hourly_profile(ops)
+        counts, _ = hourly_profile(ops)
         for h in range(24):
             if 8 <= h <= 16:
                 continue
-            assert profile.counts[h] == 0
-        assert sum(profile.counts) == 200
+            assert counts[h] == 0
+        assert sum(counts) == 200
 
     def test_mean_duration_per_hour(self):
         ops = [op(MONDAY + 3600, run_length=2), op(MONDAY + 3600 + 10, run_length=4)]
-        profile = hourly_profile(ops)
-        assert profile.mean_durations[1] == pytest.approx(3.0)
+        _, mean_durations = hourly_profile(ops)
+        assert mean_durations[1] == pytest.approx(3.0)
 
 
 class TestDailyProfile:
     def test_one_per_weekday(self):
         window = SeriesWindow(MONDAY, MONDAY + 5 * 86400, WEEKDAYS)
         ops = [op(MONDAY + d * 86400 + 100) for d in range(5)]
-        profile = daily_profile(ops, window)
-        assert len(profile.days) == 5
-        assert all(c == 1 for c in profile.counts)
+        days, counts, _ = daily_profile(ops, window)
+        assert len(days) == 5
+        assert counts == (1,) * 5
 
     def test_midnight_spanning_run_attributed_to_start_day(self):
         window = SeriesWindow(MONDAY, MONDAY + 2 * 86400, WEEKDAYS)
         start = MONDAY + 86400 - 2  # 23:59:58, run crosses midnight
-        profile = daily_profile([op(start, run_length=4)], window)
-        assert profile.counts[0] == 1
-        assert profile.counts[1] == 0
+        _, counts, mean_durations = daily_profile([op(start, run_length=4)], window)
+        assert counts == (1, 0)
+        assert mean_durations == (4.0, 0.0)
 
     def test_uniform_rate_within_poisson_band(self):
         window = SeriesWindow(MONDAY, MONDAY + 5 * 86400, WEEKDAYS)
@@ -80,8 +78,8 @@ class TestDailyProfile:
             n = rng.poisson(rate_per_day)
             for _ in range(n):
                 ops.append(op(MONDAY + d * 86400 + int(rng.integers(0, 86400))))
-        profile = daily_profile(ops, window)
-        for c in profile.counts:
+        _, counts, _ = daily_profile(ops, window)
+        for c in counts:
             assert abs(c - rate_per_day) < 3 * rate_per_day ** 0.5
 
     def test_conservation_with_hourly(self):
@@ -91,16 +89,17 @@ class TestDailyProfile:
             op(MONDAY + int(rng.integers(0, 5 * 86400)), run_length=int(rng.integers(1, 8)))
             for _ in range(500)
         ]
-        hourly = hourly_profile(ops)
-        daily = daily_profile(ops, window)
-        assert sum(hourly.counts) == sum(daily.counts) == len(ops)
+        hourly_counts, hourly_means = hourly_profile(ops)
+        _, daily_counts, daily_means = daily_profile(ops, window)
+        assert sum(hourly_counts) == sum(daily_counts) == len(ops)
         # duration mass is conserved too
         total = sum(o.run_length for o in ops)
-        assert sum(c * m for c, m in zip(hourly.counts, hourly.mean_durations)) == pytest.approx(total)
+        for counts, means in ((hourly_counts, hourly_means), (daily_counts, daily_means)):
+            assert sum(c * m for c, m in zip(counts, means)) == pytest.approx(total)
 
     def test_opportunity_outside_window_rejected(self):
         window = SeriesWindow(MONDAY, MONDAY + 86400, WEEKDAYS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the window's days"):
             daily_profile([op(MONDAY + 3 * 86400)], window)
 
 
