@@ -233,7 +233,18 @@ def write_histogram(path: Path, dist: DistributionStats) -> None:
 def _detect(
     data_dir: str, triangle: TriangleSpec, window: SeriesWindow
 ) -> tuple[list[ArbitrageOpportunity], np.ndarray]:
-    """The opportunities and the (2, grid) rate products of the triangle's tick files."""
+    """The opportunities and the (2, grid) rate products of the triangle's tick files.
+
+    The window's grid is built first, so a window too long to hold one is an
+    input error before any file is read.
+    """
+    try:
+        times = window.grid_times()
+    except MemoryError:
+        raise ValueError(
+            f"window {window} spans {window.end - window.start:,} seconds, "
+            "too many for its per-second grid to fit in memory"
+        ) from None
     series = []
     for pair in triangle.pairs:
         path = Path(data_dir) / f"{pair.file_stem}.csv"
@@ -241,7 +252,7 @@ def _detect(
             raise FileNotFoundError(f"missing tick file {path}")
         series.append(load_pair_series(path, pair, window))
     gammas = compute_rate_products(series, triangle)
-    return segment_opportunities(window.grid_times(), gammas), gammas
+    return segment_opportunities(times, gammas), gammas
 
 
 # ---------------------------------------------------------------------------

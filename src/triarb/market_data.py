@@ -242,7 +242,9 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     mantissa at it below 10**18, so the series can be written back.
 
     The file is parsed by numpy passes over blocks of `BLOCK_BYTES`; only
-    the last in-window tick of each second survives a block.
+    the last in-window tick of each second survives a block. A block of
+    epoch rows that all share the first row's layout is read as one byte
+    matrix; every other block is gathered field by field.
     """
     iso = None
     last_t = None
@@ -342,6 +344,72 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
     fields, a bad timestamp or price, a non-positive price, or a timestamp
     before the one of the row above it (`last_t` for the block's first row).
     """
+    parsed = None if iso else _matrix_fields(buf, starts, ends)
+    t, bid, ask, checks = parsed or _gathered_fields(buf, starts, ends, iso)
+    before = np.empty_like(t)
+    before[1:] = t[:-1]
+    before[:1] = t[:1] if last_t is None else last_t
+    checks.append(((bid[0] != 0) & (ask[0] != 0), "non-positive price"))
+    bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]) | (t < before))
+    if bad.size:
+        i = int(bad[0])
+        row = buf[starts[i]:ends[i]][:80].tobytes()
+        for ok, what in checks:
+            if not ok[i]:
+                raise TickParseError(path, int(lines[i]), f"{what} in {row!r}")
+        raise TickOrderingError(f"{path}:{lines[i]}: timestamp {t[i]} precedes {before[i]}")
+    return t, bid, ask, _greater(bid, ask)
+
+
+def _matrix_fields(buf, starts, ends):
+    """What `_gathered_fields` returns, with no row check left to make, for a
+    block whose rows all have the first row's length, commas and dots, with
+    1 to 18 digits per field and no dot in the timestamp; None for any other
+    block.
+
+    The rows are one (rows, width) byte matrix, checked as a whole, and each
+    field's mantissa is a Horner pass over its digit columns.
+    """
+    width = int(ends[0] - starts[0])
+    if (ends - starts != width).any():
+        return None
+    first = buf[starts[0]:ends[0]].tobytes()
+    fields = first.split(b",")
+    if len(fields) != 3 or b"." in fields[0]:
+        return None
+    spans = []  # (first column, dot column or None, end column) per field
+    col = 0
+    for field in fields:
+        digits = field.replace(b".", b"", 1)
+        if not (1 <= len(digits) <= 18 and digits.isdigit()):
+            return None
+        dot = field.find(b".")
+        spans.append((col, None if dot < 0 else col + dot, col + len(field)))
+        col += len(field) + 1
+    punct = [c for c in range(width) if first[c] in (_COMMA, _DOT)]
+    chars = np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+    if not (chars[:, punct] == chars[0, punct]).all():
+        return None
+    chars[:, punct] = _ZERO
+    chars -= _ZERO  # uint8: anything but a digit wraps to 10 or more
+    if chars.max() >= 10:
+        return None
+    t = np.zeros(starts.size, dtype=np.int64)
+    bid = np.zeros((2, starts.size), dtype=np.int64)
+    ask = np.zeros((2, starts.size), dtype=np.int64)
+    for m, (lo, dot, hi) in zip((t, bid[0], ask[0]), spans):
+        for j in range(lo, hi):
+            if j != dot:
+                m *= 10
+                m += chars[:, j]
+    bid[1], ask[1] = (0 if dot is None else hi - dot - 1 for _, dot, hi in spans[1:])
+    return t, bid, ask, []
+
+
+def _gathered_fields(buf, starts, ends, iso):
+    """Timestamps and (mantissa, places) rows of bids and asks of any block,
+    each field gathered from its own bytes, with the checks of each row:
+    (mask of rows that pass, what a failing row is) per check."""
     n = starts.size
     t = np.zeros(n, dtype=np.int64)
     bid = np.zeros((2, n), dtype=np.int64)
@@ -365,21 +433,8 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
         price_ok[rows] = b_ok & a_ok
         bid[:, rows] = b, np.maximum(bp, 0)
         ask[:, rows] = a, np.maximum(ap, 0)
-
-    before = np.empty_like(t)
-    before[1:] = t[:-1]
-    before[:1] = t[:1] if last_t is None else last_t
-    non_positive = (bid[0] == 0) | (ask[0] == 0)
-    bad = np.flatnonzero(~(three & t_ok & price_ok) | non_positive | (t < before))
-    if bad.size:
-        i = int(bad[0])
-        row = buf[starts[i]:ends[i]][:80].tobytes()
-        for ok, what in ((three, "expected 3 fields"), (t_ok, "bad timestamp"),
-                         (price_ok, "bad price"), (~non_positive, "non-positive price")):
-            if not ok[i]:
-                raise TickParseError(path, int(lines[i]), f"{what} in {row!r}")
-        raise TickOrderingError(f"{path}:{lines[i]}: timestamp {t[i]} precedes {before[i]}")
-    return t, bid, ask, _greater(bid, ask)
+    return t, bid, ask, [(three, "expected 3 fields"), (t_ok, "bad timestamp"),
+                         (price_ok, "bad price")]
 
 
 def _decimal_fields(buf, starts, ends):

@@ -62,7 +62,8 @@ def assert_exits_2_before_any_output(tmp_path, capsys, cases):
     for i, (argv, message) in enumerate(cases):
         out = tmp_path / f"out{i}"
         assert main([*argv, "--out-dir", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -381,6 +382,9 @@ class TestDetectCommand:
             ([*base, "--window", f"+5..{MONDAY + 60}"], "bad timestamp '+5'"),
             ([*base, "--window", f"\u0663\u0664..{MONDAY + 60}"], "bad timestamp '\u0663\u0664'"),
             ([*base, "--window", f"{MONDAY}..1{'0' * 18}"], "bad timestamp '1000"),
+            # a legal window whose per-second grid cannot be allocated
+            ([*base, "--window", f"{MONDAY}..{'9' * 18}"],
+             f"spans {10**18 - 1 - MONDAY:,} seconds, too many for its per-second grid"),
         ])
 
     def test_window_reads_iso_times_as_tick_files_do(self):

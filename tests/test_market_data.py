@@ -38,6 +38,11 @@ import loader_reference as reference
 from conftest import MONDAY, load_rows, write_rows
 
 EURUSD = Pair("EUR", "USD")
+GOLDEN_SYNTH = Path(__file__).parent / "golden" / "synth"
+
+
+def _not_gathered(*args):
+    raise AssertionError("a block of one row layout was gathered field by field")
 
 
 class TestLoadPairSeries:
@@ -191,6 +196,85 @@ class TestLoadPairSeries:
             load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert err.value.line_no == 3
 
+    def test_synth_files_are_read_as_byte_matrices(self, monkeypatch):
+        # synth writes rows of one layout, so no block of its files is gathered
+        expected = {p: reference.load_pair_series(p, EURUSD, SeriesWindow(370500, 371100))
+                    for p in sorted(GOLDEN_SYNTH.glob("*.csv"))}
+        monkeypatch.setattr(market_data, "_decimal_fields", _not_gathered)
+        assert len(expected) == 3
+        for path, series in expected.items():
+            assert load_pair_series(path, EURUSD, series.window) == series
+
+    @pytest.mark.parametrize("row, error, matrix", [
+        pytest.param(b"12.0650,12.0652", None, False, id="dot moved"),
+        pytest.param(b"1120650,1120652", None, False, id="dot dropped"),
+        pytest.param(b"1.2065x,1.20652", "bad price", False, id="letter"),
+        pytest.param(b"0.00000,1.20652", "non-positive price", True, id="zero price"),
+        pytest.param(b"1.20650,1.20652", "precedes", True, id="decreasing timestamp"),
+        pytest.param(b"1.20653,1.20652", "crossed", True, id="crossed quote"),
+        pytest.param(b"1.206500000000000000,1.20652", "bad price", False, id="19 digits"),
+    ])
+    @pytest.mark.parametrize("at", [25, 28])
+    def test_one_row_off_a_uniform_block(self, tmp_path, monkeypatch, row, error, matrix, at):
+        # 40 rows of one layout in blocks of 200 bytes; the row at index `at` differs:
+        # 25 is the first row of the fourth block, 28 one in its middle. Only a row
+        # off the layout sends its block to the field-by-field gather.
+        gathered = []
+        decimal_fields = market_data._decimal_fields
+        monkeypatch.setattr(market_data, "BLOCK_BYTES", 200)
+        monkeypatch.setattr(market_data, "_decimal_fields",
+                            lambda *args: gathered.append(1) or decimal_fields(*args))
+        rows = [b"%d,1.20650,1.20652" % (MONDAY + i) for i in range(40)]
+        rows[at] = b"%d," % (MONDAY + at - (2 if error == "precedes" else 0)) + row
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(b"\n".join([b"timestamp,bid,ask", *rows, b""]))
+        window = SeriesWindow(MONDAY, MONDAY + 40)
+        loaded, caught = _outcome(load_pair_series, path, window)
+        assert (loaded, caught) == _outcome(reference.load_pair_series, path, window)
+        assert bool(gathered) != matrix
+        if error in (None, "crossed"):
+            assert int(loaded.bid_m[at]) == int(Decimal(row.split(b",")[0].decode()) * 10**5)
+            assert len(caught) == (error == "crossed")
+        elif error == "precedes":
+            assert loaded == (TickOrderingError, f"{path}:{at + 2}: timestamp {MONDAY + at - 2} "
+                                                 f"precedes {MONDAY + at - 1}")
+        else:
+            with pytest.raises(TickParseError, match=error) as err:
+                load_pair_series(path, EURUSD, window)
+            assert err.value.line_no == at + 2
+
+    @pytest.mark.parametrize("row, message", [
+        (b"%d.0,1.20650,1.20652", "bad timestamp"),
+        (b"1%018d,1.20650,1.20652", "bad timestamp"),
+        (b"%d,1.206500000000000000,1.20652", "bad price"),
+        (b"%d,1.2.650,1.20652", "bad price"),
+        (b"%d,,1.20652", "bad price"),
+        (b"%d,1.20650,1.20652,1", "expected 3 fields"),
+    ])
+    def test_uniform_block_outside_grammar(self, tmp_path, monkeypatch, row, message):
+        # the first block holds exactly 10 good rows; every later row shares one
+        # layout that breaks the grammar, so the second block starts at line 12
+        rows = [b"%d,1.20650,1.20652" % (MONDAY + i) for i in range(10)]
+        rows += [row % (MONDAY + i) for i in range(10, 40)]
+        monkeypatch.setattr(market_data, "BLOCK_BYTES", 18 + 10 * 23)
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(b"\n".join([b"timestamp,bid,ask", *rows, b""]))
+        with pytest.raises(TickParseError, match=message) as err:
+            load_pair_series(path, EURUSD, SeriesWindow(MONDAY, MONDAY + 40))
+        assert err.value.line_no == 12
+
+    @pytest.mark.parametrize("eol, last", [(b"\r\n", b"\r\n"), (b"\n", b"")])
+    def test_uniform_crlf_and_unterminated_files(self, tmp_path, monkeypatch, eol, last):
+        # CRLF ends and a last line without LF keep every row at one layout
+        monkeypatch.setattr(market_data, "_decimal_fields", _not_gathered)
+        rows = [b"%d,1.2065%d,1.2066%d" % (MONDAY + i, i % 10, i % 10) for i in range(30)]
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(eol.join([b"timestamp,bid,ask", *rows]) + last)
+        window = SeriesWindow(MONDAY, MONDAY + 30)
+        series = load_pair_series(path, EURUSD, window)
+        assert series == reference.load_pair_series(path, EURUSD, window)
+        assert series.ask_m[-1] == 120669 and series.scale == 5
+
     @pytest.mark.parametrize("stamp", ["1970-02-30T00:00:00Z", "1970-01-01T24:00:00.000"])
     def test_impossible_iso_time_names_line(self, tmp_path, stamp):
         path = tmp_path / "ticks.csv"
@@ -302,26 +386,55 @@ def _decorated(draw, text, plain):
                                  f'" {text} "', f"{text}\r"]))
 
 
+def _uniform_price_text(draw, digits, places, hostile):
+    """A price with `digits` integer digits (zero-padded) and `places` decimals,
+    so that every row of a file has one layout; `hostile` files draw, in 1 of
+    25 fields, a value off that layout (a moved or dropped dot, a letter, one
+    more byte) or a zero of the same layout."""
+    m = draw(st.integers(1, 10 ** (digits + places) - 1))
+    mantissa = f"{m:0{digits + places}d}"
+    text = f"{mantissa[:digits]}.{mantissa[digits:]}" if places else mantissa
+    if hostile and draw(st.integers(0, 24)) == 0:
+        zero = "0" * digits + ("." + "0" * places if places else "")
+        moved = f"{mantissa[:digits + 1]}.{mantissa[digits + 1:]}"  # 1 byte longer at 0 places
+        text = draw(st.sampled_from([
+            zero, moved, "1" + mantissa, text[:-1] + "x", text + "0", "x" * len(text), "",
+            "1" * 19, text.replace(".", ",") if places else text + ",",
+        ]))
+    return text
+
+
 @st.composite
 def tick_files(draw):
-    """(file text, window): tick rows around a weekend, before or after 1970,
-    in epoch or ISO form, with blank lines and CRLF. `plain` files keep to
-    the tick grammar; the others also draw the spellings outside it: quotes,
-    whitespace, a lone CR, '+', E-notation, 6-digit fractions, '+00:00' and
-    'z', and a negative epoch. `hostile` files also hold bad values, wrong
-    field counts, decreasing timestamps and a truncated last row."""
+    """(file text, window, block size): tick rows around a weekend, before or
+    after 1970, in epoch or ISO form, with blank lines and CRLF. `plain`
+    files keep to the tick grammar; the others also draw the spellings
+    outside it: quotes, whitespace, a lone CR, '+', E-notation, 6-digit
+    fractions, '+00:00' and 'z', and a negative epoch. `hostile` files also
+    hold bad values, wrong field counts, decreasing timestamps and a truncated
+    last row. `uniform` files are plain epoch files with up to 150 rows whose
+    prices all share one count of integer digits and of decimal places (up
+    to 20 digits), read in blocks of many rows; the other files are read in
+    blocks of a few rows, so that most have rows that straddle two."""
     iso, plain, hostile = draw(st.booleans()), draw(st.integers(0, 3)) > 0, draw(st.booleans())
-    base = draw(st.sampled_from([MONDAY - 5, -3 * 86400 - 5, 1_772_956_795]))
+    uniform = draw(st.integers(0, 2)) == 0
+    iso &= not uniform
+    plain |= uniform
+    digits, places = draw(st.integers(1, 3)), draw(st.integers(0, 17))
+    base = draw(st.sampled_from([MONDAY - 5, 1_772_956_795] + ([] if uniform else [-3 * 86400 - 5])))
     eol = draw(st.sampled_from(["\n", "\r\n"] + ([] if plain else ["\r"])))
     t = base
     lines = ["timestamp,bid,ask"]
-    for _ in range(draw(st.integers(0, 30))):
+    for _ in range(draw(st.integers(0, 150 if uniform else 30))):
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
             continue
         t += draw(st.sampled_from([0, 1, 1, 1, 2, 3] + ([-1] if hostile else [])))
-        fields = [_timestamp_text(draw, t, iso, plain), _price_text(draw, plain, hostile),
-                  _price_text(draw, plain, hostile)]
+        if uniform:
+            fields = [str(t), *(_uniform_price_text(draw, digits, places, hostile) for _ in range(2))]
+        else:
+            fields = [_timestamp_text(draw, t, iso, plain), _price_text(draw, plain, hostile),
+                      _price_text(draw, plain, hostile)]
         if hostile and draw(st.integers(0, 19)) == 0:
             fields = fields[:draw(st.integers(1, 4))] + ["1.3"]
         lines.append(",".join(_decorated(draw, f, plain) for f in fields))
@@ -330,7 +443,8 @@ def tick_files(draw):
         text = text[:draw(st.integers(0, len(text)))]
     start = base + draw(st.integers(-3, 12))
     weekdays = draw(st.one_of(st.none(), st.frozensets(st.integers(0, 6), min_size=1)))
-    return text, SeriesWindow(start, start + draw(st.integers(1, 40)), weekdays)
+    window = SeriesWindow(start, start + draw(st.integers(1, 300 if uniform else 40)), weekdays)
+    return text, window, draw(st.integers(1000, 4000) if uniform else st.integers(100, 200))
 
 
 def _outcome(load, path, window):
@@ -346,11 +460,10 @@ def _outcome(load, path, window):
     return result, [str(w.message) for w in caught]
 
 
-@given(tick_files(), st.integers(min_value=100, max_value=200))
+@given(tick_files())
 @settings(max_examples=500, deadline=None)
-def test_loader_matches_reference(case, block_bytes):
-    # blocks of 100-200 bytes hold a few rows, so most files have rows that straddle two
-    text, window = case
+def test_loader_matches_reference(case):
+    text, window, block_bytes = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(market_data, "BLOCK_BYTES", block_bytes)
         path = Path(tmp) / "ticks.csv"
@@ -359,11 +472,11 @@ def test_loader_matches_reference(case, block_bytes):
         assert _outcome(load_pair_series, path, window) == expected
 
 
-@given(tick_files(), st.integers(min_value=100, max_value=200))
+@given(tick_files())
 @settings(max_examples=200, deadline=None)
-def test_loaded_series_write_back(case, block_bytes):
+def test_loaded_series_write_back(case):
     # every series the loader returns is in the grammar the writer writes
-    text, window = case
+    text, window, block_bytes = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(market_data, "BLOCK_BYTES", block_bytes)
         path = Path(tmp) / "ticks.csv"
