@@ -437,6 +437,7 @@ def cmd_compare(args) -> int:
         ops, gammas = _detect(data_dir, triangle, window)
         dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
         stats.append((label, dist, duration_stats(ops)))
+        del ops, gammas  # so the next dataset's load does not hold them too
 
     out = _out_dir(args)
     for label, dist, _ in stats:

@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CrossedQuoteWarning,
@@ -110,7 +111,8 @@ class SeriesWindow:
         """Which of the int64 `times` fall on the window's grid."""
         inside = (times >= self.start) & (times < self.end)
         if self.weekday_filter is not None:
-            inside &= np.isin(_weekday_of(times // SECONDS_PER_DAY), sorted(self.weekday_filter))
+            weekday_ok = np.isin(np.arange(7), list(self.weekday_filter))  # Monday = 0
+            inside &= weekday_ok[_weekday_of(times // SECONDS_PER_DAY)]
         return inside
 
     def days(self) -> list[date]:
@@ -241,64 +243,69 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     decimal places among the ticks kept; that scale is at most 17 and every
     mantissa at it below 10**18, so the series can be written back.
 
-    The file is parsed by numpy passes over blocks of `BLOCK_BYTES`; only
-    the last in-window tick of each second survives a block. A block of
-    epoch rows that all share the first row's layout is read as one byte
-    matrix; every other block is gathered field by field.
+    The file is parsed by numpy passes over blocks of `BLOCK_BYTES`. A block
+    of epoch rows that all share the first row's layout is read as one byte
+    matrix; every other block is gathered field by field. Each block's last
+    tick per second goes straight onto the grid with its decimal places; a
+    later block overwrites an earlier one, so a second that straddles two
+    blocks keeps its last tick. A load holds its result and one block.
     """
-    iso = None
-    last_t = None
-    n_crossed = 0
-    kept = []  # per block: (times, bid m, bid places, ask m, ask places, lines)
-    with open(path, "rb") as fh:
-        for line_no, buf, starts, ends in _line_blocks(fh, path):
-            if line_no == 1:
-                header = buf[starts[0]:ends[0]].tobytes()
-                if header.lower() != b"timestamp,bid,ask":
-                    raise TickParseError(
-                        path, 1, f"expected header timestamp,bid,ask, got {header[:80]!r}"
-                    )
-                line_no, starts, ends = 2, starts[1:], ends[1:]
-            lines = line_no + np.arange(starts.size)
-            data = starts < ends  # blank lines are skipped but keep their numbers
-            lines, starts, ends = lines[data], starts[data], ends[data]
-            if not lines.size:
-                continue
-            if iso is None:  # epoch seconds if the first data row's timestamp is all digits
-                iso = not buf[starts[0]:ends[0]].tobytes().partition(b",")[0].isdigit()
-            t, bid, ask, crossed = _parse_block(path, buf, starts, ends, lines, iso, last_t)
-            last_t = int(t[-1])
-            n_crossed += int(crossed.sum())
-            keep = window.mask(t) & _last_per_second(t)
-            kept.append((t[keep], *bid[:, keep], *ask[:, keep], lines[keep]))
-    if n_crossed:
-        warnings.warn(
-            f"{path}: accepted {n_crossed} crossed quote(s) (bid > ask)",
-            CrossedQuoteWarning,
-            stacklevel=2,
-        )
-    t, bid_m, bid_p, ask_m, ask_p, lines = (
-        [np.concatenate(c) for c in zip(*kept)] or [np.empty(0, np.int64)] * 6
-    )
-    if not t.size:
-        raise EmptySeriesError(f"{path}: no tick falls inside window {window}")
-    last = _last_per_second(t)  # a second may straddle two blocks
-    scale = int(max(bid_p[last].max(), ask_p[last].max()))
-    bid_m, bid_over = _at_scale(bid_m[last], bid_p[last], scale)
-    ask_m, ask_over = _at_scale(ask_m[last], ask_p[last], scale)
-    over = np.flatnonzero(bid_over | ask_over)
-    if over.size:
-        raise TickParseError(
-            path, int(lines[last][over[0]]),
-            f"price needs more than 18 digits at the file's {scale} decimal places",
-        )
     times = window.grid_times()
-    index = np.searchsorted(times, t[last])
     placed = np.zeros((2, times.size), dtype=np.int64)
-    placed[:, index] = bid_m, ask_m
-    missing = np.ones(times.size, dtype=bool)
-    missing[index] = False
+    places = np.full((2, times.size), -1, dtype=np.int8)  # -1: a missing second
+    n_crossed = 0
+    with open(path, "rb") as fh:
+        for t, bid, ask, crossed, _ in _ticks(fh, path):
+            n_crossed += int(crossed.sum())
+            rows = np.flatnonzero(_last_per_second(t))
+            index = np.searchsorted(times, t[rows])
+            on = index < times.size
+            on[on] = times[index[on]] == t[rows[on]]
+            rows, index = rows[on], index[on]
+            placed[:, index] = bid[0, rows], ask[0, rows]
+            places[:, index] = bid[1, rows], ask[1, rows]
+    if n_crossed:
+        warnings.warn(f"{path}: accepted {n_crossed} crossed quote(s) (bid > ask)",
+                      CrossedQuoteWarning, stacklevel=2)
+    missing = places[0] < 0
+    if missing.all():
+        raise EmptySeriesError(f"{path}: no tick falls inside window {window}")
+    scale = int(places.max())
+    flat_m, flat_p = placed.reshape(-1), places.reshape(-1)
+    low = np.flatnonzero((flat_p >= 0) & (flat_p < scale))  # (side, second) to rescale
+    shift = scale - flat_p[low]
+    over = low[flat_m[low] >= _POW10[18 - shift]]  # what the grammar cannot write
+    if scale > 17 or over.size:  # name the line of the first such second's last tick
+        second = times[np.argmin(missing) if scale > 17 else (over % times.size).min()]
+        with open(path, "rb") as fh:
+            line_no = max(int(lines[t == second].max(initial=0))
+                          for t, *_, lines in _ticks(fh, path))
+        raise TickParseError(path, line_no, "price needs more than 18 digits at the file's "
+                                            f"{scale} decimal places")
+    flat_m[low] *= _POW10[shift]
     return PairSeries(pair, window, placed[0], placed[1], missing, scale)
+
+
+def _ticks(fh, path):
+    """Yield (timestamps, bids, asks, crossed flags, line numbers) per block of data rows."""
+    iso = last_t = None
+    for line_no, buf, starts, ends in _line_blocks(fh, path):
+        if line_no == 1:
+            header = buf[starts[0]:ends[0]].tobytes()
+            if header.lower() != b"timestamp,bid,ask":
+                raise TickParseError(path, 1, f"expected header timestamp,bid,ask, "
+                                              f"got {header[:80]!r}")
+            line_no, starts, ends = 2, starts[1:], ends[1:]
+        lines = line_no + np.arange(starts.size)
+        data = starts < ends  # blank lines are skipped but keep their numbers
+        lines, starts, ends = lines[data], starts[data], ends[data]
+        if not lines.size:
+            continue
+        if iso is None:  # epoch seconds if the first data row's timestamp is all digits
+            iso = not buf[starts[0]:ends[0]].tobytes().partition(b",")[0].isdigit()
+        t, bid, ask, crossed = _parse_block(path, buf, starts, ends, lines, iso, last_t)
+        last_t = int(t[-1])
+        yield t, bid, ask, crossed, lines
 
 
 def _line_blocks(fh, path):
@@ -387,7 +394,7 @@ def _matrix_fields(buf, starts, ends):
         spans.append((col, None if dot < 0 else col + dot, col + len(field)))
         col += len(field) + 1
     punct = [c for c in range(width) if first[c] in (_COMMA, _DOT)]
-    chars = np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+    chars = sliding_window_view(buf, width)[starts]
     if not (chars[:, punct] == chars[0, punct]).all():
         return None
     chars[:, punct] = _ZERO
@@ -447,9 +454,9 @@ def _decimal_fields(buf, starts, ends):
     width = int(min(lengths.max(), 19))
     if width <= 0:
         return lengths * 0, lengths * 0 - 1, np.zeros(lengths.size, dtype=bool)
-    index = ends[:, None] + np.arange(-width, 0)
-    chars = buf[np.maximum(index, 0)]
-    chars[index < starts[:, None]] = _ZERO
+    pad = np.full(width, _ZERO, dtype=np.uint8)  # so a field near the block's start has a window
+    chars = sliding_window_view(np.concatenate((pad, buf)), width)[ends]  # the bytes up to ends
+    chars[np.arange(width) < (width - lengths)[:, None]] = _ZERO  # blank those before starts
     digits = chars - _ZERO  # uint8: anything but a digit wraps to 10 or more
     dots = chars == _DOT
     n_dots = dots.sum(axis=1)
@@ -468,7 +475,7 @@ def _iso_seconds(buf, starts, ends):
     dropped, and which fields have that form and a valid date and time from
     1970 on."""
     lengths = ends - starts
-    chars = buf[np.minimum(starts[:, None] + np.arange(24), buf.size - 1)]
+    chars = sliding_window_view(np.concatenate((buf, np.full(24, _ZERO, np.uint8))), 24)[starts]
     ok = np.isin(lengths, (19, 20, 23, 24))
     ok &= (chars[:, _ISO_DIGIT_COLS] - _ZERO < 10).all(axis=1)
     for col, char in _ISO_PUNCT:
@@ -496,13 +503,6 @@ def _greater(x, y):
     xi, xf = np.divmod(x[0], _POW10[x[1]])
     yi, yf = np.divmod(y[0], _POW10[y[1]])
     return (xi > yi) | ((xi == yi) & (xf * _POW10[18 - x[1]] > yf * _POW10[18 - y[1]]))
-
-
-def _at_scale(mantissa, places, scale):
-    """Mantissas at `scale` decimal places, and which of them the grammar
-    cannot write: all of them past 17 places, else those of 10**18 or more."""
-    shift = scale - places
-    return mantissa * _POW10[shift], (scale > 17) | (mantissa >= _POW10[18 - shift])
 
 
 def _last_per_second(t):

@@ -41,20 +41,23 @@ def compute_rate_products(series: Sequence[PairSeries], spec: TriangleSpec) -> n
         any_missing |= s.missing
 
     gammas = np.ones((2, n), dtype=np.float64)
+    rate = np.empty(n, dtype=np.float64)  # one leg at a time
     for gamma, direction in zip(gammas, Direction):
         for pair, side in spec.legs(direction):
-            gamma *= leg_rate(by_pair[pair], side)
+            gamma *= leg_rate(by_pair[pair], side, out=rate)
     gammas[:, any_missing] = 0.0
     return gammas
 
 
-def leg_rate(series: PairSeries, side: Side) -> np.ndarray:
+def leg_rate(series: PairSeries, side: Side, out: np.ndarray | None = None) -> np.ndarray:
     """One leg's conversion rate per grid second: the bid, or 1/ask; 1.0 where missing.
 
     A mantissa below 2**53 and 10**scale (scale <= 22) are exact floats, so
     their quotient is the correctly rounded price whatever the series' scale:
     a more precise tick elsewhere in the window leaves every other price alone.
+    The rate is formed in `out` (float64, one entry per grid second) if given.
     """
     mantissa = series.bid_m if side is Side.BID else series.ask_m
-    price = np.where(series.missing, 1.0, mantissa / 10.0**series.scale)
-    return price if side is Side.BID else 1.0 / price
+    price = np.divide(mantissa, 10.0**series.scale, out=out)
+    np.copyto(price, 1.0, where=series.missing)
+    return price if side is Side.BID else np.divide(1.0, price, out=price)

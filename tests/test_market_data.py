@@ -3,6 +3,7 @@
 import copy
 import itertools
 import tempfile
+import tracemalloc
 import warnings
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -22,6 +23,7 @@ from triarb.errors import (
 )
 from triarb import market_data
 from triarb.market_data import (
+    SECONDS_PER_DAY,
     Direction,
     Pair,
     PairSeries,
@@ -171,6 +173,68 @@ class TestLoadPairSeries:
         write_rows(path, [(0, "9.99999999999999999", "9.99999999999999999")])
         series = load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert (series.scale, int(series.ask_m[0])) == (17, 10**18 - 1)
+
+    @pytest.mark.parametrize("asks, line_no", [
+        pytest.param(("1.2068", "1.2069", "100000000000000"), 5, id="last tick overflows"),
+        pytest.param(("100000000000000", "1.2069", "1.2068"), None, id="overflow replaced"),
+    ])
+    @pytest.mark.parametrize("straddle", [False, True])
+    def test_overflow_names_last_tick_of_its_second(self, tmp_path, monkeypatch, asks, line_no,
+                                                    straddle):
+        # second 1 has three ticks on lines 3 to 5; at the file's 4 places an ask of
+        # 10**14 needs 19 digits, which counts only if it is the second's last tick.
+        # With `straddle`, a block ends after line 3.
+        rows = [b"%d,1.2065,1.2067" % MONDAY]
+        rows += [b"%d,1.2066,%s" % (MONDAY + 1, ask.encode()) for ask in asks]
+        rows += [b"%d,1.2064,1.2066" % (MONDAY + 2)]
+        text = b"\n".join([b"timestamp,bid,ask", *rows, b""])
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(text)
+        if straddle:
+            monkeypatch.setattr(market_data, "BLOCK_BYTES", text.index(rows[2]) + 3)
+            assert _block_first_lines(path)[:2] == [1, 4]
+        window = SeriesWindow(MONDAY, MONDAY + 3)
+        loaded, caught = _outcome(load_pair_series, path, window)
+        assert (loaded, caught) == _outcome(reference.load_pair_series, path, window)
+        if line_no is None:
+            assert (loaded.scale, loaded.ask_m.tolist()) == (4, [12067, 12068, 12066])
+        else:
+            assert loaded == (TickParseError, line_no)
+
+    def test_later_block_overwrites_straddling_second(self, tmp_path, monkeypatch):
+        # three ticks per second, each with its own bid; at each block size some
+        # second's ticks are split over two blocks, and its last tick wins
+        rows = [b"%d,1.2%03d,1.3" % (MONDAY + i // 3, i) for i in range(90)]
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(b"\n".join([b"timestamp,bid,ask", *rows, b""]))
+        window = SeriesWindow(MONDAY, MONDAY + 30)
+        expected = reference.load_pair_series(path, EURUSD, window)
+        assert expected.bid_m.tolist() == list(range(12002, 12090, 3))
+        for block_bytes in range(40, 120, 7):
+            monkeypatch.setattr(market_data, "BLOCK_BYTES", block_bytes)
+            firsts = _block_first_lines(path)
+            assert any((line - 2) % 3 for line in firsts[1:])  # a second is split
+            assert load_pair_series(path, EURUSD, window) == expected
+
+    def test_load_memory_follows_the_result(self, tmp_path):
+        # a day of one row per second: the grid, its two int64 mantissa columns and the
+        # places counts take about 2.4 MB; a load adds one block's temporaries, never
+        # a column per row of the file
+        n = SECONDS_PER_DAY
+        window = SeriesWindow(MONDAY, MONDAY + n)
+        bid = 120650 + np.arange(n, dtype=np.int64) % 13
+        series = PairSeries(EURUSD, window, bid, bid + 2, np.zeros(n, dtype=bool), 5)
+        path = tmp_path / "ticks.csv"
+        write_pair_series_csv(path, series)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = load_pair_series(path, EURUSD, window)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert loaded == series
+        assert peak < 6e6
 
     @pytest.mark.parametrize("row, message", [
         (b"1_000,1.2066,1.2068", "bad timestamp"),
@@ -445,6 +509,12 @@ def tick_files(draw):
     weekdays = draw(st.one_of(st.none(), st.frozensets(st.integers(0, 6), min_size=1)))
     window = SeriesWindow(start, start + draw(st.integers(1, 300 if uniform else 40)), weekdays)
     return text, window, draw(st.integers(1000, 4000) if uniform else st.integers(100, 200))
+
+
+def _block_first_lines(path):
+    """The first line number of each block the loader reads of `path`."""
+    with open(path, "rb") as fh:
+        return [line_no for line_no, *_ in market_data._line_blocks(fh, path)]
 
 
 def _outcome(load, path, window):
