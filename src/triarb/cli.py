@@ -10,6 +10,9 @@ EUR,USD,CHF), each pair in market-convention order; synth reads every
 setting, point sizes included, from its JSON file.
 
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
+
+`simulator` and `synth` are imported inside the commands that use them, so
+that the other commands start without them.
 """
 
 from __future__ import annotations
@@ -53,15 +56,6 @@ from .opportunity import (
     threshold_table,
 )
 from .rate_product import compute_rate_products
-from .simulator import (
-    P_GRID,
-    Scenario,
-    SimulationConfig,
-    SimulationSummary,
-    check_lambda_grid,
-    simulate_trades,
-)
-from .synth import generate
 
 DEFAULT_THRESHOLDS = "0,0.5,1,2,3,4,5,6,7,8,9,10"
 DEFAULT_GAMMA_T_SWEEP = "1,1.00005,1.0001"
@@ -262,6 +256,8 @@ def _detect(
 def cmd_synth(args) -> int:
     import hashlib  # loads OpenSSL, about 3.5 MB of RSS that only synth needs
 
+    from .synth import generate
+
     raw = Path(args.synth_config).read_bytes()
     content = json.loads(raw)
     cfg = synth_config_from_json(content)
@@ -326,6 +322,8 @@ def cmd_seasonal(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import P_GRID, Scenario, SimulationConfig, check_lambda_grid, simulate_trades
+
     triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     seed = args.seed
@@ -405,6 +403,8 @@ def cmd_simulate(args) -> int:
 
 
 def _summary_entry(cfg: SimulationConfig, s: SimulationSummary) -> dict:
+    from .simulator import Scenario
+
     n = s.trades_attempted
     entry = {
         "scenario": cfg.scenario.value,

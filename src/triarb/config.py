@@ -10,12 +10,11 @@ file, documented in the README; the hours of the market sessions are
 from __future__ import annotations
 
 import sys
-from decimal import Decimal, InvalidOperation
 from typing import Any, Optional
 
 import numpy as np
 
-from .errors import SynthConfigError
+from .errors import SynthConfigError, TickParseError
 from .market_data import (
     HOURS,
     Direction,
@@ -23,9 +22,8 @@ from .market_data import (
     SeriesWindow,
     TriangleSpec,
     WEEKDAYS,
-    _iso_seconds,
+    _parse_block,
 )
-from .synth import InjectionSpec, SynthConfig, liquidity_preset, seasonal_injection_schedule
 
 _DAY_NAMES = {"mon": 0, "tue": 1, "wed": 2, "thu": 3, "fri": 4, "sat": 5, "sun": 6}
 
@@ -55,19 +53,20 @@ def parse_currencies(codes) -> tuple[str, str, str]:
 def parse_timestamp(text: str) -> int:
     """Epoch seconds from a date YYYY-MM-DD or a timestamp in the tick grammar:
     1 to 18 ASCII digits of epoch seconds, or YYYY-MM-DDTHH:MM:SS[.fff][Z]
-    (UTC, from 1970 on)."""
-    text = text.strip()
-    if text.isascii() and text.isdigit() and len(text) <= 18:
-        return int(text)
-    iso = text if "T" in text or ":" in text else text + "T00:00:00"
-    raw = np.frombuffer(iso.encode("utf-8", "replace"), dtype=np.uint8)
-    seconds, ok = _iso_seconds(raw, np.zeros(1, np.int64), np.full(1, raw.size))
-    if not ok[0]:
+    (UTC, from 1970 on). The tick parser reads it, as the time of a row."""
+    stamp = text.strip().encode("utf-8", "replace")
+    if not (stamp.isdigit() or b"T" in stamp or b":" in stamp):
+        stamp += b"T00:00:00"
+    row = np.frombuffer(stamp + b",1,1", dtype=np.uint8)
+    try:
+        t, *_ = _parse_block(text, row, np.zeros(1, np.int64), np.full(1, row.size),
+                             np.ones(1, np.int64), not stamp.isdigit(), None)
+    except TickParseError:
         raise ValueError(
-            f"bad timestamp {text!r}, expected 1 to 18 digits of epoch seconds, YYYY-MM-DD or "
-            "YYYY-MM-DDTHH:MM:SS[.fff][Z] from 1970 on"
-        )
-    return int(seconds[0])
+            f"bad timestamp {text.strip()!r}, expected 1 to 18 digits of epoch seconds, "
+            "YYYY-MM-DD or YYYY-MM-DDTHH:MM:SS[.fff][Z] from 1970 on"
+        ) from None
+    return int(t[0])
 
 
 def parse_weekdays(text: str) -> Optional[frozenset[int]]:
@@ -113,6 +112,10 @@ def window_from_json(payload: Any) -> SeriesWindow:
 def synth_config_from_json(payload: Any) -> SynthConfig:
     """Build a SynthConfig from the parsed JSON of a synth config file. Each
     object takes the keys its `_object` call lists, and null counts as absent."""
+    from decimal import Decimal, InvalidOperation
+
+    from .synth import InjectionSpec, SynthConfig, liquidity_preset, seasonal_injection_schedule
+
     cfg = _object(
         payload, "synth config", ("seed", "window"),
         ("currencies", "pairs", "liquidity_preset", "base_spread_points", "base_gap_rate",

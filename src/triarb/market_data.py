@@ -17,6 +17,7 @@ optional weekday filter removes excluded days from the grid entirely.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -115,16 +116,31 @@ class SeriesWindow:
             inside &= weekday_ok[_weekday_of(times // SECONDS_PER_DAY)]
         return inside
 
+    def grid_size(self) -> int:
+        """The number of grid seconds, `grid_times().size`."""
+        return int(self._day_counts()[1].sum())
+
+    def grid_index(self, times: np.ndarray) -> np.ndarray:
+        """Index in `grid_times()` of each of the int64 `times`, -1 off the grid,
+        counted by calendar days with no grid built."""
+        first, count = self._day_counts()
+        on = self.mask(times)
+        day = np.where(on, times // SECONDS_PER_DAY - self.start // SECONDS_PER_DAY, 0)
+        return np.where(on, (np.cumsum(count) - count)[day] + times - first[day], -1)
+
     def days(self) -> list[date]:
         """Calendar days (UTC) covered by the grid, in order."""
-        first = self.start // SECONDS_PER_DAY
-        last = (self.end - 1) // SECONDS_PER_DAY
-        out = []
-        for d in range(first, last + 1):
-            if self.weekday_filter is not None and _weekday_of(d) not in self.weekday_filter:
-                continue
-            out.append(date(1970, 1, 1) + timedelta(days=d))
-        return out
+        first, count = self._day_counts()
+        return [date(1970, 1, 1) + timedelta(days=t // SECONDS_PER_DAY)
+                for t in first[count > 0].tolist()]
+
+    def _day_counts(self):
+        """The first second in the window of each calendar day it touches, and
+        that day's number of grid seconds."""
+        day = np.arange(self.start // SECONDS_PER_DAY, (self.end - 1) // SECONDS_PER_DAY + 1)
+        first = np.maximum(day * SECONDS_PER_DAY, self.start)
+        last = np.minimum(day * SECONDS_PER_DAY + SECONDS_PER_DAY, self.end)
+        return first, (last - first) * self.mask(first)
 
 
 @dataclass(eq=False, slots=True)
@@ -219,9 +235,11 @@ BLOCK_BYTES = 1 << 18
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
 _COMMA, _DOT, _LF, _CR, _ZERO = (ord(c) for c in ",.\n\r0")
-# Byte layout of YYYY-MM-DDTHH:MM:SS, the fixed part of an ISO timestamp.
-_ISO_DIGIT_COLS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_ISO_PUNCT = ((4, ord("-")), (7, ord("-")), (10, ord("T")), (13, ord(":")), (16, ord(":")))
+_CHECKS = ("expected 3 fields", "bad timestamp", "bad price")  # in the order rows are checked
+_ISO = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{3})?Z?")
+# (first column, width) of the year, month, day, hour, minute and second of an ISO time
+_ISO_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])  # months 00 to 13+
 
 
 def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
@@ -243,24 +261,23 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     decimal places among the ticks kept; that scale is at most 17 and every
     mantissa at it below 10**18, so the series can be written back.
 
-    The file is parsed by numpy passes over blocks of `BLOCK_BYTES`. A block
-    of epoch rows that all share the first row's layout is read as one byte
-    matrix; every other block is gathered field by field. Each block's last
-    tick per second goes straight onto the grid with its decimal places; a
-    later block overwrites an earlier one, so a second that straddles two
+    The file is parsed by numpy passes over blocks of `BLOCK_BYTES`, each
+    block's rows as a few byte matrices, one per row layout (see
+    `_parse_block`). Each block's last tick per second goes straight onto
+    the grid, at an index counted by calendar days, with its decimal places;
+    a later block overwrites an earlier one, so a second that straddles two
     blocks keeps its last tick. A load holds its result and one block.
     """
-    times = window.grid_times()
-    placed = np.zeros((2, times.size), dtype=np.int64)
-    places = np.full((2, times.size), -1, dtype=np.int8)  # -1: a missing second
+    n = window.grid_size()
+    placed = np.zeros((2, n), dtype=np.int64)
+    places = np.full((2, n), -1, dtype=np.int8)  # -1: a missing second
     n_crossed = 0
     with open(path, "rb") as fh:
         for t, bid, ask, crossed, _ in _ticks(fh, path):
             n_crossed += int(crossed.sum())
             rows = np.flatnonzero(_last_per_second(t))
-            index = np.searchsorted(times, t[rows])
-            on = index < times.size
-            on[on] = times[index[on]] == t[rows[on]]
+            index = window.grid_index(t[rows])
+            on = index >= 0
             rows, index = rows[on], index[on]
             placed[:, index] = bid[0, rows], ask[0, rows]
             places[:, index] = bid[1, rows], ask[1, rows]
@@ -276,7 +293,7 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     shift = scale - flat_p[low]
     over = low[flat_m[low] >= _POW10[18 - shift]]  # what the grammar cannot write
     if scale > 17 or over.size:  # name the line of the first such second's last tick
-        second = times[np.argmin(missing) if scale > 17 else (over % times.size).min()]
+        second = window.grid_times()[np.argmin(missing) if scale > 17 else (over % n).min()]
         with open(path, "rb") as fh:
             line_no = max(int(lines[t == second].max(initial=0))
                           for t, *_, lines in _ticks(fh, path))
@@ -350,159 +367,139 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
     the crossed-quote flags. Raises the error of the first bad row: not three
     fields, a bad timestamp or price, a non-positive price, or a timestamp
     before the one of the row above it (`last_t` for the block's first row).
+
+    Rows fall into layout groups. A group's template is its first row left
+    over: its length and the bytes at every column that is not a digit. The
+    rows that share those and have digits elsewhere make one (rows, width)
+    byte matrix, checked as a whole, whose fields are Horner passes over
+    their digit columns. So only a template is checked against the grammar,
+    and grouping stops at the first one outside it: no later row can fail
+    first. An ISO time fills columns 0 to 18 in every layout, so the times
+    are read once per block.
     """
-    parsed = None if iso else _matrix_fields(buf, starts, ends)
-    t, bid, ask, checks = parsed or _gathered_fields(buf, starts, ends, iso)
+    n = starts.size
+    t = np.zeros(n, dtype=np.int64)
+    bid, ask = np.zeros((2, 2, n), dtype=np.int64)  # (mantissa, places) rows
+    todo = np.ones(n, dtype=bool)
+    failed = None  # (row, index in _CHECKS) of a template outside the grammar
+    while todo.any():
+        first = int(todo.argmax())
+        template = buf[starts[first]:ends[first]].tobytes()
+        layout = _layout(template, iso)
+        if isinstance(layout, int):
+            failed = first, layout
+            break
+        stamp_cols, prices = layout
+        width = len(template)
+        rows = np.flatnonzero(todo & (ends - starts == width))
+        punct = [c for c, char in enumerate(template) if not _ZERO <= char < _ZERO + 10]
+        chars = sliding_window_view(buf, width)[starts[rows]]
+        same = chars[:, punct] == np.frombuffer(template, dtype=np.uint8)[punct]
+        chars[:, punct] = np.where(same, _ZERO, 0)
+        chars -= _ZERO  # uint8: a non-digit, or the 0 of a wrong byte, wraps to 10 or more
+        if chars.max() >= 10:  # rows of other layouts among them
+            inside = chars.max(axis=1) < 10
+            rows, chars = rows[inside], chars[inside]
+        todo[rows] = False
+        if stamp_cols:
+            t[rows] = _horner(chars, stamp_cols)
+        for out, (cols, places) in zip((bid, ask), prices):
+            out[0, rows] = _horner(chars, cols)
+            out[1, rows] = places
+    k = n if failed is None else failed[0] + 1  # no later row is checked
+    t_ok = np.ones(k, dtype=bool)
+    read = k - (failed is not None and failed[1] < 2)  # a failed template's time if it has one
+    if iso and read:
+        t[:read], t_ok[:read] = _iso_seconds(sliding_window_view(buf, 19)[starts[:read]])
+    t, bid, ask = t[:k], bid[:, :k], ask[:, :k]
     before = np.empty_like(t)
     before[1:] = t[:-1]
     before[:1] = t[:1] if last_t is None else last_t
-    checks.append(((bid[0] != 0) & (ask[0] != 0), "non-positive price"))
-    bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]) | (t < before))
-    if bad.size:
-        i = int(bad[0])
+    positive = (bid[0] != 0) & (ask[0] != 0)
+    bad = ~(t_ok & positive) | (t < before)
+    if failed is not None:
+        bad[-1] = True
+    if bad.any():
+        i = int(bad.argmax())
         row = buf[starts[i]:ends[i]][:80].tobytes()
-        for ok, what in checks:
-            if not ok[i]:
-                raise TickParseError(path, int(lines[i]), f"{what} in {row!r}")
-        raise TickOrderingError(f"{path}:{lines[i]}: timestamp {t[i]} precedes {before[i]}")
+        if not t_ok[i]:
+            what = "bad timestamp"
+        elif failed is not None and i == k - 1:
+            what = _CHECKS[failed[1]]
+        elif not positive[i]:
+            what = "non-positive price"
+        else:
+            raise TickOrderingError(f"{path}:{lines[i]}: timestamp {t[i]} precedes {before[i]}")
+        raise TickParseError(path, int(lines[i]), f"{what} in {row!r}")
     return t, bid, ask, _greater(bid, ask)
 
 
-def _matrix_fields(buf, starts, ends):
-    """What `_gathered_fields` returns, with no row check left to make, for a
-    block whose rows all have the first row's length, commas and dots, with
-    1 to 18 digits per field and no dot in the timestamp; None for any other
-    block.
+def _layout(row, iso):
+    """The digit columns of a row's timestamp (None for an ISO one, which
+    `_iso_seconds` reads) and the (digit columns, decimal places) of its bid
+    and ask; or, for a row outside the tick grammar, the index in `_CHECKS`
+    of the first check it fails."""
+    fields = row.split(b",")
+    if len(fields) != 3:
+        return 0
+    stamp = fields[0]
+    if not (_ISO.fullmatch(stamp) if iso else stamp.isdigit() and len(stamp) <= 18):
+        return 1
+    prices = []
+    col = len(stamp) + 1
+    for price in fields[1:]:
+        digits = price.replace(b".", b"", 1)
+        if not (digits.isdigit() and len(digits) <= 18):
+            return 2
+        dot = price.find(b".")
+        prices.append(([col + j for j in range(len(price)) if j != dot],
+                       0 if dot < 0 else len(price) - dot - 1))
+        col += len(price) + 1
+    return None if iso else range(len(stamp)), prices
 
-    The rows are one (rows, width) byte matrix, checked as a whole, and each
-    field's mantissa is a Horner pass over its digit columns.
+
+def _horner(digits, cols):
+    """The int64 numbers whose decimal digits are the given columns of a digit matrix."""
+    m = digits[:, cols[0]].astype(np.int64)
+    for j in cols[1:]:
+        m *= 10
+        m += digits[:, j]
+    return m
+
+
+def _iso_seconds(chars):
+    """Epoch seconds of (rows, 19) bytes YYYY-MM-DDTHH:MM:SS with digits at
+    every digit column, and which rows are a real date and time from 1970 on.
+
+    The day number is H. Hinnant's days-from-civil ("chrono-Compatible
+    Low-Level Date Algorithms", 2013): years start in March, so that the
+    leap day ends one.
     """
-    width = int(ends[0] - starts[0])
-    if (ends - starts != width).any():
-        return None
-    first = buf[starts[0]:ends[0]].tobytes()
-    fields = first.split(b",")
-    if len(fields) != 3 or b"." in fields[0]:
-        return None
-    spans = []  # (first column, dot column or None, end column) per field
-    col = 0
-    for field in fields:
-        digits = field.replace(b".", b"", 1)
-        if not (1 <= len(digits) <= 18 and digits.isdigit()):
-            return None
-        dot = field.find(b".")
-        spans.append((col, None if dot < 0 else col + dot, col + len(field)))
-        col += len(field) + 1
-    punct = [c for c in range(width) if first[c] in (_COMMA, _DOT)]
-    chars = sliding_window_view(buf, width)[starts]
-    if not (chars[:, punct] == chars[0, punct]).all():
-        return None
-    chars[:, punct] = _ZERO
-    chars -= _ZERO  # uint8: anything but a digit wraps to 10 or more
-    if chars.max() >= 10:
-        return None
-    t = np.zeros(starts.size, dtype=np.int64)
-    bid = np.zeros((2, starts.size), dtype=np.int64)
-    ask = np.zeros((2, starts.size), dtype=np.int64)
-    for m, (lo, dot, hi) in zip((t, bid[0], ask[0]), spans):
-        for j in range(lo, hi):
-            if j != dot:
-                m *= 10
-                m += chars[:, j]
-    bid[1], ask[1] = (0 if dot is None else hi - dot - 1 for _, dot, hi in spans[1:])
-    return t, bid, ask, []
-
-
-def _gathered_fields(buf, starts, ends, iso):
-    """Timestamps and (mantissa, places) rows of bids and asks of any block,
-    each field gathered from its own bytes, with the checks of each row:
-    (mask of rows that pass, what a failing row is) per check."""
-    n = starts.size
-    t = np.zeros(n, dtype=np.int64)
-    bid = np.zeros((2, n), dtype=np.int64)
-    ask = np.zeros((2, n), dtype=np.int64)
-    t_ok = np.zeros(n, dtype=bool)
-    price_ok = np.zeros(n, dtype=bool)
-
-    commas = np.flatnonzero(buf == _COMMA)
-    first = np.searchsorted(commas, starts)
-    three = np.searchsorted(commas, ends) - first == 2
-    rows = np.flatnonzero(three)
-    if rows.size:
-        c1, c2 = commas[first[rows]], commas[first[rows] + 1]
-        if iso:
-            t[rows], t_ok[rows] = _iso_seconds(buf, starts[rows], c1)
-        else:
-            t[rows], places, t_ok[rows] = _decimal_fields(buf, starts[rows], c1)
-            t_ok[rows] &= places < 0  # no '.'
-        b, bp, b_ok = _decimal_fields(buf, c1 + 1, c2)
-        a, ap, a_ok = _decimal_fields(buf, c2 + 1, ends[rows])
-        price_ok[rows] = b_ok & a_ok
-        bid[:, rows] = b, np.maximum(bp, 0)
-        ask[:, rows] = a, np.maximum(ap, 0)
-    return t, bid, ask, [(three, "expected 3 fields"), (t_ok, "bad timestamp"),
-                         (price_ok, "bad price")]
-
-
-def _decimal_fields(buf, starts, ends):
-    """Right-aligned digit gather of the fields buf[starts:ends].
-
-    Returns each field's mantissa, its number of decimal places (-1 without
-    a '.') and whether it is 1 to 18 ASCII digits with at most one '.'.
-    """
-    lengths = ends - starts
-    width = int(min(lengths.max(), 19))
-    if width <= 0:
-        return lengths * 0, lengths * 0 - 1, np.zeros(lengths.size, dtype=bool)
-    pad = np.full(width, _ZERO, dtype=np.uint8)  # so a field near the block's start has a window
-    chars = sliding_window_view(np.concatenate((pad, buf)), width)[ends]  # the bytes up to ends
-    chars[np.arange(width) < (width - lengths)[:, None]] = _ZERO  # blank those before starts
-    digits = chars - _ZERO  # uint8: anything but a digit wraps to 10 or more
-    dots = chars == _DOT
-    n_dots = dots.sum(axis=1)
-    n_digits = lengths - n_dots
-    ok = (lengths <= width) & (n_dots <= 1) & (n_digits >= 1) & (n_digits <= 18)
-    ok &= ((digits < 10) | dots).all(axis=1)
-    mantissa = np.zeros(lengths.size, dtype=np.int64)
-    for j in range(width):
-        mantissa = np.where(dots[:, j], mantissa, mantissa * 10 + digits[:, j])
-    places = np.where(n_dots > 0, width - 1 - dots.argmax(axis=1), -1)
-    return mantissa, places, ok
-
-
-def _iso_seconds(buf, starts, ends):
-    """Epoch seconds of ISO fields YYYY-MM-DDTHH:MM:SS[.fff][Z], fraction
-    dropped, and which fields have that form and a valid date and time from
-    1970 on."""
-    lengths = ends - starts
-    chars = sliding_window_view(np.concatenate((buf, np.full(24, _ZERO, np.uint8))), 24)[starts]
-    ok = np.isin(lengths, (19, 20, 23, 24))
-    ok &= (chars[:, _ISO_DIGIT_COLS] - _ZERO < 10).all(axis=1)
-    for col, char in _ISO_PUNCT:
-        ok &= chars[:, col] == char
-    zulu = (lengths == 20) | (lengths == 24)
-    ok &= ~zulu | (chars[np.arange(lengths.size), np.clip(lengths - 1, 0, 23)] == ord("Z"))
-    fraction = lengths >= 23
-    ok &= ~fraction | ((chars[:, 19] == _DOT) & (chars[:, 20:23] - _ZERO < 10).all(axis=1))
-    stamps = np.ascontiguousarray(chars[:, :19]).view("S19")[:, 0]
-    seconds = np.full(lengths.size, -1, dtype=np.int64)
-    try:
-        seconds[ok] = stamps[ok].astype("datetime64[s]").astype(np.int64)
-    except ValueError:  # an impossible date such as 02-30: cast row by row to find it
-        for i in np.flatnonzero(ok).tolist():
-            try:
-                seconds[i] = stamps[i:i + 1].astype("datetime64[s]").astype(np.int64)[0]
-            except ValueError:
-                pass
+    digits = chars - _ZERO
+    year, month, day, hour, minute, second = (
+        _horner(digits, range(c, c + w)) for c, w in _ISO_FIELDS)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400  # year of the 400-year era, 0 to 399
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1  # day of the March-based year
+    days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
+    seconds = days * SECONDS_PER_DAY + hour * 3600 + minute * 60 + second
+    ok = (day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)
     return seconds, ok & (seconds >= 0)
 
 
 def _greater(x, y):
-    """Exact x > y for (mantissa, places) rows of prices (places <= 18):
-    integer parts first, then fractions padded to 18 places."""
-    xi, xf = np.divmod(x[0], _POW10[x[1]])
-    yi, yf = np.divmod(y[0], _POW10[y[1]])
-    return (xi > yi) | ((xi == yi) & (xf * _POW10[18 - x[1]] > yf * _POW10[18 - y[1]]))
+    """Exact x > y for (mantissa, places) rows of prices (places <= 18): the
+    mantissas where the places agree; elsewhere integer parts first, then
+    fractions padded to 18 places."""
+    greater = x[0] > y[0]
+    i = np.flatnonzero(x[1] != y[1])
+    x, y = x[:, i], y[:, i]
+    (xi, xf), (yi, yf) = (np.divmod(p[0], _POW10[p[1]]) for p in (x, y))
+    greater[i] = (xi > yi) | ((xi == yi) & (xf * _POW10[18 - x[1]] > yf * _POW10[18 - y[1]]))
+    return greater
 
 
 def _last_per_second(t):

@@ -14,7 +14,6 @@ once.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Sequence
@@ -130,7 +129,7 @@ def duration_stats(ops: Sequence[ArbitrageOpportunity]) -> DurationStats:
     return DurationStats(
         count=n,
         mean=sum(lengths) / n,
-        median=float(statistics.median(lengths)),
+        median=float(np.median(lengths)),
         min=min(lengths),
         max=max(lengths),
         bucket_pct={k: 100.0 * v / n for k, v in zip(BUCKET_LABELS, buckets)},

@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from functools import reduce
@@ -851,6 +854,24 @@ class TestCliBasics:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "Traceback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "seasonal"])
+    def test_tick_commands_import_neither_simulator_nor_synth(self, tmp_path, command):
+        # a fresh interpreter, so that only what the command itself imports is loaded
+        data_dir = run_synth(tmp_path, five_injections())
+        argv = [command, "--data-dir", str(data_dir), "--window", WINDOW,
+                "--out-dir", str(tmp_path / "out")]
+        code = ("import sys\n"
+                "from triarb.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('triarb.')))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == str(sorted(
+            ["triarb.cli", "triarb.config", "triarb.errors", "triarb.market_data",
+             "triarb.opportunity", "triarb.rate_product"]))
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

@@ -1,5 +1,6 @@
 """Tick loading and writing, grid construction, and triangle alignment."""
 
+import calendar
 import copy
 import itertools
 import tempfile
@@ -22,6 +23,7 @@ from triarb.errors import (
     TickParseError,
 )
 from triarb import market_data
+from triarb.config import parse_timestamp, parse_window
 from triarb.market_data import (
     SECONDS_PER_DAY,
     Direction,
@@ -41,10 +43,6 @@ from conftest import MONDAY, load_rows, write_rows
 
 EURUSD = Pair("EUR", "USD")
 GOLDEN_SYNTH = Path(__file__).parent / "golden" / "synth"
-
-
-def _not_gathered(*args):
-    raise AssertionError("a block of one row layout was gathered field by field")
 
 
 class TestLoadPairSeries:
@@ -260,34 +258,30 @@ class TestLoadPairSeries:
             load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert err.value.line_no == 3
 
-    def test_synth_files_are_read_as_byte_matrices(self, monkeypatch):
-        # synth writes rows of one layout, so no block of its files is gathered
+    def test_synth_files_are_read_as_byte_matrices(self):
+        # synth writes rows of one layout: each block is one byte matrix
         expected = {p: reference.load_pair_series(p, EURUSD, SeriesWindow(370500, 371100))
                     for p in sorted(GOLDEN_SYNTH.glob("*.csv"))}
-        monkeypatch.setattr(market_data, "_decimal_fields", _not_gathered)
         assert len(expected) == 3
         for path, series in expected.items():
             assert load_pair_series(path, EURUSD, series.window) == series
 
-    @pytest.mark.parametrize("row, error, matrix", [
-        pytest.param(b"12.0650,12.0652", None, False, id="dot moved"),
-        pytest.param(b"1120650,1120652", None, False, id="dot dropped"),
-        pytest.param(b"1.2065x,1.20652", "bad price", False, id="letter"),
-        pytest.param(b"0.00000,1.20652", "non-positive price", True, id="zero price"),
-        pytest.param(b"1.20650,1.20652", "precedes", True, id="decreasing timestamp"),
-        pytest.param(b"1.20653,1.20652", "crossed", True, id="crossed quote"),
-        pytest.param(b"1.206500000000000000,1.20652", "bad price", False, id="19 digits"),
+    @pytest.mark.parametrize("row, error", [
+        pytest.param(b"12.0650,12.0652", None, id="dot moved"),
+        pytest.param(b"1120650,1120652", None, id="dot dropped"),
+        pytest.param(b"1.2065x,1.20652", "bad price", id="letter"),
+        pytest.param(b"0.00000,1.20652", "non-positive price", id="zero price"),
+        pytest.param(b"1.20650,1.20652", "precedes", id="decreasing timestamp"),
+        pytest.param(b"1.20653,1.20652", "crossed", id="crossed quote"),
+        pytest.param(b"1.206500000000000000,1.20652", "bad price", id="19 digits"),
     ])
     @pytest.mark.parametrize("at", [25, 28])
-    def test_one_row_off_a_uniform_block(self, tmp_path, monkeypatch, row, error, matrix, at):
+    def test_one_row_off_a_uniform_block(self, tmp_path, monkeypatch, row, error, at):
         # 40 rows of one layout in blocks of 200 bytes; the row at index `at` differs:
-        # 25 is the first row of the fourth block, 28 one in its middle. Only a row
-        # off the layout sends its block to the field-by-field gather.
-        gathered = []
-        decimal_fields = market_data._decimal_fields
+        # 25 is the first row of the fourth block, 28 one in its middle. A row off the
+        # layout starts a layout group of its own; a bad value in the layout is
+        # found in the block's one matrix.
         monkeypatch.setattr(market_data, "BLOCK_BYTES", 200)
-        monkeypatch.setattr(market_data, "_decimal_fields",
-                            lambda *args: gathered.append(1) or decimal_fields(*args))
         rows = [b"%d,1.20650,1.20652" % (MONDAY + i) for i in range(40)]
         rows[at] = b"%d," % (MONDAY + at - (2 if error == "precedes" else 0)) + row
         path = tmp_path / "ticks.csv"
@@ -295,7 +289,6 @@ class TestLoadPairSeries:
         window = SeriesWindow(MONDAY, MONDAY + 40)
         loaded, caught = _outcome(load_pair_series, path, window)
         assert (loaded, caught) == _outcome(reference.load_pair_series, path, window)
-        assert bool(gathered) != matrix
         if error in (None, "crossed"):
             assert int(loaded.bid_m[at]) == int(Decimal(row.split(b",")[0].decode()) * 10**5)
             assert len(caught) == (error == "crossed")
@@ -328,9 +321,8 @@ class TestLoadPairSeries:
         assert err.value.line_no == 12
 
     @pytest.mark.parametrize("eol, last", [(b"\r\n", b"\r\n"), (b"\n", b"")])
-    def test_uniform_crlf_and_unterminated_files(self, tmp_path, monkeypatch, eol, last):
+    def test_uniform_crlf_and_unterminated_files(self, tmp_path, eol, last):
         # CRLF ends and a last line without LF keep every row at one layout
-        monkeypatch.setattr(market_data, "_decimal_fields", _not_gathered)
         rows = [b"%d,1.2065%d,1.2066%d" % (MONDAY + i, i % 10, i % 10) for i in range(30)]
         path = tmp_path / "ticks.csv"
         path.write_bytes(eol.join([b"timestamp,bid,ask", *rows]) + last)
@@ -346,6 +338,68 @@ class TestLoadPairSeries:
         with pytest.raises(TickParseError, match="bad timestamp") as err:
             load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("iso", [False, True])
+    @pytest.mark.parametrize("minority, message", [
+        pytest.param(b"1.2.65,1.3", "bad price", id="layout outside the grammar"),
+        pytest.param(b"0.000,1.2065", "non-positive price", id="bad value in its layout"),
+    ])
+    @pytest.mark.parametrize("at, bad_at", [(4, 9), (9, 4)])
+    def test_first_bad_row_across_layout_groups(self, tmp_path, iso, minority, message, at,
+                                                 bad_at):
+        # one block of 30 rows in one layout, but for the row at index `at`, which has
+        # its own layout and a bad value; the majority row at `bad_at` has a zero bid.
+        # The earlier of the two is reported, whichever layout group it is in.
+        def stamp(i, fraction):
+            return (b"2024-02-29T00:00:%02d%s" % (i, b".500Z" if fraction else b"") if iso
+                    else b"%d" % (MONDAY + i))
+
+        rows = [stamp(i, True) + b",1.20650,1.20652" for i in range(30)]
+        rows[at] = stamp(at, False) + b"," + minority
+        rows[bad_at] = stamp(bad_at, True) + b",0.00000,1.20652"
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(b"\n".join([b"timestamp,bid,ask", *rows, b""]))
+        window = SeriesWindow(0, 2)
+        assert _outcome(load_pair_series, path, window) == _outcome(
+            reference.load_pair_series, path, window)
+        with pytest.raises(TickParseError) as err:
+            load_pair_series(path, EURUSD, window)
+        first = min(at, bad_at)
+        assert err.value.line_no == first + 2
+        assert str(err.value).endswith(
+            f"{message if first == at else 'non-positive price'} in {rows[first]!r}")
+
+    @pytest.mark.parametrize("stamp, valid", [
+        ("2000-02-29T12:00:00", True),
+        ("2024-02-29T23:59:59.999Z", True),
+        ("2024-02-29", True),
+        ("2100-02-29T00:00:00", False),
+        ("2100-02-29", False),
+        ("2023-02-29T00:00:00Z", False),
+        ("2024-04-31T00:00:00", False),
+        ("2024-00-10T00:00:00", False),
+        ("2024-13-10T00:00:00", False),
+        ("2024-01-00T00:00:00", False),
+        ("2024-01-01T24:00:00", False),
+        ("2024-01-01T23:60:00", False),
+        ("2024-01-01T23:59:60", False),
+    ])
+    def test_civil_dates_in_ticks_and_windows(self, tmp_path, stamp, valid):
+        # the loader and --window read ISO times with the same arithmetic
+        iso = stamp if "T" in stamp else stamp + "T00:00:00"
+        path = tmp_path / "ticks.csv"
+        write_rows(path, [("1970-01-01T00:00:00", "1.2", "1.3"), (iso, "1.2", "1.4")])
+        if not valid:
+            with pytest.raises(TickParseError, match="bad timestamp") as err:
+                load_pair_series(path, EURUSD, SeriesWindow(0, 1))
+            assert err.value.line_no == 3
+            with pytest.raises(ValueError, match=f"bad timestamp {stamp!r}"):
+                parse_window(f"{stamp}..{MONDAY}")
+            return
+        t = int(datetime.fromisoformat(iso.rstrip("Z")).replace(tzinfo=timezone.utc).timestamp())
+        series = load_pair_series(path, EURUSD, SeriesWindow(t, t + 1))
+        assert series.ask_m.tolist() == [14] and not series.missing.any()
+        assert parse_window(f"{stamp}..{t + 1}").start == t
 
     def test_line_longer_than_a_block_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setattr(market_data, "BLOCK_BYTES", 64)
@@ -558,6 +612,76 @@ def test_loaded_series_write_back(case):
             assert _outcome(load_pair_series, written, window)[0] == loaded
 
 
+def _layout_price_text(draw, max_places):
+    """A price of 1 to 18 digits with 0 to `max_places` decimal places, with
+    at most 18 digits at `max_places` below 18, in any spelling of the
+    grammar: a leading or a trailing dot included."""
+    places = draw(st.integers(0, max_places))
+    whole = draw(st.integers(1 if places == 0 else 0, max(1, min(3, 18 - max_places))))
+    digits = f"{draw(st.integers(1, 10 ** (whole + places) - 1)):0{whole + places}d}"
+    if places:
+        return f"{digits[:whole]}.{digits[whole:]}"
+    return digits + draw(st.sampled_from(["", "", "."]))
+
+
+@st.composite
+def mixed_layout_files(draw):
+    """(file text, window, block size): rows in the tick grammar whose layouts
+    change from row to row, read in blocks of one to a few rows. ISO times
+    come with and without '.fff' and 'Z' around leap days, from 2000-02-28,
+    2024-02-28 or 2100-02-28; epoch times cross a change in their number of
+    digits. Prices have 0 to 5, 11, 17 or 18 decimal places, the last more
+    than a file's scale may have. About one row in 40 has a zero price, an
+    extra field or a decreasing time."""
+    iso = draw(st.booleans())
+    max_places = draw(st.sampled_from([5, 11, 17, 18]))
+    base = draw(st.sampled_from([951_782_390, 1_709_164_790, 4_107_542_390] if iso
+                                else [99_999_990, 9_999_999_990]))
+    t = base
+    lines = ["timestamp,bid,ask"]
+    for _ in range(draw(st.integers(1, 40))):
+        t += draw(st.sampled_from([0, 1, 1, 2, 7]))
+        if iso:
+            stamp = datetime.fromtimestamp(t, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+            stamp += draw(st.sampled_from(["", "Z", f".{t % 1000:03d}", f".{t % 997:03d}Z"]))
+        else:
+            stamp = str(t)
+        fields = [stamp, *(_layout_price_text(draw, max_places) for _ in range(2))]
+        flaw = draw(st.integers(0, 119))
+        if flaw == 0:
+            fields[1] = "0.000"
+        elif flaw == 1:
+            fields.append("1.3")
+        elif flaw == 2:
+            t -= 3
+        lines.append(",".join(fields))
+    window = SeriesWindow(base, max(t, base) + 2,
+                          draw(st.sampled_from([None, frozenset({0, 1, 2, 3, 4})])))
+    return "\n".join(lines) + "\n", window, draw(st.integers(70, 300))
+
+
+@given(mixed_layout_files())
+@settings(max_examples=200, deadline=None)
+def test_mixed_layouts_match_reference(case):
+    # many layout groups per block, and rows that straddle two blocks
+    text, window, block_bytes = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market_data, "BLOCK_BYTES", block_bytes)
+        path = Path(tmp) / "ticks.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(reference.load_pair_series, path, window)
+        assert _outcome(load_pair_series, path, window) == expected
+
+
+@given(st.datetimes(min_value=datetime(1970, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+       st.sampled_from(["", "Z", ".123", ".999Z"]))
+@settings(max_examples=300, deadline=None)
+def test_iso_times_follow_the_calendar(moment, suffix):
+    # days-from-civil against datetime, over every year the four digits can hold
+    stamp = moment.strftime("%Y-%m-%dT%H:%M:%S") + suffix
+    assert parse_timestamp(stamp) == calendar.timegm(moment.timetuple())
+
+
 class TestSeriesWindow:
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
@@ -565,6 +689,18 @@ class TestSeriesWindow:
 
     def test_grid_length_matches_seconds(self):
         assert SeriesWindow(0, 3600).grid_times().size == 3600
+
+    @given(st.integers(0, 30 * SECONDS_PER_DAY), st.integers(1, 10 * SECONDS_PER_DAY),
+           st.one_of(st.none(), st.frozensets(st.integers(0, 6), min_size=1)),
+           st.lists(st.integers(-2 * SECONDS_PER_DAY, 12 * SECONDS_PER_DAY), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_index_finds_each_time_on_the_grid(self, start, length, weekdays, offsets):
+        window = SeriesWindow(start, start + length, weekdays)
+        grid = window.grid_times()
+        times = start + np.sort(np.array(offsets, dtype=np.int64))
+        expected = [grid.tolist().index(t) if t in grid else -1 for t in times.tolist()]
+        assert window.grid_size() == grid.size
+        assert window.grid_index(times).tolist() == expected
 
     def test_days_enumeration(self):
         w = SeriesWindow(MONDAY, MONDAY + 3 * 86400, frozenset({0, 1, 2, 3, 4}))
