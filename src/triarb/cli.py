@@ -12,7 +12,9 @@ setting, point sizes included, from its JSON file.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
 
 `simulator` and `synth` are imported inside the commands that use them, so
-that the other commands start without them.
+that the other commands start without them. The CLI runs numpy's OpenBLAS
+single-threaded unless OPENBLAS_NUM_THREADS is already set: triarb calls no
+BLAS, and each extra worker thread would only spin at startup.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ import traceback
 from datetime import date
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
+
+# triarb calls no BLAS, but numpy's bundled OpenBLAS starts one worker thread per
+# extra CPU at import, and each one busy-waits for about 0.1 s of CPU; this must
+# run before numpy's first import, and a value already set still wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

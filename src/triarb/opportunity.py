@@ -218,7 +218,10 @@ def distribution_stats(
     cells, _ = np.histogram(valid, bins=np.concatenate(([-np.inf], edges, [np.inf])))
     if valid.size:
         mean = float(valid.mean())
-        std = float(valid.std(ddof=0))
+        # numpy's std(ddof=0) step for step, in place on this function's own copy
+        valid -= mean
+        valid *= valid
+        std = math.sqrt(valid.sum() / valid.size)
     else:
         mean = 0.0
         std = 0.0

@@ -873,6 +873,24 @@ class TestCliBasics:
             ["triarb.cli", "triarb.config", "triarb.errors", "triarb.market_data",
              "triarb.opportunity", "triarb.rate_product"]))
 
+    @staticmethod
+    def _import_cli_in_fresh_interpreter(code, **extra_env):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env.update(extra_env, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", "from triarb.cli import main\n" + code],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_import_starts_no_blas_worker_threads(self):
+        code = "import os\nprint(len(os.listdir('/proc/self/task')))"
+        assert self._import_cli_in_fresh_interpreter(code) == "1"
+
+    def test_cli_import_keeps_a_preset_openblas_thread_count(self):
+        code = "import os\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self._import_cli_in_fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == "2"
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 

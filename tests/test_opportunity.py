@@ -228,6 +228,19 @@ class TestDistributionStats:
         dist = distribution_stats(np.asarray(g), 1e-4, (0.999, 1.001))
         assert dist.std == pytest.approx(np.std(g))  # ddof=0
 
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.98, max_value=1.02)),
+                    min_size=1, max_size=600))
+    @settings(max_examples=200, deadline=None)
+    def test_moments_equal_numpy_bit_for_bit(self, g):
+        # pairwise sums regroup every 8 and 128 elements, hence lengths up to 600
+        gammas = np.asarray(g)
+        before = gammas.copy()
+        dist = distribution_stats(gammas, 1e-4, (0.999, 1.001))
+        valid = gammas[gammas != 0.0]
+        expected = (float(np.mean(valid)), float(np.std(valid))) if valid.size else (0.0, 0.0)
+        assert (dist.mean, dist.std) == expected
+        assert np.array_equal(gammas, before)
+
     def test_both_directions_pooled_in_row_order(self):
         rng = np.random.default_rng(8)
         gammas = rng.uniform(0.9995, 1.0005, size=(2, 1001))

@@ -460,8 +460,8 @@ class TestDrawContract:
         u, words = k * 2.0**-53, k << np.uint64(11)
 
         class FakePhilox:
-            def __init__(self, key):
-                self.state = {"state": {}}
+            def __init__(self, key, counter):
+                pass
 
             def random_raw(self, size):
                 return words[:size]
