@@ -9,7 +9,8 @@ The four tick commands read the triangle from --triangle (default
 EUR,USD,CHF), each pair in market-convention order; synth reads every
 setting, point sizes included, from its JSON file.
 
-Exit codes: 0 success, 2 usage or input error, 1 internal error.
+Exit codes: 0 success, 2 usage or input error (a TriarbError, or an OSError
+on a path the user named), 1 internal error, with a traceback.
 
 `simulator` and `synth` are imported inside the commands that use them, so
 that the other commands start without them. The CLI runs numpy's OpenBLAS
@@ -40,8 +41,9 @@ import numpy as np
 
 from . import __version__
 from .config import parse_currencies, parse_float_list, parse_window, synth_config_from_json
-from .errors import TriarbError
+from .errors import SynthConfigError, TriarbError
 from .market_data import (
+    ALL_DAYS,
     HOURS,
     SeriesWindow,
     TriangleSpec,
@@ -80,7 +82,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (TriarbError, ValueError, OSError) as exc:
+    except (TriarbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
@@ -161,30 +163,24 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _window_json(window: SeriesWindow) -> dict:
-    return {
-        "start": window.start,
-        "end": window.end,
-        "weekdays": sorted(window.weekday_filter) if window.weekday_filter else "all",
-    }
-
-
 def _write_manifest(
     out: Path, command: str, triangle: TriangleSpec,
-    window: Optional[SeriesWindow], seed: Optional[int], extra: dict,
+    window: SeriesWindow, seed: Optional[int], extra: dict,
 ) -> None:
+    days = window.weekday_filter
     manifest = {
         "command": command,
         "triangle": {
             "currencies": list(triangle.currencies),
             "pairs": [p.name for p in triangle.pairs],
         },
-        "window": _window_json(window) if window else None,
+        "window": {"start": window.start, "end": window.end,
+                   "weekdays": "all" if days == ALL_DAYS else sorted(days)},
         "out_dir": str(out),
         "tool_version": __version__,
         "seed": seed,
+        **extra,
     }
-    manifest.update(extra)
     write_json(out / "manifest.json", manifest)
 
 
@@ -214,11 +210,12 @@ def write_json(path: Path, payload: Any) -> None:
 
 
 def json_text(name: str, payload: Any) -> str:
-    """The text write_json writes to the file `name`; NaN or infinity raise ValueError."""
+    """The text write_json writes to the file `name`. NaN or infinity, which only
+    flags that overflow a result produce, raise TriarbError."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise ValueError(f"cannot write {name}: a result is not finite ({exc})") from exc
+        raise TriarbError(f"cannot write {name}: a result is not finite ({exc})") from exc
     return text + "\n"
 
 
@@ -239,13 +236,7 @@ def _detect(
     The window's grid is built first, so a window too long to hold one is an
     input error before any file is read.
     """
-    try:
-        times = window.grid_times()
-    except MemoryError:
-        raise ValueError(
-            f"window {window} spans {window.end - window.start:,} seconds, "
-            "too many for its per-second grid to fit in memory"
-        ) from None
+    times = window.grid_times()
     series = []
     for pair in triangle.pairs:
         path = Path(data_dir) / f"{pair.file_stem}.csv"
@@ -266,7 +257,10 @@ def cmd_synth(args) -> int:
     from .synth import generate
 
     raw = Path(args.synth_config).read_bytes()
-    content = json.loads(raw)
+    try:
+        content = json.loads(raw)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise SynthConfigError(f"--synth-config {args.synth_config}: not JSON: {exc}") from None
     cfg = synth_config_from_json(content)
     triangle_series = generate(cfg)
     out = _out_dir(args)
@@ -289,7 +283,7 @@ def cmd_synth(args) -> int:
 def cmd_detect(args) -> int:
     triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
-    thresholds = check_thresholds(parse_float_list(args.thresholds))
+    thresholds = check_thresholds(parse_float_list(args.thresholds, "--thresholds"))
     hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
     ops, gammas = _detect(args.data_dir, triangle, window)
 
@@ -336,10 +330,10 @@ def cmd_simulate(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) & 0xFFFF_FFFF_FFFF_FFFF
-    gamma_ts = parse_float_list(args.gamma_t)
+    gamma_ts = parse_float_list(args.gamma_t, "--gamma-t")
     if not gamma_ts:
-        raise ValueError(f"--gamma-t needs at least one threshold, got {args.gamma_t!r}")
-    lambda_grid = parse_float_list(args.lambda_grid)
+        raise TriarbError(f"--gamma-t needs at least one threshold, got {args.gamma_t!r}")
+    lambda_grid = parse_float_list(args.lambda_grid, "--lambda-grid")
     check_lambda_grid(lambda_grid)
     shared = SimulationConfig(
         fill_prob=args.p,
@@ -361,7 +355,8 @@ def cmd_simulate(args) -> int:
     surface = results[0].surface  # the surface covers the first config only
     curve_rows = []
     breakeven_rows = []
-    summary: dict = {"per_config": []}
+    summary = {"per_config": [], "seed": seed, "runs": args.runs, "volume": args.volume,
+               "p": args.p, "lambda_bp": args.lambda_bp}
     for cfg, result in zip(configs, results):
         curve_rows.extend(
             (cfg.scenario.value, cfg.gamma_t, p, m, s)
@@ -371,20 +366,10 @@ def cmd_simulate(args) -> int:
         )
         entry = _summary_entry(cfg, result.summary)
         for be in result.break_even:
-            breakeven_rows.append((cfg.scenario.value, cfg.gamma_t, be.lambda_bp,
-                                   be.analytic_p, be.simulated_p, be.simulated_p_std))
+            breakeven_rows.append((cfg.scenario.value, cfg.gamma_t, *dataclasses.astuple(be)))
             if be.lambda_bp == args.lambda_bp:
-                entry["break_even"] = {
-                    "lambda_bp": be.lambda_bp,
-                    "analytic_p": be.analytic_p,
-                    "simulated_p": be.simulated_p,
-                    "simulated_p_std": be.simulated_p_std,
-                }
+                entry["break_even"] = dataclasses.asdict(be)
         summary["per_config"].append(entry)
-    summary.update(
-        {"seed": seed, "runs": args.runs, "volume": args.volume,
-         "p": args.p, "lambda_bp": args.lambda_bp}
-    )
 
     # serialised before the out-dir exists: an overflowed result leaves no output
     summary_text = json_text("summary.json", summary)
@@ -449,10 +434,11 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     for label, dist, _ in stats:
         write_histogram(out / f"histogram_{label}.csv", dist)
+    deltas = compare_periods([dur for _, _, dur in stats])
     write_csv(out / "comparison.csv",
               ["label", "count", *BUCKET_LABELS, "mean", "stdev", "delta_count", "delta_1s"],
-              ([r.label, r.count, *(r.bucket_pct[k] for k in BUCKET_LABELS),
-                r.mean, r.std, r.delta_count, r.delta_pct_1s] for r in compare_periods(stats)))
+              ([label, dur.count, *(dur.bucket_pct[k] for k in BUCKET_LABELS),
+                dist.mean, dist.std, *delta] for (label, dist, dur), delta in zip(stats, deltas)))
     _write_manifest(
         out, "compare", triangle, window, None,
         {"datasets": [{"label": l, "data_dir": d} for l, d in datasets]},
@@ -467,16 +453,16 @@ def _parse_datasets(specs: Sequence[str]) -> list[tuple[str, str]]:
     for spec in specs:
         label, sep, path = (part.strip() for part in spec.partition("="))
         if not sep:
-            raise ValueError(f"bad --dataset {spec!r}, expected LABEL=DIR")
+            raise TriarbError(f"bad --dataset {spec!r}, expected LABEL=DIR")
         if not label or any(s and s in label for s in (os.sep, os.altsep)):
-            raise ValueError(
+            raise TriarbError(
                 f"bad --dataset label {label!r}: need a non-empty name without a path separator"
             )
         if label in datasets:
-            raise ValueError(f"repeated --dataset label {label!r}")
+            raise TriarbError(f"repeated --dataset label {label!r}")
         datasets[label] = path
     if len(datasets) < 2:
-        raise ValueError("compare needs at least two --dataset arguments")
+        raise TriarbError("compare needs at least two --dataset arguments")
     return list(datasets.items())
 
 

@@ -14,8 +14,9 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import SynthConfigError, TickParseError
+from .errors import SynthConfigError, TickParseError, TriarbError
 from .market_data import (
+    ALL_DAYS,
     HOURS,
     Direction,
     Pair,
@@ -31,7 +32,7 @@ _DAY_NAMES = {"mon": 0, "tue": 1, "wed": 2, "thu": 3, "fri": 4, "sat": 5, "sun":
 def _parse_pair(text: str) -> Pair:
     base, sep, quote = text.strip().upper().partition("/")
     if not sep or not base or not quote:
-        raise ValueError(f"bad pair {text!r}, expected BASE/QUOTE")
+        raise SynthConfigError(f"bad pair {text!r}, expected BASE/QUOTE")
     return Pair(base, quote)
 
 
@@ -43,10 +44,10 @@ def parse_currencies(codes) -> tuple[str, str, str]:
     for item in items:
         code = item.strip() if isinstance(item, str) else ""
         if not (len(code) == 3 and code.isascii() and code.isalpha()):
-            raise ValueError(f"bad currency code {item!r}, expected three letters such as EUR")
+            raise TriarbError(f"bad currency code {item!r}, expected three letters such as EUR")
         currencies.append(code.upper())
     if len(currencies) != 3:
-        raise ValueError(f"a triangle needs three currency codes, got {codes!r}")
+        raise TriarbError(f"a triangle needs three currency codes, got {codes!r}")
     return tuple(currencies)
 
 
@@ -62,24 +63,24 @@ def parse_timestamp(text: str) -> int:
         t, *_ = _parse_block(text, row, np.zeros(1, np.int64), np.full(1, row.size),
                              np.ones(1, np.int64), not stamp.isdigit(), None)
     except TickParseError:
-        raise ValueError(
+        raise TriarbError(
             f"bad timestamp {text.strip()!r}, expected 1 to 18 digits of epoch seconds, "
             "YYYY-MM-DD or YYYY-MM-DDTHH:MM:SS[.fff][Z] from 1970 on"
         ) from None
     return int(t[0])
 
 
-def parse_weekdays(text: str) -> Optional[frozenset[int]]:
+def parse_weekdays(text: str) -> frozenset[int]:
     text = text.strip().lower()
     if text == "all":
-        return None
+        return ALL_DAYS
     if text == "mon-fri":
         return frozenset(WEEKDAYS)
     days = set()
     for token in text.split(","):
         token = token.strip()
         if token not in _DAY_NAMES:
-            raise ValueError(f"unknown weekday {token!r}")
+            raise TriarbError(f"unknown weekday {token!r}")
         days.add(_DAY_NAMES[token])
     return frozenset(days)
 
@@ -88,12 +89,16 @@ def parse_window(text: str, weekdays: Optional[str] = None) -> SeriesWindow:
     """Parse ``START..END`` (epoch seconds or ISO-8601) plus a weekday filter."""
     start_s, sep, end_s = text.partition("..")
     if not sep:
-        raise ValueError(f"bad window {text!r}, expected START..END")
+        raise TriarbError(f"bad window {text!r}, expected START..END")
     return window_from_json({"start": start_s, "end": end_s, "weekdays": weekdays})
 
 
-def parse_float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+def parse_float_list(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of the value of `flag`; empty items are skipped."""
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise TriarbError(f"bad {flag} {text!r}, expected comma-separated numbers") from None
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +127,8 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
          "gap_rate", "injections", "schedule"),
     )
     seed = _check(cfg["seed"], int, "seed")
+    if seed < 0:
+        raise SynthConfigError(f"seed: expected a non-negative integer, got {seed}")
     window = window_from_json(cfg["window"])
     triangle = TriangleSpec.from_currencies(*parse_currencies(cfg.get("currencies", "EUR,USD,CHF")))
 
@@ -171,11 +178,14 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
     for i, item in enumerate(_check(cfg.get("injections", []), list, "injections")):
         where = f"injections[{i}]"
         fields = _object(item, where, ("start", "duration_seconds", "magnitude_bp", "direction"))
+        direction = _check(fields["direction"], int, f"{where}.direction")
+        if direction not in (1, 2):
+            raise SynthConfigError(f"{where}.direction: expected 1 or 2, got {direction}")
         injections.append(InjectionSpec(
             start=parse_timestamp(str(fields["start"])),
             duration_seconds=_check(fields["duration_seconds"], int, f"{where}.duration_seconds"),
             magnitude_bp=_number(fields["magnitude_bp"], f"{where}.magnitude_bp"),
-            direction=Direction(_check(fields["direction"], int, f"{where}.direction")),
+            direction=Direction(direction),
         ))
     if "schedule" in cfg:
         schedule = {"base_rate_per_hour": 1.0, "magnitude_range": [0.5, 4.0]}

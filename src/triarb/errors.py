@@ -1,8 +1,11 @@
 """Exception types shared across the package."""
 
 
-class TriarbError(Exception):
-    """Base class for all input and domain errors raised by triarb."""
+class TriarbError(ValueError):
+    """An error in what the user gave: flags, windows, tick files or a synth config.
+
+    The CLI exits 2 on these; any other exception is a bug and exits 1.
+    """
 
 
 class TickParseError(TriarbError):

@@ -2,7 +2,8 @@
 
 A pair's quotes live in one representation, the columns of `PairSeries`, one
 entry per grid second of a window: int64 bid and ask mantissas that share one
-decimal exponent (`scale`), and a mask of missing seconds. Prices stay exact
+decimal exponent (`scale`). A missing second is one whose mantissas are zero,
+which no quoted price can be. Prices stay exact
 here; the conversion to floating point happens downstream, when rate
 products are computed. Tick files follow one grammar, set out in
 `load_pair_series`: the loader parses it with numpy passes over fixed-size
@@ -11,8 +12,9 @@ formats the columns straight back to it from digit matrices.
 
 The time grid has a fixed resolution of one second. A grid second carries a
 quote only if at least one raw tick fell inside that second; when several
-did, the last one wins. Seconds without a tick are marked missing. An
-optional weekday filter removes excluded days from the grid entirely.
+did, the last one wins. Seconds without a tick are missing. A window's
+weekday filter removes excluded days from the grid entirely; by default it
+keeps all seven.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,6 +33,7 @@ from .errors import (
     EmptySeriesError,
     TickOrderingError,
     TickParseError,
+    TriarbError,
 )
 
 SECONDS_PER_DAY = 86_400
@@ -40,6 +42,7 @@ HOURS = 24
 _EPOCH_WEEKDAY = 3
 
 WEEKDAYS = frozenset({0, 1, 2, 3, 4})
+ALL_DAYS = frozenset(range(7))
 
 
 def _weekday_of(epoch_day):
@@ -84,36 +87,41 @@ class Pair:
 
 @dataclass(frozen=True)
 class SeriesWindow:
-    """Half-open time interval [start, end) with an optional weekday filter.
+    """Half-open time interval [start, end) on the days of `weekday_filter`.
 
-    `weekday_filter` uses Monday = 0 .. Sunday = 6; seconds falling on an
-    excluded day are not part of the grid at all.
+    `weekday_filter` uses Monday = 0 .. Sunday = 6 and defaults to every day;
+    seconds falling on an excluded day are not part of the grid at all.
     """
 
     start: int
     end: int
-    weekday_filter: Optional[frozenset[int]] = None
+    weekday_filter: frozenset[int] = ALL_DAYS
 
     def __post_init__(self):
         if self.start >= self.end:
-            raise ValueError(f"window start {self.start} must precede end {self.end}")
-        if self.weekday_filter is not None:
-            wf = frozenset(self.weekday_filter)
-            if not wf or not wf <= frozenset(range(7)):
-                raise ValueError(f"invalid weekday filter {self.weekday_filter}")
-            object.__setattr__(self, "weekday_filter", wf)
+            raise TriarbError(f"window start {self.start} must precede end {self.end}")
+        wf = frozenset(self.weekday_filter)
+        if not wf or not wf <= ALL_DAYS:
+            raise TriarbError(f"invalid weekday filter {self.weekday_filter}")
+        object.__setattr__(self, "weekday_filter", wf)
 
     def grid_times(self) -> np.ndarray:
-        """All grid seconds of the window, ascending (int64)."""
-        times = np.arange(self.start, self.end, dtype=np.int64)
-        return times if self.weekday_filter is None else times[self.mask(times)]
+        """All grid seconds of the window, ascending (int64). A window too
+        long for them to fit in memory is a TriarbError."""
+        try:
+            times = np.arange(self.start, self.end, dtype=np.int64)
+            return times[self.mask(times)]
+        except MemoryError:
+            raise TriarbError(
+                f"window {self} spans {self.end - self.start:,} seconds, "
+                "too many for its per-second grid to fit in memory"
+            ) from None
 
     def mask(self, times: np.ndarray) -> np.ndarray:
         """Which of the int64 `times` fall on the window's grid."""
+        weekday_ok = np.isin(np.arange(7), list(self.weekday_filter))  # Monday = 0
         inside = (times >= self.start) & (times < self.end)
-        if self.weekday_filter is not None:
-            weekday_ok = np.isin(np.arange(7), list(self.weekday_filter))  # Monday = 0
-            inside &= weekday_ok[_weekday_of(times // SECONDS_PER_DAY)]
+        inside &= weekday_ok[_weekday_of(times // SECONDS_PER_DAY)]
         return inside
 
     def grid_size(self) -> int:
@@ -148,23 +156,27 @@ class PairSeries:
     """One pair's quotes on the per-second grid of a window.
 
     Columnar: int64 mantissa arrays for bid and ask plus a shared decimal
-    exponent (`scale`), and a boolean mask for missing seconds, whose
-    mantissas are zero. Entry i belongs to `window.grid_times()[i]`.
+    exponent (`scale`). A missing second has zero mantissas; a quoted price
+    is positive. Entry i belongs to `window.grid_times()[i]`.
     """
 
     pair: Pair
     window: SeriesWindow
     bid_m: np.ndarray
     ask_m: np.ndarray
-    missing: np.ndarray
     scale: int
 
     def __len__(self) -> int:
         return int(self.bid_m.size)
 
     @property
+    def missing(self) -> np.ndarray:
+        """Which grid seconds carry no quote."""
+        return self.bid_m == 0
+
+    @property
     def n_missing(self) -> int:
-        return int(self.missing.sum())
+        return int(np.count_nonzero(self.missing))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairSeries):
@@ -175,7 +187,6 @@ class PairSeries:
             and self.scale == other.scale
             and np.array_equal(self.bid_m, other.bid_m)
             and np.array_equal(self.ask_m, other.ask_m)
-            and np.array_equal(self.missing, other.missing)
         )
 
 
@@ -205,7 +216,7 @@ class TriangleSpec:
 
     def __post_init__(self):
         if len(set(self.currencies)) != 3:
-            raise ValueError(f"triangle currencies must be distinct: {self.currencies}")
+            raise TriarbError(f"triangle currencies must be distinct: {self.currencies}")
 
     @property
     def pairs(self) -> tuple[Pair, Pair, Pair]:
@@ -300,7 +311,7 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
         raise TickParseError(path, line_no, "price needs more than 18 digits at the file's "
                                             f"{scale} decimal places")
     flat_m[low] *= _POW10[shift]
-    return PairSeries(pair, window, placed[0], placed[1], missing, scale)
+    return PairSeries(pair, window, placed[0], placed[1], scale)
 
 
 def _ticks(fh, path):

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import TriarbError
 from .market_data import HOURS, SECONDS_PER_DAY, Direction, SeriesWindow
 
 BUCKET_LABELS = ("1s", "2s", "3s", "4s", "5s", ">5s")
@@ -73,17 +74,6 @@ class DistributionStats:
     counts: np.ndarray
     underflow: int
     overflow: int
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    label: str
-    count: int
-    bucket_pct: dict[str, float]
-    mean: float
-    std: float
-    delta_count: int
-    delta_pct_1s: float
 
 
 def segment_opportunities(times: np.ndarray, gammas: np.ndarray) -> list[ArbitrageOpportunity]:
@@ -167,9 +157,9 @@ def check_thresholds(thresholds_bp: Sequence[float]) -> list[float]:
     """The thresholds (bp) as a list; they must be finite, non-negative and ascending."""
     thresholds = list(thresholds_bp)
     if not all(0 <= t < math.inf for t in thresholds):
-        raise ValueError(f"thresholds must be finite and non-negative, got {thresholds}")
+        raise TriarbError(f"thresholds must be finite and non-negative, got {thresholds}")
     if not all(a <= b for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be sorted ascending")
+        raise TriarbError("thresholds must be sorted ascending")
     return thresholds
 
 
@@ -198,7 +188,7 @@ def check_histogram(bin_width: float, value_range: tuple[float, float]) -> tuple
     lo, hi = value_range
     finite = -math.inf < lo < hi < math.inf and 0 < bin_width < math.inf
     if not (finite and (hi - lo) / bin_width <= MAX_HIST_BINS):
-        raise ValueError(
+        raise TriarbError(
             f"degenerate histogram range [{lo}, {hi}) or width {bin_width}: "
             f"need finite lo < hi, a finite width > 0 and at most {MAX_HIST_BINS} bins"
         )
@@ -235,27 +225,12 @@ def distribution_stats(
     )
 
 
-def compare_periods(
-    stats: Sequence[tuple[str, DistributionStats, DurationStats]]
-) -> tuple[ComparisonRow, ...]:
-    """Cross-period comparison rows: counts, duration buckets, distribution moments.
-
-    Deltas are taken against the previous period in the given order; the
-    first period's deltas are zero.
-    """
-    if len(stats) < 2:
+def compare_periods(periods: Sequence[DurationStats]) -> list[tuple[int, float]]:
+    """Each period's (count delta, delta of the 1s bucket's percentage) against
+    the previous period in the given order; the first period is its own
+    reference, so its deltas are zero."""
+    if len(periods) < 2:
         raise ValueError("need at least two periods to compare")
-    # the first period is its own reference
-    return tuple(
-        ComparisonRow(
-            label=label,
-            count=dur.count,
-            bucket_pct=dict(dur.bucket_pct),
-            mean=dist.mean,
-            std=dist.std,
-            delta_count=dur.count - prev.count,
-            delta_pct_1s=dur.bucket_pct["1s"] - prev.bucket_pct["1s"],
-        )
-        for (label, dist, dur), (_, _, prev) in zip(stats, [stats[0], *stats])
-    )
+    return [(dur.count - prev.count, dur.bucket_pct["1s"] - prev.bucket_pct["1s"])
+            for dur, prev in zip(periods, [periods[0], *periods])]
 

@@ -3,8 +3,9 @@
 For every grid second the effective conversion rates of the three legs are
 multiplied: a leg selling the pair's base contributes the bid, a leg buying
 the base contributes 1/ask. A value above one flags a potential arbitrage.
-Seconds where any required quote is missing get a rate product of exactly
-zero; they stay on the grid so that downstream run segmentation sees the gap.
+A missing quote's leg rate is zero, so a second where any leg is missing
+gets a rate product of exactly zero; it stays on the grid so that downstream
+run segmentation sees the gap.
 """
 
 from __future__ import annotations
@@ -36,28 +37,24 @@ def compute_rate_products(series: Sequence[PairSeries], spec: TriangleSpec) -> n
             raise AlignmentError(f"window mismatch: {s.pair.name} has {s.window}, expected {w}")
     by_pair = dict(zip(spec.pairs, series))
     n = len(series[0])
-    any_missing = np.zeros(n, dtype=bool)
-    for s in series:
-        any_missing |= s.missing
-
     gammas = np.ones((2, n), dtype=np.float64)
     rate = np.empty(n, dtype=np.float64)  # one leg at a time
     for gamma, direction in zip(gammas, Direction):
         for pair, side in spec.legs(direction):
             gamma *= leg_rate(by_pair[pair], side, out=rate)
-    gammas[:, any_missing] = 0.0
     return gammas
 
 
 def leg_rate(series: PairSeries, side: Side, out: np.ndarray | None = None) -> np.ndarray:
-    """One leg's conversion rate per grid second: the bid, or 1/ask; 1.0 where missing.
+    """One leg's conversion rate per grid second: the bid, or 1/ask; 0.0 where missing.
 
     A mantissa below 2**53 and 10**scale (scale <= 22) are exact floats, so
     their quotient is the correctly rounded price whatever the series' scale:
     a more precise tick elsewhere in the window leaves every other price alone.
-    The rate is formed in `out` (float64, one entry per grid second) if given.
+    A quoted rate is at least 1e-18, so a product of legs is zero exactly
+    where one of them is missing. The rate is formed in `out` (float64, one
+    entry per grid second) if given.
     """
     mantissa = series.bid_m if side is Side.BID else series.ask_m
     price = np.divide(mantissa, 10.0**series.scale, out=out)
-    np.copyto(price, 1.0, where=series.missing)
-    return price if side is Side.BID else np.divide(1.0, price, out=price)
+    return price if side is Side.BID else np.divide(1.0, price, out=price, where=price != 0.0)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import TriarbError
 from .opportunity import ArbitrageOpportunity
 
 BP = 1e-4
@@ -64,7 +65,7 @@ class SimulationConfig:
             (0 <= self.seed < 2**128, "seed (a Philox key) must be in [0, 2**128)", self.seed),
         ):
             if not holds:
-                raise ValueError(f"{rule}, got {value}")
+                raise TriarbError(f"{rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def check_lambda_grid(lambda_grid_bp: Sequence[float]) -> np.ndarray:
     """The loss grid (bp) as an array; it must be non-empty, finite and positive."""
     lam_bp = np.asarray(lambda_grid_bp, dtype=np.float64)
     if lam_bp.size == 0 or not np.all((0 < lam_bp) & (lam_bp < np.inf)):
-        raise ValueError(
+        raise TriarbError(
             f"loss grid must be non-empty, finite and positive, got {lam_bp.tolist()}")
     return lam_bp
 
@@ -176,12 +177,17 @@ class _Sweep:
         self.loss = cfg.volume * cfg.loss_bp * BP
         self.lam_cost = cfg.volume * (lam_bp * BP)
         self.fees = self.n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-        self.totals, self.filled_total, self.shift = np.empty(cfg.runs), 0, None
+        self.filled_total, self.shift = 0, None
         # per P_GRID point, summed over runs: the filled excess, the unfilled trades,
         # the profit curve's deviations from the first run's curve and their squares
         self.sums = np.zeros((4, P_GRID.size))
-        # one row per loss, so that each row reduces as a contiguous 1-D array
-        self.crossings = np.empty((lam_bp.size, cfg.runs))
+        try:
+            self.totals = np.empty(cfg.runs)
+            # one row per loss, so that each row reduces as a contiguous 1-D array
+            self.crossings = np.empty((lam_bp.size, cfg.runs))
+        except (MemoryError, ValueError):  # numpy's ValueError: a size past any address space
+            raise TriarbError(
+                f"runs {cfg.runs:,}: too many for the per-run results to fit in memory") from None
 
     def add_block(self, start: int, u: np.ndarray, cell: np.ndarray) -> None:
         cfg, b, bins = self.cfg, u.shape[0], P_GRID.size

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import SynthConfigError
 from .market_data import (
     HOURS,
+    SECONDS_PER_DAY,
     Direction,
     Pair,
     PairSeries,
@@ -55,9 +56,10 @@ class InjectionSpec:
 
     def __post_init__(self):
         if self.duration_seconds < 1:
-            raise ValueError(f"injection duration must be >= 1s, got {self.duration_seconds}")
+            raise SynthConfigError(
+                f"injection duration_seconds must be >= 1, got {self.duration_seconds}")
         if self.magnitude_bp <= 0:
-            raise ValueError(f"injection magnitude must be positive, got {self.magnitude_bp}")
+            raise SynthConfigError(f"injection magnitude_bp must be positive, got {self.magnitude_bp}")
 
     @property
     def end(self) -> int:
@@ -129,13 +131,18 @@ def _point_places(point: Decimal):
 
 
 def _validate_injections(injections: Sequence[InjectionSpec], window: SeriesWindow) -> None:
-    ordered = sorted(injections, key=lambda i: i.start)
     prev_end = None
-    for inj in ordered:
-        seconds = np.arange(inj.start, inj.end, dtype=np.int64)
-        outside = seconds[~window.mask(seconds)]
+    for inj in sorted(injections, key=lambda i: i.start):
+        # it leaves the grid, if anywhere, at its start, at one of the next six
+        # midnights (a week meets every weekday) or at the window's end
+        day = inj.start // SECONDS_PER_DAY + 1
+        probes = np.array(sorted(t for t in (inj.start, window.end, *range(
+            day * SECONDS_PER_DAY, (day + 6) * SECONDS_PER_DAY, SECONDS_PER_DAY))
+            if inj.start <= t < inj.end), dtype=np.int64)
+        outside = probes[~window.mask(probes)]
         if outside.size:
-            raise SynthConfigError(f"injection second {outside[0]} is outside the window grid")
+            raise SynthConfigError(f"injection second {outside[0]} is outside the window grid "
+                                   f"(duration_seconds {inj.duration_seconds})")
         if prev_end is not None and inj.start <= prev_end:
             # one clean second between episodes keeps runs from merging
             raise SynthConfigError(
@@ -170,7 +177,7 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
         for pair, side in cfg.triangle.legs(buys_direct) if pair != p3
     )
 
-    series = {}
+    series, gaps = {}, {}
     for pair, gap_seed in zip((p1, p2, p3), gap_seeds):
         point = float(cfg.points[pair.name])
         profile = np.asarray(cfg.spread_points[pair.name], dtype=np.float64)
@@ -182,33 +189,30 @@ def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
             raise SynthConfigError(f"the spread leaves {pair.name} no positive bid on its point grid")
         if not np.all(ask < 1e18):  # the tick grammar's 18 digits
             raise SynthConfigError(f"{pair.name} quotes reach 10**18 points, past 18 digits")
-        gap_rng = np.random.default_rng(gap_seed)
         rates = np.asarray(cfg.gap_rate, dtype=np.float64)[hours]
-        series[pair] = PairSeries(
-            pair,
-            cfg.window,
-            bid.astype(np.int64),
-            ask.astype(np.int64),
-            gap_rng.random(times.size) < rates,
-            _point_places(cfg.points[pair.name]),
-        )
+        gaps[pair] = np.random.default_rng(gap_seed).random(times.size) < rates
+        series[pair] = PairSeries(pair, cfg.window, bid.astype(np.int64), ask.astype(np.int64),
+                                  _point_places(cfg.points[pair.name]))
 
-    if cfg.injections:
-        _inject(cfg, series, times, hours)
-    for s in series.values():
-        s.bid_m[s.missing] = 0
-        s.ask_m[s.missing] = 0
+    injected = _inject(cfg, series, times, hours) if cfg.injections else []
+    for pair, s in series.items():
+        gap = gaps[pair]
+        gap[injected] = False  # an injected second is quoted on all three pairs
+        s.bid_m[gap] = 0
+        s.ask_m[gap] = 0
     return tuple(series[p] for p in cfg.triangle.pairs)
 
 
 def _inject(
     cfg: SynthConfig, series: dict[Pair, PairSeries], times: np.ndarray, hours: np.ndarray
-) -> None:
+) -> np.ndarray:
     """Requote the direct pair at every injected second so that the episode's
     direction reaches its target rate product, then check the realized one.
 
-    Every injected second is quoted on all three pairs. `SynthConfig` has put
-    each second on the grid, so `searchsorted` finds it exactly.
+    Runs before the gaps are zeroed into the series, so every pair is quoted
+    everywhere; returns the grid indices of the injected seconds, which the
+    caller keeps quoted. `SynthConfig` has put each second on the grid, so
+    `searchsorted` finds it exactly.
     """
     spec, injections = cfg.triangle, cfg.injections
     direct = spec.pairs[2]
@@ -217,8 +221,6 @@ def _inject(
     rows = np.array([list(Direction).index(i.direction) for i in injections])[owner]
     magnitude = np.array([i.magnitude_bp for i in injections])[owner]
     target = 1.0 + magnitude * 1e-4
-    for s in series.values():
-        s.missing[idx] = False
 
     point = float(cfg.points[direct.name])
     profile = np.asarray(cfg.spread_points[direct.name], dtype=np.float64)
@@ -240,7 +242,7 @@ def _inject(
     off_grammar = (bid <= 0) | (bid + spread >= 10**18)
     bad = off_grammar | (realized <= 0) | (np.abs(realized - magnitude) > PEAK_TOLERANCE_BP)
     if not bad.any():
-        return
+        return idx
     k = int(np.argmax(bad))
     inj = injections[owner[k]]
     if off_grammar[k]:
@@ -271,11 +273,12 @@ def seasonal_injection_schedule(
     durations are 1 + Poisson with mean max(EXTRA_SECONDS_MEAN - n, 0), capped
     at LONGEST_EPISODE_SECONDS. Episodes keep one clean second apart.
     """
-    if base_rate_per_hour <= 0:
-        raise ValueError("base_rate_per_hour must be positive")
+    if not 0 < base_rate_per_hour <= 3600:  # no more episodes than an hour has seconds
+        raise SynthConfigError(
+            f"schedule.base_rate_per_hour must be in (0, 3600], got {base_rate_per_hour}")
     lo_bp, hi_bp = magnitude_range
     if not 0 < lo_bp <= hi_bp:
-        raise ValueError(f"bad magnitude range {magnitude_range}")
+        raise SynthConfigError(f"schedule.magnitude_range: bad range {magnitude_range}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     times = window.grid_times()
     hour_starts = times[times % 3600 == 0]

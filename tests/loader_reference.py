@@ -106,9 +106,7 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
                 path, line_no, f"price in {bid},{ask} needs more than 18 digits at {scale} places"
             )
         bid_m[i], ask_m[i] = mantissas
-    missing = np.ones(times.size, dtype=bool)
-    missing[index] = False
-    return PairSeries(pair, window, bid_m, ask_m, missing, scale)
+    return PairSeries(pair, window, bid_m, ask_m, scale)
 
 
 def _in_window(window: SeriesWindow, t: int) -> bool:
@@ -116,7 +114,7 @@ def _in_window(window: SeriesWindow, t: int) -> bool:
     if not window.start <= t < window.end:
         return False
     day = date(1970, 1, 1) + timedelta(days=t // 86400)
-    return window.weekday_filter is None or day.weekday() in window.weekday_filter
+    return day.weekday() in window.weekday_filter
 
 
 def write_pair_series_csv(path, series: PairSeries) -> None:

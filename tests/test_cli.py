@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -18,10 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triarb.cli import _summary_entry, main
-from triarb.market_data import Direction
+from triarb.config import parse_window
+from triarb.errors import EmptySeriesError, TickOrderingError, TickParseError
+from triarb.market_data import Direction, TriangleSpec
 from triarb.opportunity import ArbitrageOpportunity
 from triarb.simulator import Scenario, SimulationConfig, simulate_trades
 
+import loader_reference as reference
 from conftest import MONDAY, cli_flags
 
 WINDOW = f"{MONDAY}..{MONDAY + 7200}"
@@ -253,6 +257,16 @@ class TestSynthCommand:
              "schedule.magnitude_range: expected a list"),
             (lambda p: p.update(schedule={"magnitude_range": [1]}),
              "schedule.magnitude_range: expected [lo, hi]"),
+            (lambda p: p.update(seed=-1), "seed: expected a non-negative integer, got -1"),
+            *((lambda p, d=d: p.update(injections=[{**five_injections()[0], "direction": d}]),
+               "injections[0].direction: expected 1 or 2") for d in (0, 3, -1)),
+            (lambda p: p.update(injections=[{**five_injections()[0], "duration_seconds": 2**64}]),
+             f"second {MONDAY + 7200} is outside the window grid (duration_seconds {2**64})"),
+            (lambda p: p.update(schedule={"base_rate_per_hour": 1e308}),
+             "schedule.base_rate_per_hour must be in (0, 3600]"),
+            # a legal window whose per-second grid cannot be allocated
+            (lambda p: p["window"].update(end=10**17),
+             f"spans {10**17 - MONDAY:,} seconds, too many for its per-second grid"),
         ]
         cases = []
         for i, (edit, message) in enumerate(edits):
@@ -261,6 +275,11 @@ class TestSynthCommand:
             bad_path = tmp_path / f"bad{i}.json"
             bad_path.write_text(json.dumps(payload))
             cases.append((["synth", "--synth-config", str(bad_path)], message))
+        for i, raw in enumerate([b'{"seed": 1,', b'{"seed": "\xff"}']):  # not JSON, not UTF-8
+            bad_path = tmp_path / f"raw{i}.json"
+            bad_path.write_bytes(raw)
+            cases.append((["synth", "--synth-config", str(bad_path)],
+                          f"--synth-config {bad_path}: not JSON"))
         assert_exits_2_before_any_output(tmp_path, capsys, cases)
 
     @pytest.mark.parametrize("mutation", ["retype_value", "add_key"])
@@ -375,6 +394,7 @@ class TestDetectCommand:
             ([*base, "--hist-bin-width", "1e-12"], "at most 1000000 bins"),
             ([*base, "--thresholds", "nan,1"], "finite and non-negative"),
             ([*base, "--thresholds", "1,inf"], "finite and non-negative"),
+            ([*base, "--thresholds", "abc"], "bad --thresholds 'abc'"),
             ([*base, "--window", "1970-W02-1..1970-01-06"], "bad timestamp '1970-W02-1'"),
             ([*base, "--window", "19700105T000000..1970-01-06"], "bad timestamp '19700105T"),
             ([*base, "--window", "1970-01-05T00:00:00+00:00..1970-01-06"], "bad timestamp"),
@@ -391,8 +411,6 @@ class TestDetectCommand:
         ])
 
     def test_window_reads_iso_times_as_tick_files_do(self):
-        from triarb.config import parse_window
-
         window = parse_window("1970-01-05..1970-01-05T02:00:00.999Z")
         assert (window.start, window.end) == (MONDAY, MONDAY + 7200)
         window = parse_window(f"{MONDAY}..1970-01-05T02:00:00")
@@ -452,6 +470,18 @@ class TestDetectCommand:
         assert f"{path}:6:" in err and message in err
         assert "Traceback" not in err
 
+    def test_weekday_spellings_write_identical_outputs(self, tmp_path, monkeypatch):
+        # run from two dirs with relative paths, so that the manifests' paths agree too
+        data_dir = run_synth(tmp_path, five_injections())
+        trees = []
+        for name, weekdays in (("a", "all"), ("b", "mon,tue,wed,thu,fri,sat,sun")):
+            shutil.copytree(data_dir, tmp_path / name / "ticks")
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["detect", "--data-dir", "ticks", "--window", WINDOW,
+                         "--weekdays", weekdays, "--out-dir", "out"]) == 0
+            trees.append(sha256_tree(tmp_path / name / "out"))
+        assert "manifest.json" in trees[0] and trees[0] == trees[1]
+
     def test_histogram_written(self, tmp_path):
         data_dir = run_synth(tmp_path, five_injections())
         out = tmp_path / "detect"
@@ -460,6 +490,62 @@ class TestDetectCommand:
         assert rows[0] == ["bin_left", "bin_right", "count"]
         assert rows[1][0] == "-inf"
         assert rows[-1][1] == "inf"
+
+
+@st.composite
+def tick_file_bytes(draw):
+    """A tick file near the grammar: rows of rising epoch seconds around MONDAY,
+    a few of them with a fractional or millisecond time, an odd price or cut
+    short; or arbitrary bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=80))
+    t = draw(st.integers(MONDAY - 3, MONDAY + 20))
+    lines = [b"timestamp,bid,ask"]
+    for _ in range(draw(st.integers(1, 6))):
+        t += draw(st.integers(0, 3))
+        row = [str(t), "1.2065", "1.20671"]
+        flaw = draw(st.integers(0, 24))
+        if flaw == 0:
+            row[0] += ".5"
+        elif flaw == 1:
+            row[0] += "000"  # milliseconds
+        elif flaw == 2:
+            row[draw(st.integers(1, 2))] = draw(st.sampled_from(["0", "1.", ".5", "-1", "", "1e3"]))
+        line = ",".join(row).encode()
+        if flaw == 3:
+            line = line[:draw(st.integers(0, len(line)))]
+        lines.append(line)
+    return b"\n".join(lines) + b"\n"
+
+
+class TestTickFileFuzz:
+    # a weekday window over the fuzzed seconds, drawn three times as often as a
+    # weekend window, which has no grid second
+    WINDOWS = (*[f"{MONDAY}..{MONDAY + 40}"] * 3, f"{MONDAY - 2 * 86400}..{MONDAY}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning exits 1
+    @settings(max_examples=100, deadline=None)
+    @given(files=st.lists(tick_file_bytes(), min_size=3, max_size=3),
+           window=st.sampled_from(WINDOWS))
+    def test_detect_exits_0_only_on_files_the_reference_accepts(self, files, window):
+        with tempfile.TemporaryDirectory() as tmp:
+            accepted = True
+            for pair, raw in zip(TriangleSpec.from_currencies("EUR", "USD", "CHF").pairs, files):
+                path = Path(tmp) / f"{pair.file_stem}.csv"
+                path.write_bytes(raw)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        reference.load_pair_series(path, pair, parse_window(window))
+                    except (TickParseError, TickOrderingError, EmptySeriesError):
+                        accepted = False
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # crossed quotes
+                rc = main(["detect", "--data-dir", tmp, "--window", window,
+                           "--out-dir", f"{tmp}/out"])
+        assert rc == (0 if accepted else 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSeasonalCommand:
@@ -607,6 +693,16 @@ class TestSimulateCommand:
             ([*base, "--p", "nan"], "fill_prob"),
             ([*base, "--lambda-grid", "1,nan"], "loss grid"),
             ([*base, "--lambda-grid", "1,inf"], "loss grid"),
+            ([*base, "--gamma-t", "x"], "bad --gamma-t 'x'"),
+            ([*base, "--lambda-grid", "1,y"], "bad --lambda-grid '1,y'"),
+        ])
+
+    def test_runs_past_memory_exit_2_without_output(self, tmp_path, capsys):
+        # per-run results of 10**17 runs need more bytes than any address space
+        data_dir = run_synth(tmp_path, five_injections())
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            (["simulate", "--data-dir", str(data_dir), "--window", WINDOW, "--seed", "1",
+              "--runs", str(10**17)], f"runs {10**17:,}: too many"),
         ])
 
     def test_overflowing_flags_exit_2_without_output_files(self, tmp_path, capsys):
@@ -854,6 +950,17 @@ class TestCliBasics:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "Traceback" in capsys.readouterr().err
+
+    def test_internal_value_error_exits_1_with_traceback(self, tmp_path, capsys, monkeypatch):
+        # an opportunity outside the window breaks an invariant of the tally, not the input
+        data_dir = run_synth(tmp_path, five_injections())
+        outside = ArbitrageOpportunity(0, 1, 1.0001, 1.0001, Direction.DIR1)
+        monkeypatch.setattr("triarb.cli.segment_opportunities", lambda *args: [outside])
+        rc = main(["seasonal", "--data-dir", str(data_dir), "--window", WINDOW,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: opportunity at 0 starts outside" in err
 
     @pytest.mark.parametrize("command", ["detect", "seasonal"])
     def test_tick_commands_import_neither_simulator_nor_synth(self, tmp_path, command):

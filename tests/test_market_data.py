@@ -221,7 +221,7 @@ class TestLoadPairSeries:
         n = SECONDS_PER_DAY
         window = SeriesWindow(MONDAY, MONDAY + n)
         bid = 120650 + np.arange(n, dtype=np.int64) % 13
-        series = PairSeries(EURUSD, window, bid, bid + 2, np.zeros(n, dtype=bool), 5)
+        series = PairSeries(EURUSD, window, bid, bid + 2, 5)
         path = tmp_path / "ticks.csv"
         write_pair_series_csv(path, series)
         tracemalloc.start()
@@ -415,8 +415,7 @@ class TestLoadPairSeries:
         series = PairSeries(
             EURUSD, window,
             np.array([12065000, 0, 5], dtype=np.int64),
-            np.array([12067000, 0, 12068000], dtype=np.int64),
-            np.array([False, True, False]), 7,
+            np.array([12067000, 0, 12068000], dtype=np.int64), 7,
         )
         path = tmp_path / "ticks.csv"
         write_pair_series_csv(path, series)
@@ -424,11 +423,12 @@ class TestLoadPairSeries:
         assert load_pair_series(path, EURUSD, window) == series
 
     @pytest.mark.parametrize("start, bid, scale", [
-        (-1, 12065, 4), (0, 0, 4), (0, 10**18, 4), (0, 12065, 18), (0, 12065, -1),
+        (-1, 12065, 4), (0, -12065, 4), (0, 10**18, 4), (0, 12065, 18), (0, 12065, -1),
     ])
     def test_writer_refuses_series_outside_grammar(self, tmp_path, start, bid, scale):
+        # a zero bid is a missing second, so a negative one stands for a non-positive price
         series = PairSeries(EURUSD, SeriesWindow(start, start + 1), np.array([bid]),
-                            np.array([12067]), np.array([False]), scale)
+                            np.array([12067]), scale)
         path = tmp_path / "ticks.csv"
         with pytest.raises(ValueError, match="no tick row holds"):
             write_pair_series_csv(path, series)
@@ -451,7 +451,7 @@ def pair_series(draw):
     bid[missing] = 0
     ask[missing] = 0
     scale = draw(st.integers(min_value=0, max_value=17))
-    return PairSeries(EURUSD, window, bid, ask, missing, scale)
+    return PairSeries(EURUSD, window, bid, ask, scale)
 
 
 @given(pair_series(), st.integers(min_value=64, max_value=1024))
@@ -560,7 +560,7 @@ def tick_files(draw):
     if hostile and draw(st.booleans()):
         text = text[:draw(st.integers(0, len(text)))]
     start = base + draw(st.integers(-3, 12))
-    weekdays = draw(st.one_of(st.none(), st.frozensets(st.integers(0, 6), min_size=1)))
+    weekdays = draw(st.one_of(st.just(frozenset(range(7))), st.frozensets(st.integers(0, 6), min_size=1)))
     window = SeriesWindow(start, start + draw(st.integers(1, 300 if uniform else 40)), weekdays)
     return text, window, draw(st.integers(1000, 4000) if uniform else st.integers(100, 200))
 
@@ -656,7 +656,7 @@ def mixed_layout_files(draw):
             t -= 3
         lines.append(",".join(fields))
     window = SeriesWindow(base, max(t, base) + 2,
-                          draw(st.sampled_from([None, frozenset({0, 1, 2, 3, 4})])))
+                          draw(st.sampled_from([frozenset(range(7)), frozenset({0, 1, 2, 3, 4})])))
     return "\n".join(lines) + "\n", window, draw(st.integers(70, 300))
 
 
@@ -690,8 +690,12 @@ class TestSeriesWindow:
     def test_grid_length_matches_seconds(self):
         assert SeriesWindow(0, 3600).grid_times().size == 3600
 
+    def test_every_weekday_has_one_spelling(self):
+        assert SeriesWindow(5, 9) == SeriesWindow(5, 9, frozenset(range(7)))
+        assert SeriesWindow(5, 9).weekday_filter == frozenset(range(7))
+
     @given(st.integers(0, 30 * SECONDS_PER_DAY), st.integers(1, 10 * SECONDS_PER_DAY),
-           st.one_of(st.none(), st.frozensets(st.integers(0, 6), min_size=1)),
+           st.one_of(st.just(frozenset(range(7))), st.frozensets(st.integers(0, 6), min_size=1)),
            st.lists(st.integers(-2 * SECONDS_PER_DAY, 12 * SECONDS_PER_DAY), max_size=50))
     @settings(max_examples=200, deadline=None)
     def test_grid_index_finds_each_time_on_the_grid(self, start, length, weekdays, offsets):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from triarb.market_data import Direction
 from triarb.opportunity import (
     ArbitrageOpportunity,
-    BUCKET_LABELS,
     compare_periods,
     distribution_stats,
     duration_stats,
@@ -258,36 +257,26 @@ class TestDistributionStats:
         with pytest.raises(ValueError):
             distribution_stats(np.array([1.0]), 1e-4, (1.001, 0.999))
 
-
-class TestComparePeriods:
-    def period(self, label, gammas, labels):
-        dist = distribution_stats(np.asarray(gammas), 1e-4, (0.999, 1.001))
-        dur = duration_stats([op(run_length=k) for k in labels])
-        return (label, dist, dur)
-
-    def test_identical_periods_zero_deltas(self):
-        p = self.period("a", [0.9999] * 5, [1, 2])
-        rows = compare_periods([p, ("b", p[1], p[2])])
-        assert rows[1].delta_count == 0
-        assert rows[1].delta_pct_1s == 0.0
-
     def test_narrower_dispersion_detected(self):
         rng = np.random.default_rng(5)
         wide = 1.0 + 3e-4 * rng.standard_normal(5000)
         narrow = 1.0 + 1e-4 * rng.standard_normal(5000)
-        rows = compare_periods(
-            [self.period("wide", wide, [1]), self.period("narrow", narrow, [1])]
-        )
-        assert rows[1].std < rows[0].std
+        assert (distribution_stats(narrow, 1e-4, (0.999, 1.001)).std
+                < distribution_stats(wide, 1e-4, (0.999, 1.001)).std)
+
+
+class TestComparePeriods:
+    def period(self, labels):
+        return duration_stats([op(run_length=k) for k in labels])
+
+    def test_identical_periods_zero_deltas(self):
+        p = self.period([1, 2])
+        assert compare_periods([p, p]) == [(0, 0.0), (0, 0.0)]
+
+    def test_deltas_against_the_previous_period(self):
+        periods = [self.period([1, 2, 6]), self.period([1]), self.period([2, 3])]
+        assert compare_periods(periods) == [(0, 0.0), (-2, 100.0 - 100.0 / 3), (1, -100.0)]
 
     def test_requires_two_periods(self):
         with pytest.raises(ValueError):
-            compare_periods([self.period("only", [1.0], [1])])
-
-    def test_report_schema(self):
-        p1 = self.period("2003", [0.9999] * 4, [1, 2, 6])
-        p2 = self.period("2004", [0.9998] * 4, [1])
-        row = compare_periods([p1, p2])[0]
-        assert set(row.bucket_pct) == set(BUCKET_LABELS)
-        assert row.count == 3
-        assert isinstance(row.mean, float) and isinstance(row.std, float)
+            compare_periods([self.period([1])])

@@ -71,6 +71,50 @@ class TestWorkedExample:
         assert s1[0] > 0.0
 
 
+def masked_rate_products(series, spec):
+    """Both directions' rate products by the masked formula: each leg's rate with
+    1.0 put in at its missing seconds, and zero wherever any leg is missing."""
+    by_pair = dict(zip(spec.pairs, series))
+    any_missing = np.logical_or.reduce([s.bid_m == 0 for s in series])
+    gammas = np.ones((2, len(series[0])))
+    for gamma, direction in zip(gammas, Direction):
+        for pair, side in spec.legs(direction):
+            s = by_pair[pair]
+            price = (s.bid_m if side is Side.BID else s.ask_m) / 10.0**s.scale
+            price[s.bid_m == 0] = 1.0
+            gamma *= price if side is Side.BID else 1.0 / price
+    gammas[:, any_missing] = 0.0
+    return gammas
+
+
+@st.composite
+def gapped_triangle(draw):
+    """Three series of the tick grammar on one window, each with random gaps."""
+    spec = triangle()
+    n = draw(st.integers(1, 30))
+    window = SeriesWindow(0, n)
+    mantissa = st.one_of(st.integers(1, 10**6), st.integers(1, 10**18 - 1))
+    series = []
+    for pair in spec.pairs:
+        bid = np.array(draw(st.lists(mantissa, min_size=n, max_size=n)), dtype=np.int64)
+        ask = np.array(draw(st.lists(mantissa, min_size=n, max_size=n)), dtype=np.int64)
+        gap = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        bid[gap] = ask[gap] = 0
+        series.append(PairSeries(pair, window, bid, ask, draw(st.integers(0, 17))))
+    return spec, series
+
+
+class TestMissingSeconds:
+    @given(gapped_triangle())
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # 1/0 at a missing ask fails
+    def test_zero_legs_match_the_masked_formula_bit_for_bit(self, case):
+        spec, series = case
+        gammas = compute_rate_products(series, spec)
+        assert gammas.tobytes() == masked_rate_products(series, spec).tobytes()
+        assert np.array_equal(gammas[0] == 0, np.logical_or.reduce([s.missing for s in series]))
+
+
 class TestOracleAgreement:
     def test_random_triples_match_fraction_oracle(self):
         spec = triangle()
@@ -206,8 +250,7 @@ class TestScaleFreePrices:
 
         def series(m, s):
             mantissas = np.array([m], dtype=np.int64)
-            return PairSeries(triangle().pairs[0], SeriesWindow(0, 1), mantissas, mantissas,
-                              np.zeros(1, dtype=bool), s)
+            return PairSeries(triangle().pairs[0], SeriesWindow(0, 1), mantissas, mantissas, s)
 
         coarse, fine = series(mantissa, scale), series(mantissa * 10**extra, scale + extra)
         for side in Side:
