@@ -329,7 +329,7 @@ def cmd_simulate(args) -> int:
     window = parse_window(args.window, args.weekdays)
     seed = args.seed
     if seed is None:
-        seed = int(np.random.SeedSequence().entropy) & 0xFFFF_FFFF_FFFF_FFFF
+        seed = int.from_bytes(os.urandom(8), "little")  # not secrets: it loads OpenSSL
     gamma_ts = parse_float_list(args.gamma_t, "--gamma-t")
     if not gamma_ts:
         raise TriarbError(f"--gamma-t needs at least one threshold, got {args.gamma_t!r}")

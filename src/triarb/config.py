@@ -114,6 +114,16 @@ def window_from_json(payload: Any) -> SeriesWindow:
     )
 
 
+# Upper bounds that keep synth's float arithmetic finite; SynthConfig and
+# InjectionSpec check the lower ones. A mid of 10**18 is 10**18 points even at
+# a point size of 1. A per-second log-return std of 0.01, hundreds of times a
+# major pair's, keeps the exponential of a walk finite over years of seconds.
+# An excess of 10,000 bp is a rate product of 2.
+MAX_MID = 1e18
+MAX_VOL = 0.01
+MAX_MAGNITUDE_BP = 1e4
+
+
 def synth_config_from_json(payload: Any) -> SynthConfig:
     """Build a SynthConfig from the parsed JSON of a synth config file. Each
     object takes the keys its `_object` call lists, and null counts as absent."""
@@ -159,9 +169,9 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
         except InvalidOperation:
             raise SynthConfigError(f"bad point size {point!r} for {pair.name}") from None
         if "mid" in entry:
-            mid_prices[pair.name] = _number(entry["mid"], f"{where}.mid")
+            mid_prices[pair.name] = _at_most(entry["mid"], MAX_MID, f"{where}.mid")
         if "vol" in entry:
-            volatilities[pair.name] = _number(entry["vol"], f"{where}.vol")
+            volatilities[pair.name] = _at_most(entry["vol"], MAX_VOL, f"{where}.vol")
         if "spread_points" in entry:
             spread_points[pair.name] = _profile(entry["spread_points"], f"{where}.spread_points")
         elif preset is None:
@@ -184,7 +194,7 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
         injections.append(InjectionSpec(
             start=parse_timestamp(str(fields["start"])),
             duration_seconds=_check(fields["duration_seconds"], int, f"{where}.duration_seconds"),
-            magnitude_bp=_number(fields["magnitude_bp"], f"{where}.magnitude_bp"),
+            magnitude_bp=_at_most(fields["magnitude_bp"], MAX_MAGNITUDE_BP, f"{where}.magnitude_bp"),
             direction=Direction(direction),
         ))
     if "schedule" in cfg:
@@ -200,7 +210,7 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
             base_rate_per_hour=_number(
                 schedule["base_rate_per_hour"], "schedule.base_rate_per_hour"
             ),
-            magnitude_range=tuple(_number(b, where) for b in bounds),
+            magnitude_range=tuple(_at_most(b, MAX_MAGNITUDE_BP, where) for b in bounds),
         )
         injections.sort(key=lambda i: i.start)
 
@@ -246,6 +256,14 @@ def _number(value: Any, where: str) -> float:
     if finite and not isinstance(value, bool):
         return float(value)
     raise SynthConfigError(f"{where}: expected a finite number, got {value!r:.60}")
+
+
+def _at_most(value: Any, limit: float, where: str) -> float:
+    """A finite JSON number no larger than `limit`."""
+    number = _number(value, where)
+    if number <= limit:
+        return number
+    raise SynthConfigError(f"{where}: expected a number at most {limit:g}, got {number!r}")
 
 
 def _profile(value: Any, where: str) -> tuple[float, ...]:

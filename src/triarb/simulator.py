@@ -6,12 +6,15 @@ initial rate product exceeds the trade threshold. Some trades fill surely
 `CERTAIN_FILL_MIN_RUN_LENGTH` grid seconds), the rest independently with the
 fill probability. A filled trade earns volume * (initial_gamma - 1); an
 unfilled one loses a fixed number of basis points of volume. All configs read
-one uniform per (run, opportunity i), the run-th double that
-`Generator(Philox(key=seed, counter=i * 2**128)).random` draws, so a higher
-threshold reuses the uniforms of its trades (common random numbers) and profit
-is monotone in the fill probability within a run. Runs come in blocks of
-`BLOCK`, reduced with no per-run loop and summed in run order, so no result
-depends on BLOCK.
+one uniform per (run r, opportunity i): the top 53 bits, scaled by 2**-53, of
+output k = i * 2**32 + r of SplitMix64 seeded with the seed (Steele, Lea &
+Flood 2014; Vigna's `splitmix64.c`). That output is a hash of
+seed + (k + 1) * 0x9E3779B97F4A7C15 (mod 2**64), so numpy computes a block of
+them as one uint64 array. A higher threshold reuses the uniforms of its trades
+(common random numbers), and profit is monotone in the fill probability within
+a run. Runs come in blocks of at most `BLOCK` and at most `BLOCK_CELLS`
+(run, opportunity) cells, reduced with no per-run loop and summed in run
+order, so no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ P_GRID = np.linspace(0.0, 1.0, 101)
 # a one-second label means the opportunity lasted under a second.
 CERTAIN_FILL_MIN_RUN_LENGTH = 2
 BLOCK = 64  # runs drawn and reduced together by simulate_trades
+BLOCK_CELLS = 2**18  # and at most this many (run, opportunity) cells in a block
+GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's state increment
 
 
 class Scenario(Enum):
@@ -58,11 +63,11 @@ class SimulationConfig:
             (0.0 <= self.fill_prob <= 1.0, "fill_prob must be in [0, 1]", self.fill_prob),
             (0.0 < self.loss_bp < math.inf, "loss_bp must be finite and positive", self.loss_bp),
             (0.0 < self.volume < math.inf, "volume must be finite and positive", self.volume),
-            (self.runs >= 1, "runs must be >= 1", self.runs),
+            (1 <= self.runs <= 2**32, "runs must be in [1, 2**32]", self.runs),
             (1.0 <= self.gamma_t < math.inf, "gamma_t must be finite and >= 1", self.gamma_t),
             (0.0 <= self.fee_per_trade < math.inf, "fee_per_trade must be finite and >= 0",
              self.fee_per_trade),
-            (0 <= self.seed < 2**128, "seed (a Philox key) must be in [0, 2**128)", self.seed),
+            (0 <= self.seed < 2**64, "seed must be in [0, 2**64)", self.seed),
         ):
             if not holds:
                 raise TriarbError(f"{rule}, got {value}")
@@ -130,6 +135,8 @@ def simulate_trades(ops: Sequence[ArbitrageOpportunity], configs: Sequence[Simul
     if len(shared) != 1:
         raise ValueError(f"configs must share one (seed, runs), got {sorted(shared)}")
     ((seed, runs),) = shared
+    if len(ops) > 2**32:  # an opportunity index must fit the high half of a draw's counter
+        raise ValueError(f"at most 2**32 opportunities, got {len(ops)}")
     initial = np.array([op.initial_gamma for op in ops], dtype=np.float64)
     long_run = np.array([op.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for op in ops], dtype=bool)
     sweeps = [_Sweep(initial, long_run, cfg, lam_bp) for cfg in configs]
@@ -142,23 +149,36 @@ def simulate_trades(ops: Sequence[ArbitrageOpportunity], configs: Sequence[Simul
 
 
 def _uniform_blocks(seed: int, runs: int, n: int):
-    """Per block of BLOCK runs: its first run, its (run, opportunity) uniforms
-    and their P_GRID cells (the number of grid points at or below each).
-    Each opportunity keeps its own Philox stream, about 1 to 1.5 KB of memory
-    apiece (10,000 opportunities held 10 to 15 MB)."""
-    streams = [np.random.Philox(key=seed, counter=i << 128) for i in range(n)]
+    """Per block of runs: its first run, its (run, opportunity) uniforms and
+    their P_GRID cells (the number of grid points at or below each). A block
+    holds at most BLOCK runs and BLOCK_CELLS cells, and at least one run."""
+    block = min(BLOCK, max(1, BLOCK_CELLS // max(n, 1)))
+    ops = np.arange(n, dtype=np.uint64)
     steps = P_GRID.size - 1
-    for start in range(0, runs, BLOCK):
-        b = min(BLOCK, runs - start)
-        raw = np.empty((b, n), dtype=np.uint64)
-        for i, bitgen in enumerate(streams):
-            raw[:, i] = bitgen.random_raw(b)
-        u = (raw >> np.uint64(11)) * 2.0**-53  # Generator.random's doubles: the top 53 bits
+    for start in range(0, runs, block):
+        words = _splitmix64(seed, np.arange(start, min(start + block, runs), dtype=np.uint64), ops)
+        u = (words >> np.uint64(11)) * 2.0**-53  # the top 53 bits as a double in [0, 1)
         # u * steps is off by at most one cell; one comparison each way corrects it
         cell = np.minimum(u * steps, steps - 1).astype(np.intp) + 1
         cell += P_GRID[cell] <= u
         cell -= P_GRID[cell - 1] > u
         yield start, u, cell
+
+
+def _splitmix64(seed: int, runs: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """(runs, ops) uint64 words: output k = op * 2**32 + run of SplitMix64
+    seeded with `seed`, the mix of the state seed + (k + 1) * GOLDEN_GAMMA.
+    Every operand is uint64 and every operation an array one, so the
+    arithmetic wraps mod 2**64 without a warning."""
+    z = ((runs + np.uint64(1)) * GOLDEN_GAMMA + np.uint64(seed))[:, None] + (
+        (ops << np.uint64(32)) * GOLDEN_GAMMA)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 class _Sweep:

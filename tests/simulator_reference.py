@@ -1,8 +1,9 @@
 """Reference simulator: one loop over runs, one run at a time.
 
-The draws follow the contract stated in `triarb.simulator`: opportunity i's
-uniforms over runs are `Generator(Philox(key=seed, counter=i * 2**128)).random`.
-Each run then places its uniforms with `searchsorted`, takes its fills and
+The draws follow the contract stated in `triarb.simulator`: run r's uniform
+for opportunity i is the top 53 bits, times 2**-53, of output k = i * 2**32 + r
+of SplitMix64 seeded with the seed, computed here with Python ints exactly as
+Vigna's `splitmix64.c` computes it. Each run then places its uniforms with `searchsorted`, takes its fills and
 totals with a masked sum, and its profit curves from a weighted `bincount`
 and a `cumsum`, so `simulate_trades` must reproduce every number here
 exactly, except the curve std: the reference keeps every run's curve and
@@ -25,11 +26,37 @@ from triarb.simulator import (
 )
 
 
+MASK64 = 2**64 - 1
+
+
+class SplitMix64:
+    """`splitmix64.c`: next() adds the golden gamma to the state and mixes it."""
+
+    def __init__(self, seed):
+        self.x = seed
+
+    def next(self):
+        self.x = (self.x + 0x9E3779B97F4A7C15) & MASK64
+        z = self.x
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+
+def splitmix64_output(seed, k):
+    """Output k (from 0) of SplitMix64 seeded with `seed`: the state is then
+    seed + (k + 1) times the golden gamma, so a generator set to one gamma
+    short of it draws it next."""
+    bitgen = SplitMix64((seed + k * 0x9E3779B97F4A7C15) & MASK64)
+    return bitgen.next()
+
+
 def uniforms(seed, runs, n_ops):
-    """(runs, n_ops): column i is opportunity i's stream."""
+    """(runs, n_ops): run r's uniform for opportunity i, from output i * 2**32 + r."""
     u = np.empty((runs, n_ops))
-    for i in range(n_ops):
-        u[:, i] = np.random.Generator(np.random.Philox(key=seed, counter=i << 128)).random(runs)
+    for r in range(runs):
+        for i in range(n_ops):
+            u[r, i] = (splitmix64_output(seed, (i << 32) + r) >> 11) * 2.0**-53
     return u
 
 

@@ -245,6 +245,15 @@ class TestSynthCommand:
             (injected_past_18_digits, "drives the price of EUR/CHF non-positive or to 10**18"),
             (lambda p: p["pairs"]["EUR/USD"].update(mid="1.2"), "pairs.EUR/USD.mid: expected a"),
             (lambda p: p["pairs"]["USD/CHF"].update(vol=[]), "pairs.USD/CHF.vol: expected a"),
+            # huge but finite values that overflowed synth's float arithmetic
+            (lambda p: p["pairs"]["EUR/USD"].update(mid=1e308),
+             "pairs.EUR/USD.mid: expected a number at most 1e+18, got 1e+308"),
+            (lambda p: p["pairs"]["EUR/USD"].update(vol=1e308),
+             "pairs.EUR/USD.vol: expected a number at most 0.01, got 1e+308"),
+            (lambda p: p.update(injections=[{**five_injections()[3], "magnitude_bp": 1e300}]),
+             "injections[0].magnitude_bp: expected a number at most 10000, got 1e+300"),
+            (lambda p: p.update(schedule={"magnitude_range": [0.5, 1e308]}),
+             "schedule.magnitude_range: expected a number at most 10000, got 1e+308"),
             (lambda p: p.update(gap_rate=float("nan")), "gap_rate: expected a finite number"),
             (lambda p: p.update(liquidity_preset=1), "liquidity_preset: expected true or false"),
             (lambda p: p.update(injections={}), "injections: expected a list"),
@@ -677,6 +686,8 @@ class TestSimulateCommand:
             ([*base, "--runs", "5", "--gamma-t", "1,0.5"], "gamma_t"),
             ([*base, "--p", "1.5"], "fill_prob"),
             ([*base, "--runs", "0"], "runs"),
+            ([*base, "--runs", "4294967297"], "runs must be in [1, 2**32]"),
+            ([*base[:-1], "18446744073709551616"], "seed must be in [0, 2**64)"),
             ([*base, "--volume", "0"], "volume"),
             ([*base, "--fee-per-trade", "-1"], "fee_per_trade"),
             ([*base, "--lambda-bp", "-1"], "loss_bp"),
@@ -698,11 +709,12 @@ class TestSimulateCommand:
         ])
 
     def test_runs_past_memory_exit_2_without_output(self, tmp_path, capsys):
-        # per-run results of 10**17 runs need more bytes than any address space
+        # per-run results of 10**17 runs need more bytes than any address space;
+        # the draws' bound of 2**32 runs refuses them first
         data_dir = run_synth(tmp_path, five_injections())
         assert_exits_2_before_any_output(tmp_path, capsys, [
             (["simulate", "--data-dir", str(data_dir), "--window", WINDOW, "--seed", "1",
-              "--runs", str(10**17)], f"runs {10**17:,}: too many"),
+              "--runs", str(10**17)], f"runs must be in [1, 2**32], got {10**17}"),
         ])
 
     def test_overflowing_flags_exit_2_without_output_files(self, tmp_path, capsys):
@@ -980,6 +992,26 @@ class TestCliBasics:
             ["triarb.cli", "triarb.config", "triarb.errors", "triarb.market_data",
              "triarb.opportunity", "triarb.rate_product"]))
 
+    def test_simulate_does_not_import_numpy_random(self, tmp_path):
+        # a fresh interpreter, and a generated seed: the draws and the seed are
+        # integer hashes and os.urandom, so numpy.random stays unloaded
+        data_dir = run_synth(tmp_path, five_injections())
+        argv = ["simulate", "--data-dir", str(data_dir), "--window", WINDOW,
+                "--out-dir", str(tmp_path / "out"), "--runs", "5"]
+        code = ("import sys\n"
+                "from triarb.cli import main\n"
+                "eager = 'numpy.random' in sys.modules\n"
+                f"assert main({argv!r}) == 0\n"
+                "print(eager, 'numpy.random' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        eager, loaded = proc.stdout.split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.random along with numpy itself")
+        assert loaded == "False"
+
     @staticmethod
     def _import_cli_in_fresh_interpreter(code, **extra_env):
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
@@ -1013,4 +1045,4 @@ class TestCliBasics:
         )
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert isinstance(manifest["seed"], int)
+        assert isinstance(manifest["seed"], int) and 0 <= manifest["seed"] < 2**64

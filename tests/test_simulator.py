@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from triarb import simulator
+from triarb.errors import TriarbError
 from triarb.opportunity import segment_opportunities
 from triarb.simulator import (
     BLOCK,
@@ -431,16 +432,28 @@ class TestReferenceOracle:
 
 
 class TestDrawContract:
-    @pytest.mark.parametrize("seed", [0, 2024, 2**64 + 5, 2**128 - 1])
+    def test_reference_generator_gives_splitmix64_known_answers(self):
+        # the first outputs of splitmix64.c seeded with 0
+        bitgen = reference.SplitMix64(0)
+        assert [bitgen.next() for _ in range(4)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+
+    @pytest.mark.parametrize("seed", [0, 2024, 2**63 + 5, 2**64 - 1])
     def test_uniform_is_a_function_of_seed_run_and_opportunity(self, seed):
-        # run r's uniform for opportunity i: word r of the Philox stream whose
-        # counter starts at i * 2**128, that is word r % 4 after r // 4 counter steps
+        # run r's uniform for opportunity i: output i * 2**32 + r of SplitMix64,
+        # so opportunity 0's uniforms are the generator's first outputs in order
+        bitgen = reference.SplitMix64(seed)
+        first = [bitgen.next() for _ in range(11)]
         u = reference.uniforms(seed, 11, 5)
-        for r, i in [(0, 0), (3, 0), (4, 2), (10, 4), (7, 1)]:
-            bitgen = np.random.Philox(key=seed, counter=i << 128)
-            bitgen.advance(r // 4)
-            word = bitgen.random_raw(r % 4 + 1)[-1]
-            assert u[r, i] == float(word >> np.uint64(11)) * 2.0**-53
+        assert u[:, 0].tolist() == [(word >> 11) * 2.0**-53 for word in first]
+        # the sweep draws them whatever the number of opportunities
+        for n in (5, 3):
+            drawn = np.concatenate([u for _, u, _ in simulator._uniform_blocks(seed, 11, n)])
+            assert np.array_equal(drawn, u[:, :n])
+        # the last run of the last opportunity, where (k + 1) * gamma wraps to 0
+        last = np.array([2**32 - 1], dtype=np.uint64)
+        assert int(simulator._splitmix64(seed, last, last)[0, 0]) == (
+            reference.splitmix64_output(seed, 2**64 - 1))
 
     @pytest.mark.parametrize("block", [7, BLOCK])
     def test_blocks_hold_the_reference_draws_and_their_cells(self, monkeypatch, block):
@@ -452,47 +465,68 @@ class TestDrawContract:
         cells = np.concatenate([cell for _, _, cell in blocks])
         assert np.array_equal(cells, np.searchsorted(P_GRID, u, side="right"))
 
+    def test_blocks_shrink_to_the_cell_cap(self, monkeypatch):
+        n = 5000
+        runs = simulator.BLOCK_CELLS // n
+        assert runs < BLOCK
+        blocks = list(simulator._uniform_blocks(3, 130, n))
+        assert [start for start, _, _ in blocks] == list(range(0, 130, runs))
+        assert [u.shape for _, u, _ in blocks] == [(runs, n), (runs, n), (130 - 2 * runs, n)]
+        # more opportunities than the cap allows cells: one run per block
+        monkeypatch.setattr(simulator, "BLOCK_CELLS", 4)
+        blocks = list(simulator._uniform_blocks(3, 5, 9))
+        assert [u.shape for _, u, _ in blocks] == [(1, 9)] * 5
+        assert np.array_equal(np.concatenate([u for _, u, _ in blocks]),
+                              reference.uniforms(3, 5, 9))
+
     def test_cells_at_the_grid_points(self, monkeypatch):
         # the uniforms (multiples of 2**-53) next to each grid point, where u * 100
-        # rounds; a fake bit generator hands the sweep the words that give them
+        # rounds; a fake word function hands the sweep the words that give them
         near = np.floor(P_GRID * 2.0**53).astype(np.int64)[:, None] + np.arange(-2, 3)
         k = np.unique(np.clip(near, 0, 2**53 - 1)).astype(np.uint64)
         u, words = k * 2.0**-53, k << np.uint64(11)
-
-        class FakePhilox:
-            def __init__(self, key, counter):
-                pass
-
-            def random_raw(self, size):
-                return words[:size]
-
-        monkeypatch.setattr(np.random, "Philox", FakePhilox)
+        monkeypatch.setattr(simulator, "_splitmix64",
+                            lambda seed, runs, ops: words[runs.astype(np.intp)][:, None])
         monkeypatch.setattr(simulator, "BLOCK", u.size)
         ((_, drawn, cells),) = simulator._uniform_blocks(0, u.size, 1)
         assert np.array_equal(drawn[:, 0], u)
         assert np.array_equal(cells[:, 0], np.searchsorted(P_GRID, u, side="right"))
 
-    def test_seed_outside_the_philox_key_range_rejected(self):
-        for seed in (-1, 2**128):
-            with pytest.raises(ValueError, match="seed"):
+    def test_seed_and_runs_outside_the_draw_range_rejected(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(TriarbError, match="seed"):
                 SimulationConfig(seed=seed)
+        with pytest.raises(TriarbError, match="runs"):
+            SimulationConfig(runs=2**32 + 1)
+        SimulationConfig(seed=2**64 - 1, runs=2**32)
+
+        class Many:  # more opportunities than a draw's counter indexes
+            def __len__(self):
+                return 2**32 + 1
+
+        with pytest.raises(ValueError, match="2\\*\\*32 opportunities") as refused:
+            simulate_trades(Many(), [SimulationConfig()], ORACLE_LAMBDAS)
+        assert refused.type is ValueError  # an internal error, not an input one
 
     def test_results_do_not_depend_on_block_or_run_count(self, monkeypatch):
-        ops = segment_opportunities(*random_trade_series(seed=25, n_runs=60))
         base = dict(fill_prob=0.45, loss_bp=2.0, fee_per_trade=0.25, runs=130, seed=77)
         configs = [SimulationConfig(scenario=scenario, gamma_t=gamma_t, **base)
                    for scenario in Scenario for gamma_t in (1.0, 1.0001)]
-        results = {}
-        for block in (1, 7, 64, base["runs"]):
-            monkeypatch.setattr(simulator, "BLOCK", block)
-            results[block] = simulate_trades(ops, configs, ORACLE_LAMBDAS)
-        for block, got in results.items():
-            for a, b in zip(got, results[base["runs"]]):
-                assert_same_result(a, b)
-        # a shorter sweep draws the same uniforms for its runs
-        fewer = [dataclasses.replace(cfg, runs=50) for cfg in configs]
-        for a, b in zip(simulate_trades(ops, fewer, ORACLE_LAMBDAS), results[7]):
-            assert np.array_equal(a.summary.run_totals, b.summary.run_totals[:50])
+        # at 5,000 opportunities the cell cap shrinks blocks of 64 and 130 runs to 52
+        for n_runs in (60, 5000):
+            ops = segment_opportunities(*random_trade_series(seed=25, n_runs=n_runs))
+            results = {}
+            for block in (1, 7, 64, base["runs"]):
+                monkeypatch.setattr(simulator, "BLOCK", block)
+                results[block] = simulate_trades(ops, configs, ORACLE_LAMBDAS)
+            for block, got in results.items():
+                for a, b in zip(got, results[base["runs"]]):
+                    assert_same_result(a, b)
+            # a shorter sweep draws the same uniforms for its runs
+            fewer = [dataclasses.replace(cfg, runs=50) for cfg in configs]
+            for a, b in zip(simulate_trades(ops, fewer, ORACLE_LAMBDAS), results[7]):
+                assert np.array_equal(a.summary.run_totals, b.summary.run_totals[:50])
+        assert simulator.BLOCK_CELLS // len(ops) < 64
 
     def test_thresholds_share_the_fills_of_shared_opportunities(self):
         # one opportunity below the higher threshold and twenty above it: under
@@ -526,6 +560,35 @@ class TestSweepBounds:
         finally:
             tracemalloc.stop()
         assert peak < runs * P_GRID.size * np.dtype(np.float64).itemsize
+
+    def test_memory_stays_within_the_block_cap(self):
+        # 20,000 opportunities: blocks of 13 runs, so that no block array passes
+        # BLOCK_CELLS elements. At most eight such arrays of 8-byte words are live
+        # at once, beside four words per opportunity for each config and the sweep
+        # and each config's per-run results.
+        ops = segment_opportunities(*random_trade_series(seed=26, n_runs=20_000))
+        runs, lambdas = 100, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        configs = [SimulationConfig(scenario=scenario, gamma_t=gamma_t, fill_prob=0.5, runs=runs,
+                                    seed=5) for scenario in Scenario for gamma_t in (1.0, 1.0001)]
+        tracemalloc.start()
+        try:
+            simulate_trades(ops, configs, lambdas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        words = (8 * simulator.BLOCK_CELLS + 4 * (len(configs) + 1) * len(ops)
+                 + len(configs) * runs * (len(lambdas) + 1))
+        assert peak < words * np.dtype(np.float64).itemsize
+
+    def test_per_run_results_past_memory_are_an_input_error(self, monkeypatch):
+        # runs are at most 2**32, whose per-run results only some machines can hold
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        ops = segment_opportunities(*random_trade_series(seed=23, n_runs=10))
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(TriarbError, match=f"runs {2**32:,}: too many for the per-run results"):
+            simulate_trades(ops, [SimulationConfig(runs=2**32)], ORACLE_LAMBDAS)
 
     @pytest.mark.parametrize("scenario", list(Scenario))
     def test_total_profit_variance_matches_closed_form(self, scenario):
