@@ -28,7 +28,7 @@ _MODULE_OF = {
     **dict.fromkeys(
         ("BreakEvenResult", "ProfitSurface", "Scenario", "SimulationConfig", "SimulationResult",
          "SimulationSummary", "simulate_trades"), "simulator"),
-    **dict.fromkeys(("InjectionSpec", "SynthConfig", "generate", "liquidity_preset"), "synth"),
+    **dict.fromkeys(("Injections", "SynthConfig", "generate", "liquidity_preset"), "synth"),
 }
 
 __all__ = list(_MODULE_OF)

@@ -266,10 +266,9 @@ def cmd_synth(args) -> int:
     out = _out_dir(args)
     for series in triangle_series:
         write_pair_series_csv(out / f"{series.pair.file_stem}.csv", series)
-    write_json(
-        out / "injections.json",
-        [{**dataclasses.asdict(inj), "direction": inj.direction.value} for inj in cfg.injections],
-    )
+    columns = {f.name: getattr(cfg.injections, f.name).tolist()
+               for f in dataclasses.fields(cfg.injections)}
+    write_json(out / "injections.json", [dict(zip(columns, row)) for row in zip(*columns.values())])
     _write_manifest(
         out, "synth", cfg.triangle, cfg.window, cfg.seed,
         # the file's bytes and content, so that a rerun can tell whether it changed

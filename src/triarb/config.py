@@ -18,7 +18,6 @@ from .errors import SynthConfigError, TickParseError, TriarbError
 from .market_data import (
     ALL_DAYS,
     HOURS,
-    Direction,
     Pair,
     SeriesWindow,
     TriangleSpec,
@@ -114,22 +113,18 @@ def window_from_json(payload: Any) -> SeriesWindow:
     )
 
 
-# Upper bounds that keep synth's float arithmetic finite; SynthConfig and
-# InjectionSpec check the lower ones. A mid of 10**18 is 10**18 points even at
-# a point size of 1. A per-second log-return std of 0.01, hundreds of times a
-# major pair's, keeps the exponential of a walk finite over years of seconds.
-# An excess of 10,000 bp is a rate product of 2.
-MAX_MID = 1e18
-MAX_VOL = 0.01
-MAX_MAGNITUDE_BP = 1e4
-
-
 def synth_config_from_json(payload: Any) -> SynthConfig:
     """Build a SynthConfig from the parsed JSON of a synth config file. Each
     object takes the keys its `_object` call lists, and null counts as absent."""
     from decimal import Decimal, InvalidOperation
 
-    from .synth import InjectionSpec, SynthConfig, liquidity_preset, seasonal_injection_schedule
+    from .synth import (
+        Injections,
+        SynthConfig,
+        _off_grid_error,
+        liquidity_preset,
+        seasonal_injection_schedule,
+    )
 
     cfg = _object(
         payload, "synth config", ("seed", "window"),
@@ -169,9 +164,9 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
         except InvalidOperation:
             raise SynthConfigError(f"bad point size {point!r} for {pair.name}") from None
         if "mid" in entry:
-            mid_prices[pair.name] = _at_most(entry["mid"], MAX_MID, f"{where}.mid")
+            mid_prices[pair.name] = _number(entry["mid"], f"{where}.mid")
         if "vol" in entry:
-            volatilities[pair.name] = _at_most(entry["vol"], MAX_VOL, f"{where}.vol")
+            volatilities[pair.name] = _number(entry["vol"], f"{where}.vol")
         if "spread_points" in entry:
             spread_points[pair.name] = _profile(entry["spread_points"], f"{where}.spread_points")
         elif preset is None:
@@ -184,19 +179,19 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
     else:
         gap_rate = preset.gap_rate if preset is not None else tuple([0.0] * HOURS)
 
-    injections = []
+    columns = {"start": [], "duration_seconds": [], "magnitude_bp": [], "direction": []}
     for i, item in enumerate(_check(cfg.get("injections", []), list, "injections")):
         where = f"injections[{i}]"
-        fields = _object(item, where, ("start", "duration_seconds", "magnitude_bp", "direction"))
-        direction = _check(fields["direction"], int, f"{where}.direction")
-        if direction not in (1, 2):
-            raise SynthConfigError(f"{where}.direction: expected 1 or 2, got {direction}")
-        injections.append(InjectionSpec(
-            start=parse_timestamp(str(fields["start"])),
-            duration_seconds=_check(fields["duration_seconds"], int, f"{where}.duration_seconds"),
-            magnitude_bp=_at_most(fields["magnitude_bp"], MAX_MAGNITUDE_BP, f"{where}.magnitude_bp"),
-            direction=Direction(direction),
-        ))
+        fields = _object(item, where, tuple(columns))
+        start = parse_timestamp(str(fields["start"]))
+        duration = _check(fields["duration_seconds"], int, f"{where}.duration_seconds")
+        if duration > window.end - window.start:  # off the grid, and perhaps past 64 bits
+            raise _off_grid_error(start, duration, window)
+        columns["start"].append(start)
+        columns["duration_seconds"].append(duration)
+        columns["magnitude_bp"].append(_number(fields["magnitude_bp"], f"{where}.magnitude_bp"))
+        columns["direction"].append(_check(fields["direction"], int, f"{where}.direction"))
+    injections = Injections(**columns)  # its messages name the file's indices
     if "schedule" in cfg:
         schedule = {"base_rate_per_hour": 1.0, "magnitude_range": [0.5, 4.0]}
         schedule.update(_object(cfg["schedule"], "schedule", (), tuple(schedule)))
@@ -204,15 +199,18 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
         bounds = _check(schedule["magnitude_range"], list, where)
         if len(bounds) != 2:
             raise SynthConfigError(f"{where}: expected [lo, hi], got {bounds}")
-        injections += seasonal_injection_schedule(
+        scheduled = seasonal_injection_schedule(
             seed=seed,
             window=window,
             base_rate_per_hour=_number(
                 schedule["base_rate_per_hour"], "schedule.base_rate_per_hour"
             ),
-            magnitude_range=tuple(_at_most(b, MAX_MAGNITUDE_BP, where) for b in bounds),
+            magnitude_range=tuple(_number(b, where) for b in bounds),
         )
-        injections.sort(key=lambda i: i.start)
+        merged = [np.concatenate([getattr(injections, name), getattr(scheduled, name)])
+                  for name in columns]
+        order = np.argsort(merged[0], kind="stable")  # the file's episodes first at a tie
+        injections = Injections(*(column[order] for column in merged))
 
     return SynthConfig(
         seed=seed,
@@ -223,7 +221,7 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
         volatilities=volatilities,
         spread_points=spread_points,
         gap_rate=gap_rate,
-        injections=tuple(injections),
+        injections=injections,
     )
 
 
@@ -256,14 +254,6 @@ def _number(value: Any, where: str) -> float:
     if finite and not isinstance(value, bool):
         return float(value)
     raise SynthConfigError(f"{where}: expected a finite number, got {value!r:.60}")
-
-
-def _at_most(value: Any, limit: float, where: str) -> float:
-    """A finite JSON number no larger than `limit`."""
-    number = _number(value, where)
-    if number <= limit:
-        return number
-    raise SynthConfigError(f"{where}: expected a number at most {limit:g}, got {number!r}")
 
 
 def _profile(value: Any, where: str) -> tuple[float, ...]:

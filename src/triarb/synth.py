@@ -14,14 +14,16 @@ function of one rounded price. The realized magnitude is checked with the
 detector's own rate products (`compute_rate_products`), and episodes where
 the point grid is too coarse to land within 0.05 bp of the target are
 rejected as configuration errors.
+
+The episodes are one `Injections` of columns, checked against the grid by
+`SeriesWindow.grid_index` arithmetic over all of them at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
-from typing import Sequence
 
 import numpy as np
 
@@ -41,29 +43,55 @@ from .rate_product import compute_rate_products, leg_rate
 PEAK_TOLERANCE_BP = 0.05
 EXTRA_SECONDS_MEAN = 3
 LONGEST_EPISODE_SECONDS = 10
+# Upper bounds that keep the float arithmetic finite. A mid of 10**18 is 10**18
+# points even at a point size of 1. A per-second log-return std of 0.01,
+# hundreds of times a major pair's, keeps the exponential of a walk finite over
+# years of seconds. An excess of 10,000 bp is a rate product of 2.
+MAX_MID = 1e18
+MAX_VOL = 0.01
+MAX_MAGNITUDE_BP = 1e4
 # Markets open at each GMT hour: Asia 0-10, Europe 7-17 and Americas 13-23.
 OPEN_SESSIONS = tuple(
     sum(lo <= h <= hi for lo, hi in ((0, 10), (7, 17), (13, 23))) for h in range(HOURS)
 )
 
 
-@dataclass(frozen=True)
-class InjectionSpec:
-    start: int
-    duration_seconds: int
-    magnitude_bp: float
-    direction: Direction
+@dataclass(frozen=True, eq=False)
+class Injections:
+    """Injected episodes as read-only columns, entry i of each being episode i:
+    its first second, length in seconds, target magnitude in bp (float64) and
+    direction (1 or 2, the `Direction` values)."""
+
+    start: np.ndarray
+    duration_seconds: np.ndarray
+    magnitude_bp: np.ndarray
+    direction: np.ndarray
 
     def __post_init__(self):
-        if self.duration_seconds < 1:
-            raise SynthConfigError(
-                f"injection duration_seconds must be >= 1, got {self.duration_seconds}")
-        if self.magnitude_bp <= 0:
-            raise SynthConfigError(f"injection magnitude_bp must be positive, got {self.magnitude_bp}")
+        for f in fields(self):
+            try:
+                column = np.array(getattr(self, f.name),
+                                  dtype=np.float64 if f.name == "magnitude_bp" else np.int64)
+            except OverflowError:
+                raise SynthConfigError(f"injections.{f.name}: a value is past 64 bits") from None
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
+        if {getattr(self, f.name).shape for f in fields(self)} != {(self.start.size,)}:
+            raise SynthConfigError("injection columns must be one-dimensional and of one length")
+        for name, ok, expected in (
+            ("duration_seconds", self.duration_seconds >= 1, "expected at least 1"),
+            ("magnitude_bp", self.magnitude_bp > 0, "expected a positive number"),
+            ("magnitude_bp", self.magnitude_bp <= MAX_MAGNITUDE_BP,
+             f"expected a number at most {MAX_MAGNITUDE_BP:g}"),
+            ("direction", (self.direction == 1) | (self.direction == 2), "expected 1 or 2"),
+        ):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise SynthConfigError(
+                    f"injections[{i}].{name}: {expected}, got {getattr(self, name)[i].item()!r}")
 
-    @property
-    def end(self) -> int:
-        return self.start + self.duration_seconds
+    def __len__(self) -> int:
+        return self.start.size
 
 
 @dataclass(frozen=True)
@@ -95,7 +123,7 @@ class SynthConfig:
     volatilities: dict[str, float]
     spread_points: dict[str, tuple[float, ...]]  # 24 entries per pair name
     gap_rate: tuple[float, ...] = tuple([0.0] * HOURS)
-    injections: tuple[InjectionSpec, ...] = ()
+    injections: Injections = Injections((), (), (), ())  # on the grid, 1s apart, in any order
 
     def __post_init__(self):
         for p in self.triangle.pairs[:2]:  # the driving pairs
@@ -103,6 +131,12 @@ class SynthConfig:
                 raise SynthConfigError(f"need a positive mid price for {p.name}")
             if self.volatilities.get(p.name, -1.0) < 0:
                 raise SynthConfigError(f"need a non-negative volatility for {p.name}")
+        for key, values, limit in (("mid", self.mid_prices, MAX_MID),
+                                   ("vol", self.volatilities, MAX_VOL)):
+            for name, value in values.items():
+                if not value <= limit:
+                    raise SynthConfigError(
+                        f"pairs.{name}.{key}: expected a number at most {limit:g}, got {value!r}")
         for p in self.triangle.pairs:
             profile = self.spread_points.get(p.name)
             if profile is None or len(profile) != HOURS:
@@ -116,7 +150,6 @@ class SynthConfig:
                 )
         if len(self.gap_rate) != HOURS or any(not 0.0 <= g <= 1.0 for g in self.gap_rate):
             raise SynthConfigError("gap_rate must be 24 probabilities in [0, 1]")
-        object.__setattr__(self, "injections", tuple(self.injections))
         _validate_injections(self.injections, self.window)
 
 
@@ -130,25 +163,39 @@ def _point_places(point: Decimal):
     return k if 0 <= k <= 17 else None
 
 
-def _validate_injections(injections: Sequence[InjectionSpec], window: SeriesWindow) -> None:
-    prev_end = None
-    for inj in sorted(injections, key=lambda i: i.start):
-        # it leaves the grid, if anywhere, at its start, at one of the next six
-        # midnights (a week meets every weekday) or at the window's end
-        day = inj.start // SECONDS_PER_DAY + 1
-        probes = np.array(sorted(t for t in (inj.start, window.end, *range(
-            day * SECONDS_PER_DAY, (day + 6) * SECONDS_PER_DAY, SECONDS_PER_DAY))
-            if inj.start <= t < inj.end), dtype=np.int64)
-        outside = probes[~window.mask(probes)]
-        if outside.size:
-            raise SynthConfigError(f"injection second {outside[0]} is outside the window grid "
-                                   f"(duration_seconds {inj.duration_seconds})")
-        if prev_end is not None and inj.start <= prev_end:
-            # one clean second between episodes keeps runs from merging
-            raise SynthConfigError(
-                f"injections overlap or touch near t={inj.start}; leave at least 1s between them"
-            )
-        prev_end = inj.end
+def _on_grid(start: np.ndarray, duration: np.ndarray, window: SeriesWindow) -> np.ndarray:
+    """Which episodes [start, start + duration) lie wholly on the grid: the first
+    second is on it, and the last as many grid seconds later as calendar seconds."""
+    first = window.grid_index(start)
+    return (first >= 0) & (window.grid_index(start + duration - 1) - first == duration - 1)
+
+
+def _off_grid_error(start: int, duration: int, window: SeriesWindow) -> SynthConfigError:
+    """The error naming the first second off the grid of an episode that leaves it:
+    its start, one of the next six midnights (a week meets every weekday) or the
+    window's end."""
+    day = start // SECONDS_PER_DAY + 1
+    probes = np.array(sorted(t for t in (start, window.end, *range(
+        day * SECONDS_PER_DAY, (day + 6) * SECONDS_PER_DAY, SECONDS_PER_DAY))
+        if start <= t < start + duration), dtype=np.int64)
+    return SynthConfigError(f"injection second {probes[~window.mask(probes)][0]} is outside "
+                            f"the window grid (duration_seconds {duration})")
+
+
+def _validate_injections(injections: Injections, window: SeriesWindow) -> None:
+    """Raise for the first episode in start order that leaves the grid, or that
+    leaves no clean second after the one before, so that their runs would merge."""
+    window.grid_times()  # a grid too large for memory raises here, before the day counts
+    order = np.argsort(injections.start, kind="stable")
+    start, duration = injections.start[order], injections.duration_seconds[order]
+    off = ~_on_grid(start, duration, window)
+    bad = off | np.concatenate(([False], start[1:] <= (start + duration)[:-1]))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if off[k]:
+            raise _off_grid_error(int(start[k]), int(duration[k]), window)
+        raise SynthConfigError(
+            f"injections overlap or touch near t={start[k]}; leave at least 1s between them")
 
 
 def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
@@ -214,12 +261,13 @@ def _inject(
     caller keeps quoted. `SynthConfig` has put each second on the grid, so
     `searchsorted` finds it exactly.
     """
-    spec, injections = cfg.triangle, cfg.injections
+    spec, inj = cfg.triangle, cfg.injections
     direct = spec.pairs[2]
-    owner = np.repeat(np.arange(len(injections)), [i.duration_seconds for i in injections])
-    idx = np.searchsorted(times, np.concatenate([np.arange(i.start, i.end) for i in injections]))
-    rows = np.array([list(Direction).index(i.direction) for i in injections])[owner]
-    magnitude = np.array([i.magnitude_bp for i in injections])[owner]
+    owner = np.repeat(np.arange(len(inj)), inj.duration_seconds)
+    first = np.cumsum(inj.duration_seconds) - inj.duration_seconds  # where each one's seconds begin
+    idx = np.searchsorted(times, (inj.start - first)[owner] + np.arange(owner.size))
+    rows = inj.direction[owner] - 1  # DIR1, DIR2 are rows 0, 1 of the rate products
+    magnitude = inj.magnitude_bp[owner]
     target = 1.0 + magnitude * 1e-4
 
     point = float(cfg.points[direct.name])
@@ -244,19 +292,20 @@ def _inject(
     if not bad.any():
         return idx
     k = int(np.argmax(bad))
-    inj = injections[owner[k]]
+    j = owner[k]
     if off_grammar[k]:
         raise SynthConfigError(
-            f"injection at t={inj.start} drives the price of {direct.name} non-positive "
+            f"injection at t={inj.start[j]} drives the price of {direct.name} non-positive "
             "or to 10**18 points"
         )
+    episode = (f"infeasible injection at t={inj.start[j]} (duration_seconds "
+               f"{inj.duration_seconds[j]}, magnitude_bp {inj.magnitude_bp[j]}, "
+               f"direction {inj.direction[j]})")
     if realized[k] <= 0:
-        raise SynthConfigError(
-            f"infeasible injection {inj}: rounding to {direct.name}'s point grid erases it"
-        )
+        raise SynthConfigError(f"{episode}: rounding to {direct.name}'s point grid erases it")
     raise SynthConfigError(
-        f"infeasible injection {inj}: point grid of {direct.name} only reaches "
-        f"{realized[k]:.4f} bp (target {inj.magnitude_bp} +/- {PEAK_TOLERANCE_BP})"
+        f"{episode}: point grid of {direct.name} only reaches "
+        f"{realized[k]:.4f} bp (target {inj.magnitude_bp[j]} +/- {PEAK_TOLERANCE_BP})"
     )
 
 
@@ -265,44 +314,48 @@ def seasonal_injection_schedule(
     window: SeriesWindow,
     base_rate_per_hour: float = 1.0,
     magnitude_range: tuple[float, float] = (0.5, 4.0),
-) -> tuple[InjectionSpec, ...]:
+) -> Injections:
     """Episode schedule whose rate rises, and duration falls, with liquidity.
 
     For each grid hour the number of episodes is Poisson with mean
     base_rate_per_hour * (1 + n), where n is the hour's OPEN_SESSIONS;
     durations are 1 + Poisson with mean max(EXTRA_SECONDS_MEAN - n, 0), capped
-    at LONGEST_EPISODE_SECONDS. Episodes keep one clean second apart.
+    at LONGEST_EPISODE_SECONDS. Candidates that leave the grid are dropped,
+    and then, in start order, each one that leaves no clean second after the
+    last one kept. Returns the episodes in start order.
     """
     if not 0 < base_rate_per_hour <= 3600:  # no more episodes than an hour has seconds
         raise SynthConfigError(
             f"schedule.base_rate_per_hour must be in (0, 3600], got {base_rate_per_hour}")
     lo_bp, hi_bp = magnitude_range
+    if not max(magnitude_range) <= MAX_MAGNITUDE_BP:
+        raise SynthConfigError(f"schedule.magnitude_range: expected a number at most "
+                               f"{MAX_MAGNITUDE_BP:g}, got {max(magnitude_range)!r}")
     if not 0 < lo_bp <= hi_bp:
         raise SynthConfigError(f"schedule.magnitude_range: bad range {magnitude_range}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     times = window.grid_times()
-    hour_starts = times[times % 3600 == 0]
-    candidates = []
-    for h0 in hour_starts:
-        h = int(h0 % 86_400) // 3600
+    drawn = []
+    for h0 in times[times % 3600 == 0].tolist():
+        h = h0 % 86_400 // 3600
         n = rng.poisson(base_rate_per_hour * (1.0 + OPEN_SESSIONS[h]))
         if n == 0:
             continue
-        starts = np.sort(rng.integers(0, 3600, size=n)) + int(h0)
-        extras = rng.poisson(max(EXTRA_SECONDS_MEAN - OPEN_SESSIONS[h], 0), size=n)
-        mags = rng.uniform(lo_bp, hi_bp, size=n)
-        dirs = rng.integers(1, 3, size=n)
-        for s, ex, m, d in zip(starts, extras, mags, dirs):
-            dur = int(min(1 + ex, LONGEST_EPISODE_SECONDS))
-            candidates.append(
-                InjectionSpec(int(s), dur, float(round(m, 2)), Direction(int(d)))
-            )
-    kept: list[InjectionSpec] = []
-    for inj in sorted(candidates, key=lambda i: i.start):
-        if kept and inj.start <= kept[-1].end:
-            continue
-        if not window.mask(np.arange(inj.start, inj.end, dtype=np.int64)).all():
-            continue
-        kept.append(inj)
-    return tuple(kept)
-
+        drawn.append((  # the seeded output depends on this draw order
+            np.sort(rng.integers(0, 3600, size=n)) + h0,
+            np.minimum(1 + rng.poisson(max(EXTRA_SECONDS_MEAN - OPEN_SESSIONS[h], 0), size=n),
+                       LONGEST_EPISODE_SECONDS),
+            np.round(rng.uniform(lo_bp, hi_bp, size=n), 2),  # as round() of np.float64 rounds
+            rng.integers(1, 3, size=n),
+        ))
+    if not drawn:
+        return Injections((), (), (), ())
+    # the hours ascend and each one's starts are sorted, so the candidates are in start order
+    start, duration, magnitude, direction = (np.concatenate(c) for c in zip(*drawn))
+    on = np.flatnonzero(_on_grid(start, duration, window))
+    keep, last_end = [], -math.inf
+    for i, s, end in zip(on.tolist(), start[on].tolist(), (start + duration)[on].tolist()):
+        if s > last_end:
+            keep.append(i)
+            last_end = end
+    return Injections(start[keep], duration[keep], magnitude[keep], direction[keep])

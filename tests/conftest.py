@@ -18,6 +18,7 @@ from triarb.market_data import (
     TriangleSpec,
     load_pair_series,
 )
+from triarb.synth import Injections
 
 # Monday 1970-01-05; keeps weekday-filtered grids simple.
 MONDAY = 4 * 86400
@@ -89,6 +90,17 @@ def points(spec: TriangleSpec, point: str = "0.00001") -> dict[str, Decimal]:
     """One point size for every pair of `spec`; the default grid is fine enough
     for injections to hit tight targets."""
     return {p.name: Decimal(point) for p in spec.pairs}
+
+
+def episodes(*rows) -> Injections:
+    """Injections from (start, duration_seconds, magnitude_bp, direction) rows."""
+    return Injections(*zip(*rows)) if rows else Injections((), (), (), ())
+
+
+def episode_rows(injections: Injections) -> list[tuple]:
+    """The (start, duration_seconds, magnitude_bp, direction) row of each episode."""
+    return list(zip(injections.start.tolist(), injections.duration_seconds.tolist(),
+                    injections.magnitude_bp.tolist(), injections.direction.tolist()))
 
 
 @pytest.fixture

@@ -32,14 +32,21 @@ from triarb.simulator import (
     simulate_trades,
 )
 from triarb.synth import (
-    InjectionSpec,
     SynthConfig,
     generate,
     liquidity_preset,
     seasonal_injection_schedule,
 )
 
-from conftest import MONDAY, brute_force_segments, load_rows, make_series, points
+from conftest import (
+    MONDAY,
+    brute_force_segments,
+    episode_rows,
+    episodes,
+    load_rows,
+    make_series,
+    points,
+)
 
 WEEKDAYS = frozenset({0, 1, 2, 3, 4})
 
@@ -147,8 +154,8 @@ def test_injection_recovery_hundred_episodes():
     for _ in range(100):
         dur = int(rng.integers(1, 11))
         mag = round(float(rng.uniform(0.5, 10.0)), 2)
-        direction = Direction(int(rng.integers(1, 3)))
-        injections.append(InjectionSpec(t, dur, mag, direction))
+        direction = int(rng.integers(1, 3))
+        injections.append((t, dur, mag, direction))
         t += dur + int(rng.integers(2, 60))
     window = SeriesWindow(MONDAY, MONDAY + 86400, WEEKDAYS)
     cfg = SynthConfig(
@@ -160,17 +167,18 @@ def test_injection_recovery_hundred_episodes():
         volatilities={"EUR/USD": 2e-6, "USD/CHF": 2e-6},
         spread_points={p.name: tuple([2.0] * 24) for p in spec.pairs},
         gap_rate=tuple([0.001] * 24),
-        injections=tuple(injections),
+        injections=episodes(*injections),
     )
     a, b, c = generate(cfg)
     detected = {
         (o.start, o.run_length, o.direction): o
         for o in segment_opportunities(window.grid_times(), compute_rate_products((a, b, c), spec))
     }
-    expected = {(i.start, i.duration_seconds, i.direction): i for i in cfg.injections}
+    expected = {(start, dur, Direction(d)): mag
+                for start, dur, mag, d in episode_rows(cfg.injections)}
     assert set(detected) == set(expected)  # recall and precision both exact
-    for key, inj in expected.items():
-        assert detected[key].magnitude_bp == pytest.approx(inj.magnitude_bp, abs=0.05)
+    for key, magnitude in expected.items():
+        assert detected[key].magnitude_bp == pytest.approx(magnitude, abs=0.05)
 
 
 def test_seasonality_mechanism_reproduction():

@@ -8,7 +8,7 @@ from pathlib import Path
 from triarb.config import synth_config_from_json
 from triarb.opportunity import ArbitrageOpportunity
 
-from conftest import MONDAY, cli_flags
+from conftest import MONDAY, cli_flags, episode_rows
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,8 +28,8 @@ def test_library_use_block_runs(tmp_path, monkeypatch):
     injections = namespace["synth_cfg"].injections
     assert len(injections) == 2
     assert all(isinstance(op, ArbitrageOpportunity) for op in ops)
-    assert [(op.start, op.run_length, op.direction) for op in ops] == [
-        (i.start, i.duration_seconds, i.direction) for i in injections
+    assert [(op.start, op.run_length, op.direction.value) for op in ops] == [
+        (start, dur, direction) for start, dur, _, direction in episode_rows(injections)
     ]
     result = namespace["result"]
     assert result.summary.trades_attempted == 2
