@@ -21,6 +21,7 @@ BLAS, and each extra worker thread would only spin at startup.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -46,8 +47,8 @@ from .market_data import (
     ALL_DAYS,
     HOURS,
     SeriesWindow,
+    TickReader,
     TriangleSpec,
-    load_pair_series,
     write_pair_series_csv,
 )
 from .opportunity import (
@@ -229,22 +230,38 @@ def write_histogram(path: Path, dist: DistributionStats) -> None:
 
 
 def _detect(
-    data_dir: str, triangle: TriangleSpec, window: SeriesWindow
-) -> tuple[list[ArbitrageOpportunity], np.ndarray]:
-    """The opportunities and the (2, grid) rate products of the triangle's tick files.
+    data_dir: str, triangle: TriangleSpec, window: SeriesWindow,
+    hist: Optional[tuple[float, tuple[float, float]]] = None,
+) -> tuple[list[ArbitrageOpportunity], Optional[DistributionStats]]:
+    """The opportunities in the triangle's tick files and, given `hist` (bin
+    width and range), the statistics of their rate products.
 
-    The window's grid is built first, so a window too long to hold one is an
-    input error before any file is read.
+    The window's grid is walked chunk by chunk (`SeriesWindow.chunks`), one
+    `TickReader` per file, so nothing the size of the window is built. A
+    window too long is an input error, and so is a missing file, before any
+    file is read; a bad row is reported in the order the files are read.
     """
-    times = window.grid_times()
-    series = []
-    for pair in triangle.pairs:
-        path = Path(data_dir) / f"{pair.file_stem}.csv"
+    chunks = window.chunks()
+    paths = [Path(data_dir) / f"{pair.file_stem}.csv" for pair in triangle.pairs]
+    for path in paths:
         if not path.exists():
             raise FileNotFoundError(f"missing tick file {path}")
-        series.append(load_pair_series(path, pair, window))
-    gammas = compute_rate_products(series, triangle)
-    return segment_opportunities(times, gammas), gammas
+    ops, held, dist = [], {}, None
+    with contextlib.ExitStack() as stack:
+        readers = [stack.enter_context(TickReader(path, pair, window))
+                   for path, pair in zip(paths, triangle.pairs)]
+        for chunk in chunks:
+            gammas = compute_rate_products([r.read(chunk) for r in readers], triangle)
+            ops += segment_opportunities(chunk.grid_times(), gammas, held)
+            if hist:
+                part = distribution_stats(gammas, *hist)
+                dist = part if dist is None else dist.pooled(part)
+            del gammas  # so that the next chunk's reads do not hold it too
+        ops += segment_opportunities(np.empty(0, dtype=np.int64), np.empty((2, 0)), held)
+        for reader in readers:
+            reader.finish()
+    ops.sort(key=lambda op: (op.start, op.direction.value))
+    return ops, dist
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +301,7 @@ def cmd_detect(args) -> int:
     window = parse_window(args.window, args.weekdays)
     thresholds = check_thresholds(parse_float_list(args.thresholds, "--thresholds"))
     hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
-    ops, gammas = _detect(args.data_dir, triangle, window)
+    ops, dist = _detect(args.data_dir, triangle, window, (args.hist_bin_width, hist_range))
 
     out = _out_dir(args)
     write_csv(
@@ -297,7 +314,6 @@ def cmd_detect(args) -> int:
     write_json(out / "duration_stats.json", dataclasses.asdict(duration_stats(ops)))
     write_csv(out / "threshold_table.csv", ["threshold_bp", "count", "mean_duration"],
               map(dataclasses.astuple, threshold_table(ops, thresholds)))
-    dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
     write_histogram(out / "histogram.csv", dist)
     _write_manifest(
         out, "detect", triangle, window, None,
@@ -425,10 +441,8 @@ def cmd_compare(args) -> int:
 
     stats = []
     for label, data_dir in datasets:
-        ops, gammas = _detect(data_dir, triangle, window)
-        dist = distribution_stats(gammas, args.hist_bin_width, hist_range)
+        ops, dist = _detect(data_dir, triangle, window, (args.hist_bin_width, hist_range))
         stats.append((label, dist, duration_stats(ops)))
-        del ops, gammas  # so the next dataset's load does not hold them too
 
     out = _out_dir(args)
     for label, dist, _ in stats:

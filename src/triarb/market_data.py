@@ -6,9 +6,10 @@ decimal exponent (`scale`). A missing second is one whose mantissas are zero,
 which no quoted price can be. Prices stay exact
 here; the conversion to floating point happens downstream, when rate
 products are computed. Tick files follow one grammar, set out in
-`load_pair_series`: the loader parses it with numpy passes over fixed-size
-blocks of a file's bytes and builds those columns once, and the writer
-formats the columns straight back to it from digit matrices.
+`load_pair_series`: a `TickReader` parses it with numpy passes over
+fixed-size blocks of a file's bytes, onto the columns of one chunk of a
+window at a time, and the writer formats the columns straight back to it
+from digit matrices.
 
 The time grid has a fixed resolution of one second. A grid second carries a
 quote only if at least one raw tick fell inside that second; when several
@@ -19,6 +20,7 @@ keeps all seven.
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass
@@ -43,6 +45,7 @@ _EPOCH_WEEKDAY = 3
 
 WEEKDAYS = frozenset({0, 1, 2, 3, 4})
 ALL_DAYS = frozenset(range(7))
+MAX_DAYS = 1 << 17  # the calendar days a window may touch, about 359 years
 
 
 def _weekday_of(epoch_day):
@@ -90,7 +93,9 @@ class SeriesWindow:
     """Half-open time interval [start, end) on the days of `weekday_filter`.
 
     `weekday_filter` uses Monday = 0 .. Sunday = 6 and defaults to every day;
-    seconds falling on an excluded day are not part of the grid at all.
+    seconds falling on an excluded day are not part of the grid at all. A
+    window touches at most `MAX_DAYS` calendar days, so that its per-day
+    counts stay small; a longer one is a TriarbError.
     """
 
     start: int
@@ -104,24 +109,22 @@ class SeriesWindow:
         if not wf or not wf <= ALL_DAYS:
             raise TriarbError(f"invalid weekday filter {self.weekday_filter}")
         object.__setattr__(self, "weekday_filter", wf)
+        if (self.end - 1) // SECONDS_PER_DAY - self.start // SECONDS_PER_DAY >= MAX_DAYS:
+            raise self._too_long()
 
     def grid_times(self) -> np.ndarray:
-        """All grid seconds of the window, ascending (int64). A window too
-        long for them to fit in memory is a TriarbError."""
+        """All grid seconds of the window, ascending (int64), built from the day
+        counts. A window too long for them to fit in memory is a TriarbError."""
+        first, count = self._day_counts()
         try:
-            times = np.arange(self.start, self.end, dtype=np.int64)
-            return times[self.mask(times)]
+            return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
         except MemoryError:
-            raise TriarbError(
-                f"window {self} spans {self.end - self.start:,} seconds, "
-                "too many for its per-second grid to fit in memory"
-            ) from None
+            raise self._too_long() from None
 
     def mask(self, times: np.ndarray) -> np.ndarray:
         """Which of the int64 `times` fall on the window's grid."""
-        weekday_ok = np.isin(np.arange(7), list(self.weekday_filter))  # Monday = 0
         inside = (times >= self.start) & (times < self.end)
-        inside &= weekday_ok[_weekday_of(times // SECONDS_PER_DAY)]
+        inside &= _weekday_table(self.weekday_filter)[_weekday_of(times // SECONDS_PER_DAY)]
         return inside
 
     def grid_size(self) -> int:
@@ -142,6 +145,18 @@ class SeriesWindow:
         return [date(1970, 1, 1) + timedelta(days=t // SECONDS_PER_DAY)
                 for t in first[count > 0].tolist()]
 
+    def chunks(self) -> list[SeriesWindow]:
+        """The window cut before every `CHUNK_SECONDS`-th grid second: windows
+        of `CHUNK_SECONDS` grid seconds each and one of the rest, which tile
+        this one's interval. A grid no longer than that is one chunk, equal to
+        the window."""
+        first, count = self._day_counts()
+        ends = np.cumsum(count)
+        cuts = np.arange(CHUNK_SECONDS, ends[-1], CHUNK_SECONDS)
+        day = np.searchsorted(ends, cuts, side="right")
+        bounds = [self.start, *(first[day] + cuts - (ends - count)[day]).tolist(), self.end]
+        return [SeriesWindow(a, b, self.weekday_filter) for a, b in zip(bounds, bounds[1:])]
+
     def _day_counts(self):
         """The first second in the window of each calendar day it touches, and
         that day's number of grid seconds."""
@@ -149,6 +164,18 @@ class SeriesWindow:
         first = np.maximum(day * SECONDS_PER_DAY, self.start)
         last = np.minimum(day * SECONDS_PER_DAY + SECONDS_PER_DAY, self.end)
         return first, (last - first) * self.mask(first)
+
+    def _too_long(self) -> TriarbError:
+        return TriarbError(f"window {self} spans {self.end - self.start:,} seconds, "
+                           "too many for its per-second grid to fit in memory")
+
+
+@functools.lru_cache(maxsize=None)
+def _weekday_table(weekdays: frozenset[int]) -> np.ndarray:
+    """Which weekdays (Monday = 0) are in `weekdays`, as a read-only bool array of 7."""
+    table = np.isin(np.arange(7), list(weekdays))
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(eq=False, slots=True)
@@ -240,9 +267,12 @@ class TriangleSpec:
 
 # Tick files are read and written in blocks of about this many bytes. A
 # block's partial last line is carried into the next block, so the loader's
-# temporaries follow the block size and its result follows the window, never
-# the file size.
+# temporaries follow the block size, never the file size.
 BLOCK_BYTES = 1 << 18
+# The tick commands walk a window's grid in chunks of this many grid seconds
+# (`SeriesWindow.chunks`), so that what they hold follows the chunk, not the
+# window.
+CHUNK_SECONDS = 1 << 14
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
 _COMMA, _DOT, _LF, _CR, _ZERO = (ord(c) for c in ",.\n\r0")
@@ -272,110 +302,203 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     decimal places among the ticks kept; that scale is at most 17 and every
     mantissa at it below 10**18, so the series can be written back.
 
+    This is a `TickReader` that reads the whole window as one chunk.
+    """
+    with TickReader(path, pair, window) as reader:
+        series = reader.read(window)
+        reader.finish()
+    return series
+
+
+class TickReader:
+    """One tick file read forward onto consecutive chunks of a window's grid.
+
     The file is parsed by numpy passes over blocks of `BLOCK_BYTES`, each
     block's rows as a few byte matrices, one per row layout (see
-    `_parse_block`). Each block's last tick per second goes straight onto
-    the grid, at an index counted by calendar days, with its decimal places;
-    a later block overwrites an earlier one, so a second that straddles two
-    blocks keeps its last tick. A load holds its result and one block.
+    `_parse_block`). Of each block it keeps the last tick of each grid second,
+    at an index counted by calendar days, until a chunk takes it; a second
+    that straddles two blocks keeps its later block's tick. Between reads it
+    holds only the bytes after the last whole line, the next line's number,
+    the last timestamp and those ticks, at most a block's.
+
+    `read` returns the next chunk; the chunks must tile the window in order,
+    as `SeriesWindow.chunks` does, and the one that ends the grid reads the
+    file to its end. Each chunk's prices share that chunk's largest number of
+    decimal places. `finish` then checks the file as a whole, as
+    `load_pair_series` describes.
     """
-    n = window.grid_size()
-    placed = np.zeros((2, n), dtype=np.int64)
-    places = np.full((2, n), -1, dtype=np.int8)  # -1: a missing second
-    n_crossed = 0
-    with open(path, "rb") as fh:
-        for t, bid, ask, crossed, _ in _ticks(fh, path):
-            n_crossed += int(crossed.sum())
-            rows = np.flatnonzero(_last_per_second(t))
-            index = window.grid_index(t[rows])
-            on = index >= 0
-            rows, index = rows[on], index[on]
-            placed[:, index] = bid[0, rows], ask[0, rows]
-            places[:, index] = bid[1, rows], ask[1, rows]
-    if n_crossed:
-        warnings.warn(f"{path}: accepted {n_crossed} crossed quote(s) (bid > ask)",
-                      CrossedQuoteWarning, stacklevel=2)
-    missing = places[0] < 0
-    if missing.all():
-        raise EmptySeriesError(f"{path}: no tick falls inside window {window}")
-    scale = int(places.max())
-    flat_m, flat_p = placed.reshape(-1), places.reshape(-1)
-    low = np.flatnonzero((flat_p >= 0) & (flat_p < scale))  # (side, second) to rescale
-    shift = scale - flat_p[low]
-    over = low[flat_m[low] >= _POW10[18 - shift]]  # what the grammar cannot write
-    if scale > 17 or over.size:  # name the line of the first such second's last tick
-        second = window.grid_times()[np.argmin(missing) if scale > 17 else (over % n).min()]
-        with open(path, "rb") as fh:
-            line_no = max(int(lines[t == second].max(initial=0))
-                          for t, *_, lines in _ticks(fh, path))
-        raise TickParseError(path, line_no, "price needs more than 18 digits at the file's "
-                                            f"{scale} decimal places")
-    flat_m[low] *= _POW10[shift]
-    return PairSeries(pair, window, placed[0], placed[1], scale)
 
+    def __init__(self, path, pair: Pair, window: SeriesWindow):
+        self.path, self.pair, self.window = path, pair, window
+        self._fh = open(path, "rb")
+        self._carry = b""  # the bytes after the last whole line
+        self._line_no = 1  # of the carry's first line
+        self._iso = self._last_t = None
+        self._eof = False
+        self._index = np.empty(0, dtype=np.int64)  # grid index of each tick kept
+        self._mantissas = np.empty((2, 0), dtype=np.int64)  # their bid and ask
+        self._places = np.empty((2, 0), dtype=np.int8)  # and decimal places
+        self._placed = 0  # grid seconds read
+        self._n_crossed = 0
+        # of the ticks placed: the most decimal places, and the most digits less places
+        self._scale = self._digits = -1
 
-def _ticks(fh, path):
-    """Yield (timestamps, bids, asks, crossed flags, line numbers) per block of data rows."""
-    iso = last_t = None
-    for line_no, buf, starts, ends in _line_blocks(fh, path):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, chunk: SeriesWindow) -> PairSeries:
+        """The series of the next chunk of the window, at the chunk's scale."""
+        placed, places = self._take(chunk.grid_size())
+        scale = int(places.max(initial=-1))
+        flat_m, flat_p = placed.reshape(-1), places.reshape(-1)
+        low = np.flatnonzero((flat_p >= 0) & (flat_p < scale))  # (side, second) to rescale
+        shift = scale - flat_p[low]
+        over = flat_m[low] >= _POW10[18 - shift]  # too long here, so at the file's scale
+        flat_m[low] *= _POW10[shift]
+        flat_m[low[over]] = 0  # the file is refused in `finish`
+        if scale >= 0:
+            top = int(np.searchsorted(_POW10, flat_m.max(), side="right")) - scale
+            self._digits = max(self._digits, 19 - scale if over.any() else top)
+            self._scale = max(self._scale, scale)
+        return PairSeries(self.pair, chunk, placed[0], placed[1], max(scale, 0))
+
+    def finish(self) -> None:
+        """Once the last chunk has read the file to its end, warn of crossed
+        quotes and refuse a file with no tick in the window, or one whose
+        prices need more than 18 digits at the largest decimal places of all
+        its ticks kept."""
+        if self._n_crossed:
+            warnings.warn(f"{self.path}: accepted {self._n_crossed} crossed quote(s) (bid > ask)",
+                          CrossedQuoteWarning, stacklevel=3)
+        if self._scale < 0:
+            raise EmptySeriesError(f"{self.path}: no tick falls inside window {self.window}")
+        if self._scale > 17 or self._digits + self._scale > 18:
+            raise TickParseError(self.path, self._overflow_line(),
+                                 "price needs more than 18 digits at the file's "
+                                 f"{self._scale} decimal places")
+
+    def _take(self, size: int):
+        """The (2, size) bid and ask mantissas and int8 decimal places (-1 for
+        none) of the next `size` grid seconds, from their last ticks. A later
+        block's tick overwrites an earlier one's, so a second that straddles
+        two blocks keeps its last tick."""
+        lo = self._placed
+        hi = self._placed = lo + size
+        placed = np.zeros((2, size), dtype=np.int64)
+        places = np.full((2, size), -1, dtype=np.int8)
+        while True:
+            k = int(np.searchsorted(self._index, hi))
+            at = self._index[:k] - lo
+            placed[:, at] = self._mantissas[:, :k]
+            places[:, at] = self._places[:, :k]
+            # copies, so that the rest of a block does not hold all of it
+            self._index, self._mantissas, self._places = (
+                self._index[k:].copy(), self._mantissas[:, k:].copy(), self._places[:, k:].copy())
+            if self._index.size or self._eof:  # a tick past the chunk, or the end
+                return placed, places
+            self._keep_block()
+
+    def _keep_block(self) -> None:
+        """Parse the next block and keep the last tick of each of its grid seconds."""
+        rows = self._next_rows()
+        if rows is None:
+            return
+        t, mantissas, places, crossed, _ = rows
+        self._n_crossed += int(crossed.sum())
+        rows = np.flatnonzero(_last_per_second(t))
+        index = self.window.grid_index(t[rows])
+        on = index >= 0
+        rows = rows[on]
+        self._index, self._mantissas, self._places = (
+            index[on], mantissas[:, rows], places[:, rows])
+
+    def _next_rows(self):
+        """The timestamps, the (2, rows) bid and ask mantissas and decimal
+        places, the crossed-quote flags and the line numbers of the next
+        block's data rows, checked; None at the end of the file.
+
+        A line ends at LF or CRLF. The bytes after a block's last LF are
+        carried into the next block, and at the end of the file they are its
+        last line. An empty file, or a line longer than a block, is a
+        TickParseError.
+        """
+        while not self._eof:
+            buf = np.frombuffer(self._carry + self._fh.read(BLOCK_BYTES), dtype=np.uint8)
+            self._eof = buf.size == len(self._carry)
+            ends = np.flatnonzero(buf == _LF)
+            rest = int(ends[-1]) + 1 if ends.size else 0
+            if self._eof and rest < buf.size:
+                ends = np.append(ends, buf.size)
+                rest = buf.size
+            self._carry = buf[rest:].tobytes()
+            rows = self._parse_lines(buf, ends) if ends.size else None
+            if len(self._carry) > BLOCK_BYTES:
+                raise TickParseError(self.path, self._line_no,
+                                     f"line longer than {BLOCK_BYTES} bytes")
+            if rows is not None:
+                return rows
+        if self._line_no == 1:
+            raise TickParseError(self.path, 1, "empty file")
+        return None
+
+    def _parse_lines(self, buf, ends):
+        """Parse the data rows among the lines of `buf` that end at `ends`."""
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        # only a line that ends at an LF can end in CRLF
+        ends = ends - ((ends > starts) & (ends < buf.size) & (buf[ends - 1] == _CR))
+        line_no = self._line_no
+        self._line_no += ends.size
         if line_no == 1:
             header = buf[starts[0]:ends[0]].tobytes()
             if header.lower() != b"timestamp,bid,ask":
-                raise TickParseError(path, 1, f"expected header timestamp,bid,ask, "
-                                              f"got {header[:80]!r}")
+                raise TickParseError(self.path, 1, f"expected header timestamp,bid,ask, "
+                                                   f"got {header[:80]!r}")
             line_no, starts, ends = 2, starts[1:], ends[1:]
         lines = line_no + np.arange(starts.size)
         data = starts < ends  # blank lines are skipped but keep their numbers
-        lines, starts, ends = lines[data], starts[data], ends[data]
+        if not data.all():
+            lines, starts, ends = lines[data], starts[data], ends[data]
         if not lines.size:
-            continue
-        if iso is None:  # epoch seconds if the first data row's timestamp is all digits
-            iso = not buf[starts[0]:ends[0]].tobytes().partition(b",")[0].isdigit()
-        t, bid, ask, crossed = _parse_block(path, buf, starts, ends, lines, iso, last_t)
-        last_t = int(t[-1])
-        yield t, bid, ask, crossed, lines
+            return None
+        if self._iso is None:  # epoch seconds if the first data row's timestamp is all digits
+            self._iso = not buf[starts[0]:ends[0]].tobytes().partition(b",")[0].isdigit()
+        t, mantissas, places, crossed = _parse_block(self.path, buf, starts, ends, lines,
+                                                     self._iso, self._last_t)
+        self._last_t = int(t[-1])
+        return t, mantissas, places, crossed, lines
 
-
-def _line_blocks(fh, path):
-    """Yield (first line number, bytes, line starts, line ends) per block of `fh`.
-
-    A line ends at LF or CRLF; `ends` excludes the terminator. The bytes
-    after a block's last LF are carried into the next block, and at the end
-    of the file they are its last line. An empty file, or a line longer than
-    a block, is a TickParseError.
-    """
-    line_no = 1
-    carry = b""
-    eof = False
-    while not eof:
-        data = fh.read(BLOCK_BYTES)
-        eof = not data
-        buf = np.frombuffer(carry + data, dtype=np.uint8)
-        ends = np.flatnonzero(buf == _LF)
-        rest = int(ends[-1]) + 1 if ends.size else 0
-        if eof and rest < buf.size:
-            ends = np.append(ends, buf.size)
-            rest = buf.size
-        carry = buf[rest:].tobytes()
-        if ends.size:
-            starts = np.empty_like(ends)
-            starts[0] = 0
-            starts[1:] = ends[:-1] + 1
-            # only a line that ends at an LF can end in CRLF
-            ends = ends - ((ends > starts) & (ends < buf.size) & (buf[ends - 1] == _CR))
-            yield line_no, buf, starts, ends
-            line_no += ends.size
-        if len(carry) > BLOCK_BYTES:
-            raise TickParseError(path, line_no, f"line longer than {BLOCK_BYTES} bytes")
-    if line_no == 1:
-        raise TickParseError(path, 1, "empty file")
+    def _overflow_line(self) -> int:
+        """The line of the last tick of the first grid second whose price needs
+        more than 18 digits at the file's scale, or of the first quoted second
+        if that scale is past 17; the file is read again for it."""
+        scale = self._scale
+        with TickReader(self.path, self.pair, self.window) as again:
+            for chunk in self.window.chunks():
+                placed, places = again._take(chunk.grid_size())
+                bad = places >= 0
+                if scale <= 17:
+                    bad &= placed >= _POW10[18 - scale + places]  # places -1 is masked
+                if bad.any():
+                    second = int(chunk.grid_times()[bad.any(axis=0).argmax()])
+                    break
+        line_no = 0
+        with TickReader(self.path, self.pair, self.window) as again:
+            while (rows := again._next_rows()) is not None:
+                t, *_, lines = rows
+                line_no = max(line_no, int(lines[t == second].max(initial=0)))
+        return line_no
 
 
 def _parse_block(path, buf, starts, ends, lines, iso, last_t):
     """Parse and check the data rows of one block.
 
-    Returns the timestamps, the (mantissa, places) rows of bids and asks and
-    the crossed-quote flags. Raises the error of the first bad row: not three
+    Returns the timestamps, the (2, rows) bid and ask mantissas and int8
+    decimal places, and the crossed-quote flags. Raises the error of the first bad row: not three
     fields, a bad timestamp or price, a non-positive price, or a timestamp
     before the one of the row above it (`last_t` for the block's first row).
 
@@ -390,7 +513,8 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
     """
     n = starts.size
     t = np.zeros(n, dtype=np.int64)
-    bid, ask = np.zeros((2, 2, n), dtype=np.int64)  # (mantissa, places) rows
+    mantissas = np.zeros((2, n), dtype=np.int64)  # bid, ask
+    places = np.zeros((2, n), dtype=np.int8)
     todo = np.ones(n, dtype=bool)
     failed = None  # (row, index in _CHECKS) of a template outside the grammar
     while todo.any():
@@ -406,7 +530,7 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
         punct = [c for c, char in enumerate(template) if not _ZERO <= char < _ZERO + 10]
         chars = sliding_window_view(buf, width)[starts[rows]]
         same = chars[:, punct] == np.frombuffer(template, dtype=np.uint8)[punct]
-        chars[:, punct] = np.where(same, _ZERO, 0)
+        chars[:, punct] = np.where(same, np.uint8(_ZERO), np.uint8(0))
         chars -= _ZERO  # uint8: a non-digit, or the 0 of a wrong byte, wraps to 10 or more
         if chars.max() >= 10:  # rows of other layouts among them
             inside = chars.max(axis=1) < 10
@@ -414,19 +538,19 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
         todo[rows] = False
         if stamp_cols:
             t[rows] = _horner(chars, stamp_cols)
-        for out, (cols, places) in zip((bid, ask), prices):
-            out[0, rows] = _horner(chars, cols)
-            out[1, rows] = places
+        for side, (cols, dot_places) in enumerate(prices):
+            mantissas[side, rows] = _horner(chars, cols)
+            places[side, rows] = dot_places
     k = n if failed is None else failed[0] + 1  # no later row is checked
     t_ok = np.ones(k, dtype=bool)
     read = k - (failed is not None and failed[1] < 2)  # a failed template's time if it has one
     if iso and read:
         t[:read], t_ok[:read] = _iso_seconds(sliding_window_view(buf, 19)[starts[:read]])
-    t, bid, ask = t[:k], bid[:, :k], ask[:, :k]
+    t, mantissas, places = t[:k], mantissas[:, :k], places[:, :k]
     before = np.empty_like(t)
     before[1:] = t[:-1]
     before[:1] = t[:1] if last_t is None else last_t
-    positive = (bid[0] != 0) & (ask[0] != 0)
+    positive = (mantissas[0] != 0) & (mantissas[1] != 0)
     bad = ~(t_ok & positive) | (t < before)
     if failed is not None:
         bad[-1] = True
@@ -442,7 +566,7 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
         else:
             raise TickOrderingError(f"{path}:{lines[i]}: timestamp {t[i]} precedes {before[i]}")
         raise TickParseError(path, int(lines[i]), f"{what} in {row!r}")
-    return t, bid, ask, _greater(bid, ask)
+    return t, mantissas, places, _greater(mantissas, places)
 
 
 def _layout(row, iso):
@@ -501,15 +625,15 @@ def _iso_seconds(chars):
     return seconds, ok & (seconds >= 0)
 
 
-def _greater(x, y):
-    """Exact x > y for (mantissa, places) rows of prices (places <= 18): the
-    mantissas where the places agree; elsewhere integer parts first, then
-    fractions padded to 18 places."""
-    greater = x[0] > y[0]
-    i = np.flatnonzero(x[1] != y[1])
-    x, y = x[:, i], y[:, i]
-    (xi, xf), (yi, yf) = (np.divmod(p[0], _POW10[p[1]]) for p in (x, y))
-    greater[i] = (xi > yi) | ((xi == yi) & (xf * _POW10[18 - x[1]] > yf * _POW10[18 - y[1]]))
+def _greater(mantissas, places):
+    """Exact bid > ask for (2, rows) bid and ask mantissas and decimal places
+    (<= 18): the mantissas where the places agree; elsewhere integer parts
+    first, then fractions padded to 18 places."""
+    greater = mantissas[0] > mantissas[1]
+    i = np.flatnonzero(places[0] != places[1])
+    m, p = mantissas[:, i], places[:, i]
+    (xi, yi), (xf, yf) = np.divmod(m, _POW10[p])
+    greater[i] = (xi > yi) | ((xi == yi) & (xf * _POW10[18 - p[0]] > yf * _POW10[18 - p[1]]))
     return greater
 
 

@@ -62,48 +62,86 @@ class ThresholdRow:
 
 @dataclass(frozen=True)
 class DistributionStats:
-    """Mean, population stdev, and histogram of the nonzero rate products.
+    """Count, mean, population stdev, and histogram of the nonzero rate products.
 
     Missing seconds (rate product zero) are structural, not price
-    observations; they are excluded from all three.
+    observations; they are excluded from all of them. `m2` is the sum of the
+    squared deviations from the mean.
     """
 
+    n: int
     mean: float
-    std: float
+    m2: float
     bin_edges: np.ndarray
     counts: np.ndarray
     underflow: int
     overflow: int
 
+    @property
+    def std(self) -> float:
+        return math.sqrt(self.m2 / self.n) if self.n else 0.0
 
-def segment_opportunities(times: np.ndarray, gammas: np.ndarray) -> list[ArbitrageOpportunity]:
+    def pooled(self, other: DistributionStats) -> DistributionStats:
+        """The statistics of both sets of rate products, on the same bins:
+        counts add up, and mean and `m2` combine as Chan, Golub and LeVeque
+        (1979) pool two samples' moments."""
+        if not other.n:
+            n, mean, m2 = self.n, self.mean, self.m2
+        elif not self.n:
+            n, mean, m2 = other.n, other.mean, other.m2
+        else:
+            n = self.n + other.n
+            delta = other.mean - self.mean
+            mean = self.mean + delta * other.n / n
+            m2 = self.m2 + other.m2 + delta * delta * self.n * other.n / n
+        return DistributionStats(n, mean, m2, self.bin_edges, self.counts + other.counts,
+                                 self.underflow + other.underflow,
+                                 self.overflow + other.overflow)
+
+
+def segment_opportunities(
+    times: np.ndarray, gammas: np.ndarray, held: dict | None = None
+) -> list[ArbitrageOpportunity]:
     """Maximal runs with gamma > 1, ordered by (start, direction).
 
     `gammas` holds the rate products over `times` as `compute_rate_products`
     returns them: row 0 is DIR1, row 1 is DIR2.
+
+    With `held`, a dict kept across the chunks of one grid, the grid is
+    walked chunk by chunk and only closed runs are returned: a run that
+    reaches the chunk's last second is held back in `held`, by direction,
+    and joins a run that starts on the next chunk's first second if that
+    second follows its last. Empty arrays return the runs still held.
     """
     out = []
     for direction, g in zip(Direction, gammas):
+        runs = []
         idx = np.flatnonzero(g > 1.0)
-        if idx.size == 0:
-            continue
-        # A run breaks where the above-one indices are not adjacent or the grid
-        # seconds themselves are not consecutive.
-        brk = np.flatnonzero((np.diff(idx) != 1) | (np.diff(times[idx]) != 1))
-        starts = np.concatenate(([0], brk + 1))
-        ends = np.concatenate((brk, [idx.size - 1]))
-        peaks = np.maximum.reduceat(g[idx], starts)
-        for s, e, peak in zip(starts, ends, peaks):
-            i0 = idx[s]
-            out.append(
-                ArbitrageOpportunity(
-                    start=int(times[i0]),
-                    run_length=int(e - s + 1),
-                    initial_gamma=float(g[i0]),
-                    peak_gamma=float(peak),
-                    direction=direction,
-                )
-            )
+        if idx.size:
+            # A run breaks where the above-one indices are not adjacent or the grid
+            # seconds themselves are not consecutive.
+            brk = np.flatnonzero((np.diff(idx) != 1) | (np.diff(times[idx]) != 1))
+            starts = np.concatenate(([0], brk + 1))
+            lengths = np.diff(np.concatenate((starts, [idx.size])))
+            peaks = np.maximum.reduceat(g[idx], starts)
+            first = idx[starts]
+            runs = [ArbitrageOpportunity(start, length, initial, peak, direction)
+                    for start, length, initial, peak in zip(
+                        times[first].tolist(), lengths.tolist(), g[first].tolist(),
+                        peaks.tolist())]
+        if held is not None:
+            before = held.pop(direction, None)
+            if before is not None:
+                if runs and idx[0] == 0 and times[0] == before.start + before.run_length:
+                    runs[0] = ArbitrageOpportunity(
+                        before.start, before.run_length + runs[0].run_length,
+                        before.initial_gamma, max(before.peak_gamma, runs[0].peak_gamma),
+                        direction)
+                else:
+                    out.append(before)
+            if runs and idx[-1] == g.size - 1:
+                held[direction] = runs.pop()
+        out += runs
     out.sort(key=lambda op: (op.start, op.direction.value))
     return out
 
@@ -206,18 +244,17 @@ def distribution_stats(
     # one histogram with an open cell on each side: numpy closes only the last
     # cell, so a gamma on the top edge counts once, as overflow
     cells, _ = np.histogram(valid, bins=np.concatenate(([-np.inf], edges, [np.inf])))
+    mean = m2 = 0.0
     if valid.size:
         mean = float(valid.mean())
         # numpy's std(ddof=0) step for step, in place on this function's own copy
         valid -= mean
         valid *= valid
-        std = math.sqrt(valid.sum() / valid.size)
-    else:
-        mean = 0.0
-        std = 0.0
+        m2 = float(valid.sum())
     return DistributionStats(
+        n=valid.size,
         mean=mean,
-        std=std,
+        m2=m2,
         bin_edges=edges,
         counts=cells[1:-1],
         underflow=int(cells[0]),

@@ -140,11 +140,14 @@ def simulate_trades(ops: Sequence[ArbitrageOpportunity], configs: Sequence[Simul
     initial = np.array([op.initial_gamma for op in ops], dtype=np.float64)
     long_run = np.array([op.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for op in ops], dtype=bool)
     sweeps = [_Sweep(initial, long_run, cfg, lam_bp) for cfg in configs]
+    # the configs' (run, loss, p) break-even profits, one block at a time; one
+    # buffer for all, so that no block maps fresh pages for its own
+    profit = np.empty((min(BLOCK, runs), lam_bp.size, P_GRID.size))
     # 0/0 at flat zero crossings, overflow at huge volumes: callers refuse non-finite results
     with np.errstate(all="ignore"):
         for start, u, cell in _uniform_blocks(seed, runs, initial.size):
             for s in sweeps:
-                s.add_block(start, u, cell)
+                s.add_block(start, u, cell, profit[:u.shape[0]])
         return [s.result() for s in sweeps]
 
 
@@ -209,7 +212,10 @@ class _Sweep:
             raise TriarbError(
                 f"runs {cfg.runs:,}: too many for the per-run results to fit in memory") from None
 
-    def add_block(self, start: int, u: np.ndarray, cell: np.ndarray) -> None:
+    def add_block(self, start: int, u: np.ndarray, cell: np.ndarray,
+                  profit: np.ndarray) -> None:
+        """Add a block of runs: its first run, uniforms and cells; `profit` is
+        (runs, losses, P_GRID) float64 scratch space."""
         cfg, b, bins = self.cfg, u.shape[0], P_GRID.size
         rows = slice(start, start + b)
         filled = self.certain | (self.trade & (u < cfg.fill_prob))
@@ -233,7 +239,7 @@ class _Sweep:
         block_sums[0] += self.sums
         self.sums = block_sums.sum(axis=0)
         # break-even profit over (run, loss, p), C-contiguous so that the reshape is a view
-        profit = unfilled[:, None, :] * self.lam_cost[:, None]
+        np.multiply(unfilled[:, None, :], self.lam_cost[:, None], out=profit)
         np.subtract(gains[:, None, :], profit, out=profit)
         crossing = _zero_crossings(profit.reshape(-1, bins))
         self.crossings[:, rows] = np.where(np.isnan(crossing), 1.0, crossing).reshape(b, -1).T

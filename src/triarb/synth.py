@@ -185,7 +185,6 @@ def _off_grid_error(start: int, duration: int, window: SeriesWindow) -> SynthCon
 def _validate_injections(injections: Injections, window: SeriesWindow) -> None:
     """Raise for the first episode in start order that leaves the grid, or that
     leaves no clean second after the one before, so that their runs would merge."""
-    window.grid_times()  # a grid too large for memory raises here, before the day counts
     order = np.argsort(injections.start, kind="stable")
     start, duration = injections.start[order], injections.duration_seconds[order]
     off = ~_on_grid(start, duration, window)
@@ -334,9 +333,9 @@ def seasonal_injection_schedule(
     if not 0 < lo_bp <= hi_bp:
         raise SynthConfigError(f"schedule.magnitude_range: bad range {magnitude_range}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    times = window.grid_times()
+    hours = np.arange(-(-window.start // 3600) * 3600, window.end, 3600)
     drawn = []
-    for h0 in times[times % 3600 == 0].tolist():
+    for h0 in hours[window.mask(hours)].tolist():  # the grid's whole hours
         h = h0 % 86_400 // 3600
         n = rng.poisson(base_rate_per_hour * (1.0 + OPEN_SESSIONS[h]))
         if n == 0:

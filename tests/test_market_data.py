@@ -21,6 +21,7 @@ from triarb.errors import (
     EmptySeriesError,
     TickOrderingError,
     TickParseError,
+    TriarbError,
 )
 from triarb import market_data
 from triarb.config import parse_timestamp, parse_window
@@ -566,9 +567,14 @@ def tick_files(draw):
 
 
 def _block_first_lines(path):
-    """The first line number of each block the loader reads of `path`."""
-    with open(path, "rb") as fh:
-        return [line_no for line_no, *_ in market_data._line_blocks(fh, path)]
+    """The first line number of each block of rows the loader reads of `path`."""
+    firsts = []
+    with market_data.TickReader(path, EURUSD, SeriesWindow(0, 1)) as reader:
+        while True:
+            first = reader._line_no
+            if reader._next_rows() is None:
+                return firsts
+            firsts.append(first)
 
 
 def _outcome(load, path, window):
@@ -705,6 +711,36 @@ class TestSeriesWindow:
         expected = [grid.tolist().index(t) if t in grid else -1 for t in times.tolist()]
         assert window.grid_size() == grid.size
         assert window.grid_index(times).tolist() == expected
+
+    def test_window_too_long_for_its_day_counts_is_refused(self, tmp_path):
+        # about 1.16e12 days, once a MemoryError from the day counts of a load
+        path = tmp_path / "ticks.csv"
+        write_rows(path, [(345600, "1.2", "1.3")])
+        with pytest.raises(TriarbError, match="spans 99,999,999,999,654,400 seconds, too many "
+                                              "for its per-second grid"):
+            load_pair_series(path, EURUSD, SeriesWindow(345600, 10**17))
+        last = market_data.MAX_DAYS * SECONDS_PER_DAY
+        assert SeriesWindow(0, last).grid_size() == last
+        with pytest.raises(TriarbError, match="too many for its per-second grid"):
+            SeriesWindow(0, last + 1)
+
+    @given(st.integers(0, 30 * SECONDS_PER_DAY), st.integers(1, 10 * SECONDS_PER_DAY),
+           st.one_of(st.just(frozenset(range(7))), st.frozensets(st.integers(0, 6), min_size=1)),
+           st.integers(1, 3 * SECONDS_PER_DAY))
+    @settings(max_examples=200, deadline=None)
+    def test_chunks_tile_the_window_by_grid_seconds(self, start, length, weekdays, size):
+        window = SeriesWindow(start, start + length, weekdays)
+        size = max(size, length // 100)  # at most about 100 chunks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(market_data, "CHUNK_SECONDS", size)
+            chunks = window.chunks()
+        assert (chunks[0].start, chunks[-1].end) == (window.start, window.end)
+        assert all(a.end == b.start for a, b in zip(chunks, chunks[1:]))
+        sizes = [c.grid_size() for c in chunks]
+        assert sizes[:-1] == [size] * (len(chunks) - 1) and 0 <= sizes[-1] <= size
+        assert sizes[-1] or len(chunks) == 1
+        grid = window.grid_times()
+        assert np.array_equal(np.concatenate([c.grid_times() for c in chunks]), grid)
 
     def test_days_enumeration(self):
         w = SeriesWindow(MONDAY, MONDAY + 3 * 86400, frozenset({0, 1, 2, 3, 4}))

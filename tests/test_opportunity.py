@@ -14,7 +14,7 @@ from triarb.opportunity import (
     threshold_table,
 )
 
-from conftest import brute_force_segments, make_series
+from conftest import MONDAY, brute_force_segments, make_series
 
 
 def op(start=0, run_length=1, initial=1.0001, peak=None, direction=Direction.DIR1):
@@ -28,6 +28,25 @@ def op(start=0, run_length=1, initial=1.0001, peak=None, direction=Direction.DIR
 
 
 class TestSegmentation:
+    @given(st.lists(st.sampled_from([0.0, 0.9999, 1.00001, 1.0002, 1.0003]), max_size=60),
+           st.lists(st.integers(0, 60), max_size=8), st.integers(0, 59))
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_return_the_runs_of_the_whole(self, values, cuts, jump):
+        # with a jump in the grid at `jump`, cut at any grid seconds: the held
+        # runs join, and every run is returned once, whole
+        g = np.array(values)
+        gammas = np.stack([g, g[::-1]])
+        times = np.arange(g.size, dtype=np.int64) + MONDAY
+        times[jump:] += 100
+        bounds = [0, *sorted({c for c in cuts if 0 < c < g.size}), g.size]  # no empty chunk
+        held, ops = {}, []
+        for a, b in zip(bounds, bounds[1:]):
+            ops += segment_opportunities(times[a:b], gammas[:, a:b], held)
+        ops += segment_opportunities(times[:0], gammas[:, :0], held)
+        assert not held
+        ops.sort(key=lambda o: (o.start, o.direction.value))
+        assert ops == segment_opportunities(times, gammas)
+
     def test_worked_example(self):
         series = make_series([0.9999, 1.00002, 1.00005, 0.9999, 1.0002, 0.9998], start=0)
         ops = segment_opportunities(*series)
@@ -252,6 +271,27 @@ class TestDistributionStats:
         assert np.array_equal(pooled.counts, flat.counts)
         total = pooled.counts.sum() + pooled.underflow + pooled.overflow
         assert total == np.count_nonzero(gammas)
+
+    @given(st.lists(st.integers(0, 1500), max_size=6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_chunks_pool_to_the_whole(self, cuts, seed):
+        # counts add up exactly; mean and stdev pool to within 1e-12 of numpy's
+        rng = np.random.default_rng(seed)
+        gammas = rng.uniform(0.9995, 1.0005, size=(2, 1500))
+        gammas[:, rng.integers(0, 1500, size=200)] = 0.0
+        bounds = [0, *sorted(cuts), 1500]
+        parts = [distribution_stats(gammas[:, a:b], 1e-4, (0.999, 1.001))
+                 for a, b in zip(bounds, bounds[1:])]
+        pooled = parts[0]
+        for part in parts[1:]:
+            pooled = pooled.pooled(part)
+        whole = distribution_stats(gammas, 1e-4, (0.999, 1.001))
+        assert (pooled.n, pooled.underflow, pooled.overflow) == (
+            whole.n, whole.underflow, whole.overflow)
+        assert np.array_equal(pooled.counts, whole.counts)
+        valid = gammas[gammas != 0.0]
+        assert pooled.mean == pytest.approx(np.mean(valid), rel=1e-12)
+        assert pooled.std == pytest.approx(np.std(valid), rel=1e-12)
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(ValueError):
