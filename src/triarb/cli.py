@@ -41,11 +41,18 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .config import parse_currencies, parse_float_list, parse_window, synth_config_from_json
+from .config import (
+    format_weekdays,
+    parse_currencies,
+    parse_float_list,
+    parse_window,
+    synth_config_from_json,
+)
 from .errors import SynthConfigError, TriarbError
 from .market_data import (
     ALL_DAYS,
     HOURS,
+    BlockBuffer,
     SeriesWindow,
     TickReader,
     TriangleSpec,
@@ -238,17 +245,22 @@ def _detect(
 
     The window's grid is walked chunk by chunk (`SeriesWindow.chunks`), one
     `TickReader` per file, so nothing the size of the window is built. A
-    window too long is an input error, and so is a missing file, before any
-    file is read; a bad row is reported in the order the files are read.
+    window too long or with no grid second is an input error, and so is a
+    missing file, before any file is read; a bad row is reported in the order
+    the files are read. The readers share one `BlockBuffer`.
     """
+    if not window.grid_size():
+        raise TriarbError(f"window {window.start}..{window.end} holds no second on its "
+                          f"weekdays {format_weekdays(window.weekday_filter)}: its grid is empty")
     chunks = window.chunks()
     paths = [Path(data_dir) / f"{pair.file_stem}.csv" for pair in triangle.pairs]
     for path in paths:
         if not path.exists():
             raise FileNotFoundError(f"missing tick file {path}")
     ops, held, dist = [], {}, None
+    buffer = BlockBuffer()
     with contextlib.ExitStack() as stack:
-        readers = [stack.enter_context(TickReader(path, pair, window))
+        readers = [stack.enter_context(TickReader(path, pair, window, buffer))
                    for path, pair in zip(paths, triangle.pairs)]
         for chunk in chunks:
             gammas = compute_rate_products([r.read(chunk) for r in readers], triangle)

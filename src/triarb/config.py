@@ -84,6 +84,11 @@ def parse_weekdays(text: str) -> frozenset[int]:
     return frozenset(days)
 
 
+def format_weekdays(days: frozenset[int]) -> str:
+    """The weekday list that `parse_weekdays` reads back as `days`."""
+    return ",".join(name for name, day in _DAY_NAMES.items() if day in days)
+
+
 def parse_window(text: str, weekdays: Optional[str] = None) -> SeriesWindow:
     """Parse ``START..END`` (epoch seconds or ISO-8601) plus a weekday filter."""
     start_s, sep, end_s = text.partition("..")

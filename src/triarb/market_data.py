@@ -28,7 +28,7 @@ from datetime import date, timedelta
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     CrossedQuoteWarning,
@@ -133,8 +133,14 @@ class SeriesWindow:
 
     def grid_index(self, times: np.ndarray) -> np.ndarray:
         """Index in `grid_times()` of each of the int64 `times`, -1 off the grid,
-        counted by calendar days with no grid built."""
+        counted by calendar days with no grid built. Times that all fall on the
+        grid seconds of one day, which are consecutive, take one addition."""
         first, count = self._day_counts()
+        if times.size:
+            low, high = int(times.min()), int(times.max())
+            day = low // SECONDS_PER_DAY - self.start // SECONDS_PER_DAY
+            if 0 <= day < first.size and first[day] <= low and high < first[day] + count[day]:
+                return times + (int(count[:day].sum()) - int(first[day]))
         on = self.mask(times)
         day = np.where(on, times // SECONDS_PER_DAY - self.start // SECONDS_PER_DAY, 0)
         return np.where(on, (np.cumsum(count) - count)[day] + times - first[day], -1)
@@ -273,6 +279,8 @@ BLOCK_BYTES = 1 << 18
 # (`SeriesWindow.chunks`), so that what they hold follows the chunk, not the
 # window.
 CHUNK_SECONDS = 1 << 14
+# A block's LF bytes are found this many bytes at a time (`_line_ends`).
+_MASK_BYTES = 1 << 16
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
 _COMMA, _DOT, _LF, _CR, _ZERO = (ord(c) for c in ",.\n\r0")
@@ -280,6 +288,9 @@ _CHECKS = ("expected 3 fields", "bad timestamp", "bad price")  # in the order ro
 _ISO = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{3})?Z?")
 # (first column, width) of the year, month, day, hour, minute and second of an ISO time
 _ISO_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))
+_FOLD = 64  # rows per long row in `_column_range`
+_MIDNIGHT = np.uint64(int.from_bytes(b"00:00:00", "little"))
+_REPUNITS = np.array([(10**k - 1) // 9 for k in range(19)], dtype=np.int64)  # 0, 1, 11, ...
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])  # months 00 to 13+
 
 
@@ -310,16 +321,48 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
     return series
 
 
+class BlockBuffer:
+    """The bytes of one block, reused block after block.
+
+    The tick readers of one command share one, and each parses a block it
+    read before another reader reads the next, so that no block allocates a
+    new block of bytes. Nothing a reader keeps points into it.
+    """
+
+    def __init__(self):
+        self._bytes = np.empty(0, dtype=np.uint8)
+
+    def fill(self, carry: bytes, fh) -> np.ndarray:
+        """`carry` and then up to `BLOCK_BYTES` bytes read from `fh`, as a
+        view that the next `fill` overwrites."""
+        size = len(carry) + BLOCK_BYTES
+        if self._bytes.size < size:  # one block and room for a carry of up to 1 KiB
+            self._bytes = np.empty(max(size, BLOCK_BYTES + 1024), dtype=np.uint8)
+        self._bytes[:len(carry)] = np.frombuffer(carry, dtype=np.uint8)
+        read = fh.readinto(memoryview(self._bytes)[len(carry):size])
+        return self._bytes[:len(carry) + read]
+
+
+def _line_ends(buf: np.ndarray) -> np.ndarray:
+    """The indices of the LF bytes of `buf`, found `_MASK_BYTES` at a time, so
+    that no block-sized mask is made."""
+    ends = [np.flatnonzero(buf[lo:lo + _MASK_BYTES] == _LF) + lo
+            for lo in range(0, max(buf.size, 1), _MASK_BYTES)]
+    return ends[0] if len(ends) == 1 else np.concatenate(ends)
+
+
 class TickReader:
     """One tick file read forward onto consecutive chunks of a window's grid.
 
-    The file is parsed by numpy passes over blocks of `BLOCK_BYTES`, each
-    block's rows as a few byte matrices, one per row layout (see
-    `_parse_block`). Of each block it keeps the last tick of each grid second,
-    at an index counted by calendar days, until a chunk takes it; a second
-    that straddles two blocks keeps its later block's tick. Between reads it
-    holds only the bytes after the last whole line, the next line's number,
-    the last timestamp and those ticks, at most a block's.
+    The file is parsed by numpy passes over blocks of `BLOCK_BYTES`, read into
+    `buffer`, which the readers of one command share (a reader given none
+    makes its own); each block's rows are read as a few byte matrices, one
+    per row layout (see `_parse_block`). Of each block it keeps the last tick
+    of each grid second, at an index counted by calendar days, until a chunk
+    takes it; a second that straddles two blocks keeps its later block's
+    tick. Between reads it holds only the bytes after the last whole line,
+    the next line's number, the last timestamp and those ticks, at most a
+    block's, none of them in the buffer.
 
     `read` returns the next chunk; the chunks must tile the window in order,
     as `SeriesWindow.chunks` does, and the one that ends the grid reads the
@@ -328,8 +371,9 @@ class TickReader:
     `load_pair_series` describes.
     """
 
-    def __init__(self, path, pair: Pair, window: SeriesWindow):
+    def __init__(self, path, pair: Pair, window: SeriesWindow, buffer: BlockBuffer | None = None):
         self.path, self.pair, self.window = path, pair, window
+        self._buffer = BlockBuffer() if buffer is None else buffer
         self._fh = open(path, "rb")
         self._carry = b""  # the bytes after the last whole line
         self._line_no = 1  # of the carry's first line
@@ -394,9 +438,10 @@ class TickReader:
             at = self._index[:k] - lo
             placed[:, at] = self._mantissas[:, :k]
             places[:, at] = self._places[:, :k]
-            # copies, so that the rest of a block does not hold all of it
-            self._index, self._mantissas, self._places = (
-                self._index[k:].copy(), self._mantissas[:, k:].copy(), self._places[:, k:].copy())
+            if k:  # copies, so that the rest of a block does not hold all of it
+                self._index, self._mantissas, self._places = (
+                    self._index[k:].copy(), self._mantissas[:, k:].copy(),
+                    self._places[:, k:].copy())
             if self._index.size or self._eof:  # a tick past the chunk, or the end
                 return placed, places
             self._keep_block()
@@ -408,12 +453,15 @@ class TickReader:
             return
         t, mantissas, places, crossed, _ = rows
         self._n_crossed += int(crossed.sum())
-        rows = np.flatnonzero(_last_per_second(t))
-        index = self.window.grid_index(t[rows])
+        last = _last_per_second(t)
+        if not last.all():
+            rows = np.flatnonzero(last)
+            t, mantissas, places = t[rows], mantissas[:, rows], places[:, rows]
+        index = self.window.grid_index(t)
         on = index >= 0
-        rows = rows[on]
-        self._index, self._mantissas, self._places = (
-            index[on], mantissas[:, rows], places[:, rows])
+        if not on.all():
+            index, mantissas, places = index[on], mantissas[:, on], places[:, on]
+        self._index, self._mantissas, self._places = index, mantissas, places
 
     def _next_rows(self):
         """The timestamps, the (2, rows) bid and ask mantissas and decimal
@@ -426,9 +474,9 @@ class TickReader:
         TickParseError.
         """
         while not self._eof:
-            buf = np.frombuffer(self._carry + self._fh.read(BLOCK_BYTES), dtype=np.uint8)
+            buf = self._buffer.fill(self._carry, self._fh)
             self._eof = buf.size == len(self._carry)
-            ends = np.flatnonzero(buf == _LF)
+            ends = _line_ends(buf)
             rest = int(ends[-1]) + 1 if ends.size else 0
             if self._eof and rest < buf.size:
                 ends = np.append(ends, buf.size)
@@ -450,7 +498,7 @@ class TickReader:
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
         # only a line that ends at an LF can end in CRLF
-        ends = ends - ((ends > starts) & (ends < buf.size) & (buf[ends - 1] == _CR))
+        ends -= (ends > starts) & (ends < buf.size) & (buf[ends - 1] == _CR)
         line_no = self._line_no
         self._line_no += ends.size
         if line_no == 1:
@@ -459,11 +507,11 @@ class TickReader:
                 raise TickParseError(self.path, 1, f"expected header timestamp,bid,ask, "
                                                    f"got {header[:80]!r}")
             line_no, starts, ends = 2, starts[1:], ends[1:]
-        lines = line_no + np.arange(starts.size)
+        lines = range(line_no, line_no + starts.size)  # each data row's line number
         data = starts < ends  # blank lines are skipped but keep their numbers
         if not data.all():
-            lines, starts, ends = lines[data], starts[data], ends[data]
-        if not lines.size:
+            lines, starts, ends = line_no + np.flatnonzero(data), starts[data], ends[data]
+        if not len(lines):
             return None
         if self._iso is None:  # epoch seconds if the first data row's timestamp is all digits
             self._iso = not buf[starts[0]:ends[0]].tobytes().partition(b",")[0].isdigit()
@@ -477,7 +525,7 @@ class TickReader:
         more than 18 digits at the file's scale, or of the first quoted second
         if that scale is past 17; the file is read again for it."""
         scale = self._scale
-        with TickReader(self.path, self.pair, self.window) as again:
+        with TickReader(self.path, self.pair, self.window, self._buffer) as again:
             for chunk in self.window.chunks():
                 placed, places = again._take(chunk.grid_size())
                 bad = places >= 0
@@ -487,10 +535,11 @@ class TickReader:
                     second = int(chunk.grid_times()[bad.any(axis=0).argmax()])
                     break
         line_no = 0
-        with TickReader(self.path, self.pair, self.window) as again:
+        with TickReader(self.path, self.pair, self.window, self._buffer) as again:
             while (rows := again._next_rows()) is not None:
                 t, *_, lines = rows
-                line_no = max(line_no, int(lines[t == second].max(initial=0)))
+                at = np.flatnonzero(t == second)
+                line_no = max(line_no, int(lines[at[-1]]) if at.size else 0)
         return line_no
 
 
@@ -504,17 +553,20 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
 
     Rows fall into layout groups. A group's template is its first row left
     over: its length and the bytes at every column that is not a digit. The
-    rows that share those and have digits elsewhere make one (rows, width)
-    byte matrix, checked as a whole, whose fields are Horner passes over
-    their digit columns. So only a template is checked against the grammar,
-    and grouping stops at the first one outside it: no later row can fail
-    first. An ISO time fills columns 0 to 18 in every layout, so the times
-    are read once per block.
+    rows of that length make one (rows, width) byte matrix (`_rows_matrix`).
+    When its column minima and maxima fit the template, every row has the
+    template's layout; otherwise the rows of other layouts are found row by
+    row and left to later groups. A group's fields are Horner passes over its
+    digit columns. So only a template is checked against the grammar, and
+    grouping stops at the first one outside it: no later row can fail first.
+    An ISO time fills columns 0 to 18 in every layout, so the times are read
+    once per block, by `_iso_seconds`.
     """
     n = starts.size
     t = np.zeros(n, dtype=np.int64)
     mantissas = np.zeros((2, n), dtype=np.int64)  # bid, ask
     places = np.zeros((2, n), dtype=np.int8)
+    widths = ends - starts
     todo = np.ones(n, dtype=bool)
     failed = None  # (row, index in _CHECKS) of a template outside the grammar
     while todo.any():
@@ -525,27 +577,33 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
             failed = first, layout
             break
         stamp_cols, prices = layout
-        width = len(template)
-        rows = np.flatnonzero(todo & (ends - starts == width))
-        punct = [c for c, char in enumerate(template) if not _ZERO <= char < _ZERO + 10]
-        chars = sliding_window_view(buf, width)[starts[rows]]
-        same = chars[:, punct] == np.frombuffer(template, dtype=np.uint8)[punct]
-        chars[:, punct] = np.where(same, np.uint8(_ZERO), np.uint8(0))
-        chars -= _ZERO  # uint8: a non-digit, or the 0 of a wrong byte, wraps to 10 or more
-        if chars.max() >= 10:  # rows of other layouts among them
+        of_width = todo & (widths == len(template))
+        rows = slice(None) if of_width.all() else np.flatnonzero(of_width)
+        chars = _rows_matrix(buf, starts[rows], len(template))
+        zero = _ZERO  # the byte of digit 0 in `chars`
+        tmpl = np.frombuffer(template, dtype=np.uint8)
+        digit = (tmpl >= _ZERO) & (tmpl < _ZERO + 10)
+        low, high = _column_range(chars)
+        if not ((low >= np.where(digit, _ZERO, tmpl)).all()
+                and (high <= np.where(digit, _ZERO + 9, tmpl)).all()):
+            # rows of other layouts among them
+            punct = np.flatnonzero(~digit)
+            same = chars[:, punct] == tmpl[punct]
+            chars = chars - np.uint8(_ZERO)  # uint8: any byte but a digit is 10 or more
+            chars[:, punct] = np.where(same, np.uint8(0), np.uint8(10))
             inside = chars.max(axis=1) < 10
-            rows, chars = rows[inside], chars[inside]
+            rows, chars, zero = np.flatnonzero(of_width)[inside], chars[inside], 0
         todo[rows] = False
         if stamp_cols:
-            t[rows] = _horner(chars, stamp_cols)
+            t[rows] = _horner(chars, stamp_cols, zero)
         for side, (cols, dot_places) in enumerate(prices):
-            mantissas[side, rows] = _horner(chars, cols)
+            mantissas[side, rows] = _horner(chars, cols, zero)
             places[side, rows] = dot_places
     k = n if failed is None else failed[0] + 1  # no later row is checked
     t_ok = np.ones(k, dtype=bool)
     read = k - (failed is not None and failed[1] < 2)  # a failed template's time if it has one
     if iso and read:
-        t[:read], t_ok[:read] = _iso_seconds(sliding_window_view(buf, 19)[starts[:read]])
+        t[:read], t_ok[:read] = _iso_seconds(buf, starts[:read])
     t, mantissas, places = t[:k], mantissas[:, :k], places[:, :k]
     before = np.empty_like(t)
     before[1:] = t[:-1]
@@ -593,26 +651,107 @@ def _layout(row, iso):
     return None if iso else range(len(stamp)), prices
 
 
-def _horner(digits, cols):
-    """The int64 numbers whose decimal digits are the given columns of a digit matrix."""
-    m = digits[:, cols[0]].astype(np.int64)
+def _rows_matrix(buf, starts, width):
+    """The (rows, width) bytes of `buf` from each of `starts`: a read-only
+    strided view when the rows follow one another one LF apart, as in a file
+    of one layout, and otherwise a gather."""
+    first = int(starts[0])
+    if int(starts[-1]) - first == (starts.size - 1) * (width + 1):
+        # lines of one width lie at least width + 1 apart, so each gap is exactly that
+        return _view(buf, first, (starts.size, width), (width + 1, 1))
+    return _view(buf, 0, (buf.size - width + 1, width), (1, 1))[starts]
+
+
+def _column_range(chars):
+    """The minimum and the maximum of each column of a (rows, width) byte
+    matrix whose rows lie `chars.strides[0]` bytes apart. numpy reduces a
+    narrow matrix along its rows one row at a time, so the rows are folded
+    `_FOLD` at a time into long rows, bytes between them included, and those
+    are reduced."""
+    rows, width = chars.shape
+    stride = chars.strides[0]
+    folded = (rows - 1) // _FOLD * _FOLD  # so that a later row's bytes end the last fold
+    rest = chars[folded:]
+    low, high = rest.min(axis=0), rest.max(axis=0)
+    if folded:
+        long_rows = as_strided(chars, (folded // _FOLD, _FOLD * stride), (_FOLD * stride, 1),
+                               writeable=False)
+        np.minimum(low, long_rows.min(axis=0).reshape(_FOLD, stride)[:, :width].min(axis=0),
+                   out=low)
+        np.maximum(high, long_rows.max(axis=0).reshape(_FOLD, stride)[:, :width].max(axis=0),
+                   out=high)
+    return low, high
+
+
+def _horner(chars, cols, zero):
+    """The int64 numbers whose decimal digits are the given columns of a byte
+    matrix in which byte `zero` stands for the digit 0."""
+    m = chars[:, cols[0]].astype(np.int64)
     for j in cols[1:]:
         m *= 10
-        m += digits[:, j]
+        m += chars[:, j]
+    if zero:  # bytes up to '9' (57) in at most 18 digits: m < 57 * (10**18 - 1) / 9 < 2**63
+        m -= zero * _REPUNITS[len(cols)]
     return m
 
 
-def _iso_seconds(chars):
-    """Epoch seconds of (rows, 19) bytes YYYY-MM-DDTHH:MM:SS with digits at
-    every digit column, and which rows are a real date and time from 1970 on.
+def _iso_seconds(buf, starts):
+    """Epoch seconds of the YYYY-MM-DDTHH:MM:SS times at `starts` in `buf`,
+    with digits at every digit column, and which are a real date and time
+    from 1970 on.
 
-    The day number is H. Hinnant's days-from-civil ("chrono-Compatible
-    Low-Level Date Algorithms", 2013): years start in March, so that the
-    leap day ends one.
+    When every time has the first one's date (its ten bytes compared as one
+    uint64 and one uint16 per row), that date is decoded once, and of each
+    row only HH:MM:SS, as one uint64; a block that spans midnight decodes
+    every row's date and time from its digit columns.
     """
-    digits = chars - _ZERO
+    s = int(starts[0])
+    if ((_unaligned(buf, 0, "<u8")[starts] == _unaligned(buf, s, "<u8")[0]).all()
+            and (_unaligned(buf, 8, "<u2")[starts] == _unaligned(buf, s + 8, "<u2")[0]).all()):
+        days, real = _days_from_civil(*(int(buf[s + c:s + c + w].tobytes())
+                                        for c, w in _ISO_FIELDS[:3]))
+        # HH:MM:SS less 00:00:00, bytewise: digit values, and 0 at the colons
+        hms = _unaligned(buf, 11, "<u8")[starts]
+        hms -= _MIDNIGHT
+        hms = hms.view(np.int64)  # every byte is below 10
+        pairs = hms >> 8
+        pairs += hms * 10  # the hour, minute and second at bytes 0, 3 and 6
+        hour, minute, second = ((pairs >> shift) & 0xFF for shift in (0, 24, 48))
+        seconds = hour * 60
+        seconds += minute
+        seconds *= 60
+        seconds += second
+        seconds += days * SECONDS_PER_DAY
+        return seconds, (hour < 24) & (minute < 60) & (second < 60) & bool(real and days >= 0)
+    chars = _view(buf, 0, (buf.size - 18, 19), (1, 1))[starts]
     year, month, day, hour, minute, second = (
-        _horner(digits, range(c, c + w)) for c, w in _ISO_FIELDS)
+        _horner(chars, range(c, c + w), _ZERO) for c, w in _ISO_FIELDS)
+    days, real = _days_from_civil(year, month, day)
+    seconds = days * SECONDS_PER_DAY + hour * 3600 + minute * 60 + second
+    return seconds, real & (hour < 24) & (minute < 60) & (second < 60) & (seconds >= 0)
+
+
+def _unaligned(buf, offset, dtype):
+    """The `dtype` numbers that start at each byte of `buf` from `offset` on,
+    as a view."""
+    size = np.dtype(dtype).itemsize
+    return _view(buf, offset, (buf.size - offset - size + 1,), (1,), dtype)
+
+
+def _view(buf, offset, shape, strides, dtype=np.uint8):
+    """A read-only view of the bytes `buf` as `dtype`, from byte `offset` on,
+    with the given shape and byte strides; numpy checks that it stays in
+    `buf`."""
+    view = np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset, strides=strides)
+    view.flags.writeable = False
+    return view
+
+
+def _days_from_civil(year, month, day):
+    """Days from 1970-01-01 to a proleptic Gregorian date, and whether it is a
+    real one; ints or int64 arrays. This is H. Hinnant's days-from-civil
+    ("chrono-Compatible Low-Level Date Algorithms", 2013): years start in
+    March, so that the leap day ends one."""
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
     y = year - (month <= 2)
@@ -620,9 +759,7 @@ def _iso_seconds(chars):
     yoe = y - era * 400  # year of the 400-year era, 0 to 399
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1  # day of the March-based year
     days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
-    seconds = days * SECONDS_PER_DAY + hour * 3600 + minute * 60 + second
-    ok = (day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)
-    return seconds, ok & (seconds >= 0)
+    return days, (day >= 1) & (day <= month_days)
 
 
 def _greater(mantissas, places):

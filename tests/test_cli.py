@@ -417,6 +417,12 @@ class TestDetectCommand:
             # a legal window whose per-second grid cannot be allocated
             ([*base, "--window", f"{MONDAY}..{'9' * 18}"],
              f"spans {10**18 - 1 - MONDAY:,} seconds, too many for its per-second grid"),
+            # a weekend under the default mon-fri: no grid second, refused before any read
+            ([*base, "--window", "1970-01-03..1970-01-05"],
+             f"window {MONDAY - 2 * 86400}..{MONDAY} holds no second on its weekdays "
+             "mon,tue,wed,thu,fri: its grid is empty"),
+            ([*base, "--window", f"{MONDAY}..{MONDAY + 86400}", "--weekdays", "sat,sun"],
+             "holds no second on its weekdays sat,sun"),
         ])
 
     def test_window_reads_iso_times_as_tick_files_do(self):

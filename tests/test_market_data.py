@@ -301,6 +301,38 @@ class TestLoadPairSeries:
                 load_pair_series(path, EURUSD, window)
             assert err.value.line_no == at + 2
 
+    @pytest.mark.parametrize("row, error", [
+        pytest.param(b"12.0650,12.0652", None, id="dot moved"),
+        pytest.param(b"1.2065x,1.20652", "bad price", id="letter"),
+        pytest.param(b"1.20650;1.20652", "expected 3 fields", id="semicolon"),
+        pytest.param(b"1.2 650,1.20652", "bad price", id="space"),
+        pytest.param(b"1.20650+1.20652", "expected 3 fields", id="plus"),
+    ])
+    @pytest.mark.parametrize("at", [0, 1, 63, 64, 150, 298, 299])
+    @pytest.mark.parametrize("iso", [False, True])
+    def test_one_row_off_a_long_uniform_block(self, tmp_path, row, error, at, iso):
+        # 300 rows of one length in one block, one LF apart; the row at `at` has
+        # another layout or a bad byte, wherever it falls among the rows that a
+        # group's column minima and maxima cover
+        def stamp(i):
+            return (b"2024-02-29T%02d:%02d:%02d" % (i // 3600, i // 60 % 60, i % 60) if iso
+                    else b"%d" % (MONDAY + i))
+
+        rows = [stamp(i) + b",1.20650,1.20652" for i in range(300)]
+        rows[at] = stamp(at) + b"," + row
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(b"\n".join([b"timestamp,bid,ask", *rows, b""]))
+        start = 1709164800 if iso else MONDAY
+        window = SeriesWindow(start, start + 300)
+        loaded, caught = _outcome(load_pair_series, path, window)
+        assert (loaded, caught) == _outcome(reference.load_pair_series, path, window)
+        if error is None:
+            assert int(loaded.bid_m[at]) == 1_206_500 and loaded.scale == 5
+        else:
+            with pytest.raises(TickParseError, match=error) as err:
+                load_pair_series(path, EURUSD, window)
+            assert err.value.line_no == at + 2
+
     @pytest.mark.parametrize("row, message", [
         (b"%d.0,1.20650,1.20652", "bad timestamp"),
         (b"1%018d,1.20650,1.20652", "bad timestamp"),
@@ -686,6 +718,163 @@ def test_iso_times_follow_the_calendar(moment, suffix):
     # days-from-civil against datetime, over every year the four digits can hold
     stamp = moment.strftime("%Y-%m-%dT%H:%M:%S") + suffix
     assert parse_timestamp(stamp) == calendar.timegm(moment.timetuple())
+
+
+def _iso_rows(first: str, seconds: int, per_second: int = 1):
+    """Tick rows of ISO times from `first` on, `per_second` rows in each of
+    `seconds` consecutive seconds, with prices of 4 and 5 decimal places."""
+    t0 = calendar.timegm(datetime.fromisoformat(first).timetuple())
+    rows = []
+    for i in range(seconds * per_second):
+        t = t0 + i // per_second
+        stamp = datetime.fromtimestamp(t, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+        rows.append((f"{stamp}.{i % 1000:03d}Z", f"1.2{i % 7}65", f"1.2{i % 7}671"))
+    return t0, rows
+
+
+def _assert_matches_reference(path, window, block_sizes, monkeypatch):
+    expected = _outcome(reference.load_pair_series, path, window)
+    for block_bytes in block_sizes:
+        monkeypatch.setattr(market_data, "BLOCK_BYTES", block_bytes)
+        assert _outcome(load_pair_series, path, window) == expected, block_bytes
+    return expected
+
+
+class TestIsoDateOnce:
+    """A block of ISO rows that share one date decodes it once and reads only
+    HH:MM:SS per row; a block that spans midnight decodes every row."""
+
+    @pytest.mark.parametrize("first", [
+        pytest.param("2026-03-02T23:59:50", id="midnight"),
+        pytest.param("2026-03-31T23:59:50", id="month end"),
+        pytest.param("2025-12-31T23:59:50", id="year end"),
+        pytest.param("2024-02-28T23:59:50", id="into 29 February"),
+        pytest.param("2024-02-29T23:59:50", id="out of 29 February"),
+        pytest.param("2100-02-28T23:59:50", id="no 29 February in 2100"),
+    ])
+    def test_blocks_across_a_date_change_match_reference(self, tmp_path, monkeypatch, first):
+        # 20 seconds, two rows each, around the change of date; blocks of one to
+        # about fifteen rows put the change inside a block and on a block's edge
+        t0, rows = _iso_rows(first, 20, per_second=2)
+        path = tmp_path / "ticks.csv"
+        write_rows(path, rows)
+        series, warned = _assert_matches_reference(
+            path, SeriesWindow(t0, t0 + 20), (60, 61, 97, 150, 640, 1 << 18), monkeypatch)
+        assert isinstance(series, PairSeries) and not series.missing.any() and not warned
+
+    @pytest.mark.parametrize("bad", ["24:00:00", "23:59:60", "23:60:00", "99:59:59"])
+    @pytest.mark.parametrize("at", [0, 5, 9])
+    def test_bad_time_in_a_shared_date_block(self, tmp_path, monkeypatch, bad, at):
+        t0, rows = _iso_rows("2024-02-29T23:59:40", 10)
+        rows[at] = (f"2024-02-29T{bad}.500Z", *rows[at][1:])
+        path = tmp_path / "ticks.csv"
+        write_rows(path, rows)
+        expected = _assert_matches_reference(
+            path, SeriesWindow(t0, t0 + 10), (1 << 18, 200), monkeypatch)
+        assert expected == ((TickParseError, at + 2), [])
+        with pytest.raises(TickParseError, match="bad timestamp"):
+            load_pair_series(path, EURUSD, SeriesWindow(t0, t0 + 10))
+
+    @pytest.mark.parametrize("other", [
+        pytest.param("2024-03-02T00:00:00", id="next day, last row"),
+        pytest.param("2024-03-11T00:00:00", id="a later day, last row"),
+        pytest.param("2024-03-00T12:00:00", id="day 00"),
+        pytest.param("2024-03-32T12:00:00", id="day 32"),
+    ])
+    def test_one_row_with_other_day_digits(self, tmp_path, monkeypatch, other):
+        # every row has 2024-03-01 but one, whose bytes differ in the day's digits only
+        t0, rows = _iso_rows("2024-03-01T12:00:00", 12)
+        at = len(rows) - 1 if other.endswith("T00:00:00") else 6
+        rows[at] = (other, *rows[at][1:])
+        path = tmp_path / "ticks.csv"
+        write_rows(path, rows)
+        window = SeriesWindow(t0, t0 + 11 * 86400)
+        outcome = _assert_matches_reference(path, window, (1 << 18,), monkeypatch)
+        if at == 6:
+            assert outcome == ((TickParseError, at + 2), [])
+        else:
+            assert outcome[0].n_missing == window.grid_size() - len(rows)
+
+    def test_one_row_blocks(self, tmp_path, monkeypatch):
+        # each block ends inside the next row, so every block holds one whole row
+        t0, rows = _iso_rows("2024-12-31T23:59:57", 6)
+        path = tmp_path / "ticks.csv"
+        write_rows(path, rows)
+        row_bytes = len(",".join(rows[0])) + 1
+        _assert_matches_reference(path, SeriesWindow(t0, t0 + 6), (row_bytes, row_bytes + 5),
+                                  monkeypatch)
+        monkeypatch.setattr(market_data, "BLOCK_BYTES", row_bytes)
+        with market_data.TickReader(path, EURUSD, SeriesWindow(t0, t0 + 6)) as reader:
+            sizes = []
+            while (block := reader._next_rows()) is not None:
+                sizes.append(block[0].size)
+        assert sizes == [1] * len(rows)
+
+
+class TestBlockBuffer:
+    """The readers of one command share one block buffer, and nothing they
+    return or keep points into it."""
+
+    @staticmethod
+    def _files(tmp_path):
+        # an ISO file with mixed decimal places and an epoch file, both over 40 seconds
+        t0, iso_rows = _iso_rows("2026-03-06T23:59:50", 40, per_second=2)
+        iso, epoch = tmp_path / "EURUSD.csv", tmp_path / "USDCHF.csv"
+        write_rows(iso, iso_rows)
+        write_rows(epoch, [(t, f"1.30{t % 9}", "1.3121") for t in range(t0, t0 + 40)])
+        return SeriesWindow(t0, t0 + 40), [(iso, EURUSD), (epoch, Pair("USD", "CHF"))]
+
+    @staticmethod
+    def _read(reader, chunks):
+        return [reader.read(chunk) for chunk in chunks]
+
+    def test_readers_in_turn_read_what_each_reads_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(market_data, "BLOCK_BYTES", 90)
+        monkeypatch.setattr(market_data, "CHUNK_SECONDS", 7)
+        window, files = self._files(tmp_path)
+        chunks = window.chunks()
+        alone = []
+        for path, pair in files:
+            with market_data.TickReader(path, pair, window) as reader:
+                alone.append(self._read(reader, chunks))
+                reader.finish()
+        buffer = market_data.BlockBuffer()
+        readers = [market_data.TickReader(path, pair, window, buffer) for path, pair in files]
+        in_turn = [[], []]
+        for chunk in chunks:  # as `cli._detect` reads them
+            for reader, got in zip(readers, in_turn):
+                got.append(reader.read(chunk))
+        for reader in readers:
+            reader.finish()
+            reader.__exit__()
+        assert in_turn == alone
+        assert all(s.scale == 5 for s in in_turn[0]) and len(chunks) == 6
+
+    def test_nothing_kept_points_into_the_buffer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(market_data, "BLOCK_BYTES", 90)
+        monkeypatch.setattr(market_data, "CHUNK_SECONDS", 7)
+        window, files = self._files(tmp_path)
+        buffer = market_data.BlockBuffer()
+        (iso, pair), (epoch, other) = files
+        with market_data.TickReader(iso, pair, window, buffer) as reader, \
+                market_data.TickReader(epoch, other, window, buffer) as filler:
+            first = reader.read(window.chunks()[0])
+            kept = [copy.deepcopy(a) for a in (
+                first.bid_m, first.ask_m, reader._index, reader._mantissas, reader._places)]
+            carry = reader._carry
+            assert carry and reader._index.size  # a partial line and ticks past the chunk
+            for a in (first.bid_m, first.ask_m, reader._index, reader._mantissas,
+                      reader._places):
+                assert not np.shares_memory(a, buffer._bytes)
+            # another reader's blocks overwrite every byte of the buffer
+            while filler._next_rows() is not None:
+                pass
+            now = [first.bid_m, first.ask_m, reader._index, reader._mantissas, reader._places]
+            assert all(np.array_equal(a, b) for a, b in zip(now, kept))
+            assert reader._carry == carry
+            rest = [reader.read(chunk) for chunk in window.chunks()[1:]]
+        with market_data.TickReader(iso, pair, window) as alone:
+            assert [alone.read(chunk) for chunk in window.chunks()] == [first, *rest]
 
 
 class TestSeriesWindow:
