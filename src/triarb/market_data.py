@@ -784,8 +784,8 @@ def _last_per_second(t):
 def write_pair_series_csv(path, series: PairSeries) -> None:
     """Write the quoted seconds of `series` as a tick CSV in the loader's grammar:
     epoch seconds, and prices with `scale` decimal places, as
-    ``f"{Decimal(mantissa).scaleb(-scale):f}"`` prints them. The text is built
-    from digit matrices, one block of rows at a time.
+    ``f"{Decimal(mantissa).scaleb(-scale):f}"`` prints them, one block of rows
+    at a time: as many as fit in `BLOCK_BYTES` at the widest fields, or one.
 
     A series with a negative time, a non-positive price, a mantissa of 10**18
     or more, or a scale outside 0 to 17 has no rows in the grammar: it is a
@@ -801,7 +801,8 @@ def write_pair_series_csv(path, series: PairSeries) -> None:
             f"{series.pair}: no tick row holds a negative time, a non-positive price, a "
             f"mantissa of 10**18 or more, or scale {series.scale} outside 0 to 17"
         )
-    rows = BLOCK_BYTES // 32
+    line = 3 + sum(_width(c.max(initial=0), p) for c, p in zip(columns, (0, *[series.scale] * 2)))
+    rows = max(1, BLOCK_BYTES // line)
     with open(path, "wb") as fh:
         fh.write(b"timestamp,bid,ask\n")
         for lo in range(0, columns[0].size, rows):
@@ -809,30 +810,29 @@ def write_pair_series_csv(path, series: PairSeries) -> None:
 
 
 def _format_rows(times, bid_m, ask_m, scale: int) -> bytes:
-    """Tick CSV lines for the given rows."""
-    text, used = [], []
-    for values, places in ((times, 0), (bid_m, scale), (ask_m, scale)):
-        chars, mask = _digit_matrix(values, places)
-        text += [chars, np.full((values.size, 1), _COMMA, dtype=np.uint8)]
-        used += [mask, np.ones((values.size, 1), dtype=bool)]
-    text[-1][:] = _LF
-    return np.hstack(text)[np.hstack(used)].tobytes()
+    """Tick CSV lines for the given rows, built in one (rows, line width) byte
+    matrix whose fields are as wide as their widest value, with '0' added once;
+    a byte mask drops unprinted bytes only where a field's widths differ."""
+    fields = [(v, p, _width(v.min(), p), _width(v.max(), p))
+              for v, p in ((times, 0), (bid_m, scale), (ask_m, scale))]
+    text = np.empty((times.size, 3 + sum(high for *_, high in fields)), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool) if any(lo < hi for *_, lo, hi in fields) else None
+    start, punct = 0, {}
+    for values, places, low, high in fields:
+        end = start + high
+        dot = end - places - 1 if places else end
+        if low < high:
+            keep[:, start:end] = np.arange(start, end) >= end - _width(values, places)[:, None]
+        for j in [j for j in range(end - 1, start - 1, -1) if j != dot]:
+            text[:, j] = values - (values := values // 10) * 10  # the last digit, then drop it
+        punct.update({dot: _DOT, end: _COMMA})  # at 0 places, `dot` is `end`
+        start = end + 1
+    punct[end] = _LF
+    text += _ZERO
+    text[:, list(punct)] = list(punct.values())
+    return (text if keep is None else text[keep]).tobytes()
 
 
-def _digit_matrix(values, places: int):
-    """ASCII digits of non-negative int64 `values` with `places` decimals as a
-    right-aligned (rows x width) matrix, and the mask of the printed bytes."""
-    n_digits = np.maximum(np.searchsorted(_POW10, values, side="right"), places + 1)
-    width = int(n_digits.max())
-    digits = np.empty((values.size, width), dtype=np.uint8)
-    q = values
-    for j in range(width - 1, -1, -1):
-        q, r = np.divmod(q, 10)
-        digits[:, j] = r + _ZERO
-    mask = np.arange(width) >= width - n_digits[:, None]
-    if places:
-        cut = width - places
-        digits = np.hstack([digits[:, :cut], np.full((values.size, 1), _DOT, np.uint8),
-                            digits[:, cut:]])
-        mask = np.hstack([mask[:, :cut], np.ones((values.size, 1), dtype=bool), mask[:, cut:]])
-    return digits, mask
+def _width(values, places: int):
+    """Bytes in which non-negative int64 `values` print with `places` decimals."""
+    return np.maximum(np.searchsorted(_POW10, values, side="right"), places + 1) + (places > 0)

@@ -118,11 +118,15 @@ def _in_window(window: SeriesWindow, t: int) -> bool:
 
 
 def write_pair_series_csv(path, series: PairSeries) -> None:
-    """The reference writer: each quoted second through `Decimal`'s fixed-point format."""
+    """The reference writer: each quoted second through `tick_line`."""
     quoted = ~series.missing
-    shift = -series.scale
     columns = (series.window.grid_times()[quoted], series.bid_m[quoted], series.ask_m[quoted])
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,bid,ask\n")
         for t, b, a in zip(*(c.tolist() for c in columns)):
-            fh.write(f"{t},{Decimal(b).scaleb(shift):f},{Decimal(a).scaleb(shift):f}\n")
+            fh.write(tick_line(t, b, a, series.scale))
+
+
+def tick_line(t: int, bid_m: int, ask_m: int, scale: int) -> str:
+    """One tick row: prices through `Decimal`'s fixed-point format."""
+    return f"{t},{Decimal(bid_m).scaleb(-scale):f},{Decimal(ask_m).scaleb(-scale):f}\n"

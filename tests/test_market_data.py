@@ -502,6 +502,87 @@ def test_writer_loader_roundtrip(series, block_bytes):
         assert load_pair_series(path, EURUSD, series.window) == series
 
 
+@st.composite
+def block_series(draw):
+    """(series, rows per block): a grid series whose quoted rows fall in
+    blocks of one kind or the other. In an even block each price column's
+    values share one count of digits; in the other one value of the bid or
+    the ask column is a digit shorter or longer, at a random row. Times run
+    from 0 up to 18 digits and sometimes cross a power of ten inside the
+    file; digit counts at or below the scale print prices below 1, such as
+    0.0000005; scales are 0-17."""
+    scale = draw(st.integers(0, 17))
+    per, n_blocks = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    n = per * n_blocks
+    length = n + draw(st.integers(0, 3))
+    gaps = draw(st.sets(st.integers(0, length - 1), min_size=length - n, max_size=length - n))
+    digits = draw(st.integers(1, 18))
+    start = draw(st.sampled_from([
+        max(0, min(10**digits - draw(st.integers(1, length)), 10**18 - length)),
+        10 ** (digits - 1), 10**18 - length, 0,
+    ]))
+    bid, ask, low = [], [], max(scale, 1)
+    for _ in range(n_blocks):
+        odd, row = draw(st.sampled_from([None, "bid", "ask"])), draw(st.integers(0, per - 1))
+        delta = draw(st.sampled_from([-1, 1]))
+        for name, column in (("bid", bid), ("ask", ask)):
+            d = draw(st.sampled_from([1, low, scale + 1, 18]) | st.integers(low, 18))
+            column += [draw(st.integers(10 ** (d - 1), 10**d - 1)) for _ in range(per)]
+            if name == odd:
+                d += delta if 1 <= d + delta <= 18 else -delta
+                column[row - per] = draw(st.integers(10 ** (d - 1), 10**d - 1))  # in this block
+    quoted = np.array([i not in gaps for i in range(length)])
+    bid_m, ask_m = (np.zeros(length, dtype=np.int64) for _ in range(2))
+    bid_m[quoted], ask_m[quoted] = bid, ask
+    return PairSeries(EURUSD, SeriesWindow(start, start + length), bid_m, ask_m, scale), per
+
+
+@given(block_series())
+@settings(max_examples=300, deadline=None)
+def test_writer_blocks_match_reference(case):
+    # BLOCK_BYTES holds exactly `per` rows at the file's widest fields, so the
+    # writer's blocks are the strategy's even and one-off blocks
+    series, per = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        expected = Path(tmp) / "reference.csv"
+        reference.write_pair_series_csv(expected, series)
+        fields = zip(*(row.split(b",") for row in expected.read_bytes().splitlines()[1:]))
+        line = 3 + sum(max(map(len, column)) for column in fields)
+        mp.setattr(market_data, "BLOCK_BYTES", per * line)
+        blocks, format_rows = [], market_data._format_rows
+
+        def spy(times, *args):
+            blocks.append((times.size, format_rows(times, *args)))
+            return blocks[-1][1]
+
+        mp.setattr(market_data, "_format_rows", spy)
+        path = Path(tmp) / "ticks.csv"
+        write_pair_series_csv(path, series)
+        assert path.read_bytes() == expected.read_bytes()
+        assert [rows for rows, _ in blocks] == [per] * ((len(series) - series.n_missing) // per)
+        assert all(len(text) <= per * line for _, text in blocks)
+        mp.undo()  # the loader reads blocks of BLOCK_BYTES too; a header may not fit in these
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CrossedQuoteWarning)
+            assert load_pair_series(path, EURUSD, series.window) == series
+
+
+@pytest.mark.parametrize("scale", [0, 5])
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("row", [0, 5, 9])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_one_value_a_digit_off_in_a_block(scale, column, row, delta):
+    # a block of one line length but for one time, bid or ask a digit shorter
+    # or longer: `_format_rows` prints what the reference prints
+    columns = [[1_772_409_600 + i for i in range(10)], [1_206_500 + i for i in range(10)],
+               [1_206_530 + i for i in range(10)]]
+    value = columns[column][row]
+    columns[column][row] = value // 10 if delta < 0 else value * 10
+    expected = "".join(reference.tick_line(*values, scale) for values in zip(*columns))
+    text = market_data._format_rows(*(np.array(c, dtype=np.int64) for c in columns), scale)
+    assert text == expected.encode()
+
+
 def _price_text(draw, plain, hostile):
     """A positive decimal in one of the spellings Decimal accepts; `plain` keeps
     to the tick grammar's."""
