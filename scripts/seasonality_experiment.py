@@ -66,7 +66,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=500)
     args = parser.parse_args()
 
-    spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
+    spec = TriangleSpec(("EUR", "USD", "CHF"))
 
     count_wins = 0
     duration_wins = 0

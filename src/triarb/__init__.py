@@ -18,8 +18,8 @@ _MODULE_OF = {
         ("AlignmentError", "CrossedQuoteWarning", "EmptySeriesError", "SynthConfigError",
          "TickOrderingError", "TickParseError", "TriarbError"), "errors"),
     **dict.fromkeys(
-        ("Direction", "Pair", "PairSeries", "SeriesWindow", "Side", "TriangleSpec",
-         "load_pair_series"), "market_data"),
+        ("Direction", "Pair", "PairSeries", "SeriesWindow", "Side", "TickReader", "TriangleSpec"),
+        "market_data"),
     **dict.fromkeys(
         ("ArbitrageOpportunity", "DistributionStats", "DurationStats", "ThresholdRow",
          "compare_periods", "daily_profile", "distribution_stats", "duration_stats",

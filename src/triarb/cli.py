@@ -309,7 +309,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
+    triangle = TriangleSpec(parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     thresholds = check_thresholds(parse_float_list(args.thresholds, "--thresholds"))
     hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))
@@ -336,7 +336,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_seasonal(args) -> int:
-    triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
+    triangle = TriangleSpec(parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     ops, _ = _detect(args.data_dir, triangle, window)
     out = _out_dir(args)
@@ -352,7 +352,7 @@ def cmd_seasonal(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulator import P_GRID, Scenario, SimulationConfig, check_lambda_grid, simulate_trades
 
-    triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
+    triangle = TriangleSpec(parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     seed = args.seed
     if seed is None:
@@ -446,7 +446,7 @@ def _summary_entry(cfg: SimulationConfig, s: SimulationSummary) -> dict:
 
 
 def cmd_compare(args) -> int:
-    triangle = TriangleSpec.from_currencies(*parse_currencies(args.triangle))
+    triangle = TriangleSpec(parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
     datasets = _parse_datasets(args.dataset)
     hist_range = check_histogram(args.hist_bin_width, (args.hist_lo, args.hist_hi))

@@ -140,7 +140,7 @@ def synth_config_from_json(payload: Any) -> SynthConfig:
     if seed < 0:
         raise SynthConfigError(f"seed: expected a non-negative integer, got {seed}")
     window = window_from_json(cfg["window"])
-    triangle = TriangleSpec.from_currencies(*parse_currencies(cfg.get("currencies", "EUR,USD,CHF")))
+    triangle = TriangleSpec(parse_currencies(cfg.get("currencies", "EUR,USD,CHF")))
 
     names = [p.name for p in triangle.pairs]
     pair_cfg: dict[str, dict] = {}

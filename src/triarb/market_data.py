@@ -5,11 +5,27 @@ entry per grid second of a window: int64 bid and ask mantissas that share one
 decimal exponent (`scale`). A missing second is one whose mantissas are zero,
 which no quoted price can be. Prices stay exact
 here; the conversion to floating point happens downstream, when rate
-products are computed. Tick files follow one grammar, set out in
-`load_pair_series`: a `TickReader` parses it with numpy passes over
-fixed-size blocks of a file's bytes, onto the columns of one chunk of a
-window at a time, and the writer formats the columns straight back to it
+products are computed. A `TickReader` parses tick files with numpy passes
+over fixed-size blocks of a file's bytes, onto the columns of one chunk of a
+window at a time, and the writer formats the columns straight back to them
 from digit matrices.
+
+Tick files follow one grammar, which `write_pair_series_csv` writes:
+
+- the first line is ``timestamp,bid,ask`` in any ASCII case; lines end
+  in LF or CRLF, and blank lines are skipped but keep their numbers;
+- a timestamp is 1 to 18 ASCII digits of epoch seconds, or
+  YYYY-MM-DDTHH:MM:SS[.fff][Z] in UTC from 1970 on, its fraction
+  dropped; the first data row decides which (epoch if its timestamp is
+  all digits), and timestamps never decrease;
+- a price is 1 to 18 ASCII digits with at most one '.', and positive.
+
+Any other row is a TickParseError naming its line. Several ticks in one
+second collapse to the last one. Crossed quotes (bid > ask) are accepted
+with a CrossedQuoteWarning. A series' prices share the largest number of
+decimal places among its ticks. At the largest among all the file's ticks
+kept, that scale is at most 17 and every mantissa below 10**18, so every
+series read can be written back.
 
 The time grid has a fixed resolution of one second. A grid second carries a
 quote only if at least one raw tick fell inside that second; when several
@@ -207,10 +223,6 @@ class PairSeries:
         """Which grid seconds carry no quote."""
         return self.bid_m == 0
 
-    @property
-    def n_missing(self) -> int:
-        return int(np.count_nonzero(self.missing))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairSeries):
             return NotImplemented
@@ -265,11 +277,6 @@ class TriangleSpec:
             (a, ac), (c, bc), (b, ab))
         return tuple((pair, Side.BID if pair.base == src else Side.INV_ASK) for src, pair in hops)
 
-    @classmethod
-    def from_currencies(cls, a: str, b: str, c: str) -> "TriangleSpec":
-        """The triangle of currencies (a, b, c)."""
-        return cls((a, b, c))
-
 
 # Tick files are read and written in blocks of about this many bytes. A
 # block's partial last line is carried into the next block, so the loader's
@@ -286,39 +293,12 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
 _COMMA, _DOT, _LF, _CR, _ZERO = (ord(c) for c in ",.\n\r0")
 _CHECKS = ("expected 3 fields", "bad timestamp", "bad price")  # in the order rows are checked
 _ISO = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{3})?Z?")
-# (first column, width) of the year, month, day, hour, minute and second of an ISO time
-_ISO_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))
+# (first column, width) of the year, month and day of an ISO time
+_ISO_FIELDS = ((0, 4), (5, 2), (8, 2))
 _FOLD = 64  # rows per long row in `_column_range`
 _MIDNIGHT = np.uint64(int.from_bytes(b"00:00:00", "little"))
 _REPUNITS = np.array([(10**k - 1) // 9 for k in range(19)], dtype=np.int64)  # 0, 1, 11, ...
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])  # months 00 to 13+
-
-
-def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
-    """Load the tick CSV at `path` onto the window's per-second grid.
-
-    The file follows the tick grammar, which `write_pair_series_csv` writes:
-
-    - the first line is ``timestamp,bid,ask`` in any ASCII case; lines end
-      in LF or CRLF, and blank lines are skipped but keep their numbers;
-    - a timestamp is 1 to 18 ASCII digits of epoch seconds, or
-      YYYY-MM-DDTHH:MM:SS[.fff][Z] in UTC from 1970 on, its fraction
-      dropped; the first data row decides which (epoch if its timestamp is
-      all digits), and timestamps never decrease;
-    - a price is 1 to 18 ASCII digits with at most one '.', and positive.
-
-    Any other row is a TickParseError naming its line. Several ticks in one
-    second collapse to the last one. Crossed quotes (bid > ask) are accepted
-    with a CrossedQuoteWarning. All prices share the largest number of
-    decimal places among the ticks kept; that scale is at most 17 and every
-    mantissa at it below 10**18, so the series can be written back.
-
-    This is a `TickReader` that reads the whole window as one chunk.
-    """
-    with TickReader(path, pair, window) as reader:
-        series = reader.read(window)
-        reader.finish()
-    return series
 
 
 class BlockBuffer:
@@ -367,8 +347,8 @@ class TickReader:
     `read` returns the next chunk; the chunks must tile the window in order,
     as `SeriesWindow.chunks` does, and the one that ends the grid reads the
     file to its end. Each chunk's prices share that chunk's largest number of
-    decimal places. `finish` then checks the file as a whole, as
-    `load_pair_series` describes.
+    decimal places. `finish` then checks the file as a whole against the
+    grammar in the module docstring.
     """
 
     def __init__(self, path, pair: Pair, window: SeriesWindow, buffer: BlockBuffer | None = None):
@@ -416,7 +396,7 @@ class TickReader:
         its ticks kept."""
         if self._n_crossed:
             warnings.warn(f"{self.path}: accepted {self._n_crossed} crossed quote(s) (bid > ask)",
-                          CrossedQuoteWarning, stacklevel=3)
+                          CrossedQuoteWarning, stacklevel=2)
         if self._scale < 0:
             raise EmptySeriesError(f"{self.path}: no tick falls inside window {self.window}")
         if self._scale > 17 or self._digits + self._scale > 18:
@@ -700,35 +680,35 @@ def _iso_seconds(buf, starts):
     with digits at every digit column, and which are a real date and time
     from 1970 on.
 
-    When every time has the first one's date (its ten bytes compared as one
-    uint64 and one uint16 per row), that date is decoded once, and of each
-    row only HH:MM:SS, as one uint64; a block that spans midnight decodes
-    every row's date and time from its digit columns.
+    The rows fall into runs that share a date, found by comparing each row's
+    ten date bytes, as one uint64 and one uint16, with the row above's. Each
+    run's date is decoded once, and of each row only HH:MM:SS, as one uint64.
     """
-    s = int(starts[0])
-    if ((_unaligned(buf, 0, "<u8")[starts] == _unaligned(buf, s, "<u8")[0]).all()
-            and (_unaligned(buf, 8, "<u2")[starts] == _unaligned(buf, s + 8, "<u2")[0]).all()):
-        days, real = _days_from_civil(*(int(buf[s + c:s + c + w].tobytes())
-                                        for c, w in _ISO_FIELDS[:3]))
-        # HH:MM:SS less 00:00:00, bytewise: digit values, and 0 at the colons
-        hms = _unaligned(buf, 11, "<u8")[starts]
-        hms -= _MIDNIGHT
-        hms = hms.view(np.int64)  # every byte is below 10
-        pairs = hms >> 8
-        pairs += hms * 10  # the hour, minute and second at bytes 0, 3 and 6
-        hour, minute, second = ((pairs >> shift) & 0xFF for shift in (0, 24, 48))
-        seconds = hour * 60
-        seconds += minute
-        seconds *= 60
-        seconds += second
-        seconds += days * SECONDS_PER_DAY
-        return seconds, (hour < 24) & (minute < 60) & (second < 60) & bool(real and days >= 0)
-    chars = _view(buf, 0, (buf.size - 18, 19), (1, 1))[starts]
-    year, month, day, hour, minute, second = (
-        _horner(chars, range(c, c + w), _ZERO) for c, w in _ISO_FIELDS)
-    days, real = _days_from_civil(year, month, day)
-    seconds = days * SECONDS_PER_DAY + hour * 3600 + minute * 60 + second
-    return seconds, real & (hour < 24) & (minute < 60) & (second < 60) & (seconds >= 0)
+    ymd, dd = _unaligned(buf, 0, "<u8")[starts], _unaligned(buf, 8, "<u2")[starts]
+    new = np.ones(starts.size, dtype=bool)  # the first row of each run
+    np.not_equal(ymd[1:], ymd[:-1], out=new[1:])
+    new[1:] |= dd[1:] != dd[:-1]
+    first = np.flatnonzero(new)
+    chars = _view(buf, 0, (buf.size - 9, 10), (1, 1))[starts[first]]
+    days, real = _days_from_civil(*(_horner(chars, range(c, c + w), _ZERO)
+                                    for c, w in _ISO_FIELDS))
+    # a date that is not real counts as day -1, before 1970
+    days = np.repeat(np.where(real, days, -1), np.diff(first, append=starts.size))
+    # HH:MM:SS less 00:00:00, bytewise: digit values, and 0 at the colons
+    hms = _unaligned(buf, 11, "<u8")[starts]
+    hms -= _MIDNIGHT
+    hms = hms.view(np.int64)  # every byte is below 10
+    pairs = hms >> 8
+    pairs += hms * 10  # the hour, minute and second at bytes 0, 3 and 6
+    hour, minute, second = ((pairs >> shift) & 0xFF for shift in (0, 24, 48))
+    ok = (hour < 24) & (minute < 60) & (second < 60) & (days >= 0)
+    seconds = hour * 60
+    seconds += minute
+    seconds *= 60
+    seconds += second
+    days *= SECONDS_PER_DAY
+    seconds += days
+    return seconds, ok
 
 
 def _unaligned(buf, offset, dtype):
@@ -749,7 +729,7 @@ def _view(buf, offset, shape, strides, dtype=np.uint8):
 
 def _days_from_civil(year, month, day):
     """Days from 1970-01-01 to a proleptic Gregorian date, and whether it is a
-    real one; ints or int64 arrays. This is H. Hinnant's days-from-civil
+    real one, of int64 arrays. This is H. Hinnant's days-from-civil
     ("chrono-Compatible Low-Level Date Algorithms", 2013): years start in
     March, so that the leap day ends one."""
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))

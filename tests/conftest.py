@@ -15,8 +15,8 @@ from triarb.market_data import (
     Pair,
     PairSeries,
     SeriesWindow,
+    TickReader,
     TriangleSpec,
-    load_pair_series,
 )
 from triarb.synth import Injections
 
@@ -29,6 +29,15 @@ def write_rows(path, rows):
         fh.write("timestamp,bid,ask\n")
         for row in rows:
             fh.write(",".join(str(x) for x in row) + "\n")
+
+
+def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
+    """The tick file at `path` on the window's grid: a `TickReader` that reads
+    the window as one chunk, then `finish`."""
+    with TickReader(path, pair, window) as reader:
+        series = reader.read(window)
+        reader.finish()
+    return series
 
 
 def load_rows(pair: Pair, window: SeriesWindow, rows) -> PairSeries:
@@ -83,7 +92,7 @@ def cli_flags() -> dict[str, list[str]]:
 
 @pytest.fixture
 def chf_triangle() -> TriangleSpec:
-    return TriangleSpec.from_currencies("EUR", "USD", "CHF")
+    return TriangleSpec(("EUR", "USD", "CHF"))
 
 
 def points(spec: TriangleSpec, point: str = "0.00001") -> dict[str, Decimal]:

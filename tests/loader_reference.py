@@ -2,7 +2,8 @@
 and `datetime` for the values.
 
 It reads the whole file line by line, checks each row as it goes and builds
-the grid columns from a per-second dict. `load_pair_series` in the package
+the grid columns from a per-second dict. The package's `TickReader`, reading
+the window as one chunk and then calling `finish` (`conftest.load_pair_series`),
 must return an equal `PairSeries`, count the same crossed quotes and raise
 the same error class at the same line on every input this loop accepts or
 rejects with a `TickParseError`, `TickOrderingError` or `EmptySeriesError`.

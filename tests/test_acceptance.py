@@ -53,7 +53,7 @@ WEEKDAYS = frozenset({0, 1, 2, 3, 4})
 
 def test_worked_gamma_example():
     """EUR->USD->JPY->EUR at the quoted prices gives 1.000115903 to 9 d.p."""
-    spec = TriangleSpec.from_currencies("EUR", "USD", "JPY")
+    spec = TriangleSpec(("EUR", "USD", "JPY"))
     window = SeriesWindow(0, 1)
     rows = {
         "EUR/USD": [(0, "1.2065", "1.2066")],
@@ -147,7 +147,7 @@ def test_oracle_equivalence_on_random_series():
 
 def test_injection_recovery_hundred_episodes():
     """100 injected episodes recovered with 100% precision and recall."""
-    spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
+    spec = TriangleSpec(("EUR", "USD", "CHF"))
     rng = np.random.default_rng(77)
     injections = []
     t = MONDAY + 60
@@ -183,7 +183,7 @@ def test_injection_recovery_hundred_episodes():
 
 def test_seasonality_mechanism_reproduction():
     """Liquid-session hours show more, shorter opportunities (sign test, p < 0.01)."""
-    spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
+    spec = TriangleSpec(("EUR", "USD", "CHF"))
     profiles = liquidity_preset(base_spread_points=6.0, base_gap_rate=0.001)
     month_seconds = 28 * 86400  # 20 weekdays under the filter
     liquid_hours = (13, 14, 15)

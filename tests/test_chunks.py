@@ -12,14 +12,10 @@ import pytest
 
 from triarb import market_data
 from triarb.cli import main
-from triarb.market_data import (
-    SeriesWindow,
-    TriangleSpec,
-    load_pair_series,
-)
+from triarb.market_data import SeriesWindow, TriangleSpec
 from triarb.rate_product import compute_rate_products
 
-from conftest import MONDAY
+from conftest import MONDAY, load_pair_series
 
 FRIDAY_END = MONDAY - 2 * 86400  # Saturday 00:00
 FRIDAY_SECONDS, MONDAY_SECONDS = 122, 80
@@ -117,8 +113,7 @@ def test_inputs_hold_what_the_chunk_tests_need(ticks, monkeypatch, tmp_path):
         assert found == [(d, int(GRID[i]), n) for d, i, n in EXPECTED]
         # the first block ends among the three ticks of second TRIPLE
         path = data_dir / "EURCHF.csv"
-        reader = market_data.TickReader(path, TriangleSpec.from_currencies(
-            "EUR", "USD", "CHF").pairs[2], WINDOW)
+        reader = market_data.TickReader(path, TriangleSpec(("EUR", "USD", "CHF")).pairs[2], WINDOW)
         with reader:
             t, *_ = reader._next_rows()
             second, *_ = reader._next_rows()
@@ -148,7 +143,7 @@ def test_compare_pools_chunk_moments(ticks, monkeypatch, tmp_path, chunk):
     split = _run(monkeypatch, tmp_path / "out", chunk, block_bytes, argv)
     assert {k: v for k, v in split.items() if k != "comparison.csv"} == {
         k: v for k, v in whole.items() if k != "comparison.csv"}
-    spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
+    spec = TriangleSpec(("EUR", "USD", "CHF"))
     gammas = compute_rate_products(
         [load_pair_series(epoch_dir / f"{p.file_stem}.csv", p, WINDOW) for p in spec.pairs], spec)
     valid = gammas[gammas != 0.0]

@@ -2,6 +2,7 @@
 
 import calendar
 import copy
+import inspect
 import itertools
 import tempfile
 import tracemalloc
@@ -33,14 +34,13 @@ from triarb.market_data import (
     SeriesWindow,
     Side,
     TriangleSpec,
-    load_pair_series,
     market_convention_pair,
     write_pair_series_csv,
 )
 from triarb.rate_product import compute_rate_products
 
 import loader_reference as reference
-from conftest import MONDAY, load_rows, write_rows
+from conftest import MONDAY, load_pair_series, load_rows, write_rows
 
 EURUSD = Pair("EUR", "USD")
 GOLDEN_SYNTH = Path(__file__).parent / "golden" / "synth"
@@ -52,7 +52,7 @@ class TestLoadPairSeries:
         write_rows(path, [(0, "1.2065", "1.2067"), (1, "1.2066", "1.2068"), (2, "1.2064", "1.2066")])
         series = load_pair_series(path, EURUSD, SeriesWindow(0, 3))
         assert len(series) == 3
-        assert series.n_missing == 0
+        assert np.count_nonzero(series.missing) == 0
         assert series.scale == 4
         assert series.bid_m.tolist() == [12065, 12066, 12064]
 
@@ -137,6 +137,16 @@ class TestLoadPairSeries:
         with pytest.warns(CrossedQuoteWarning):
             series = load_pair_series(path, EURUSD, SeriesWindow(0, 1))
         assert (series.bid_m[0], series.ask_m[0]) == (12070, 12067)
+
+    def test_crossed_quote_warning_names_the_line_that_called_finish(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        write_rows(path, [(0, "1.2070", "1.2067")])
+        with market_data.TickReader(path, EURUSD, SeriesWindow(0, 1)) as reader:
+            reader.read(SeriesWindow(0, 1))
+            with pytest.warns(CrossedQuoteWarning) as caught:
+                line = inspect.currentframe().f_lineno + 1
+                reader.finish()
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
     def test_reload_is_bit_identical(self, tmp_path):
         path = tmp_path / "ticks.csv"
@@ -559,7 +569,8 @@ def test_writer_blocks_match_reference(case):
         path = Path(tmp) / "ticks.csv"
         write_pair_series_csv(path, series)
         assert path.read_bytes() == expected.read_bytes()
-        assert [rows for rows, _ in blocks] == [per] * ((len(series) - series.n_missing) // per)
+        quoted = len(series) - np.count_nonzero(series.missing)
+        assert [rows for rows, _ in blocks] == [per] * (quoted // per)
         assert all(len(text) <= per * line for _, text in blocks)
         mp.undo()  # the loader reads blocks of BLOCK_BYTES too; a header may not fit in these
         with warnings.catch_warnings():
@@ -822,21 +833,28 @@ def _assert_matches_reference(path, window, block_sizes, monkeypatch):
 
 
 class TestIsoDateOnce:
-    """A block of ISO rows that share one date decodes it once and reads only
-    HH:MM:SS per row; a block that spans midnight decodes every row."""
+    """A block of ISO rows, on one date or several, decodes the date of each
+    run of rows on one date once and reads only HH:MM:SS per row."""
 
-    @pytest.mark.parametrize("first", [
-        pytest.param("2026-03-02T23:59:50", id="midnight"),
-        pytest.param("2026-03-31T23:59:50", id="month end"),
-        pytest.param("2025-12-31T23:59:50", id="year end"),
-        pytest.param("2024-02-28T23:59:50", id="into 29 February"),
-        pytest.param("2024-02-29T23:59:50", id="out of 29 February"),
-        pytest.param("2100-02-28T23:59:50", id="no 29 February in 2100"),
+    @pytest.mark.parametrize("first, dates_before", [
+        pytest.param("2026-03-02T23:59:50", 0, id="midnight"),
+        pytest.param("2026-03-31T23:59:50", 0, id="month end"),
+        pytest.param("2025-12-31T23:59:50", 0, id="year end"),
+        pytest.param("2024-02-28T23:59:50", 0, id="into 29 February"),
+        pytest.param("2024-02-29T23:59:50", 0, id="out of 29 February"),
+        pytest.param("2100-02-28T23:59:50", 0, id="no 29 February in 2100"),
+        pytest.param("2024-02-29T23:59:50", 4, id="six dates, 29 February"),
+        pytest.param("2025-12-31T23:59:50", 3, id="five dates, year end"),
     ])
-    def test_blocks_across_a_date_change_match_reference(self, tmp_path, monkeypatch, first):
+    def test_blocks_across_a_date_change_match_reference(self, tmp_path, monkeypatch, first,
+                                                         dates_before):
         # 20 seconds, two rows each, around the change of date; blocks of one to
-        # about fifteen rows put the change inside a block and on a block's edge
+        # about fifteen rows put the change inside a block and on a block's edge.
+        # Before them, one row on each of `dates_before` consecutive dates, before
+        # the window, so that one block can hold several dates
         t0, rows = _iso_rows(first, 20, per_second=2)
+        rows[:0] = [(datetime.fromtimestamp(t0 - d * 86400, timezone.utc).isoformat()[:19],
+                     *rows[0][1:]) for d in range(dates_before, 0, -1)]
         path = tmp_path / "ticks.csv"
         write_rows(path, rows)
         series, warned = _assert_matches_reference(
@@ -861,9 +879,11 @@ class TestIsoDateOnce:
         pytest.param("2024-03-11T00:00:00", id="a later day, last row"),
         pytest.param("2024-03-00T12:00:00", id="day 00"),
         pytest.param("2024-03-32T12:00:00", id="day 32"),
+        pytest.param("2024-02-29T12:00:00", id="a date back, mid-block"),
+        pytest.param("2024-02-01T12:00:00", id="a month back, mid-block"),
     ])
     def test_one_row_with_other_day_digits(self, tmp_path, monkeypatch, other):
-        # every row has 2024-03-01 but one, whose bytes differ in the day's digits only
+        # every row has 2024-03-01 but one, whose bytes differ in the date's digits only
         t0, rows = _iso_rows("2024-03-01T12:00:00", 12)
         at = len(rows) - 1 if other.endswith("T00:00:00") else 6
         rows[at] = (other, *rows[at][1:])
@@ -871,10 +891,14 @@ class TestIsoDateOnce:
         write_rows(path, rows)
         window = SeriesWindow(t0, t0 + 11 * 86400)
         outcome = _assert_matches_reference(path, window, (1 << 18,), monkeypatch)
-        if at == 6:
+        if other.startswith("2024-02"):  # a date before the row above's
+            (error, message), warned = outcome
+            assert error is TickOrderingError and not warned
+            assert message.startswith(f"{path}:{at + 2}: timestamp ")
+        elif at == 6:
             assert outcome == ((TickParseError, at + 2), [])
         else:
-            assert outcome[0].n_missing == window.grid_size() - len(rows)
+            assert np.count_nonzero(outcome[0].missing) == window.grid_size() - len(rows)
 
     def test_one_row_blocks(self, tmp_path, monkeypatch):
         # each block ends inside the next row, so every block holds one whole row
@@ -1021,7 +1045,7 @@ class TestSeriesWindow:
 
 class TestTriangleSpec:
     def test_chf_triangle_reproduces_leg_recipes(self):
-        spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
+        spec = TriangleSpec(("EUR", "USD", "CHF"))
         assert [(p.name, s) for p, s in spec.legs(Direction.DIR1)] == [
             ("EUR/USD", Side.BID),
             ("USD/CHF", Side.BID),
@@ -1042,7 +1066,7 @@ class TestTriangleSpec:
         # bid = ask = mid is exact parity: each direction's product is 1
         value = dict(zip(codes, values))
         for order in itertools.permutations(codes):
-            spec = TriangleSpec.from_currencies(*order)
+            spec = TriangleSpec(order)
             mid = {p: value[p.base] / value[p.quote] for p in spec.pairs}
             sides = {}
             for direction in Direction:
@@ -1081,7 +1105,7 @@ class TestTriangleSpec:
 
     def test_rejects_duplicate_currencies(self):
         with pytest.raises(ValueError, match="must be distinct"):
-            TriangleSpec.from_currencies("EUR", "EUR", "CHF")
+            TriangleSpec(("EUR", "EUR", "CHF"))
 
 
 ORDER = "expected series for EUR/USD, USD/CHF, EUR/CHF in that order"
@@ -1091,7 +1115,7 @@ class TestAlignTriangle:
     """`compute_rate_products` checks the three series' pair order and their grid."""
 
     def setup_method(self):
-        self.spec = TriangleSpec.from_currencies("EUR", "USD", "CHF")
+        self.spec = TriangleSpec(("EUR", "USD", "CHF"))
         self.window = SeriesWindow(0, 10)
 
     def full_series(self, pair, bid="1.2", ask="1.21", skip=()):

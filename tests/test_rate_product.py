@@ -14,7 +14,7 @@ from conftest import load_rows
 
 
 def triangle(a="EUR", b="USD", c="CHF"):
-    return TriangleSpec.from_currencies(a, b, c)
+    return TriangleSpec((a, b, c))
 
 
 def tick_series(spec, rows_by_pair, window):

@@ -93,7 +93,7 @@ class TestGenerate:
     def test_gap_rate_produces_missing_seconds(self, chf_triangle):
         cfg = base_config(chf_triangle, seed=5, gap_rate=0.01)
         a, b, c = generate(cfg)
-        total_missing = a.n_missing + b.n_missing + c.n_missing
+        total_missing = sum(np.count_nonzero(s.missing) for s in (a, b, c))
         expected = 3 * 3600 * 0.01
         assert 0.5 * expected < total_missing < 2 * expected
 
@@ -141,7 +141,7 @@ class TestGenerate:
         # cycle CHF->USD->EUR->CHF: the direct pair enters direction 1 at its bid
         from triarb.market_data import TriangleSpec
 
-        spec = TriangleSpec.from_currencies("CHF", "USD", "EUR")
+        spec = TriangleSpec(("CHF", "USD", "EUR"))
         window = SeriesWindow(MONDAY, MONDAY + 3600, WEEKDAYS)
         cfg = SynthConfig(
             seed=31,
