@@ -24,11 +24,13 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import traceback
+import warnings
 from datetime import date
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -48,7 +50,7 @@ from .config import (
     parse_window,
     synth_config_from_json,
 )
-from .errors import SynthConfigError, TriarbError
+from .errors import CrossedQuoteWarning, SynthConfigError, TriarbError
 from .market_data import (
     ALL_DAYS,
     HOURS,
@@ -89,13 +91,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+            return args.func(args)
     except (TriarbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 1
+
+
+def _show_warning(show, message, category, *where) -> None:
+    """Print triarb's own warnings as `warning: <message>` on stderr; others go to `show`."""
+    if issubclass(category, CrossedQuoteWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *where)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,9 @@ here; the conversion to floating point happens downstream, when rate
 products are computed. A `TickReader` parses tick files with numpy passes
 over fixed-size blocks of a file's bytes, onto the columns of one chunk of a
 window at a time, and the writer formats the columns straight back to them
-from digit matrices.
+from digit matrices. The reader decodes an ISO date once per run of rows
+that share it, with `datetime.date`, and moves bid and ask columns with 1-D
+index operations.
 
 Tick files follow one grammar, which `write_pair_series_csv` writes:
 
@@ -62,11 +64,6 @@ _EPOCH_WEEKDAY = 3
 WEEKDAYS = frozenset({0, 1, 2, 3, 4})
 ALL_DAYS = frozenset(range(7))
 MAX_DAYS = 1 << 17  # the calendar days a window may touch, about 359 years
-
-
-def _weekday_of(epoch_day):
-    """Weekday (Monday = 0) of an epoch day number, or of an int array of them."""
-    return (epoch_day + _EPOCH_WEEKDAY) % 7
 
 
 # Currency precedence used to order market-convention pairs (base first).
@@ -131,39 +128,41 @@ class SeriesWindow:
     def grid_times(self) -> np.ndarray:
         """All grid seconds of the window, ascending (int64), built from the day
         counts. A window too long for them to fit in memory is a TriarbError."""
-        first, count = self._day_counts()
+        first, count, before = self._day_counts
         try:
-            return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
+            return np.repeat(first - before, count) + np.arange(self.grid_size())
         except MemoryError:
             raise self._too_long() from None
 
     def mask(self, times: np.ndarray) -> np.ndarray:
         """Which of the int64 `times` fall on the window's grid."""
         inside = (times >= self.start) & (times < self.end)
-        inside &= _weekday_table(self.weekday_filter)[_weekday_of(times // SECONDS_PER_DAY)]
+        weekday = (times // SECONDS_PER_DAY + _EPOCH_WEEKDAY) % 7  # Monday = 0
+        inside &= _weekday_table(self.weekday_filter)[weekday]
         return inside
 
     def grid_size(self) -> int:
         """The number of grid seconds, `grid_times().size`."""
-        return int(self._day_counts()[1].sum())
+        _, count, before = self._day_counts
+        return int(before[-1] + count[-1])
 
     def grid_index(self, times: np.ndarray) -> np.ndarray:
         """Index in `grid_times()` of each of the int64 `times`, -1 off the grid,
         counted by calendar days with no grid built. Times that all fall on the
         grid seconds of one day, which are consecutive, take one addition."""
-        first, count = self._day_counts()
+        first, count, before = self._day_counts
         if times.size:
             low, high = int(times.min()), int(times.max())
             day = low // SECONDS_PER_DAY - self.start // SECONDS_PER_DAY
             if 0 <= day < first.size and first[day] <= low and high < first[day] + count[day]:
-                return times + (int(count[:day].sum()) - int(first[day]))
+                return times + int(before[day] - first[day])
         on = self.mask(times)
         day = np.where(on, times // SECONDS_PER_DAY - self.start // SECONDS_PER_DAY, 0)
-        return np.where(on, (np.cumsum(count) - count)[day] + times - first[day], -1)
+        return np.where(on, before[day] + times - first[day], -1)
 
     def days(self) -> list[date]:
         """Calendar days (UTC) covered by the grid, in order."""
-        first, count = self._day_counts()
+        first, count, _ = self._day_counts
         return [date(1970, 1, 1) + timedelta(days=t // SECONDS_PER_DAY)
                 for t in first[count > 0].tolist()]
 
@@ -172,20 +171,25 @@ class SeriesWindow:
         of `CHUNK_SECONDS` grid seconds each and one of the rest, which tile
         this one's interval. A grid no longer than that is one chunk, equal to
         the window."""
-        first, count = self._day_counts()
-        ends = np.cumsum(count)
-        cuts = np.arange(CHUNK_SECONDS, ends[-1], CHUNK_SECONDS)
-        day = np.searchsorted(ends, cuts, side="right")
-        bounds = [self.start, *(first[day] + cuts - (ends - count)[day]).tolist(), self.end]
+        first, count, before = self._day_counts
+        cuts = np.arange(CHUNK_SECONDS, self.grid_size(), CHUNK_SECONDS)
+        day = np.searchsorted(before + count, cuts, side="right")
+        bounds = [self.start, *(first[day] + cuts - before[day]).tolist(), self.end]
         return [SeriesWindow(a, b, self.weekday_filter) for a, b in zip(bounds, bounds[1:])]
 
+    @functools.cached_property
     def _day_counts(self):
-        """The first second in the window of each calendar day it touches, and
-        that day's number of grid seconds."""
+        """The first second in the window of each calendar day it touches, that
+        day's number of grid seconds and those of the days before it: computed
+        once per window, and not a field, so no part of equality, hash or `repr`."""
         day = np.arange(self.start // SECONDS_PER_DAY, (self.end - 1) // SECONDS_PER_DAY + 1)
         first = np.maximum(day * SECONDS_PER_DAY, self.start)
         last = np.minimum(day * SECONDS_PER_DAY + SECONDS_PER_DAY, self.end)
-        return first, (last - first) * self.mask(first)
+        count = (last - first) * self.mask(first)
+        counts = first, count, np.cumsum(count) - count
+        for column in counts:  # every call shares them
+            column.flags.writeable = False
+        return counts
 
     def _too_long(self) -> TriarbError:
         return TriarbError(f"window {self} spans {self.end - self.start:,} seconds, "
@@ -293,12 +297,10 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18
 _COMMA, _DOT, _LF, _CR, _ZERO = (ord(c) for c in ",.\n\r0")
 _CHECKS = ("expected 3 fields", "bad timestamp", "bad price")  # in the order rows are checked
 _ISO = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(\.[0-9]{3})?Z?")
-# (first column, width) of the year, month and day of an ISO time
-_ISO_FIELDS = ((0, 4), (5, 2), (8, 2))
 _FOLD = 64  # rows per long row in `_column_range`
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _MIDNIGHT = np.uint64(int.from_bytes(b"00:00:00", "little"))
 _REPUNITS = np.array([(10**k - 1) // 9 for k in range(19)], dtype=np.int64)  # 0, 1, 11, ...
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])  # months 00 to 13+
 
 
 class BlockBuffer:
@@ -337,12 +339,14 @@ class TickReader:
     The file is parsed by numpy passes over blocks of `BLOCK_BYTES`, read into
     `buffer`, which the readers of one command share (a reader given none
     makes its own); each block's rows are read as a few byte matrices, one
-    per row layout (see `_parse_block`). Of each block it keeps the last tick
-    of each grid second, at an index counted by calendar days, until a chunk
-    takes it; a second that straddles two blocks keeps its later block's
-    tick. Between reads it holds only the bytes after the last whole line,
-    the next line's number, the last timestamp and those ticks, at most a
-    block's, none of them in the buffer.
+    per row layout (see `_parse_block`), and its ISO dates once per run of
+    one date (`_iso_seconds`). Bid and ask, the two rows of one array, move
+    by 1-D index operations, off numpy's slow path for `[:, idx]`. Of each
+    block it keeps the last tick of each grid second, at an index counted by
+    calendar days, until a chunk takes it; a second that straddles two
+    blocks keeps its later block's tick. Between reads it holds only the
+    bytes after the last whole line, the next line's number, the last
+    timestamp and those ticks, at most a block's, none of them in the buffer.
 
     `read` returns the next chunk; the chunks must tile the window in order,
     as `SeriesWindow.chunks` does, and the one that ends the grid reads the
@@ -416,8 +420,9 @@ class TickReader:
         while True:
             k = int(np.searchsorted(self._index, hi))
             at = self._index[:k] - lo
-            placed[:, at] = self._mantissas[:, :k]
-            places[:, at] = self._places[:, :k]
+            for side in range(2):
+                placed[side][at] = self._mantissas[side, :k]
+                places[side][at] = self._places[side, :k]
             if k:  # copies, so that the rest of a block does not hold all of it
                 self._index, self._mantissas, self._places = (
                     self._index[k:].copy(), self._mantissas[:, k:].copy(),
@@ -433,14 +438,16 @@ class TickReader:
             return
         t, mantissas, places, crossed, _ = rows
         self._n_crossed += int(crossed.sum())
-        last = _last_per_second(t)
+        last = np.ones(t.size, dtype=bool)  # the last row of each second
+        last[:-1] = t[1:] != t[:-1]
         if not last.all():
             rows = np.flatnonzero(last)
-            t, mantissas, places = t[rows], mantissas[:, rows], places[:, rows]
+            t, mantissas, places = t[rows], mantissas.take(rows, axis=1), places.take(rows, axis=1)
         index = self.window.grid_index(t)
         on = index >= 0
         if not on.all():
-            index, mantissas, places = index[on], mantissas[:, on], places[:, on]
+            index, mantissas, places = (index[on], mantissas.compress(on, axis=1),
+                                        places.compress(on, axis=1))
         self._index, self._mantissas, self._places = index, mantissas, places
 
     def _next_rows(self):
@@ -568,7 +575,7 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
                 and (high <= np.where(digit, _ZERO + 9, tmpl)).all()):
             # rows of other layouts among them
             punct = np.flatnonzero(~digit)
-            same = chars[:, punct] == tmpl[punct]
+            same = chars.take(punct, axis=1) == tmpl[punct]
             chars = chars - np.uint8(_ZERO)  # uint8: any byte but a digit is 10 or more
             chars[:, punct] = np.where(same, np.uint8(0), np.uint8(10))
             inside = chars.max(axis=1) < 10
@@ -577,8 +584,8 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
         if stamp_cols:
             t[rows] = _horner(chars, stamp_cols, zero)
         for side, (cols, dot_places) in enumerate(prices):
-            mantissas[side, rows] = _horner(chars, cols, zero)
-            places[side, rows] = dot_places
+            mantissas[side][rows] = _horner(chars, cols, zero)
+            places[side][rows] = dot_places
     k = n if failed is None else failed[0] + 1  # no later row is checked
     t_ok = np.ones(k, dtype=bool)
     read = k - (failed is not None and failed[1] < 2)  # a failed template's time if it has one
@@ -634,12 +641,14 @@ def _layout(row, iso):
 def _rows_matrix(buf, starts, width):
     """The (rows, width) bytes of `buf` from each of `starts`: a read-only
     strided view when the rows follow one another one LF apart, as in a file
-    of one layout, and otherwise a gather."""
+    of one layout, and otherwise a gather of whole rows, each one numpy void
+    of `width` bytes, viewed back as bytes."""
     first = int(starts[0])
     if int(starts[-1]) - first == (starts.size - 1) * (width + 1):
         # lines of one width lie at least width + 1 apart, so each gap is exactly that
         return _view(buf, first, (starts.size, width), (width + 1, 1))
-    return _view(buf, 0, (buf.size - width + 1, width), (1, 1))[starts]
+    rows = _unaligned(buf, 0, f"V{width}")[starts]
+    return rows.view(np.uint8).reshape(starts.size, width)
 
 
 def _column_range(chars):
@@ -680,35 +689,36 @@ def _iso_seconds(buf, starts):
     with digits at every digit column, and which are a real date and time
     from 1970 on.
 
-    The rows fall into runs that share a date, found by comparing each row's
-    ten date bytes, as one uint64 and one uint16, with the row above's. Each
-    run's date is decoded once, and of each row only HH:MM:SS, as one uint64.
+    Each row's 19 bytes are gathered once, as one numpy void. The rows fall
+    into runs that share a date, found by comparing each row's ten date
+    bytes, as one uint64 and one uint16, with the row above's. Each run's
+    date is decoded once, with Python ints and `datetime.date`, and of each
+    row only HH:MM:SS, as one uint64.
     """
-    ymd, dd = _unaligned(buf, 0, "<u8")[starts], _unaligned(buf, 8, "<u2")[starts]
+    stamps = _unaligned(buf, 0, "V19")[starts].view(np.uint8)
+    ymd, dd, hms, dates = (_view(stamps, at, (starts.size,), (19,), dtype)
+                           for at, dtype in ((0, "<u8"), (8, "<u2"), (11, "<u8"), (0, "S10")))
     new = np.ones(starts.size, dtype=bool)  # the first row of each run
     np.not_equal(ymd[1:], ymd[:-1], out=new[1:])
     new[1:] |= dd[1:] != dd[:-1]
     first = np.flatnonzero(new)
-    chars = _view(buf, 0, (buf.size - 9, 10), (1, 1))[starts[first]]
-    days, real = _days_from_civil(*(_horner(chars, range(c, c + w), _ZERO)
-                                    for c, w in _ISO_FIELDS))
-    # a date that is not real counts as day -1, before 1970
-    days = np.repeat(np.where(real, days, -1), np.diff(first, append=starts.size))
     # HH:MM:SS less 00:00:00, bytewise: digit values, and 0 at the colons
-    hms = _unaligned(buf, 11, "<u8")[starts]
-    hms -= _MIDNIGHT
-    hms = hms.view(np.int64)  # every byte is below 10
+    hms = (hms - _MIDNIGHT).view(np.int64)  # every byte is below 10
     pairs = hms >> 8
     pairs += hms * 10  # the hour, minute and second at bytes 0, 3 and 6
     hour, minute, second = ((pairs >> shift) & 0xFF for shift in (0, 24, 48))
-    ok = (hour < 24) & (minute < 60) & (second < 60) & (days >= 0)
     seconds = hour * 60
     seconds += minute
     seconds *= 60
     seconds += second
-    days *= SECONDS_PER_DAY
-    seconds += days
-    return seconds, ok
+    bounds = [*first.tolist(), starts.size]
+    for lo, hi, text in zip(bounds, bounds[1:], dates[first].tolist()):
+        try:
+            day = date(int(text[:4]), int(text[5:7]), int(text[8:10])).toordinal() - _EPOCH_ORDINAL
+        except ValueError:  # a date that is not real counts as day -1, before 1970
+            day = -1
+        seconds[lo:hi] += day * SECONDS_PER_DAY
+    return seconds, (hour < 24) & (minute < 60) & (second < 60) & (seconds >= 0)
 
 
 def _unaligned(buf, offset, dtype):
@@ -727,38 +737,16 @@ def _view(buf, offset, shape, strides, dtype=np.uint8):
     return view
 
 
-def _days_from_civil(year, month, day):
-    """Days from 1970-01-01 to a proleptic Gregorian date, and whether it is a
-    real one, of int64 arrays. This is H. Hinnant's days-from-civil
-    ("chrono-Compatible Low-Level Date Algorithms", 2013): years start in
-    March, so that the leap day ends one."""
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.minimum(month, 13)] + (leap & (month == 2))
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400  # year of the 400-year era, 0 to 399
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1  # day of the March-based year
-    days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
-    return days, (day >= 1) & (day <= month_days)
-
-
 def _greater(mantissas, places):
     """Exact bid > ask for (2, rows) bid and ask mantissas and decimal places
     (<= 18): the mantissas where the places agree; elsewhere integer parts
     first, then fractions padded to 18 places."""
     greater = mantissas[0] > mantissas[1]
     i = np.flatnonzero(places[0] != places[1])
-    m, p = mantissas[:, i], places[:, i]
+    m, p = mantissas.take(i, axis=1), places.take(i, axis=1)
     (xi, yi), (xf, yf) = np.divmod(m, _POW10[p])
     greater[i] = (xi > yi) | ((xi == yi) & (xf * _POW10[18 - p[0]] > yf * _POW10[18 - p[1]]))
     return greater
-
-
-def _last_per_second(t):
-    """Mask of the last row of each run of equal timestamps."""
-    last = np.ones(t.size, dtype=bool)
-    last[:-1] = t[1:] != t[:-1]
-    return last
 
 
 def write_pair_series_csv(path, series: PairSeries) -> None:

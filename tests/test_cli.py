@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from decimal import Decimal
 from functools import reduce
 from pathlib import Path
 
@@ -20,9 +21,15 @@ from hypothesis import given, settings, strategies as st
 
 from triarb.cli import _summary_entry, main
 from triarb.config import parse_window
-from triarb.errors import EmptySeriesError, TickOrderingError, TickParseError
+from triarb.errors import (
+    CrossedQuoteWarning,
+    EmptySeriesError,
+    TickOrderingError,
+    TickParseError,
+)
 from triarb.market_data import Direction, TriangleSpec
 from triarb.opportunity import ArbitrageOpportunity
+from triarb.rate_product import compute_rate_products
 from triarb.simulator import Scenario, SimulationConfig, simulate_trades
 
 import loader_reference as reference
@@ -463,6 +470,46 @@ class TestDetectCommand:
         assert rc == 2
         assert f"{path}:4:" in err and "bad price" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def _cross_one_quote(data_dir):
+        """Swap the bid and ask of the first EUR/USD row whose bid is below its ask."""
+        path = data_dir / "EURUSD.csv"
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines[1:], 1)
+                 if Decimal(line.split(",")[1]) < Decimal(line.split(",")[2]))
+        t, bid, ask = lines[i].split(",")
+        lines[i] = f"{t},{ask},{bid}"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_crossed_quote_warns_in_one_line(self, tmp_path):
+        # a fresh interpreter, so that stderr is what a user sees
+        data_dir = run_synth(tmp_path, five_injections())
+        path = self._cross_one_quote(data_dir)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "triarb.cli", "detect", "--data-dir", str(data_dir),
+             "--window", WINDOW, "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"warning: {path}: accepted 1 crossed quote(s) (bid > ask)\n"
+
+    def test_other_warnings_keep_their_format(self, tmp_path, capsys, monkeypatch):
+        # a warning that is not triarb's goes on to the handler in place, here pytest's
+        def warn_then_compute(*args):
+            warnings.warn("another warning", UserWarning)
+            return compute_rate_products(*args)
+
+        data_dir = run_synth(tmp_path, five_injections())
+        self._cross_one_quote(data_dir)
+        monkeypatch.setattr("triarb.cli.compute_rate_products", warn_then_compute)
+        with pytest.warns(UserWarning, match="another warning") as caught:
+            assert main(["detect", "--data-dir", str(data_dir), "--window", WINDOW,
+                         "--out-dir", str(tmp_path / "out")]) == 0
+        assert not any(w.category is CrossedQuoteWarning for w in caught)
+        assert capsys.readouterr().err.startswith("warning: ")
 
     @pytest.mark.parametrize("row, message", [
         (lambda t: t + b',1.20649,"1.20651', "bad price"),

@@ -2,12 +2,14 @@
 
 import calendar
 import copy
+import dataclasses
 import inspect
 import itertools
+import pickle
 import tempfile
 import tracemalloc
 import warnings
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -807,7 +809,7 @@ def test_mixed_layouts_match_reference(case):
        st.sampled_from(["", "Z", ".123", ".999Z"]))
 @settings(max_examples=300, deadline=None)
 def test_iso_times_follow_the_calendar(moment, suffix):
-    # days-from-civil against datetime, over every year the four digits can hold
+    # the tick parser's ISO times against the calendar, over every year the four digits can hold
     stamp = moment.strftime("%Y-%m-%dT%H:%M:%S") + suffix
     assert parse_timestamp(stamp) == calendar.timegm(moment.timetuple())
 
@@ -914,6 +916,46 @@ class TestIsoDateOnce:
             while (block := reader._next_rows()) is not None:
                 sizes.append(block[0].size)
         assert sizes == [1] * len(rows)
+
+    def test_every_date_from_1970_to_2100(self):
+        # one row per date, so that every row starts a run of its own, in blocks of
+        # up to 10k rows, about as many as a block of the shortest ISO rows holds
+        epoch = date(1970, 1, 1)
+        days = (date(2100, 12, 31) - epoch).days + 1
+        for lo in range(0, days, 10_000):
+            day = range(lo, min(lo + 10_000, days))
+            second = [d * 7919 % SECONDS_PER_DAY for d in day]  # every hour, minute, second value
+            text = "".join(f"{epoch + timedelta(days=d)}T{s // 3600:02d}:{s // 60 % 60:02d}:"
+                           f"{s % 60:02d}\n" for d, s in zip(day, second))
+            buf = np.frombuffer(text.encode(), dtype=np.uint8)
+            seconds, ok = market_data._iso_seconds(buf, np.arange(len(day)) * 20)
+            assert ok.all()
+            assert seconds.tolist() == [d * SECONDS_PER_DAY + s for d, s in zip(day, second)]
+
+    @pytest.mark.parametrize("stamp", ["2025-02-29T12:00:00", "2100-02-29T12:00:00",
+                                       "2026-13-01T12:00:00", "2026-04-31T12:00:00",
+                                       "0000-01-01T12:00:00", "1969-12-31T23:59:59"])
+    def test_unreal_or_early_date_names_its_line(self, tmp_path, monkeypatch, stamp):
+        # three rows before midnight, then three on the date of `stamp`, which is
+        # not a real date or is before 1970: in one block across midnight, and with
+        # the three on their date in a block of their own
+        _, rows = _iso_rows("1970-01-01T23:59:57", 3)
+        rows += [(stamp, "1.2065", "1.20671")] * 3
+        path = tmp_path / "ticks.csv"
+        write_rows(path, rows)
+        window = SeriesWindow(0, 2 * SECONDS_PER_DAY)
+        first_block = len("timestamp,bid,ask\n") + sum(len(",".join(r)) + 1 for r in rows[:3])
+        expected = _assert_matches_reference(path, window, (1 << 18, first_block), monkeypatch)
+        assert expected == ((TickParseError, 5), [])
+        for block_bytes in (1 << 18, first_block):
+            monkeypatch.setattr(market_data, "BLOCK_BYTES", block_bytes)
+            with market_data.TickReader(path, EURUSD, window) as reader:
+                if block_bytes == first_block:
+                    assert reader._next_rows()[0].size == 3  # the rows before midnight
+                with pytest.raises(TickParseError, match="bad timestamp") as err:
+                    reader._next_rows()
+            assert err.value.line_no == 5
+            assert str(err.value).endswith(f"in {','.join(rows[3]).encode()!r}")
 
 
 class TestBlockBuffer:
@@ -1035,6 +1077,26 @@ class TestSeriesWindow:
         assert sizes[-1] or len(chunks) == 1
         grid = window.grid_times()
         assert np.array_equal(np.concatenate([c.grid_times() for c in chunks]), grid)
+
+    def test_day_counts_are_cached_off_the_fields(self):
+        def window():
+            return SeriesWindow(MONDAY - SECONDS_PER_DAY, MONDAY + 3 * SECONDS_PER_DAY,
+                                frozenset({0, 1, 2, 3, 4}))
+
+        served, fresh = window(), window()
+        text = repr(served)
+        assert served.grid_index(np.array([MONDAY + 5])).tolist() == [5]
+        assert served.chunks()[0].start == served.start
+        counts = served._day_counts
+        assert served._day_counts is counts  # computed once
+        assert served == fresh and hash(served) == hash(fresh)
+        assert repr(served) == repr(fresh) == text
+        again = pickle.loads(pickle.dumps(served))
+        assert again == served and again.grid_size() == served.grid_size() == 3 * SECONDS_PER_DAY
+        shorter = dataclasses.replace(served, end=MONDAY + SECONDS_PER_DAY)
+        assert shorter._day_counts is not counts
+        assert shorter.grid_size() == SECONDS_PER_DAY
+        assert np.array_equal(shorter.grid_times(), served.grid_times()[:SECONDS_PER_DAY])
 
     def test_days_enumeration(self):
         w = SeriesWindow(MONDAY, MONDAY + 3 * 86400, frozenset({0, 1, 2, 3, 4}))
