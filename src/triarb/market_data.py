@@ -541,13 +541,13 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
     Rows fall into layout groups. A group's template is its first row left
     over: its length and the bytes at every column that is not a digit. The
     rows of that length make one (rows, width) byte matrix (`_rows_matrix`).
-    When its column minima and maxima fit the template, every row has the
-    template's layout; otherwise the rows of other layouts are found row by
-    row and left to later groups. A group's fields are Horner passes over its
-    digit columns. So only a template is checked against the grammar, and
-    grouping stops at the first one outside it: no later row can fail first.
-    An ISO time fills columns 0 to 18 in every layout, so the times are read
-    once per block, by `_iso_seconds`.
+    Its column minima and maxima find the columns where rows leave the
+    template (a digit, or the template's byte); only there are rows compared
+    one by one, and those that leave it are left to later groups. A group's
+    fields are Horner passes over its digit columns. So only a template is
+    checked against the grammar, and grouping stops at the first one outside
+    it: no later row can fail first. An ISO time fills columns 0 to 18 in
+    every layout, so the times are read once per block, by `_iso_seconds`.
     """
     n = starts.size
     t = np.zeros(n, dtype=np.int64)
@@ -558,33 +558,28 @@ def _parse_block(path, buf, starts, ends, lines, iso, last_t):
     failed = None  # (row, index in _CHECKS) of a template outside the grammar
     while todo.any():
         first = int(todo.argmax())
-        template = buf[starts[first]:ends[first]].tobytes()
-        layout = _layout(template, iso)
+        tmpl = buf[starts[first]:ends[first]]
+        layout = _layout(tmpl.tobytes(), iso)
         if isinstance(layout, int):
             failed = first, layout
             break
         stamp_cols, prices = layout
-        of_width = todo & (widths == len(template))
+        of_width = todo & (widths == tmpl.size)
         rows = slice(None) if of_width.all() else np.flatnonzero(of_width)
-        chars = _rows_matrix(buf, starts[rows], len(template))
-        zero = _ZERO  # the byte of digit 0 in `chars`
-        tmpl = np.frombuffer(template, dtype=np.uint8)
+        chars = _rows_matrix(buf, starts[rows], tmpl.size)
         digit = (tmpl >= _ZERO) & (tmpl < _ZERO + 10)
+        lo, hi = np.where(digit, np.uint8(_ZERO), tmpl), np.where(digit, np.uint8(_ZERO + 9), tmpl)
         low, high = _column_range(chars)
-        if not ((low >= np.where(digit, _ZERO, tmpl)).all()
-                and (high <= np.where(digit, _ZERO + 9, tmpl)).all()):
-            # rows of other layouts among them
-            punct = np.flatnonzero(~digit)
-            same = chars.take(punct, axis=1) == tmpl[punct]
-            chars = chars - np.uint8(_ZERO)  # uint8: any byte but a digit is 10 or more
-            chars[:, punct] = np.where(same, np.uint8(0), np.uint8(10))
-            inside = chars.max(axis=1) < 10
-            rows, chars, zero = np.flatnonzero(of_width)[inside], chars[inside], 0
+        off = np.flatnonzero((low < lo) | (high > hi))  # columns where some row leaves the template
+        if off.size:
+            cells = chars.take(off, axis=1)
+            rows = np.flatnonzero(of_width)[((cells >= lo[off]) & (cells <= hi[off])).all(axis=1)]
+            chars = _rows_matrix(buf, starts[rows], tmpl.size)
         todo[rows] = False
         if stamp_cols:
-            t[rows] = _horner(chars, stamp_cols, zero)
+            t[rows] = _horner(chars, stamp_cols)
         for side, (cols, dot_places) in enumerate(prices):
-            mantissas[side][rows] = _horner(chars, cols, zero)
+            mantissas[side][rows] = _horner(chars, cols)
             places[side][rows] = dot_places
     k = n if failed is None else failed[0] + 1  # no later row is checked
     t_ok = np.ones(k, dtype=bool)
@@ -672,15 +667,14 @@ def _column_range(chars):
     return low, high
 
 
-def _horner(chars, cols, zero):
-    """The int64 numbers whose decimal digits are the given columns of a byte
-    matrix in which byte `zero` stands for the digit 0."""
+def _horner(chars, cols):
+    """The int64 numbers whose decimal digits are the ASCII digits at the given
+    columns of a byte matrix, summed as bytes with one repunit of '0' taken off."""
     m = chars[:, cols[0]].astype(np.int64)
     for j in cols[1:]:
         m *= 10
         m += chars[:, j]
-    if zero:  # bytes up to '9' (57) in at most 18 digits: m < 57 * (10**18 - 1) / 9 < 2**63
-        m -= zero * _REPUNITS[len(cols)]
+    m -= _ZERO * _REPUNITS[len(cols)]  # up to 18 bytes <= 57: m < 57 * (10**18 - 1) / 9 < 2**63
     return m
 
 

@@ -633,6 +633,22 @@ class TestSeasonalCommand:
         assert daily[0] == ["date", "count", "mean_duration"]
         assert len(daily) - 1 == 1  # two-hour window on one day
 
+    def test_window_past_year_9999_exits_2_before_any_output(self, tmp_path, capsys):
+        # epoch seconds reach past the last day a date can name; ISO times cannot
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for stem in ("EURUSD", "USDCHF", "EURCHF"):
+            (data_dir / f"{stem}.csv").write_text(
+                "timestamp,bid,ask\n253402300700,1.20650,1.20652\n253402300701,1.20650,1.20652\n")
+        base = ["seasonal", "--data-dir", str(data_dir), "--weekdays", "all"]
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            ([*base, "--window", "253402300000..253402300801"],
+             "window 253402300000..253402300801 ends after 253402300800 (9999-12-31)"),
+        ])
+        out = tmp_path / "last-day"
+        assert main([*base, "--window", "253402300000..253402300800", "--out-dir", str(out)]) == 0
+        assert [row[0] for row in read_csv(out / "daily.csv")[1:]] == ["9999-12-31"]
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSimulateCommand:

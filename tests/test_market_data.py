@@ -313,25 +313,30 @@ class TestLoadPairSeries:
                 load_pair_series(path, EURUSD, window)
             assert err.value.line_no == at + 2
 
-    @pytest.mark.parametrize("row, error", [
-        pytest.param(b"12.0650,12.0652", None, id="dot moved"),
-        pytest.param(b"1.2065x,1.20652", "bad price", id="letter"),
-        pytest.param(b"1.20650;1.20652", "expected 3 fields", id="semicolon"),
-        pytest.param(b"1.2 650,1.20652", "bad price", id="space"),
-        pytest.param(b"1.20650+1.20652", "expected 3 fields", id="plus"),
+    @pytest.mark.parametrize("row, error, step", [
+        pytest.param(b"12.0650,12.0652", None, 300, id="dot moved"),
+        pytest.param(b"1.2065,1.206521", None, 300, id="places moved"),
+        pytest.param(b"1.2065x,1.20652", "bad price", 300, id="letter"),
+        pytest.param(b"1.20650;1.20652", "expected 3 fields", 300, id="semicolon"),
+        pytest.param(b"1.2 650,1.20652", "bad price", 300, id="space"),
+        pytest.param(b"1.20650+1.20652", "expected 3 fields", 300, id="plus"),
+        pytest.param(b"1.2065,1.206521", None, 3, id="every third places moved"),
+        pytest.param(b"12.0650,12.0652", None, 3, id="every third dot moved"),
+        pytest.param(b"1.2065x,1.20652", "bad price", 3, id="every third letter"),
     ])
     @pytest.mark.parametrize("at", [0, 1, 63, 64, 150, 298, 299])
     @pytest.mark.parametrize("iso", [False, True])
-    def test_one_row_off_a_long_uniform_block(self, tmp_path, row, error, at, iso):
-        # 300 rows of one length in one block, one LF apart; the row at `at` has
-        # another layout or a bad byte, wherever it falls among the rows that a
-        # group's column minima and maxima cover
+    def test_one_row_off_a_long_uniform_block(self, tmp_path, row, error, step, at, iso):
+        # 300 rows of one length in one block, one LF apart; every `step`-th row
+        # from `at` on has another layout or a bad byte, wherever it falls among
+        # the rows that a group's column minima and maxima cover: one row, or
+        # rows interleaved with the others in the folded rows and in the tail
         def stamp(i):
             return (b"2024-02-29T%02d:%02d:%02d" % (i // 3600, i // 60 % 60, i % 60) if iso
                     else b"%d" % (MONDAY + i))
 
         rows = [stamp(i) + b",1.20650,1.20652" for i in range(300)]
-        rows[at] = stamp(at) + b"," + row
+        rows[at::step] = [stamp(i) + b"," + row for i in range(at, 300, step)]
         path = tmp_path / "ticks.csv"
         path.write_bytes(b"\n".join([b"timestamp,bid,ask", *rows, b""]))
         start = 1709164800 if iso else MONDAY
@@ -339,7 +344,11 @@ class TestLoadPairSeries:
         loaded, caught = _outcome(load_pair_series, path, window)
         assert (loaded, caught) == _outcome(reference.load_pair_series, path, window)
         if error is None:
-            assert int(loaded.bid_m[at]) == 1_206_500 and loaded.scale == 5
+            scale = loaded.scale
+            assert scale == max(len(p) - p.find(b".") - 1 for p in (b"1.20650", *row.split(b",")))
+            for side, m in enumerate((loaded.bid_m, loaded.ask_m)):
+                assert m.tolist() == [int(Decimal(r.split(b",")[side + 1].decode()) * 10**scale)
+                                      for r in rows]
         else:
             with pytest.raises(TickParseError, match=error) as err:
                 load_pair_series(path, EURUSD, window)
