@@ -54,7 +54,6 @@ from .errors import CrossedQuoteWarning, SynthConfigError, TriarbError
 from .market_data import (
     ALL_DAYS,
     HOURS,
-    SECONDS_PER_DAY,
     BlockBuffer,
     SeriesWindow,
     TickReader,
@@ -351,10 +350,7 @@ def cmd_detect(args) -> int:
 def cmd_seasonal(args) -> int:
     triangle = TriangleSpec(parse_currencies(args.triangle))
     window = parse_window(args.window, args.weekdays)
-    last_end = ((date.max - date(1970, 1, 1)).days + 1) * SECONDS_PER_DAY  # 9999-12-31's end
-    if window.end > last_end:
-        raise TriarbError(f"window {window.start}..{window.end} ends after {last_end} "
-                          "(9999-12-31), the last day that daily.csv can name")
+    window.days()  # refuses a window past 9999-12-31, which daily.csv cannot name, before any read
     ops, _ = _detect(args.data_dir, triangle, window)
     out = _out_dir(args)
     write_csv(out / "hourly.csv", ["hour", "count", "mean_duration"],

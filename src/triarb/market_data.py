@@ -161,7 +161,12 @@ class SeriesWindow:
         return np.where(on, before[day] + times - first[day], -1)
 
     def days(self) -> list[date]:
-        """Calendar days (UTC) covered by the grid, in order."""
+        """Calendar days (UTC) covered by the grid, in order. A window that ends
+        after 9999-12-31, the last day a date can name, is a TriarbError."""
+        last_end = ((date.max - date(1970, 1, 1)).days + 1) * SECONDS_PER_DAY
+        if self.end > last_end:
+            raise TriarbError(f"window {self.start}..{self.end} ends after {last_end} "
+                              "(9999-12-31), the last day a date can name")
         first, count, _ = self._day_counts
         return [date(1970, 1, 1) + timedelta(days=t // SECONDS_PER_DAY)
                 for t in first[count > 0].tolist()]

@@ -14,7 +14,12 @@ them as one uint64 array. A higher threshold reuses the uniforms of its trades
 (common random numbers), and profit is monotone in the fill probability within
 a run. Runs come in blocks of at most `BLOCK` and at most `BLOCK_CELLS`
 (run, opportunity) cells, reduced with no per-run loop and summed in run
-order, so no result depends on the block size.
+order, so no result depends on the block size. A block's per-run curves over
+P_GRID go to arrays allocated once per call and reused by every block. A
+run's break-even profit, gains less the loss times the unfilled trades, is
+nondecreasing in the fill probability where finite, so one bisection over
+P_GRID per block finds every config's, loss's and run's first nonnegative
+point.
 """
 
 from __future__ import annotations
@@ -140,22 +145,43 @@ def simulate_trades(ops: Sequence[ArbitrageOpportunity], configs: Sequence[Simul
     initial = np.array([op.initial_gamma for op in ops], dtype=np.float64)
     long_run = np.array([op.run_length >= CERTAIN_FILL_MIN_RUN_LENGTH for op in ops], dtype=bool)
     sweeps = [_Sweep(initial, long_run, cfg, lam_bp) for cfg in configs]
-    # the configs' (run, loss, p) break-even profits, one block at a time; one
-    # buffer for all, so that no block maps fresh pages for its own
-    profit = np.empty((min(BLOCK, runs), lam_bp.size, P_GRID.size))
+    # the block's per-run curves over P_GRID, allocated once: every config's
+    # break-even gains and unfilled trades, and rows for one sum at a time
+    block, bins = min(runs, _block_runs(initial.size)), P_GRID.size
+    gains, unfilled = np.empty((2, len(sweeps), block, bins))
+    rows = np.empty((block + 1, bins))
+    # the flat offset of a (config, run) curve, and each (config, loss)'s cost per unfilled trade
+    config, run = np.ogrid[:len(sweeps), :block]
+    curve_at = ((config * block + run) * bins)[:, None]
+    cost = np.array([s.lam_cost for s in sweeps])[:, :, None]
     # 0/0 at flat zero crossings, overflow at huge volumes: callers refuse non-finite results
     with np.errstate(all="ignore"):
         for start, u, cell in _uniform_blocks(seed, runs, initial.size):
-            for s in sweeps:
-                s.add_block(start, u, cell, profit[:u.shape[0]])
+            b = u.shape[0]
+            for s, g, f in zip(sweeps, gains, unfilled):
+                s.add_block(start, u, cell, g[:b], f[:b], rows[:b + 1])
+
+            def profit(k):  # at P_GRID index k of each (config, loss, run)
+                at = curve_at[..., :b] + k
+                return gains.take(at) - cost * unfilled.take(at)
+
+            crossing = _zero_crossings(profit, (len(sweeps), lam_bp.size, b))
+            for s, x in zip(sweeps, crossing):
+                s.crossings[:, start:start + b] = np.where(np.isnan(x), 1.0, x)
+            del crossing, x  # so that they hold no later block's arrays apart on the heap
         return [s.result() for s in sweeps]
+
+
+def _block_runs(n: int) -> int:
+    """Runs in a block over n opportunities: at most BLOCK and BLOCK_CELLS cells, at least 1."""
+    return min(BLOCK, max(1, BLOCK_CELLS // max(n, 1)))
 
 
 def _uniform_blocks(seed: int, runs: int, n: int):
     """Per block of runs: its first run, its (run, opportunity) uniforms and
     their P_GRID cells (the number of grid points at or below each). A block
     holds at most BLOCK runs and BLOCK_CELLS cells, and at least one run."""
-    block = min(BLOCK, max(1, BLOCK_CELLS // max(n, 1)))
+    block = _block_runs(n)
     ops = np.arange(n, dtype=np.uint64)
     steps = P_GRID.size - 1
     for start in range(0, runs, block):
@@ -200,9 +226,9 @@ class _Sweep:
         self.loss = cfg.volume * cfg.loss_bp * BP
         self.lam_cost = cfg.volume * (lam_bp * BP)
         self.fees = self.n * LEGS_PER_TRANSACTION * cfg.fee_per_trade
-        self.filled_total, self.shift = 0, None
-        # per P_GRID point, summed over runs: the filled excess, the unfilled trades,
-        # the profit curve's deviations from the first run's curve and their squares
+        self.filled_total, self.shift = 0, np.zeros(P_GRID.size)  # the first run's curve
+        # per P_GRID point, summed over runs: the filled excess, the profit curve's
+        # deviations from the first run's curve, their squares and the unfilled trades
         self.sums = np.zeros((4, P_GRID.size))
         try:
             self.totals = np.empty(cfg.runs)
@@ -212,37 +238,43 @@ class _Sweep:
             raise TriarbError(
                 f"runs {cfg.runs:,}: too many for the per-run results to fit in memory") from None
 
-    def add_block(self, start: int, u: np.ndarray, cell: np.ndarray,
-                  profit: np.ndarray) -> None:
-        """Add a block of runs: its first run, uniforms and cells; `profit` is
-        (runs, losses, P_GRID) float64 scratch space."""
+    def add_block(self, start: int, u: np.ndarray, cell: np.ndarray, gains: np.ndarray,
+                  unfilled: np.ndarray, rows: np.ndarray) -> None:
+        """Add a block of runs: its first run, uniforms and cells. Each run's
+        break-even gains and unfilled trades over P_GRID go to `gains` and
+        `unfilled` (runs, P_GRID); `rows` (1 + runs, P_GRID) is scratch."""
         cfg, b, bins = self.cfg, u.shape[0], P_GRID.size
-        rows = slice(start, start + b)
         filled = self.certain | (self.trade & (u < cfg.fill_prob))
         counts = filled.sum(axis=1)
         sums = np.where(filled, self.excess, 0.0).sum(axis=1)
-        self.totals[rows] = cfg.volume * sums - self.loss * (self.n - counts) - self.fees
+        self.totals[start:start + b] = cfg.volume * sums - self.loss * (self.n - counts) - self.fees
         self.filled_total += int(counts.sum())
         # per run and P_GRID point p, the random trades with u < p (cell at or below p)
         # and their summed excess (float even with none), from cells offset per run
         idx = (cell[:, self.random_idx] + bins * np.arange(b)[:, None]).ravel()
-        unfilled = self.random_idx.size - np.bincount(
-            idx, minlength=b * bins).reshape(b, bins).cumsum(axis=1)
-        filled_excess = np.bincount(idx, weights=np.tile(self.excess[self.random_idx], b),
-                                    minlength=b * bins).reshape(b, bins).cumsum(axis=1, dtype=float)
-        gains = cfg.volume * (self.const_excess + filled_excess)
-        curves = gains - self.loss * unfilled - self.fees
-        self.shift = curves[0].copy() if self.shift is None else self.shift
-        dev = curves - self.shift
-        # acc + row 0 + row 1 + ...: sums in run order, whatever the block
-        block_sums = np.stack((filled_excess, unfilled, dev, dev * dev), axis=1)
-        block_sums[0] += self.sums
-        self.sums = block_sums.sum(axis=0)
-        # break-even profit over (run, loss, p), C-contiguous so that the reshape is a view
-        np.multiply(unfilled[:, None, :], self.lam_cost[:, None], out=profit)
-        np.subtract(gains[:, None, :], profit, out=profit)
-        crossing = _zero_crossings(profit.reshape(-1, bins))
-        self.crossings[:, rows] = np.where(np.isnan(crossing), 1.0, crossing).reshape(b, -1).T
+        curves = rows[1:]  # each run's filled excess, then its profit curve's deviation
+        np.cumsum(np.bincount(idx, weights=np.tile(self.excess[self.random_idx], b),
+                              minlength=b * bins).reshape(b, bins), axis=1, out=curves)
+        np.cumsum(np.bincount(idx, minlength=b * bins).reshape(b, bins), axis=1, out=unfilled)
+        np.subtract(self.random_idx.size, unfilled, out=unfilled)
+        np.multiply(cfg.volume, np.add(self.const_excess, curves, out=gains), out=gains)
+        self._add_rows(0, rows)
+        # the profit curves, then their deviations from the first run's curve
+        np.subtract(gains, np.multiply(self.loss, unfilled, out=curves), out=curves)
+        curves -= self.fees
+        if start == 0:
+            self.shift[:] = curves[0]
+        curves -= self.shift
+        self._add_rows(1, rows)
+        curves *= curves
+        self._add_rows(2, rows)
+        # unfilled counts are whole numbers: below 2**53 they sum exactly in any order
+        self.sums[3] += unfilled.sum(axis=0)
+
+    def _add_rows(self, i: int, rows: np.ndarray) -> None:
+        """Add rows 1 on to sum i as acc + row 1 + row 2 + ...: in run order, whatever the block."""
+        rows[0] = self.sums[i]
+        np.add.reduce(rows, axis=0, out=self.sums[i])
 
     def result(self) -> SimulationResult:
         cfg, n, runs, totals = self.cfg, self.n, self.cfg.runs, self.totals
@@ -264,11 +296,13 @@ class _Sweep:
             analytic_total_profit=analytic_total, analytic_break_even_p=p_be,
             analytic_break_even_clamped=clamped,
         )
-        filled_mean, unfilled_mean, dev_mean, dev_sq_mean = self.sums / runs
+        filled_mean, dev_mean, dev_sq_mean, unfilled_mean = self.sums / runs
         filled_mean += self.const_excess
         surface_totals = (cfg.volume * filled_mean[:, None]
                           - self.lam_cost[None, :] * unfilled_mean[:, None] - self.fees)
-        contour = tuple(zip(self.lam_bp.tolist(), _zero_crossings(surface_totals.T).tolist()))
+        losses = np.arange(self.lam_bp.size)
+        contour = tuple(zip(self.lam_bp.tolist(), _zero_crossings(
+            lambda k: surface_totals[k, losses], losses.shape).tolist()))
         mean_bp = surface_totals / (n * cfg.volume) / BP if n else np.zeros_like(surface_totals)
         break_even = tuple(
             BreakEvenResult(lam, analytic_break_even(*split, lam)[0], float(estimates.mean()),
@@ -289,18 +323,24 @@ def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else 0.0
 
 
-def _zero_crossings(curves: np.ndarray) -> np.ndarray:
-    """First zero crossing of each row of nondecreasing profit curves over P_GRID:
-    P_GRID[0] for a row nonnegative from the start, NaN for one never reaching 0."""
-    rows = np.arange(curves.shape[0])
-    nonneg = curves >= 0.0
-    k = nonneg.argmax(axis=1)
-    prev = np.maximum(k - 1, 0)
-    t0, t1 = curves[rows, prev], curves[rows, k]
-    p0, p1 = P_GRID[prev], P_GRID[k]
+def _zero_crossings(profit, shape: tuple) -> np.ndarray:
+    """First zero crossing over P_GRID of the curves of `shape`, nondecreasing where
+    finite: P_GRID[0] for a curve nonnegative from the start, NaN for one never
+    reaching 0. `profit(k)` gives each curve's value at its P_GRID index in k, an
+    int array of `shape`; a bisection in steps of powers of two counts the points
+    below 0 (or NaN)."""
+    n = P_GRID.size
+    k = np.zeros(shape, dtype=np.intp)
+    step = 1 << n.bit_length()
+    while step := step >> 1:
+        below = ~(profit(np.minimum(k + step, n) - 1) >= 0.0)
+        k += step * (below & (k + step <= n))
+    prev, at = np.maximum(k - 1, 0), np.minimum(k, n - 1)
+    t0, t1 = profit(prev), profit(at)
+    p0, p1 = P_GRID[prev], P_GRID[at]
     crossing = p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0)
     crossing[k == 0] = P_GRID[0]
-    crossing[~nonneg[rows, k]] = np.nan
+    crossing[k == n] = np.nan
     return crossing
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from triarb.errors import TriarbError
 from triarb.market_data import Direction, SeriesWindow
 from triarb.opportunity import ArbitrageOpportunity, daily_profile, hourly_profile
 from triarb.synth import OPEN_SESSIONS
@@ -101,6 +102,15 @@ class TestDailyProfile:
         window = SeriesWindow(MONDAY, MONDAY + 86400, WEEKDAYS)
         with pytest.raises(ValueError, match="outside the window's days"):
             daily_profile([op(MONDAY + 3 * 86400)], window)
+
+    def test_window_past_year_9999_is_an_input_error(self):
+        # epoch seconds reach past the last day a date can name
+        window = SeriesWindow(253402300000, 253402300801)
+        with pytest.raises(TriarbError, match=r"^window 253402300000\.\.253402300801 ends after "
+                                              r"253402300800 \(9999-12-31\)"):
+            daily_profile([], window)
+        days, counts, _ = daily_profile([], SeriesWindow(253402300000, 253402300800))
+        assert [day.isoformat() for day in days] == ["9999-12-31"] and counts == (0,)
 
 
 class TestSessionTable:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triarb import simulator
 from triarb.errors import TriarbError
@@ -431,6 +432,33 @@ class TestReferenceOracle:
         assert result.break_even == result_other.break_even
 
 
+# nondecreasing rows over P_GRID: whole-number steps, of which zero steps make
+# plateaus, from a whole-number start, so that rows meet 0 exactly at grid points;
+# scaled by factors that keep those zeros exact
+grid_rows = st.builds(
+    lambda start, steps, scale: np.cumsum([start, *steps]) * scale,
+    st.integers(-300, 20), st.lists(st.integers(0, 6), min_size=P_GRID.size - 1,
+                                    max_size=P_GRID.size - 1),
+    st.sampled_from([2.0**-30, 0.5, 1.0, 3.0, 1e6]))
+
+
+class TestZeroCrossings:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(grid_rows, min_size=1, max_size=6))
+    def test_bisection_matches_the_reference_scan(self, drawn):
+        # besides the drawn rows: one negative throughout (NaN, a break-even of 1),
+        # one nonnegative from p = 0 and one with a plateau at exactly 0
+        rows = np.array([*drawn, np.full(P_GRID.size, -1.0), np.zeros(P_GRID.size),
+                         np.minimum(np.arange(P_GRID.size) - 40.0, 0.0) + np.maximum(
+                             np.arange(P_GRID.size) - 60.0, 0.0)])
+        lanes = np.arange(len(rows))
+        with np.errstate(invalid="ignore"):  # 0/0 where no interpolation is needed, as in the sweep
+            got = simulator._zero_crossings(lambda k: rows[lanes, k], lanes.shape)
+        expected = [reference._zero_crossing(row) for row in rows]
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.isnan(got[-3]) and got[-2] == P_GRID[0] and got[-1] == P_GRID[40]
+
+
 class TestDrawContract:
     def test_reference_generator_gives_splitmix64_known_answers(self):
         # the first outputs of splitmix64.c seeded with 0
@@ -561,13 +589,18 @@ class TestSweepBounds:
             tracemalloc.stop()
         assert peak < runs * P_GRID.size * np.dtype(np.float64).itemsize
 
-    def test_memory_stays_within_the_block_cap(self):
+    @pytest.mark.parametrize("n_runs, lambdas", [
+        (20_000, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+        (40, np.linspace(0.01, 5.0, 500).tolist()),
+    ], ids=["20000-opportunities", "40-opportunities-500-losses"])
+    def test_memory_stays_within_the_block_cap(self, n_runs, lambdas):
         # 20,000 opportunities: blocks of 13 runs, so that no block array passes
         # BLOCK_CELLS elements. At most eight such arrays of 8-byte words are live
         # at once, beside four words per opportunity for each config and the sweep
-        # and each config's per-run results.
-        ops = segment_opportunities(*random_trade_series(seed=26, n_runs=20_000))
-        runs, lambdas = 100, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        # and each config's per-run results. 40 opportunities and 500 losses:
+        # blocks of 64 runs, whose break-evens need no (runs, losses, P_GRID) array.
+        ops = segment_opportunities(*random_trade_series(seed=26, n_runs=n_runs))
+        runs = 100
         configs = [SimulationConfig(scenario=scenario, gamma_t=gamma_t, fill_prob=0.5, runs=runs,
                                     seed=5) for scenario in Scenario for gamma_t in (1.0, 1.0001)]
         tracemalloc.start()
