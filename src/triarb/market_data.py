@@ -691,8 +691,9 @@ def _iso_seconds(buf, starts):
     Each row's 19 bytes are gathered once, as one numpy void. The rows fall
     into runs that share a date, found by comparing each row's ten date
     bytes, as one uint64 and one uint16, with the row above's. Each run's
-    date is decoded once, with Python ints and `datetime.date`, and of each
-    row only HH:MM:SS, as one uint64.
+    date is decoded once, with Python ints and `datetime.date`, and added to
+    its rows in one pass over the block; of each row only HH:MM:SS is read,
+    as one uint64.
     """
     stamps = _unaligned(buf, 0, "V19")[starts].view(np.uint8)
     ymd, dd, hms, dates = (_view(stamps, at, (starts.size,), (19,), dtype)
@@ -710,13 +711,15 @@ def _iso_seconds(buf, starts):
     seconds += minute
     seconds *= 60
     seconds += second
-    bounds = [*first.tolist(), starts.size]
-    for lo, hi, text in zip(bounds, bounds[1:], dates[first].tolist()):
+    days = []
+    for text in dates[first].tolist():
         try:
-            day = date(int(text[:4]), int(text[5:7]), int(text[8:10])).toordinal() - _EPOCH_ORDINAL
+            days.append(date(int(text[:4]), int(text[5:7]), int(text[8:10])).toordinal()
+                        - _EPOCH_ORDINAL)
         except ValueError:  # a date that is not real counts as day -1, before 1970
-            day = -1
-        seconds[lo:hi] += day * SECONDS_PER_DAY
+            days.append(-1)
+    seconds += np.repeat(np.array(days, dtype=np.int64) * SECONDS_PER_DAY,
+                         np.diff(first, append=starts.size))
     return seconds, (hour < 24) & (minute < 60) & (second < 60) & (seconds >= 0)
 
 

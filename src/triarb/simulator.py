@@ -14,12 +14,12 @@ them as one uint64 array. A higher threshold reuses the uniforms of its trades
 (common random numbers), and profit is monotone in the fill probability within
 a run. Runs come in blocks of at most `BLOCK` and at most `BLOCK_CELLS`
 (run, opportunity) cells, reduced with no per-run loop and summed in run
-order, so no result depends on the block size. A block's per-run curves over
-P_GRID go to arrays allocated once per call and reused by every block. A
-run's break-even profit, gains less the loss times the unfilled trades, is
-nondecreasing in the fill probability where finite, so one bisection over
-P_GRID per block finds every config's, loss's and run's first nonnegative
-point.
+order, so no result depends on the block size. A block's draws and its
+per-run curves over P_GRID go to arrays allocated once per call and reused
+by every block. A run's break-even profit, gains less the loss times the
+unfilled trades, is nondecreasing in the fill probability where finite, so
+one bisection over P_GRID per block finds every config's, loss's and run's
+first nonnegative point.
 """
 
 from __future__ import annotations
@@ -154,21 +154,31 @@ def simulate_trades(ops: Sequence[ArbitrageOpportunity], configs: Sequence[Simul
     config, run = np.ogrid[:len(sweeps), :block]
     curve_at = ((config * block + run) * bins)[:, None]
     cost = np.array([s.lam_cost for s in sweeps])[:, :, None]
+    # each (config, loss, run)'s profit at a probed point, and its unfilled trades' cost there
+    values, charges = np.empty((2, len(sweeps) * lam_bp.size * block))
     # 0/0 at flat zero crossings, overflow at huge volumes: callers refuse non-finite results
     with np.errstate(all="ignore"):
         for start, u, cell in _uniform_blocks(seed, runs, initial.size):
             b = u.shape[0]
             for s, g, f in zip(sweeps, gains, unfilled):
                 s.add_block(start, u, cell, g[:b], f[:b], rows[:b + 1])
+            shape = (len(sweeps), lam_bp.size, b)
+            value, charge = (a[:math.prod(shape)].reshape(shape) for a in (values, charges))
+            at = curve_at[..., :b]
 
-            def profit(k):  # at P_GRID index k of each (config, loss, run)
-                at = curve_at[..., :b] + k
-                return gains.take(at) - cost * unfilled.take(at)
+            def profit(k):  # at P_GRID index k of each (config, loss, run), into `value`
+                k += at  # the flat index of each point, for the takes; k is restored after
+                # "clip" takes the in-range indices straight into `out`, "raise" through a copy
+                gains.take(k, out=value, mode="clip")
+                unfilled.take(k, out=charge, mode="clip")
+                k -= at
+                return np.subtract(value, np.multiply(cost, charge, out=charge), out=value)
 
-            crossing = _zero_crossings(profit, (len(sweeps), lam_bp.size, b))
+            crossing = _zero_crossings(profit, shape)
+            crossing[np.isnan(crossing)] = 1.0
             for s, x in zip(sweeps, crossing):
-                s.crossings[:, start:start + b] = np.where(np.isnan(x), 1.0, x)
-            del crossing, x  # so that they hold no later block's arrays apart on the heap
+                s.crossings[:, start:start + b] = x
+            del crossing, x  # so that the next block's bisection does not hold it too
         return [s.result() for s in sweeps]
 
 
@@ -180,34 +190,52 @@ def _block_runs(n: int) -> int:
 def _uniform_blocks(seed: int, runs: int, n: int):
     """Per block of runs: its first run, its (run, opportunity) uniforms and
     their P_GRID cells (the number of grid points at or below each). A block
-    holds at most BLOCK runs and BLOCK_CELLS cells, and at least one run."""
+    holds at most BLOCK runs and BLOCK_CELLS cells, and at least one run.
+    Every block is drawn into the same arrays, allocated once, a shorter last
+    block into their leading rows: a block's uniforms and cells hold until
+    the next block is drawn."""
     block = _block_runs(n)
     ops = np.arange(n, dtype=np.uint64)
     steps = P_GRID.size - 1
+    words = np.empty((block, n), dtype=np.uint64)
+    uniforms = np.empty((block, n))
+    cells = np.empty((block, n), dtype=np.intp)
+    flags = np.empty((block, n), dtype=bool)
     for start in range(0, runs, block):
-        words = _splitmix64(seed, np.arange(start, min(start + block, runs), dtype=np.uint64), ops)
-        u = (words >> np.uint64(11)) * 2.0**-53  # the top 53 bits as a double in [0, 1)
+        b = min(block, runs - start)
+        w, u, cell, at_or_below = words[:b], uniforms[:b], cells[:b], flags[:b]
+        # each of words and u is the other's scratch while it holds nothing
+        # needed: u for SplitMix64's shifts, words, once u holds the draws, as
+        # doubles for the cell arithmetic
+        _splitmix64(seed, np.arange(start, start + b, dtype=np.uint64), ops, w, u.view(np.uint64))
+        np.right_shift(w, np.uint64(11), out=w)
+        np.multiply(w, 2.0**-53, out=u)  # the top 53 bits as a double in [0, 1)
+        scratch = w.view(np.float64)
         # u * steps is off by at most one cell; one comparison each way corrects it
-        cell = np.minimum(u * steps, steps - 1).astype(np.intp) + 1
-        cell += P_GRID[cell] <= u
-        cell -= P_GRID[cell - 1] > u
+        np.minimum(np.multiply(u, steps, out=scratch), steps - 1, out=scratch)
+        np.copyto(cell, scratch, casting="unsafe")  # truncated, as astype does
+        cell += 1
+        # "clip" takes the in-range cells straight into `out`, "raise" through a copy
+        cell += np.less_equal(P_GRID.take(cell, out=scratch, mode="clip"), u, out=at_or_below)
+        cell -= 1  # less 1 where the grid point below the cell is above u
+        cell += np.less_equal(P_GRID.take(cell, out=scratch, mode="clip"), u, out=at_or_below)
         yield start, u, cell
 
 
-def _splitmix64(seed: int, runs: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """(runs, ops) uint64 words: output k = op * 2**32 + run of SplitMix64
-    seeded with `seed`, the mix of the state seed + (k + 1) * GOLDEN_GAMMA.
-    Every operand is uint64 and every operation an array one, so the
-    arithmetic wraps mod 2**64 without a warning."""
-    z = ((runs + np.uint64(1)) * GOLDEN_GAMMA + np.uint64(seed))[:, None] + (
-        (ops << np.uint64(32)) * GOLDEN_GAMMA)
-    shifted = np.empty_like(z)
+def _splitmix64(seed: int, runs: np.ndarray, ops: np.ndarray, z: np.ndarray,
+                shifted: np.ndarray) -> None:
+    """Into the (runs, ops) uint64 array `z`: output k = op * 2**32 + run of
+    SplitMix64 seeded with `seed`, the mix of the state seed + (k + 1) *
+    GOLDEN_GAMMA; `shifted`, of z's shape, is scratch. Every operand is uint64
+    and every operation an array one, so the arithmetic wraps mod 2**64
+    without a warning."""
+    np.add(((runs + np.uint64(1)) * GOLDEN_GAMMA + np.uint64(seed))[:, None],
+           (ops << np.uint64(32)) * GOLDEN_GAMMA, out=z)
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    return z
 
 
 class _Sweep:
@@ -327,18 +355,36 @@ def _zero_crossings(profit, shape: tuple) -> np.ndarray:
     """First zero crossing over P_GRID of the curves of `shape`, nondecreasing where
     finite: P_GRID[0] for a curve nonnegative from the start, NaN for one never
     reaching 0. `profit(k)` gives each curve's value at its P_GRID index in k, an
-    int array of `shape`; a bisection in steps of powers of two counts the points
-    below 0 (or NaN)."""
+    int array of `shape` that it leaves as it found it; the values may be an array
+    of its own, which is read, and may be overwritten, before its next call. A
+    bisection in steps of powers of two counts the points below 0 (or NaN), in
+    two int, two bool and two float arrays of `shape`."""
     n = P_GRID.size
-    k = np.zeros(shape, dtype=np.intp)
+    k, probe = np.zeros((2, *shape), dtype=np.intp)
+    below, fits = np.empty((2, *shape), dtype=bool)
     step = 1 << n.bit_length()
     while step := step >> 1:
-        below = ~(profit(np.minimum(k + step, n) - 1) >= 0.0)
-        k += step * (below & (k + step <= n))
-    prev, at = np.maximum(k - 1, 0), np.minimum(k, n - 1)
-    t0, t1 = profit(prev), profit(at)
-    p0, p1 = P_GRID[prev], P_GRID[at]
-    crossing = p0 + (0.0 - t0) * (p1 - p0) / (t1 - t0)
+        np.add(k, step, out=probe)
+        np.less_equal(probe, n, out=fits)
+        np.minimum(probe, n, out=probe)
+        probe -= 1
+        np.logical_not(np.greater_equal(profit(probe), 0.0, out=below), out=below)
+        below &= fits
+        np.add(k, step, out=k, where=below)
+    # the crossing p0 + (0 - t0) * (p1 - p0) / (t1 - t0) between the points prev
+    # and at either side of it, looked up by k: prev = max(k - 1, 0), at = min(k, n - 1)
+    ends = np.arange(n + 1, dtype=np.intp)
+    prev, at = np.maximum(ends - 1, 0), np.minimum(ends, n - 1)
+    p0, gap = P_GRID[prev], P_GRID[at] - P_GRID[prev]
+    # k is in range, and "clip" takes it straight into `out`, "raise" through a copy
+    crossing = np.copy(profit(prev.take(k, out=probe, mode="clip")))  # t0
+    t1 = profit(at.take(k, out=probe, mode="clip"))
+    t1 -= crossing
+    np.subtract(0.0, crossing, out=crossing)
+    spare = gap.take(k)
+    crossing *= spare
+    crossing /= t1
+    crossing += p0.take(k, out=spare, mode="clip")
     crossing[k == 0] = P_GRID[0]
     crossing[k == n] = np.nan
     return crossing

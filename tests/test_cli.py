@@ -1115,3 +1115,87 @@ class TestCliBasics:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert isinstance(manifest["seed"], int) and 0 <= manifest["seed"] < 2**64
+
+
+# the two ways to start a command in a process of its own
+ENTRY_POINTS = {
+    "module": ["-m", "triarb.cli"],
+    "run": ["-c", "from triarb.cli import run; run()"],
+}
+
+
+def fresh_process(args, stdout=subprocess.PIPE):
+    """`args` to a fresh interpreter on the package's source, with its output
+    streams buffered as a user's are (no PYTHONUNBUFFERED)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+class TestProcessExit:
+    """A command in a process of its own ends by os._exit after flushing its
+    streams, with what an in-process `main` writes and returns."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_detect_writes_what_main_writes(self, tmp_path, entry):
+        data_dir = run_synth(tmp_path, five_injections())
+        out = tmp_path / "out"
+        argv = ["detect", "--data-dir", str(data_dir), "--window", WINDOW, "--out-dir", str(out)]
+        assert main(argv) == 0
+        expected = sha256_tree(out)
+        shutil.rmtree(out)
+        proc = fresh_process([*ENTRY_POINTS[entry], *argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert sha256_tree(out) == expected
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bad_window_exits_2_with_one_line(self, tmp_path, entry):
+        out = tmp_path / "out"
+        proc = fresh_process([*ENTRY_POINTS[entry], "detect", "--data-dir", str(tmp_path),
+                              "--window", "tomorrow", "--out-dir", str(out)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_internal_error_exits_1_with_traceback(self, tmp_path):
+        code = ("import triarb.cli as cli\n"
+                "def broken(*args):\n"
+                "    raise KeyError('internal')\n"
+                "cli.parse_window = broken\n"
+                "cli.run()\n")
+        proc = fresh_process(["-c", code, "seasonal", "--data-dir", str(tmp_path),
+                              "--window", WINDOW, "--out-dir", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "KeyError: 'internal'" in proc.stderr
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_version_on_a_pipe_is_flushed(self, entry):
+        # stdout on a pipe is block-buffered: os._exit alone would drop the line
+        proc = fresh_process([*ENTRY_POINTS[entry], "--version"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "triarb 0.1.0\n", "")
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_stdout_reader_gone_exits_120_without_traceback(self, entry):
+        # the flush fails, so the command exits as Python does on any exit
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = fresh_process([*ENTRY_POINTS[entry], "--version"], stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 120
+        assert "BrokenPipeError" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_exit_skips_atexit_handlers(self):
+        code = ("import atexit\n"
+                "atexit.register(print, 'atexit handler ran')\n"
+                "from triarb.cli import run\n"
+                "run()\n")
+        proc = fresh_process(["-c", code, "--version"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "triarb 0.1.0\n", "")
+
+    def test_profiler_still_prints_its_report(self):
+        proc = fresh_process(["-m", "cProfile", "-m", "triarb.cli", "--version"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("triarb 0.1.0\n") and "function calls" in proc.stdout

@@ -476,17 +476,19 @@ class TestDrawContract:
         assert u[:, 0].tolist() == [(word >> 11) * 2.0**-53 for word in first]
         # the sweep draws them whatever the number of opportunities
         for n in (5, 3):
-            drawn = np.concatenate([u for _, u, _ in simulator._uniform_blocks(seed, 11, n)])
+            drawn = np.concatenate([u.copy() for _, u, _ in simulator._uniform_blocks(seed, 11, n)])
             assert np.array_equal(drawn, u[:, :n])
         # the last run of the last opportunity, where (k + 1) * gamma wraps to 0
         last = np.array([2**32 - 1], dtype=np.uint64)
-        assert int(simulator._splitmix64(seed, last, last)[0, 0]) == (
-            reference.splitmix64_output(seed, 2**64 - 1))
+        word, scratch = np.empty((2, 1, 1), dtype=np.uint64)
+        simulator._splitmix64(seed, last, last, word, scratch)
+        assert int(word[0, 0]) == reference.splitmix64_output(seed, 2**64 - 1)
 
     @pytest.mark.parametrize("block", [7, BLOCK])
     def test_blocks_hold_the_reference_draws_and_their_cells(self, monkeypatch, block):
         monkeypatch.setattr(simulator, "BLOCK", block)
-        blocks = list(simulator._uniform_blocks(2024, 300, 9))
+        blocks = [(start, u.copy(), cell.copy())
+                  for start, u, cell in simulator._uniform_blocks(2024, 300, 9)]
         assert [start for start, _, _ in blocks] == list(range(0, 300, block))
         u = np.concatenate([u for _, u, _ in blocks])
         assert np.array_equal(u, reference.uniforms(2024, 300, 9))
@@ -502,10 +504,22 @@ class TestDrawContract:
         assert [u.shape for _, u, _ in blocks] == [(runs, n), (runs, n), (130 - 2 * runs, n)]
         # more opportunities than the cap allows cells: one run per block
         monkeypatch.setattr(simulator, "BLOCK_CELLS", 4)
-        blocks = list(simulator._uniform_blocks(3, 5, 9))
+        blocks = [(start, u.copy(), cell) for start, u, cell in simulator._uniform_blocks(3, 5, 9)]
         assert [u.shape for _, u, _ in blocks] == [(1, 9)] * 5
         assert np.array_equal(np.concatenate([u for _, u, _ in blocks]),
                               reference.uniforms(3, 5, 9))
+
+    def test_every_block_is_drawn_into_the_same_arrays(self):
+        # 130 runs over 5000 opportunities: two full blocks, then a shorter one in
+        # the leading rows of the same uniforms and cells
+        firsts = [(u, cell, u[0, 0], cell[0, 0])
+                  for _, u, cell in simulator._uniform_blocks(3, 130, 5000)]
+        (u0, cell0, _, _), *rest = firsts
+        assert len(rest) == 2
+        assert all(np.shares_memory(u, u0) and np.shares_memory(cell, cell0)
+                   for u, cell, _, _ in rest)
+        expected = reference.uniforms(3, 130, 1)[::simulator.BLOCK_CELLS // 5000, 0]
+        assert [x for _, _, x, _ in firsts] == expected.tolist()
 
     def test_cells_at_the_grid_points(self, monkeypatch):
         # the uniforms (multiples of 2**-53) next to each grid point, where u * 100
@@ -513,8 +527,11 @@ class TestDrawContract:
         near = np.floor(P_GRID * 2.0**53).astype(np.int64)[:, None] + np.arange(-2, 3)
         k = np.unique(np.clip(near, 0, 2**53 - 1)).astype(np.uint64)
         u, words = k * 2.0**-53, k << np.uint64(11)
-        monkeypatch.setattr(simulator, "_splitmix64",
-                            lambda seed, runs, ops: words[runs.astype(np.intp)][:, None])
+
+        def draw(seed, runs, ops, z, shifted):
+            z[:] = words[runs.astype(np.intp)][:, None]
+
+        monkeypatch.setattr(simulator, "_splitmix64", draw)
         monkeypatch.setattr(simulator, "BLOCK", u.size)
         ((_, drawn, cells),) = simulator._uniform_blocks(0, u.size, 1)
         assert np.array_equal(drawn[:, 0], u)
@@ -611,6 +628,28 @@ class TestSweepBounds:
             tracemalloc.stop()
         words = (8 * simulator.BLOCK_CELLS + 4 * (len(configs) + 1) * len(ops)
                  + len(configs) * runs * (len(lambdas) + 1))
+        assert peak < words * np.dtype(np.float64).itemsize
+
+    def test_break_evens_take_a_few_arrays_per_loss(self):
+        # 4 configs, 500 losses, blocks of 64 runs over 40 opportunities: besides each
+        # config's per-run results and the block's curves over P_GRID, the bisection
+        # holds at most seven arrays of one word per (config, loss, run of the block):
+        # the profits and unfilled costs at a probed point, two int and two float
+        # arrays of its own, and its masks, each at most one byte per element
+        ops = segment_opportunities(*random_trade_series(seed=26, n_runs=40))
+        runs, lambdas = 100, np.linspace(0.01, 5.0, 500).tolist()
+        configs = [SimulationConfig(scenario=scenario, gamma_t=gamma_t, fill_prob=0.5, runs=runs,
+                                    seed=5) for scenario in Scenario for gamma_t in (1.0, 1.0001)]
+        block = simulator._block_runs(len(ops))
+        tracemalloc.start()
+        try:
+            simulate_trades(ops, configs, lambdas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        words = (len(configs) * runs * (len(lambdas) + 1)
+                 + (2 * len(configs) + 1) * (block + 1) * P_GRID.size
+                 + 7 * len(configs) * len(lambdas) * block)
         assert peak < words * np.dtype(np.float64).itemsize
 
     def test_per_run_results_past_memory_are_an_input_error(self, monkeypatch):
