@@ -269,8 +269,9 @@ def _detect(
     The window's grid is walked chunk by chunk (`SeriesWindow.chunks`), one
     `TickReader` per file, so nothing the size of the window is built. A
     window too long or with no grid second is an input error, and so is a
-    missing file, before any file is read; a bad row is reported in the order
-    the files are read. The readers share one `BlockBuffer`.
+    missing file or one that is not a regular file, before any file is read;
+    a bad row is reported in the order the files are read. The readers share
+    one `BlockBuffer`, each reading its blocks at its own byte offset.
     """
     if not window.grid_size():
         raise TriarbError(f"window {window.start}..{window.end} holds no second on its "
@@ -280,6 +281,8 @@ def _detect(
     for path in paths:
         if not path.exists():
             raise FileNotFoundError(f"missing tick file {path}")
+        if not path.is_file():  # a pipe, say, which cannot be read at an offset
+            raise TriarbError(f"tick file {path} is not a regular file")
     ops, held, dist = [], {}, None
     buffer = BlockBuffer()
     with contextlib.ExitStack() as stack:

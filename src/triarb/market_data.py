@@ -287,9 +287,9 @@ class TriangleSpec:
         return tuple((pair, Side.BID if pair.base == src else Side.INV_ASK) for src, pair in hops)
 
 
-# Tick files are read and written in blocks of about this many bytes. A
-# block's partial last line is carried into the next block, so the loader's
-# temporaries follow the block size, never the file size.
+# Tick files are read and written in blocks of about this many bytes, so the
+# loader's temporaries follow the block size, never the file size. A block is
+# read from the start of a line, so a line and its LF must fit in one.
 BLOCK_BYTES = 1 << 18
 # The tick commands walk a window's grid in chunks of this many grid seconds
 # (`SeriesWindow.chunks`), so that what they hold follows the chunk, not the
@@ -319,15 +319,13 @@ class BlockBuffer:
     def __init__(self):
         self._bytes = np.empty(0, dtype=np.uint8)
 
-    def fill(self, carry: bytes, fh) -> np.ndarray:
-        """`carry` and then up to `BLOCK_BYTES` bytes read from `fh`, as a
-        view that the next `fill` overwrites."""
-        size = len(carry) + BLOCK_BYTES
-        if self._bytes.size < size:  # one block and room for a carry of up to 1 KiB
-            self._bytes = np.empty(max(size, BLOCK_BYTES + 1024), dtype=np.uint8)
-        self._bytes[:len(carry)] = np.frombuffer(carry, dtype=np.uint8)
-        read = fh.readinto(memoryview(self._bytes)[len(carry):size])
-        return self._bytes[:len(carry) + read]
+    def fill(self, fh, offset: int) -> np.ndarray:
+        """Up to `BLOCK_BYTES` bytes of the unbuffered file `fh` from byte `offset`,
+        fewer only at its end, as a view that the next `fill` overwrites."""
+        if self._bytes.size < BLOCK_BYTES:
+            self._bytes = np.empty(BLOCK_BYTES, dtype=np.uint8)
+        fh.seek(offset)
+        return self._bytes[:fh.readinto(memoryview(self._bytes)[:BLOCK_BYTES])]
 
 
 def _line_ends(buf: np.ndarray) -> np.ndarray:
@@ -350,8 +348,8 @@ class TickReader:
     block it keeps the last tick of each grid second, at an index counted by
     calendar days, until a chunk takes it; a second that straddles two
     blocks keeps its later block's tick. Between reads it holds only the
-    bytes after the last whole line, the next line's number, the last
-    timestamp and those ticks, at most a block's, none of them in the buffer.
+    byte offset and number of its first unparsed line, the last timestamp
+    and those ticks, at most a block's, none of them in the buffer.
 
     `read` returns the next chunk; the chunks must tile the window in order,
     as `SeriesWindow.chunks` does, and the one that ends the grid reads the
@@ -363,11 +361,10 @@ class TickReader:
     def __init__(self, path, pair: Pair, window: SeriesWindow, buffer: BlockBuffer | None = None):
         self.path, self.pair, self.window = path, pair, window
         self._buffer = BlockBuffer() if buffer is None else buffer
-        self._fh = open(path, "rb")
-        self._carry = b""  # the bytes after the last whole line
-        self._line_no = 1  # of the carry's first line
+        self._fh = open(path, "rb", buffering=0)
+        self._pos = 0  # the byte offset of the first unparsed line
+        self._line_no = 1  # and its number
         self._iso = self._last_t = None
-        self._eof = False
         self._index = np.empty(0, dtype=np.int64)  # grid index of each tick kept
         self._mantissas = np.empty((2, 0), dtype=np.int64)  # their bid and ask
         self._places = np.empty((2, 0), dtype=np.int8)  # and decimal places
@@ -432,15 +429,15 @@ class TickReader:
                 self._index, self._mantissas, self._places = (
                     self._index[k:].copy(), self._mantissas[:, k:].copy(),
                     self._places[:, k:].copy())
-            if self._index.size or self._eof:  # a tick past the chunk, or the end
+            if self._index.size or not self._keep_block():  # a tick past the chunk, or the end
                 return placed, places
-            self._keep_block()
 
-    def _keep_block(self) -> None:
-        """Parse the next block and keep the last tick of each of its grid seconds."""
+    def _keep_block(self) -> bool:
+        """Parse the next block and keep the last tick of each of its grid seconds;
+        False at the end of the file."""
         rows = self._next_rows()
         if rows is None:
-            return
+            return False
         t, mantissas, places, crossed, _ = rows
         self._n_crossed += int(crossed.sum())
         last = np.ones(t.size, dtype=bool)  # the last row of each second
@@ -454,35 +451,36 @@ class TickReader:
             index, mantissas, places = (index[on], mantissas.compress(on, axis=1),
                                         places.compress(on, axis=1))
         self._index, self._mantissas, self._places = index, mantissas, places
+        return True
 
     def _next_rows(self):
         """The timestamps, the (2, rows) bid and ask mantissas and decimal
         places, the crossed-quote flags and the line numbers of the next
         block's data rows, checked; None at the end of the file.
 
-        A line ends at LF or CRLF. The bytes after a block's last LF are
-        carried into the next block, and at the end of the file they are its
-        last line. An empty file, or a line longer than a block, is a
+        A line ends at LF or CRLF. A block starts at the first unparsed line,
+        and its lines up to its last LF are parsed; a block read short is the
+        file's last, and its bytes after that LF are the file's last line. An
+        empty file, or a line of a block or more before its LF, is a
         TickParseError.
         """
-        while not self._eof:
-            buf = self._buffer.fill(self._carry, self._fh)
-            self._eof = buf.size == len(self._carry)
+        while True:
+            buf = self._buffer.fill(self._fh, self._pos)
             ends = _line_ends(buf)
             rest = int(ends[-1]) + 1 if ends.size else 0
-            if self._eof and rest < buf.size:
-                ends = np.append(ends, buf.size)
-                rest = buf.size
-            self._carry = buf[rest:].tobytes()
-            rows = self._parse_lines(buf, ends) if ends.size else None
-            if len(self._carry) > BLOCK_BYTES:
-                raise TickParseError(self.path, self._line_no,
-                                     f"line longer than {BLOCK_BYTES} bytes")
+            if buf.size < BLOCK_BYTES and rest < buf.size:  # the file's last line, with no LF
+                ends, rest = np.append(ends, buf.size), buf.size
+            if not ends.size:
+                if buf.size:  # a whole block and no LF
+                    raise TickParseError(self.path, self._line_no,
+                                         f"line longer than {BLOCK_BYTES - 1} bytes before its LF")
+                if self._line_no == 1:
+                    raise TickParseError(self.path, 1, "empty file")
+                return None
+            self._pos += rest
+            rows = self._parse_lines(buf, ends)
             if rows is not None:
                 return rows
-        if self._line_no == 1:
-            raise TickParseError(self.path, 1, "empty file")
-        return None
 
     def _parse_lines(self, buf, ends):
         """Parse the data rows among the lines of `buf` that end at `ends`."""

@@ -393,6 +393,24 @@ class TestDetectCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_tick_file_not_regular_exits_2_before_any_output(self, tmp_path, capsys, kind):
+        # a reader reads its blocks at byte offsets, which a pipe has not; the
+        # check comes before any file is opened, so no open waits for a writer
+        if kind == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        data_dir = run_synth(tmp_path, [])
+        path = data_dir / "USDCHF.csv"
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        else:
+            os.mkfifo(path)
+        assert_exits_2_before_any_output(tmp_path, capsys, [
+            (["detect", "--data-dir", str(data_dir), "--window", WINDOW],
+             f"tick file {path} is not a regular file"),
+        ])
+
     def test_bad_flags_exit_2_before_any_output(self, tmp_path, capsys):
         data_dir = run_synth(tmp_path, five_injections())
         base = ["detect", "--data-dir", str(data_dir), "--window", WINDOW]

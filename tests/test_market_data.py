@@ -455,13 +455,25 @@ class TestLoadPairSeries:
         assert series.ask_m.tolist() == [14] and not series.missing.any()
         assert parse_window(f"{stamp}..{t + 1}").start == t
 
-    def test_line_longer_than_a_block_rejected(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("start", [18, 28, 48, 68])
+    @pytest.mark.parametrize("length", [63, 64, 90, 120])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_line_longer_than_a_block_rejected(self, tmp_path, monkeypatch, start, length, last):
+        # whether a line fits depends on its length only, not on where it
+        # starts nor on whether an LF ends it: a 64-byte block holds 63 bytes
+        # and an LF
         monkeypatch.setattr(market_data, "BLOCK_BYTES", 64)
+        before = (start - 18) // 10  # the header's 18 bytes, then rows of 10
+        long = "9," + " " * (length - 9) + "1.2,1.3"
+        text = "timestamp,bid,ask\n" + "0,1.2,1.3\n" * before + long
+        text += "" if last else "\n9,1.2,1.3\n"
+        assert text.index(long) == start and len(long) == length
         path = tmp_path / "ticks.csv"
-        write_rows(path, [(0, "1.2065", "1.2067"), (1, " " * 100 + "1.2", "1.3")])
-        with pytest.raises(TickParseError, match="line longer than 64 bytes") as err:
-            load_pair_series(path, EURUSD, SeriesWindow(0, 3))
-        assert err.value.line_no == 3
+        path.write_text(text)
+        what = "bad price" if length < 64 else "line longer than 63 bytes before its LF"
+        with pytest.raises(TickParseError, match=what) as err:
+            load_pair_series(path, EURUSD, SeriesWindow(0, 10))
+        assert err.value.line_no == 2 + before
 
     def test_roundtrip_through_writer(self, tmp_path):
         # 5 at scale 7 is written in fixed point, never in exponent notation
@@ -512,7 +524,7 @@ def pair_series(draw):
 @settings(max_examples=200, deadline=None)
 def test_writer_loader_roundtrip(series, block_bytes):
     # small blocks (but longer than a line) make the writer emit several chunks
-    # and the loader carry lines
+    # and the loader start blocks mid-file
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(market_data, "BLOCK_BYTES", block_bytes)
         path = Path(tmp) / "ticks.csv"
@@ -1017,8 +1029,11 @@ class TestBlockBuffer:
             first = reader.read(window.chunks()[0])
             kept = [copy.deepcopy(a) for a in (
                 first.bid_m, first.ask_m, reader._index, reader._mantissas, reader._places)]
-            carry = reader._carry
-            assert carry and reader._index.size  # a partial line and ticks past the chunk
+            pos = reader._pos
+            text = iso.read_bytes()
+            # a line left unparsed, after the last one parsed, and ticks past the chunk
+            assert 0 < pos < len(text) and text[pos - 1:pos] == b"\n" and reader._index.size
+            assert text.count(b"\n", 0, pos) == reader._line_no - 1
             for a in (first.bid_m, first.ask_m, reader._index, reader._mantissas,
                       reader._places):
                 assert not np.shares_memory(a, buffer._bytes)
@@ -1027,7 +1042,7 @@ class TestBlockBuffer:
                 pass
             now = [first.bid_m, first.ask_m, reader._index, reader._mantissas, reader._places]
             assert all(np.array_equal(a, b) for a, b in zip(now, kept))
-            assert reader._carry == carry
+            assert reader._pos == pos
             rest = [reader.read(chunk) for chunk in window.chunks()[1:]]
         with market_data.TickReader(iso, pair, window) as alone:
             assert [alone.read(chunk) for chunk in window.chunks()] == [first, *rest]
