@@ -54,13 +54,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .config import (
-    format_weekdays,
-    parse_currencies,
-    parse_float_list,
-    parse_window,
-    synth_config_from_json,
-)
+from .config import parse_currencies, parse_float_list, parse_window, require_grid
 from .errors import CrossedQuoteWarning, SynthConfigError, TriarbError
 from .market_data import (
     ALL_DAYS,
@@ -273,9 +267,7 @@ def _detect(
     a bad row is reported in the order the files are read. The readers share
     one `BlockBuffer`, each reading its blocks at its own byte offset.
     """
-    if not window.grid_size():
-        raise TriarbError(f"window {window.start}..{window.end} holds no second on its "
-                          f"weekdays {format_weekdays(window.weekday_filter)}: its grid is empty")
+    require_grid(window)
     chunks = window.chunks()
     paths = [Path(data_dir) / f"{pair.file_stem}.csv" for pair in triangle.pairs]
     for path in paths:
@@ -309,7 +301,7 @@ def _detect(
 def cmd_synth(args) -> int:
     import hashlib  # loads OpenSSL, about 3.5 MB of RSS that only synth needs
 
-    from .synth import generate
+    from .synth import generate, synth_config_from_json
 
     raw = Path(args.synth_config).read_bytes()
     try:

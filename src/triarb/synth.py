@@ -17,16 +17,23 @@ rejected as configuration errors.
 
 The episodes are one `Injections` of columns, checked against the grid by
 `SeriesWindow.grid_index` arithmetic over all of them at once.
+
+`synth_config_from_json` reads the JSON config of the `synth` command into a
+`SynthConfig`. A key the file omits takes the default of the Python API it
+feeds, where that API has one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
+from typing import Any
 
 import numpy as np
 
+from .config import parse_currencies, parse_timestamp, parse_weekdays, require_grid
 from .errors import SynthConfigError
 from .market_data import (
     HOURS,
@@ -126,6 +133,7 @@ class SynthConfig:
     injections: Injections = Injections((), (), (), ())  # on the grid, 1s apart, in any order
 
     def __post_init__(self):
+        _check_seed(self.seed)
         for p in self.triangle.pairs[:2]:  # the driving pairs
             if p.name not in self.mid_prices or self.mid_prices[p.name] <= 0:
                 raise SynthConfigError(f"need a positive mid price for {p.name}")
@@ -151,6 +159,13 @@ class SynthConfig:
         if len(self.gap_rate) != HOURS or any(not 0.0 <= g <= 1.0 for g in self.gap_rate):
             raise SynthConfigError("gap_rate must be 24 probabilities in [0, 1]")
         _validate_injections(self.injections, self.window)
+        require_grid(self.window, SynthConfigError)
+
+
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise SynthConfigError(f"seed: expected a non-negative integer, got {seed}")
+    return seed
 
 
 def _point_places(point: Decimal):
@@ -200,8 +215,6 @@ def _validate_injections(injections: Injections, window: SeriesWindow) -> None:
 def generate(cfg: SynthConfig) -> tuple[PairSeries, PairSeries, PairSeries]:
     """The three pair series, in `cfg.triangle.pairs` order, with `cfg.injections` applied."""
     times = cfg.window.grid_times()
-    if times.size == 0:
-        raise SynthConfigError("window grid is empty")
     hours = (times % 86_400) // 3600
     root = np.random.SeedSequence(cfg.seed)
     walk_seeds = root.spawn(2)
@@ -323,6 +336,7 @@ def seasonal_injection_schedule(
     and then, in start order, each one that leaves no clean second after the
     last one kept. Returns the episodes in start order.
     """
+    _check_seed(seed)
     if not 0 < base_rate_per_hour <= 3600:  # no more episodes than an hour has seconds
         raise SynthConfigError(
             f"schedule.base_rate_per_hour must be in (0, 3600], got {base_rate_per_hour}")
@@ -358,3 +372,150 @@ def seasonal_injection_schedule(
             keep.append(i)
             last_end = end
     return Injections(start[keep], duration[keep], magnitude[keep], direction[keep])
+
+
+# ---------------------------------------------------------------------------
+# synth JSON config
+
+
+def synth_config_from_json(payload: Any) -> SynthConfig:
+    """Build a SynthConfig from the parsed JSON of a synth config file. Each
+    object takes the keys its `_object` call lists, and null counts as absent;
+    an absent key takes the default of the function or field it feeds."""
+    cfg = _object(
+        payload, "synth config", ("seed", "window"),
+        ("currencies", "pairs", "liquidity_preset", "base_spread_points", "base_gap_rate",
+         "gap_rate", "injections", "schedule"),
+    )
+    seed = _check_seed(_check(cfg["seed"], int, "seed"))  # named before any later fault
+    span = _object(cfg["window"], "window", ("start", "end"), ("weekdays",))
+    window = SeriesWindow(parse_timestamp(str(span["start"])), parse_timestamp(str(span["end"])),
+                          parse_weekdays(str(span.get("weekdays", "mon-fri"))))
+    triangle = TriangleSpec(parse_currencies(cfg.get("currencies", "EUR,USD,CHF")))
+
+    names = [p.name for p in triangle.pairs]
+    pair_cfg: dict[str, dict] = {}
+    for name, entry in _check(cfg.get("pairs", {}), dict, "pairs").items():
+        key = _parse_pair(name).name
+        if key not in names:
+            raise SynthConfigError(f"pairs: {name!r} is not a pair of the triangle {names}")
+        if key in pair_cfg:
+            raise SynthConfigError(f"pairs: {key} is given twice")
+        entry = {} if entry is None else entry
+        pair_cfg[key] = _object(entry, f"pairs.{key}", (), ("point", "mid", "vol", "spread_points"))
+
+    preset = None
+    if _check(cfg.get("liquidity_preset", False), bool, "liquidity_preset"):
+        preset = liquidity_preset(**{key: _number(cfg[key], key) for key in
+                                     ("base_spread_points", "base_gap_rate") if key in cfg})
+
+    points, mid_prices, volatilities, spread_points = {}, {}, {}, {}
+    for pair in triangle.pairs:
+        entry, where = pair_cfg.get(pair.name, {}), f"pairs.{pair.name}"
+        point = entry.get("point", "0.01" if pair.quote == "JPY" else "0.0001")
+        try:
+            points[pair.name] = Decimal(str(point))
+        except InvalidOperation:
+            raise SynthConfigError(f"bad point size {point!r} for {pair.name}") from None
+        if "mid" in entry:
+            mid_prices[pair.name] = _number(entry["mid"], f"{where}.mid")
+        if "vol" in entry:
+            volatilities[pair.name] = _number(entry["vol"], f"{where}.vol")
+        if "spread_points" in entry:
+            spread_points[pair.name] = _profile(entry["spread_points"], f"{where}.spread_points")
+        elif preset is None:
+            raise SynthConfigError(f"no spread_points for {pair.name} and liquidity_preset is off")
+        else:
+            spread_points[pair.name] = preset.spread_points
+
+    optional = {}
+    if "gap_rate" in cfg:
+        optional["gap_rate"] = _profile(cfg["gap_rate"], "gap_rate")
+    elif preset is not None:
+        optional["gap_rate"] = preset.gap_rate
+
+    columns = {"start": [], "duration_seconds": [], "magnitude_bp": [], "direction": []}
+    for i, item in enumerate(_check(cfg.get("injections", []), list, "injections")):
+        where = f"injections[{i}]"
+        episode = _object(item, where, tuple(columns))
+        start = parse_timestamp(str(episode["start"]))
+        duration = _check(episode["duration_seconds"], int, f"{where}.duration_seconds")
+        if duration > window.end - window.start:  # off the grid, and perhaps past 64 bits
+            raise _off_grid_error(start, duration, window)
+        columns["start"].append(start)
+        columns["duration_seconds"].append(duration)
+        columns["magnitude_bp"].append(_number(episode["magnitude_bp"], f"{where}.magnitude_bp"))
+        columns["direction"].append(_check(episode["direction"], int, f"{where}.direction"))
+    injections = Injections(**columns)  # its messages name the file's indices
+    if "schedule" in cfg:
+        schedule = _object(cfg["schedule"], "schedule", (),
+                           ("base_rate_per_hour", "magnitude_range"))
+        where = "schedule.magnitude_range"
+        bounds = schedule.pop("magnitude_range", None)
+        if bounds is not None and len(_check(bounds, list, where)) != 2:
+            raise SynthConfigError(f"{where}: expected [lo, hi], got {bounds}")
+        options = {key: _number(value, f"schedule.{key}") for key, value in schedule.items()}
+        if bounds is not None:
+            options["magnitude_range"] = tuple(_number(b, where) for b in bounds)
+        scheduled = seasonal_injection_schedule(seed=seed, window=window, **options)
+        merged = [np.concatenate([getattr(injections, name), getattr(scheduled, name)])
+                  for name in columns]
+        order = np.argsort(merged[0], kind="stable")  # the file's episodes first at a tie
+        injections = Injections(*(column[order] for column in merged))
+
+    return SynthConfig(
+        seed=seed,
+        window=window,
+        triangle=triangle,
+        points=points,
+        mid_prices=mid_prices,
+        volatilities=volatilities,
+        spread_points=spread_points,
+        injections=injections,
+        **optional,
+    )
+
+
+def _parse_pair(text: str) -> Pair:
+    base, sep, quote = text.strip().upper().partition("/")
+    if not sep or not base or not quote:
+        raise SynthConfigError(f"bad pair {text!r}, expected BASE/QUOTE")
+    return Pair(base, quote)
+
+
+def _object(value: Any, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """The members of the JSON object `value` that are not null."""
+    allowed = required + optional
+    for key in _check(value, dict, where):
+        if key not in allowed:
+            raise SynthConfigError(f"{where}: unknown key {key!r}, expected one of {allowed}")
+    members = {k: v for k, v in value.items() if v is not None}
+    for key in required:
+        if key not in members:
+            raise SynthConfigError(f"{where}: missing key {key!r}")
+    return members
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", bool: "true or false"}
+
+
+def _check(value: Any, kind: type, where: str) -> Any:
+    """`value` if it is a `kind`; a bool is no integer."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise SynthConfigError(f"{where}: expected {_JSON_TYPES[kind]}, got {value!r:.60}")
+
+
+def _number(value: Any, where: str) -> float:
+    """A finite JSON number as a float; a bool is no number."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if finite and not isinstance(value, bool):
+        return float(value)
+    raise SynthConfigError(f"{where}: expected a finite number, got {value!r:.60}")
+
+
+def _profile(value: Any, where: str) -> tuple[float, ...]:
+    """A number for every hour of the day, or a list of hourly numbers."""
+    if isinstance(value, list):
+        return tuple(_number(v, where) for v in value)
+    return tuple([_number(value, where)] * HOURS)

@@ -33,7 +33,7 @@ from triarb.rate_product import compute_rate_products
 from triarb.simulator import Scenario, SimulationConfig, simulate_trades
 
 import loader_reference as reference
-from conftest import MONDAY, cli_flags
+from conftest import MONDAY, cli_flags, episode_rows
 
 WINDOW = f"{MONDAY}..{MONDAY + 7200}"
 
@@ -298,6 +298,26 @@ class TestSynthCommand:
                           f"--synth-config {bad_path}: not JSON"))
         assert_exits_2_before_any_output(tmp_path, capsys, cases)
 
+    def test_faults_the_python_api_refuses_exit_2_before_any_draw(self, tmp_path, capsys):
+        # the reader passes these values on; SynthConfig and the schedule refuse them
+        edits = [
+            (lambda p: p["window"].update(start="1970-01-03", end="1970-01-05"),
+             f"window {MONDAY - 2 * 86400}..{MONDAY} holds no second on its weekdays "
+             "mon,tue,wed,thu,fri: its grid is empty"),
+            (lambda p: p["pairs"]["EUR/CHF"].update(spread_points=0),
+             "spreads must be positive for EUR/CHF"),
+            (lambda p: p.update(schedule={"magnitude_range": [4, 0.5]}),
+             "schedule.magnitude_range: bad range (4.0, 0.5)"),
+        ]
+        cases = []
+        for i, (edit, message) in enumerate(edits):
+            payload = synth_payload([])
+            edit(payload)
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(payload))
+            cases.append((["synth", "--synth-config", str(path)], message))
+        assert_exits_2_before_any_output(tmp_path, capsys, cases)
+
     @pytest.mark.parametrize("mutation", ["retype_value", "add_key"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning exits 1
     @settings(max_examples=300, deadline=None)
@@ -429,6 +449,7 @@ class TestDetectCommand:
             ([*base, "--thresholds", "nan,1"], "finite and non-negative"),
             ([*base, "--thresholds", "1,inf"], "finite and non-negative"),
             ([*base, "--thresholds", "abc"], "bad --thresholds 'abc'"),
+            ([*base, "--window", "2026-03-02"], "bad window '2026-03-02', expected START..END"),
             ([*base, "--window", "1970-W02-1..1970-01-06"], "bad timestamp '1970-W02-1'"),
             ([*base, "--window", "19700105T000000..1970-01-06"], "bad timestamp '19700105T"),
             ([*base, "--window", "1970-01-05T00:00:00+00:00..1970-01-06"], "bad timestamp"),
@@ -972,7 +993,7 @@ class TestConfigHandling:
         }
 
     def test_pair_names_are_case_insensitive(self):
-        from triarb.config import synth_config_from_json
+        from triarb.synth import synth_config_from_json
 
         payload = synth_payload([])
         payload["pairs"]["eur/usd "] = {**payload["pairs"].pop("EUR/USD"), "point": "0.001"}
@@ -981,7 +1002,7 @@ class TestConfigHandling:
         assert str(cfg.points["EUR/USD"]) == "0.001"
 
     def test_preset_scales_spreads_with_liquidity(self, tmp_path):
-        from triarb.config import synth_config_from_json
+        from triarb.synth import synth_config_from_json
 
         payload = {
             "seed": 1,
@@ -998,6 +1019,23 @@ class TestConfigHandling:
         spreads = cfg.spread_points["EUR/USD"]
         assert spreads[14] < spreads[23]  # two liquid markets vs one
         assert cfg.gap_rate[14] < cfg.gap_rate[23]
+
+    def test_omitted_keys_take_the_python_api_defaults(self):
+        from triarb.synth import synth_config_from_json
+
+        payload = synth_payload([], hours=6)
+        del payload["gap_rate"]
+        assert synth_config_from_json(payload).gap_rate == (0.0,) * 24
+        for pair in payload["pairs"].values():
+            del pair["spread_points"]
+        payload.update(liquidity_preset=True, schedule={})
+        stated = {**payload, "base_spread_points": 3, "base_gap_rate": 0.002,
+                  "schedule": {"base_rate_per_hour": 1, "magnitude_range": [0.5, 4]}}
+        omitted, given = synth_config_from_json(payload), synth_config_from_json(stated)
+        assert len(omitted.injections) > 0
+        for name in ("spread_points", "gap_rate"):
+            assert getattr(omitted, name) == getattr(given, name)
+        assert episode_rows(omitted.injections) == episode_rows(given.injections)
 
 
 class TestCliBasics:

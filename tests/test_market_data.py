@@ -1053,6 +1053,11 @@ class TestSeriesWindow:
         with pytest.raises(ValueError):
             SeriesWindow(10, 10)
 
+    @pytest.mark.parametrize("days", [frozenset(), frozenset({7}), frozenset({-1, 0})])
+    def test_rejects_an_empty_or_unknown_weekday_filter(self, days):
+        with pytest.raises(TriarbError, match="invalid weekday filter"):
+            SeriesWindow(0, 3600, days)
+
     def test_grid_length_matches_seconds(self):
         assert SeriesWindow(0, 3600).grid_times().size == 3600
 
@@ -1170,10 +1175,13 @@ class TestTriangleSpec:
         assert market_convention_pair("USD", "EUR") == ("EUR", "USD")
         assert market_convention_pair("JPY", "USD") == ("USD", "JPY")
         assert market_convention_pair("CHF", "USD") == ("USD", "CHF")
+        # codes outside the list come after it, alphabetically
+        assert market_convention_pair("SEK", "NOK") == ("NOK", "SEK")
+        assert market_convention_pair("SEK", "EUR") == ("EUR", "SEK")
 
     def test_jpy_point_size_default(self):
         # point sizes are a synth setting; a pair without one gets the convention's
-        from triarb.config import synth_config_from_json
+        from triarb.synth import synth_config_from_json
 
         cfg = synth_config_from_json({
             "seed": 1,

@@ -5,8 +5,8 @@ import json
 import re
 from pathlib import Path
 
-from triarb.config import synth_config_from_json
 from triarb.opportunity import ArbitrageOpportunity
+from triarb.synth import synth_config_from_json
 
 from conftest import MONDAY, cli_flags, episode_rows
 

@@ -186,6 +186,11 @@ class TestBounds:
          "pairs.USD/CHF.vol: expected a number at most 0.01, got 1e+308"),
         (lambda: {"injections": episodes((MONDAY + 60, 2, 1e300, 2))},
          "injections[0].magnitude_bp: expected a number at most 10000, got 1e+300"),
+        # numpy's seeding would refuse it inside generate
+        (lambda: {"seed": -1}, "seed: expected a non-negative integer, got -1"),
+        (lambda: {"window": SeriesWindow(MONDAY - 2 * 86400, MONDAY, WEEKDAYS)},
+         f"window {MONDAY - 2 * 86400}..{MONDAY} holds no second on its weekdays "
+         "mon,tue,wed,thu,fri: its grid is empty"),
     ])
     def test_python_config_out_of_bounds(self, chf_triangle, changes, message):
         with pytest.raises(SynthConfigError) as err:
@@ -197,6 +202,11 @@ class TestBounds:
         window = SeriesWindow(MONDAY, MONDAY + 3600, WEEKDAYS)
         with pytest.raises(SynthConfigError, match="at most 10000, got 1e[+]308"):
             seasonal_injection_schedule(seed=1, window=window, magnitude_range=(0.5, 1e308))
+
+    def test_schedule_refuses_a_negative_seed(self):
+        window = SeriesWindow(MONDAY, MONDAY + 3600, WEEKDAYS)
+        with pytest.raises(SynthConfigError, match="^seed: expected a non-negative integer, got -1"):
+            seasonal_injection_schedule(seed=-1, window=window)
 
     @pytest.mark.parametrize("row, message", [
         ((MONDAY, 0, 1.0, 1), "injections[1].duration_seconds: expected at least 1, got 0"),
