@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {
     **dict.fromkeys(
-        ("AlignmentError", "CrossedQuoteWarning", "EmptySeriesError", "SynthConfigError",
-         "TickOrderingError", "TickParseError", "TriarbError"), "errors"),
+        ("AlignmentError", "EmptySeriesError", "SynthConfigError", "TickOrderingError",
+         "TickParseError", "TriarbError"), "errors"),
     **dict.fromkeys(
         ("Direction", "Pair", "PairSeries", "SeriesWindow", "Side", "TickReader", "TriangleSpec"),
         "market_data"),

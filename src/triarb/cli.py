@@ -35,13 +35,11 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
 import sys
 import traceback
-import warnings
 from datetime import date
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -55,7 +53,7 @@ import numpy as np
 
 from . import __version__
 from .config import parse_currencies, parse_float_list, parse_window, require_grid
-from .errors import CrossedQuoteWarning, SynthConfigError, TriarbError
+from .errors import SynthConfigError, TriarbError
 from .market_data import (
     ALL_DAYS,
     HOURS,
@@ -96,23 +94,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
-            return args.func(args)
+        return args.func(args)
     except (TriarbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 1
-
-
-def _show_warning(show, message, category, *where) -> None:
-    """Print triarb's own warnings as `warning: <message>` on stderr; others go to `show`."""
-    if issubclass(category, CrossedQuoteWarning):
-        print(f"warning: {message}", file=sys.stderr)
-    else:
-        show(message, category, *where)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", required=True, help="directory for outputs")
+    common.add_argument("--out-dir", required=True, type=_path, help="directory for outputs")
 
     tick_args = argparse.ArgumentParser(add_help=False, parents=[common])
     tick_args.add_argument(
@@ -134,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     window_args = argparse.ArgumentParser(add_help=False)
     window_args.add_argument("--window", required=True, help="START..END, epoch seconds or ISO-8601")
     window_args.add_argument("--weekdays", default="mon-fri", help="mon-fri (default), all, or a day list")
-    window_args.add_argument("--data-dir", required=True, help="directory of <BASEQUOTE>.csv tick files")
+    window_args.add_argument("--data-dir", required=True, type=_path, help="directory of <BASEQUOTE>.csv tick files")
 
     hist_args = argparse.ArgumentParser(add_help=False)
     hist_args.add_argument("--hist-lo", type=float, default=0.999)
@@ -180,6 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # shared plumbing
+
+
+def _path(text: str) -> str:
+    """A directory flag's value, refused if empty: '' would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path, which would mean the current directory")
+    return text
 
 
 def _out_dir(args) -> Path:
@@ -265,7 +260,9 @@ def _detect(
     window too long or with no grid second is an input error, and so is a
     missing file or one that is not a regular file, before any file is read;
     a bad row is reported in the order the files are read. The readers share
-    one `BlockBuffer`, each reading its blocks at its own byte offset.
+    one `BlockBuffer`, each reading its blocks at its own byte offset. Right
+    before each reader's `finish`, a file with crossed quotes prints one
+    `warning:` line with their count on stderr.
     """
     require_grid(window)
     chunks = window.chunks()
@@ -289,6 +286,9 @@ def _detect(
             del gammas  # so that the next chunk's reads do not hold it too
         ops += segment_opportunities(np.empty(0, dtype=np.int64), np.empty((2, 0)), held)
         for reader in readers:
+            if reader.n_crossed:
+                print(f"warning: {reader.path}: accepted {reader.n_crossed} crossed quote(s) "
+                      "(bid > ask)", file=sys.stderr)
             reader.finish()
     ops.sort(key=lambda op: (op.start, op.direction.value))
     return ops, dist
@@ -496,7 +496,7 @@ def _parse_datasets(specs: Sequence[str]) -> list[tuple[str, str]]:
     datasets: dict[str, str] = {}
     for spec in specs:
         label, sep, path = (part.strip() for part in spec.partition("="))
-        if not sep:
+        if not sep or not path:
             raise TriarbError(f"bad --dataset {spec!r}, expected LABEL=DIR")
         if not label or any(s and s in label for s in (os.sep, os.altsep)):
             raise TriarbError(

@@ -31,7 +31,3 @@ class AlignmentError(TriarbError):
 
 class SynthConfigError(TriarbError):
     """A synthetic-data configuration is invalid or an injection is infeasible."""
-
-
-class CrossedQuoteWarning(UserWarning):
-    """A quote with bid > ask was accepted at ingestion."""

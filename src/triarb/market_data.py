@@ -23,11 +23,11 @@ Tick files follow one grammar, which `write_pair_series_csv` writes:
 - a price is 1 to 18 ASCII digits with at most one '.', and positive.
 
 Any other row is a TickParseError naming its line. Several ticks in one
-second collapse to the last one. Crossed quotes (bid > ask) are accepted
-with a CrossedQuoteWarning. A series' prices share the largest number of
-decimal places among its ticks. At the largest among all the file's ticks
-kept, that scale is at most 17 and every mantissa below 10**18, so every
-series read can be written back.
+second collapse to the last one. Crossed quotes (bid > ask) are accepted,
+and a reader counts them (`TickReader.n_crossed`). A series' prices share
+the largest number of decimal places among its ticks. At the largest among
+all the file's ticks kept, that scale is at most 17 and every mantissa
+below 10**18, so every series read can be written back.
 
 The time grid has a fixed resolution of one second. A grid second carries a
 quote only if at least one raw tick fell inside that second; when several
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import re
-import warnings
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
@@ -48,13 +47,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import (
-    CrossedQuoteWarning,
-    EmptySeriesError,
-    TickOrderingError,
-    TickParseError,
-    TriarbError,
-)
+from .errors import EmptySeriesError, TickOrderingError, TickParseError, TriarbError
 
 SECONDS_PER_DAY = 86_400
 HOURS = 24
@@ -355,7 +348,8 @@ class TickReader:
     as `SeriesWindow.chunks` does, and the one that ends the grid reads the
     file to its end. Each chunk's prices share that chunk's largest number of
     decimal places. `finish` then checks the file as a whole against the
-    grammar in the module docstring.
+    grammar in the module docstring. `n_crossed` counts the crossed quotes
+    (bid > ask) among all rows read, in the window or not.
     """
 
     def __init__(self, path, pair: Pair, window: SeriesWindow, buffer: BlockBuffer | None = None):
@@ -369,7 +363,7 @@ class TickReader:
         self._mantissas = np.empty((2, 0), dtype=np.int64)  # their bid and ask
         self._places = np.empty((2, 0), dtype=np.int8)  # and decimal places
         self._placed = 0  # grid seconds read
-        self._n_crossed = 0
+        self.n_crossed = 0
         # of the ticks placed: the most decimal places, and the most digits less places
         self._scale = self._digits = -1
 
@@ -396,13 +390,9 @@ class TickReader:
         return PairSeries(self.pair, chunk, placed[0], placed[1], max(scale, 0))
 
     def finish(self) -> None:
-        """Once the last chunk has read the file to its end, warn of crossed
-        quotes and refuse a file with no tick in the window, or one whose
-        prices need more than 18 digits at the largest decimal places of all
-        its ticks kept."""
-        if self._n_crossed:
-            warnings.warn(f"{self.path}: accepted {self._n_crossed} crossed quote(s) (bid > ask)",
-                          CrossedQuoteWarning, stacklevel=2)
+        """Once the last chunk has read the file to its end, refuse a file
+        with no tick in the window, or one whose prices need more than 18
+        digits at the largest decimal places of all its ticks kept."""
         if self._scale < 0:
             raise EmptySeriesError(f"{self.path}: no tick falls inside window {self.window}")
         if self._scale > 17 or self._digits + self._scale > 18:
@@ -439,7 +429,7 @@ class TickReader:
         if rows is None:
             return False
         t, mantissas, places, crossed, _ = rows
-        self._n_crossed += int(crossed.sum())
+        self.n_crossed += int(crossed.sum())
         last = np.ones(t.size, dtype=bool)  # the last row of each second
         last[:-1] = t[1:] != t[:-1]
         if not last.all():

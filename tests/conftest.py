@@ -31,11 +31,14 @@ def write_rows(path, rows):
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
-def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
+def load_pair_series(path, pair: Pair, window: SeriesWindow, crossed=None) -> PairSeries:
     """The tick file at `path` on the window's grid: a `TickReader` that reads
-    the window as one chunk, then `finish`."""
+    the window as one chunk, then `finish`. The reader's crossed-quote count
+    is appended to the list `crossed`, if given, before `finish` checks the file."""
     with TickReader(path, pair, window) as reader:
         series = reader.read(window)
+        if crossed is not None:
+            crossed.append(reader.n_crossed)
         reader.finish()
     return series
 

@@ -12,18 +12,12 @@ rejects with a `TickParseError`, `TickOrderingError` or `EmptySeriesError`.
 from __future__ import annotations
 
 import re
-import warnings
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 
 import numpy as np
 
-from triarb.errors import (
-    CrossedQuoteWarning,
-    EmptySeriesError,
-    TickOrderingError,
-    TickParseError,
-)
+from triarb.errors import EmptySeriesError, TickOrderingError, TickParseError
 from triarb.market_data import Pair, PairSeries, SeriesWindow
 
 _PRICE = r"([0-9]*\.?[0-9]*)"
@@ -38,7 +32,9 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _SECOND = timedelta(seconds=1)
 
 
-def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
+def load_pair_series(path, pair: Pair, window: SeriesWindow, crossed=None) -> PairSeries:
+    """The file's series; its crossed-quote count over every row is appended
+    to the list `crossed`, if given, once every row has been checked."""
     # second -> (bid, ask, line); keys arrive in ascending order
     per_second: dict[int, tuple[Decimal, Decimal, int]] = {}
     iso = None
@@ -84,12 +80,8 @@ def load_pair_series(path, pair: Pair, window: SeriesWindow) -> PairSeries:
             n_crossed += 1
         if _in_window(window, t):
             per_second[t] = (bid, ask, line_no)
-    if n_crossed:
-        warnings.warn(
-            f"{path}: accepted {n_crossed} crossed quote(s) (bid > ask)",
-            CrossedQuoteWarning,
-            stacklevel=2,
-        )
+    if crossed is not None:
+        crossed.append(n_crossed)
     if not per_second:
         raise EmptySeriesError(f"{path}: no tick falls inside window {window}")
 

@@ -21,12 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from triarb.cli import _summary_entry, main
 from triarb.config import parse_window
-from triarb.errors import (
-    CrossedQuoteWarning,
-    EmptySeriesError,
-    TickOrderingError,
-    TickParseError,
-)
+from triarb.errors import EmptySeriesError, TickOrderingError, TickParseError
 from triarb.market_data import Direction, TriangleSpec
 from triarb.opportunity import ArbitrageOpportunity
 from triarb.rate_product import compute_rate_products
@@ -431,10 +426,19 @@ class TestDetectCommand:
              f"tick file {path} is not a regular file"),
         ])
 
-    def test_bad_flags_exit_2_before_any_output(self, tmp_path, capsys):
+    def test_bad_flags_exit_2_before_any_output(self, tmp_path, capsys, monkeypatch):
         data_dir = run_synth(tmp_path, five_injections())
         base = ["detect", "--data-dir", str(data_dir), "--window", WINDOW]
+        # an empty directory flag would name the current directory, which holds tick files
+        for name in ("EURUSD.csv", "USDCHF.csv", "EURCHF.csv"):
+            shutil.copy(data_dir / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        assert main([*base, "--out-dir", ""]) == 2
+        assert "argument --out-dir: an empty path" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
         assert_exits_2_before_any_output(tmp_path, capsys, [
+            ([*base, "--data-dir", ""], "argument --data-dir: an empty path"),
             ([*base, "--thresholds", "2,1"], "sorted ascending"),
             ([*base, "--thresholds=-1,2"], "non-negative"),
             ([*base, "--hist-bin-width", "0"], "degenerate histogram"),
@@ -522,33 +526,41 @@ class TestDetectCommand:
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    def test_crossed_quote_warns_in_one_line(self, tmp_path):
-        # a fresh interpreter, so that stderr is what a user sees
+    @pytest.mark.parametrize("flags, env", [
+        ([], {}),
+        (["-W", "error"], {}),
+        (["-W", "ignore"], {}),
+        ([], {"PYTHONWARNINGS": "error"}),
+    ], ids=["default", "-W error", "-W ignore", "PYTHONWARNINGS=error"])
+    def test_crossed_quote_warns_in_one_line(self, tmp_path, flags, env):
+        # a fresh interpreter, so that stderr is what a user sees; the line is
+        # printed, not warned, so no warning filter changes it or the exit code
         data_dir = run_synth(tmp_path, five_injections())
         path = self._cross_one_quote(data_dir)
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        env.pop("PYTHONWARNINGS", None)
+        env = {**os.environ, **env,
+               "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         proc = subprocess.run(
-            [sys.executable, "-m", "triarb.cli", "detect", "--data-dir", str(data_dir),
+            [sys.executable, *flags, "-m", "triarb.cli", "detect", "--data-dir", str(data_dir),
              "--window", WINDOW, "--out-dir", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == f"warning: {path}: accepted 1 crossed quote(s) (bid > ask)\n"
 
     def test_other_warnings_keep_their_format(self, tmp_path, capsys, monkeypatch):
-        # a warning that is not triarb's goes on to the handler in place, here pytest's
+        # main installs no warning hook: a warning goes to the handler in place,
+        # here pytest's, and the crossed-quote line is printed all the same
         def warn_then_compute(*args):
             warnings.warn("another warning", UserWarning)
             return compute_rate_products(*args)
 
         data_dir = run_synth(tmp_path, five_injections())
-        self._cross_one_quote(data_dir)
+        path = self._cross_one_quote(data_dir)
         monkeypatch.setattr("triarb.cli.compute_rate_products", warn_then_compute)
         with pytest.warns(UserWarning, match="another warning") as caught:
             assert main(["detect", "--data-dir", str(data_dir), "--window", WINDOW,
                          "--out-dir", str(tmp_path / "out")]) == 0
-        assert not any(w.category is CrossedQuoteWarning for w in caught)
-        assert capsys.readouterr().err.startswith("warning: ")
+        assert {str(w.message) for w in caught} == {"another warning"}
+        assert capsys.readouterr().err == f"warning: {path}: accepted 1 crossed quote(s) (bid > ask)\n"
 
     @pytest.mark.parametrize("row, message", [
         (lambda t: t + b',1.20649,"1.20651', "bad price"),
@@ -634,15 +646,12 @@ class TestTickFileFuzz:
             for pair, raw in zip(TriangleSpec(("EUR", "USD", "CHF")).pairs, files):
                 path = Path(tmp) / f"{pair.file_stem}.csv"
                 path.write_bytes(raw)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    try:
-                        reference.load_pair_series(path, pair, parse_window(window))
-                    except (TickParseError, TickOrderingError, EmptySeriesError):
-                        accepted = False
+                try:
+                    reference.load_pair_series(path, pair, parse_window(window))
+                except (TickParseError, TickOrderingError, EmptySeriesError):
+                    accepted = False
             err = io.StringIO()
-            with contextlib.redirect_stderr(err), warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # crossed quotes
+            with contextlib.redirect_stderr(err):
                 rc = main(["detect", "--data-dir", tmp, "--window", window,
                            "--out-dir", f"{tmp}/out"])
         assert rc == (0 if accepted else 2), err.getvalue()
@@ -867,14 +876,17 @@ class TestSimulateCommand:
 
 
 class TestCompareCommand:
-    def test_identical_datasets_zero_deltas(self, tmp_path):
+    def test_identical_datasets_zero_deltas(self, tmp_path, capsys):
         data_dir = run_synth(tmp_path, five_injections())
+        path = TestDetectCommand._cross_one_quote(data_dir)
         out = tmp_path / "cmp"
         rc = main(
             ["compare", "--dataset", f"a={data_dir}", "--dataset", f"b={data_dir}",
              "--window", WINDOW, "--out-dir", str(out)]
         )
         assert rc == 0
+        # one line per dataset, though both read the same file
+        assert capsys.readouterr().err == 2 * f"warning: {path}: accepted 1 crossed quote(s) (bid > ask)\n"
         rows = read_csv(out / "comparison.csv")
         assert rows[0] == [
             "label", "count", "1s", "2s", "3s", "4s", "5s", ">5s",
@@ -924,6 +936,9 @@ class TestCompareCommand:
             ([*base, "--dataset", f"b/c={data_dir}"], "path separator"),
             ([*base, "--dataset", f"={data_dir}"], "path separator"),
             ([*base, "--dataset", f"b{data_dir}"], "expected LABEL=DIR"),
+            # an empty directory would be the current one
+            ([*base, "--dataset", "b="], "bad --dataset 'b=', expected LABEL=DIR"),
+            ([*base, "--dataset", "b= "], "bad --dataset 'b= ', expected LABEL=DIR"),
         ])
 
     def test_missing_tick_file_exits_2_before_any_output(self, tmp_path, capsys):

@@ -3,12 +3,10 @@
 import calendar
 import copy
 import dataclasses
-import inspect
 import itertools
 import pickle
 import tempfile
 import tracemalloc
-import warnings
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
 from fractions import Fraction
@@ -20,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from triarb.errors import (
     AlignmentError,
-    CrossedQuoteWarning,
     EmptySeriesError,
     TickOrderingError,
     TickParseError,
@@ -133,28 +130,23 @@ class TestLoadPairSeries:
         series = load_pair_series(path, EURUSD, SeriesWindow(253402300798, 253402300800))
         assert series.bid_m.tolist() == [12065, 12066]
 
-    def test_crossed_quote_warns_but_loads(self, tmp_path):
+    def test_crossed_quote_is_counted_and_loads(self, tmp_path):
+        # counted in the window and out of it; the reader reports nothing itself
         path = tmp_path / "ticks.csv"
-        write_rows(path, [(0, "1.2070", "1.2067")])
-        with pytest.warns(CrossedQuoteWarning):
-            series = load_pair_series(path, EURUSD, SeriesWindow(0, 1))
-        assert (series.bid_m[0], series.ask_m[0]) == (12070, 12067)
-
-    def test_crossed_quote_warning_names_the_line_that_called_finish(self, tmp_path):
-        path = tmp_path / "ticks.csv"
-        write_rows(path, [(0, "1.2070", "1.2067")])
-        with market_data.TickReader(path, EURUSD, SeriesWindow(0, 1)) as reader:
-            reader.read(SeriesWindow(0, 1))
-            with pytest.warns(CrossedQuoteWarning) as caught:
-                line = inspect.currentframe().f_lineno + 1
-                reader.finish()
-        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+        write_rows(path, [(0, "1.2070", "1.2067"), (1, "1.2065", "1.2067"), (2, "1.2069", "1.2068")])
+        crossed = []
+        series = load_pair_series(path, EURUSD, SeriesWindow(0, 2), crossed)
+        assert (series.bid_m.tolist(), series.ask_m.tolist()) == ([12070, 12065], [12067, 12067])
+        assert crossed == [2]
 
     def test_reload_is_bit_identical(self, tmp_path):
         path = tmp_path / "ticks.csv"
         write_rows(path, [(0, "1.2065", "1.2067"), (1, "1.20655", "1.20675")])
         w = SeriesWindow(0, 5)
-        assert load_pair_series(path, EURUSD, w) == load_pair_series(path, EURUSD, w)
+        series = load_pair_series(path, EURUSD, w)
+        assert series == load_pair_series(path, EURUSD, w)
+        # against anything else, equality is left to the other operand, then identity
+        assert series.__eq__(w) is NotImplemented and series != w
 
     def test_weekday_filter_drops_weekend(self, tmp_path):
         # MONDAY - 1 is a Sunday second
@@ -205,8 +197,8 @@ class TestLoadPairSeries:
             monkeypatch.setattr(market_data, "BLOCK_BYTES", text.index(rows[2]) + 3)
             assert _block_first_lines(path)[:2] == [1, 4]
         window = SeriesWindow(MONDAY, MONDAY + 3)
-        loaded, caught = _outcome(load_pair_series, path, window)
-        assert (loaded, caught) == _outcome(reference.load_pair_series, path, window)
+        loaded, crossed = _outcome(load_pair_series, path, window)
+        assert (loaded, crossed) == _outcome(reference.load_pair_series, path, window)
         if line_no is None:
             assert (loaded.scale, loaded.ask_m.tolist()) == (4, [12067, 12068, 12066])
         else:
@@ -300,11 +292,11 @@ class TestLoadPairSeries:
         path = tmp_path / "ticks.csv"
         path.write_bytes(b"\n".join([b"timestamp,bid,ask", *rows, b""]))
         window = SeriesWindow(MONDAY, MONDAY + 40)
-        loaded, caught = _outcome(load_pair_series, path, window)
-        assert (loaded, caught) == _outcome(reference.load_pair_series, path, window)
+        loaded, crossed = _outcome(load_pair_series, path, window)
+        assert (loaded, crossed) == _outcome(reference.load_pair_series, path, window)
         if error in (None, "crossed"):
             assert int(loaded.bid_m[at]) == int(Decimal(row.split(b",")[0].decode()) * 10**5)
-            assert len(caught) == (error == "crossed")
+            assert crossed == [int(error == "crossed")]
         elif error == "precedes":
             assert loaded == (TickOrderingError, f"{path}:{at + 2}: timestamp {MONDAY + at - 2} "
                                                  f"precedes {MONDAY + at - 1}")
@@ -341,8 +333,8 @@ class TestLoadPairSeries:
         path.write_bytes(b"\n".join([b"timestamp,bid,ask", *rows, b""]))
         start = 1709164800 if iso else MONDAY
         window = SeriesWindow(start, start + 300)
-        loaded, caught = _outcome(load_pair_series, path, window)
-        assert (loaded, caught) == _outcome(reference.load_pair_series, path, window)
+        loaded, crossed = _outcome(load_pair_series, path, window)
+        assert (loaded, crossed) == _outcome(reference.load_pair_series, path, window)
         if error is None:
             scale = loaded.scale
             assert scale == max(len(p) - p.find(b".") - 1 for p in (b"1.20650", *row.split(b",")))
@@ -596,9 +588,7 @@ def test_writer_blocks_match_reference(case):
         assert [rows for rows, _ in blocks] == [per] * (quoted // per)
         assert all(len(text) <= per * line for _, text in blocks)
         mp.undo()  # the loader reads blocks of BLOCK_BYTES too; a header may not fit in these
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CrossedQuoteWarning)
-            assert load_pair_series(path, EURUSD, series.window) == series
+        assert load_pair_series(path, EURUSD, series.window) == series
 
 
 @pytest.mark.parametrize("scale", [0, 5])
@@ -725,16 +715,16 @@ def _block_first_lines(path):
 
 
 def _outcome(load, path, window):
-    """What a loader makes of a file: the series or the error, and its warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = load(path, EURUSD, window)
-        except TickParseError as exc:
-            result = (TickParseError, exc.line_no)
-        except (TickOrderingError, EmptySeriesError) as exc:
-            result = (type(exc), str(exc))
-    return result, [str(w.message) for w in caught]
+    """What a loader makes of a file: the series or the error, and the crossed
+    quotes it counted over every row ([] if a row was refused)."""
+    crossed = []
+    try:
+        result = load(path, EURUSD, window, crossed)
+    except TickParseError as exc:
+        result = (TickParseError, exc.line_no)
+    except (TickOrderingError, EmptySeriesError) as exc:
+        result = (type(exc), str(exc))
+    return result, crossed
 
 
 @given(tick_files())
@@ -880,9 +870,9 @@ class TestIsoDateOnce:
                      *rows[0][1:]) for d in range(dates_before, 0, -1)]
         path = tmp_path / "ticks.csv"
         write_rows(path, rows)
-        series, warned = _assert_matches_reference(
+        series, crossed = _assert_matches_reference(
             path, SeriesWindow(t0, t0 + 20), (60, 61, 97, 150, 640, 1 << 18), monkeypatch)
-        assert isinstance(series, PairSeries) and not series.missing.any() and not warned
+        assert isinstance(series, PairSeries) and not series.missing.any() and crossed == [0]
 
     @pytest.mark.parametrize("bad", ["24:00:00", "23:59:60", "23:60:00", "99:59:59"])
     @pytest.mark.parametrize("at", [0, 5, 9])
@@ -915,8 +905,8 @@ class TestIsoDateOnce:
         window = SeriesWindow(t0, t0 + 11 * 86400)
         outcome = _assert_matches_reference(path, window, (1 << 18,), monkeypatch)
         if other.startswith("2024-02"):  # a date before the row above's
-            (error, message), warned = outcome
-            assert error is TickOrderingError and not warned
+            (error, message), crossed = outcome
+            assert error is TickOrderingError and crossed == []
             assert message.startswith(f"{path}:{at + 2}: timestamp ")
         elif at == 6:
             assert outcome == ((TickParseError, at + 2), [])
@@ -1077,7 +1067,7 @@ class TestSeriesWindow:
         assert window.grid_size() == grid.size
         assert window.grid_index(times).tolist() == expected
 
-    def test_window_too_long_for_its_day_counts_is_refused(self, tmp_path):
+    def test_window_too_long_for_its_day_counts_is_refused(self, tmp_path, monkeypatch):
         # about 1.16e12 days, once a MemoryError from the day counts of a load
         path = tmp_path / "ticks.csv"
         write_rows(path, [(345600, "1.2", "1.3")])
@@ -1088,6 +1078,15 @@ class TestSeriesWindow:
         assert SeriesWindow(0, last).grid_size() == last
         with pytest.raises(TriarbError, match="too many for its per-second grid"):
             SeriesWindow(0, last + 1)
+        # a grid the day counts allow but memory does not hold
+        window = SeriesWindow(MONDAY, MONDAY + 3600)
+
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "repeat", no_memory)
+        with pytest.raises(TriarbError, match="spans 3,600 seconds, too many for its per-second grid"):
+            window.grid_times()
 
     @given(st.integers(0, 30 * SECONDS_PER_DAY), st.integers(1, 10 * SECONDS_PER_DAY),
            st.one_of(st.just(frozenset(range(7))), st.frozensets(st.integers(0, 6), min_size=1)),

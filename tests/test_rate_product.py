@@ -201,7 +201,6 @@ class TestProperties:
 
     @given(st.integers(min_value=1, max_value=1000))
     @settings(max_examples=30, deadline=None)
-    @pytest.mark.filterwarnings("ignore::triarb.errors.CrossedQuoteWarning")  # raised bids cross
     def test_raising_bid_never_lowers_gamma(self, raise_ticks):
         spec = triangle()
         base = {

@@ -191,6 +191,9 @@ class TestBounds:
         (lambda: {"window": SeriesWindow(MONDAY - 2 * 86400, MONDAY, WEEKDAYS)},
          f"window {MONDAY - 2 * 86400}..{MONDAY} holds no second on its weekdays "
          "mon,tue,wed,thu,fri: its grid is empty"),
+        (lambda: {"gap_rate": (0.0,) * 23 + (1.5,)}, "gap_rate must be 24 probabilities in [0, 1]"),
+        (lambda: {"gap_rate": (-0.1,) + (0.0,) * 23}, "gap_rate must be 24 probabilities in [0, 1]"),
+        (lambda: {"gap_rate": (0.0,) * 23}, "gap_rate must be 24 probabilities in [0, 1]"),
     ])
     def test_python_config_out_of_bounds(self, chf_triangle, changes, message):
         with pytest.raises(SynthConfigError) as err:
